@@ -8,7 +8,8 @@ Subcommands::
     symfd exact --equation ID [options]          oracle samples as CSV
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure
-(tangling or divergence; partial outputs are still written).
+(mesh tangling, a singular step, or NaN/inf values; partial outputs are
+still written).
 """
 
 from __future__ import annotations

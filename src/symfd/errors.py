@@ -33,10 +33,6 @@ class SchemeSingularity(SymfdError):
     """A closed-form scheme step degenerated (singular linear solve)."""
 
 
-class NewtonDivergence(SymfdError):
-    """Damped Newton failed to reduce the residual below tolerance."""
-
-
 class MeshTangling(SymfdError):
     """Mesh ordering was lost, or the minimum spacing fell below its floor."""
 
@@ -47,10 +43,6 @@ class SingularSystem(SymfdError):
 
 class OutOfDomain(SymfdError):
     """An interpolation query lies outside the source hull."""
-
-
-class Divergence(SymfdError):
-    """An ODE trajectory exceeded the 1e12 magnitude guard."""
 
 
 class ConfigError(SymfdError):

@@ -15,9 +15,7 @@ invariant for any scalar F.  Three families are implemented:
   advective time derivative, k), normalizing t, x, u to zero with the scale
   factor fixed by the cube root of (1 + k Dx u)(Dt u + u^{n+1} Dx u).
 
-The Burgers action is the four-parameter subgroup only; the fifth
-normalization value -Dx u that a five-parameter frame would consume is
-reported by :func:`burgers_frame_slope_parameter` but never applied.
+The Burgers action is the four-parameter subgroup only.
 """
 
 from __future__ import annotations
@@ -262,15 +260,6 @@ def burgers_discrete_frame(inp: BurgersFrameInput) -> BurgersGroupElement:
     if p <= _TOL:
         raise DegenerateJet(f"cube root argument {p} not positive")
     return BurgersGroupElement(-inp.x, -inp.t, -inp.u, math.log(p) / 3.0)
-
-
-def burgers_frame_slope_parameter(inp: BurgersFrameInput) -> float:
-    """Fifth normalization value -Dx u of the full five-parameter frame.
-
-    Recorded for reference only; the implemented four-parameter subgroup has
-    no slot for it and never applies it.
-    """
-    return -inp.dxu
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,6 @@ from . import schemes
 from .errors import (
     ConfigError,
     MeshTangling,
-    NewtonDivergence,
     PoleError,
     SchemeSingularity,
     SymfdError,
@@ -319,8 +318,9 @@ def _pde_time_step(cfg: ExperimentConfig, h: float) -> tuple[float, int]:
 def run_experiment(cfg: ExperimentConfig) -> RunOutput:
     """Time loop (or space march) with snapshot and diagnostics recording.
 
-    Terminates at the final time, on mesh tangling, or on Newton failure;
-    the status of the run is recorded and partial output preserved.
+    Terminates at the final time, on mesh tangling, on a numerical failure
+    of the step, or once u holds NaN or inf (status ``nonfinite``); the
+    status of the run is recorded and partial output preserved.
     """
     if cfg.equation == "schwarzian":
         return _run_schwarzian(cfg)
@@ -337,6 +337,26 @@ def run_experiment(cfg: ExperimentConfig) -> RunOutput:
 
 def _cadence(steps: int, every: int) -> int:
     return every if every > 0 else max(1, math.ceil(steps / 200))
+
+
+def _record_stop(status: str, step: int, state: GridState, floor: float,
+                 diags: list, snaps: list) -> None:
+    """Append the last diagnostics row and snapshot of a run that ends early."""
+    diags.append(
+        DiagnosticsRow(step, state.t, detect_tangling(state.x, floor).min_spacing,
+                       total_variation(state.u), math.nan, 0, status)
+    )
+    snaps.append((state.t, state.x.copy(), state.u.copy()))
+
+
+def _stop_nonfinite(step: int, state: GridState, floor: float,
+                    diags: list, snaps: list) -> bool:
+    """End a run whose state holds NaN or inf with a ``nonfinite`` last row
+    and snapshot; False (nothing recorded) while u is finite."""
+    if np.all(np.isfinite(state.u)):
+        return False
+    _record_stop("nonfinite", step, state, floor, diags, snaps)
+    return True
 
 
 def _run_schwarzian(cfg: ExperimentConfig) -> RunOutput:
@@ -398,14 +418,18 @@ def _run_kdv_naive(cfg: ExperimentConfig) -> RunOutput:
     every = _cadence(steps, cfg.snapshot_every)
     snaps = [(0.0, state.x.copy(), state.u.copy())]
     diags: list[DiagnosticsRow] = []
+    status = "completed"
     for step in range(1, steps + 1):
         state = schemes.naive_kdv_step(state, k, h)
+        if _stop_nonfinite(step, state, 0.0, diags, snaps):
+            status = "nonfinite"
+            break
         diags.append(
             DiagnosticsRow(step, state.t, h, total_variation(state.u), 0.0, 0, "ok")
         )
         if step % every == 0 or step == steps:
             snaps.append((state.t, state.x.copy(), state.u.copy()))
-    return RunOutput(snaps, diags, "completed", cfg)
+    return RunOutput(snaps, diags, status, cfg)
 
 
 def _run_kdv_invariant(cfg: ExperimentConfig) -> RunOutput:
@@ -429,17 +453,15 @@ def _run_kdv_invariant(cfg: ExperimentConfig) -> RunOutput:
             )
         except MeshTangling:
             status = "mesh_tangling"
-        except NewtonDivergence:
-            status = "newton_divergence"
+        except SchemeSingularity:
+            status = "scheme_singularity"
         except SymfdError:
             status = "numerical_failure"
         if status != "completed":
-            diags.append(
-                DiagnosticsRow(step, state.t,
-                               detect_tangling(state.x, floor).min_spacing,
-                               total_variation(state.u), math.nan, 0, status)
-            )
-            snaps.append((state.t, state.x.copy(), state.u.copy()))
+            _record_stop(status, step, state, floor, diags, snaps)
+            break
+        if _stop_nonfinite(step, state, floor, diags, snaps):
+            status = "nonfinite"
             break
         diags.append(
             DiagnosticsRow(step, state.t, info.min_spacing,
@@ -470,17 +492,15 @@ def _run_burgers(cfg: ExperimentConfig) -> RunOutput:
             )
         except MeshTangling:
             status = "mesh_tangling"
-        except (NewtonDivergence, SchemeSingularity):
-            status = "newton_divergence"
+        except SchemeSingularity:
+            status = "scheme_singularity"
         except SymfdError:
             status = "numerical_failure"
         if status != "completed":
-            diags.append(
-                DiagnosticsRow(step, state.t,
-                               detect_tangling(state.x, floor).min_spacing,
-                               total_variation(state.u), math.nan, 0, status)
-            )
-            snaps.append((state.t, state.x.copy(), state.u.copy()))
+            _record_stop(status, step, state, floor, diags, snaps)
+            break
+        if _stop_nonfinite(step, state, floor, diags, snaps):
+            status = "nonfinite"
             break
         diags.append(
             DiagnosticsRow(step, state.t, info.min_spacing,
@@ -617,16 +637,13 @@ def _random_u(rng: DeterministicRng, n: int) -> np.ndarray:
     return np.array([rng.uniform(-2.0, 2.0) for _ in range(n)])
 
 
+# the group actions are elementwise arithmetic, so they map whole node arrays
 def _transform_kdv_state(g: KdVGroupElement, st: GridState) -> GridState:
-    pts = [apply_kdv(g, (st.t, float(x), float(u))) for x, u in zip(st.x, st.u)]
-    return GridState(pts[0][0], np.array([p[1] for p in pts]),
-                     np.array([p[2] for p in pts]))
+    return GridState(*apply_kdv(g, (st.t, st.x, st.u)))
 
 
 def _transform_burgers_state(g: BurgersGroupElement, st: GridState) -> GridState:
-    pts = [apply_burgers(g, (st.t, float(x), float(u))) for x, u in zip(st.x, st.u)]
-    return GridState(pts[0][0], np.array([p[1] for p in pts]),
-                     np.array([p[2] for p in pts]))
+    return GridState(*apply_burgers(g, (st.t, st.x, st.u)))
 
 
 class _SchwarzianAudit:
@@ -721,7 +738,7 @@ class _KdVAudit:
             stepped = schemes.kdv_step(prev, k, "lagrangian", self.scheme)
             gp = _transform_kdv_state(g, prev)
             gstepped = schemes.kdv_step(gp, g.lam**3 * k, "lagrangian", self.scheme)
-        except (MeshTangling, NewtonDivergence):
+        except (MeshTangling, SchemeSingularity):
             raise _Resample from None
         img = _transform_kdv_state(g, stepped)
         return max(_rel_dev(img.x, gstepped.x), _rel_dev(img.u, gstepped.u))

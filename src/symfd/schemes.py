@@ -15,19 +15,20 @@ KdV equation u_t + u u_x + u_xxx = 0
         D3u_i = (2/h_i) [ (Du_{i+1}-Du_i)/(h_{i+1}+h_i)
                         - (Du_i-Du_{i-1})/(h_i+h_{i-1}) ].
     Ten-point scheme: same structure with slopes and third differences
-    averaged over both rows (implicit, solved by damped Newton with a
-    banded finite-difference Jacobian).  Both residuals are relative
-    invariants of weight lam^-5; k h_i^2 times the residual is the exact
-    invariant combination, which is what invariance audits compare.
+    averaged over both rows.  On the moved mesh it is affine in u^{n+1}
+    with a pentadiagonal matrix, solved by one banded linear solve.  Both
+    residuals are relative invariants of weight lam^-5; k h_i^2 times the
+    residual is the exact invariant combination, which is what invariance
+    audits compare.
 
 Burgers equation u_t + u u_x = nu u_xx
     Finite-volume step in conservative computational-variable form
     Delta_tau(x_s u) + k Delta_s f = 0 with high-order (centered) and
     low-order (upwind) flux discretizations blended by the minmod limiter
-    evaluated on the smoothness ratio theta.  Upwinding follows the sign of
-    the mesh-relative speed u - sigma/k, which is invariant under Galilean
-    boosts (the raw sign of u is not).  The blended update is diagonal in
-    u^{n+1} and solved per node.
+    max(0, min(1, theta)) evaluated on the smoothness ratio theta.
+    Upwinding follows the sign of the mesh-relative speed u - sigma/k, which
+    is invariant under Galilean boosts (the raw sign of u is not).  The
+    blended update is diagonal in u^{n+1} and solved per node.
 
 The naive KdV baseline lives on a uniform static mesh and is deliberately
 not Galilean invariant; the adaptive Runge-Kutta-Fehlberg 4(5) solver is the
@@ -43,11 +44,7 @@ from typing import Callable
 import numpy as np
 from scipy.linalg import solve_banded
 
-from .errors import (
-    DegenerateDenominator,
-    NewtonDivergence,
-    SchemeSingularity,
-)
+from .errors import DegenerateDenominator, SchemeSingularity
 from .invariants import cross_ratio, cross_ratio_conjugate
 from .mesh import (
     MeshUpdate,
@@ -91,19 +88,6 @@ class GridState:
 
 
 @dataclass(frozen=True)
-class NewtonConfig:
-    """Damped-Newton controls for the implicit solves."""
-
-    tol: float = 1e-10
-    max_iter: int = 50
-    jacobian_fd_step: float = 1e-7
-
-    def __post_init__(self):
-        if not (self.tol > 0.0 and self.max_iter >= 1):
-            raise ValueError("tol must be positive and max_iter >= 1")
-
-
-@dataclass(frozen=True)
 class SchwarzianState:
     """Sliding window for the Schwarzian recurrence."""
 
@@ -123,7 +107,11 @@ class SchwarzianState:
 
 @dataclass(frozen=True)
 class StepInfo:
-    """Diagnostics of one scheme step."""
+    """Diagnostics of one scheme step.
+
+    ``newton_iters`` counts linear solves: 1 for the ten-point KdV step,
+    0 for the explicit and diagonal updates.
+    """
 
     newton_iters: int
     residual_inf: float
@@ -303,52 +291,30 @@ def kdv_invariant_normalizer(prev: GridState, k: float) -> np.ndarray:
     return k * h0[i] ** 2
 
 
-def _newton_banded(res_fn: Callable[[np.ndarray], np.ndarray], v0: np.ndarray,
-                   cfg: NewtonConfig, halfband: int = 2) -> tuple[np.ndarray, int, float]:
-    """Damped Newton with a banded finite-difference Jacobian (colored)."""
-    v = v0.astype(float).copy()
-    m = v.size
-    width = 2 * halfband + 1
-    r = res_fn(v)
-    rnorm = float(np.max(np.abs(r))) if m else 0.0
-    for it in range(1, cfg.max_iter + 1):
-        if not np.all(np.isfinite(r)) or rnorm > 1e12:
-            raise NewtonDivergence(f"residual blew up at iteration {it}")
-        if rnorm <= cfg.tol:
-            return v, it - 1, rnorm
-        ab = np.zeros((width, m))
-        for color in range(width):
-            cols = np.arange(color, m, width)
-            if cols.size == 0:
-                continue
-            dv = cfg.jacobian_fd_step * (1.0 + np.abs(v[cols]))
-            vp = v.copy()
-            vp[cols] += dv
-            rp = res_fn(vp)
-            for j, dvj in zip(cols, dv):
-                lo, hi = max(0, j - halfband), min(m, j + halfband + 1)
-                rows = np.arange(lo, hi)
-                ab[halfband + rows - j, j] = (rp[rows] - r[rows]) / dvj
-        try:
-            step = solve_banded((halfband, halfband), ab, r)
-        except (np.linalg.LinAlgError, ValueError) as exc:
-            raise NewtonDivergence(f"banded solve failed: {exc}") from exc
-        eta = 1.0
-        while True:
-            v_try = v - eta * step
-            r_try = res_fn(v_try)
-            rn_try = float(np.max(np.abs(r_try)))
-            if np.isfinite(rn_try) and rn_try < rnorm:
-                v, r, rnorm = v_try, r_try, rn_try
-                break
-            eta *= 0.5
-            if eta < 1.0 / 64.0:
-                raise NewtonDivergence(
-                    f"damping failed at iteration {it}, residual {rnorm:.3e}"
-                )
-    raise NewtonDivergence(
-        f"no convergence in {cfg.max_iter} iterations, residual {rnorm:.3e}"
-    )
+def _solve_affine_banded(res_fn: Callable[[np.ndarray], np.ndarray],
+                         v0: np.ndarray) -> np.ndarray:
+    """The root of an affine residual map with a pentadiagonal matrix.
+
+    The band is read off the residual at v0 and at 5 colored unit probes
+    (exact up to roundoff for an affine map); one banded solve then gives
+    the root.
+    """
+    m = v0.size
+    r0 = res_fn(v0)
+    ab = np.zeros((5, m))
+    rows = np.arange(m)
+    for color in range(5):
+        probe = v0.copy()
+        probe[color::5] += 1.0
+        dr = res_fn(probe) - r0
+        # row r sees exactly one probed column within the band
+        cols = rows + (color - rows + 2) % 5 - 2
+        ok = (cols >= 0) & (cols < m)
+        ab[2 + rows[ok] - cols[ok], cols[ok]] = dr[ok]
+    try:
+        return v0 - solve_banded((2, 2), ab, r0)
+    except (np.linalg.LinAlgError, ValueError) as exc:
+        raise SchemeSingularity(f"banded solve failed: {exc}") from exc
 
 
 def _kdv_mesh(prev: GridState, k: float, mesh_strategy: str,
@@ -371,7 +337,6 @@ def kdv_step_detailed(
     k: float,
     mesh_strategy: str = "lagrangian",
     scheme: str = "6pt",
-    newton: NewtonConfig | None = None,
     *,
     monitor: MonitorParams | None = None,
     spacing_floor: float = 0.0,
@@ -381,15 +346,15 @@ def kdv_step_detailed(
 
     Two boundary nodes on each side carry Dirichlet values copied from the
     previous level.  The six-point scheme is explicit in u^{n+1}; the
-    ten-point scheme is solved by damped Newton from the initial guess
-    u^{n+1} = u^n.  With ``mesh_strategy='projection'`` the step advances on
-    the Lagrangian mesh and projects the result back onto the previous
-    abscissae with a natural cubic spline (extreme targets clamped into the
-    moved hull, a constant extrapolation over at most k |u_boundary|).
+    ten-point scheme is affine in u^{n+1} and solved by one banded linear
+    solve (a singular band raises :class:`SchemeSingularity`).  With
+    ``mesh_strategy='projection'`` the step advances on the Lagrangian mesh
+    and projects the result back onto the previous abscissae with a natural
+    cubic spline (extreme targets clamped into the moved hull, a constant
+    extrapolation over at most k |u_boundary|).
     """
     if scheme not in ("6pt", "10pt"):
         raise ValueError(f"unknown scheme {scheme!r}")
-    newton = newton or NewtonConfig()
     upd = _kdv_mesh(prev, k, mesh_strategy, monitor, spacing_floor, drift)
     x1 = upd.x_next
     n = prev.n
@@ -397,20 +362,22 @@ def kdv_step_detailed(
 
     u1 = prev.u.copy()
     if scheme == "6pt":
-        r0 = kdv_residual_6pt(prev, GridState(prev.t + k, x1, u1), k)
+        residual = kdv_residual_6pt
+        r0 = residual(prev, GridState(prev.t + k, x1, u1), k)
         u1[idx] = prev.u[idx] - k * r0  # first term vanished at the guess u1 = u0
-        nxt = GridState(prev.t + k, x1, u1)
-        rfin = float(np.max(np.abs(kdv_residual_6pt(prev, nxt, k))))
         iters = 0
     else:
+        residual = kdv_residual_10pt
+
         def res_fn(v: np.ndarray) -> np.ndarray:
             uu = prev.u.copy()
             uu[idx] = v
-            return kdv_residual_10pt(prev, GridState(prev.t + k, x1, uu), k)
+            return residual(prev, GridState(prev.t + k, x1, uu), k)
 
-        v, iters, rfin = _newton_banded(res_fn, prev.u[idx], newton)
-        u1[idx] = v
-        nxt = GridState(prev.t + k, x1, u1)
+        u1[idx] = _solve_affine_banded(res_fn, prev.u[idx])
+        iters = 1
+    nxt = GridState(prev.t + k, x1, u1)
+    rfin = float(np.max(np.abs(residual(prev, nxt, k))))
 
     if mesh_strategy == "projection":
         target = np.clip(prev.x, x1[0], x1[-1])
@@ -421,9 +388,8 @@ def kdv_step_detailed(
 
 
 def kdv_step(prev: GridState, k: float, mesh_strategy: str = "lagrangian",
-             scheme: str = "6pt", newton: NewtonConfig | None = None,
-             **kwargs) -> GridState:
-    return kdv_step_detailed(prev, k, mesh_strategy, scheme, newton, **kwargs)[0]
+             scheme: str = "6pt", **kwargs) -> GridState:
+    return kdv_step_detailed(prev, k, mesh_strategy, scheme, **kwargs)[0]
 
 
 def naive_kdv_residual(u0: np.ndarray, u1: np.ndarray, k: float, h: float) -> np.ndarray:
@@ -454,28 +420,6 @@ def naive_kdv_step(prev: GridState, k: float, h: float) -> GridState:
 # ---------------------------------------------------------------------------
 # Burgers finite-volume scheme
 # ---------------------------------------------------------------------------
-
-def minmod(theta: float) -> float:
-    """Flux limiter max(0, min(1, theta))."""
-    return max(0.0, min(1.0, theta))
-
-
-def theta_ratio(u_jm2: float, u_jm1: float, u_j: float, u_jp1: float,
-                upwind_sign: float) -> float:
-    """Smoothness ratio theta_j = Delta u_{J-1} / Delta u_{j-1}.
-
-    J = j - 1 for upwind_sign >= 0 and J = j + 1 otherwise.  A vanishing
-    denominator maps to sign(numerator) * 1e15 so the limiter saturates; if
-    both differences vanish the smooth-region value 1 is returned.
-    """
-    den = u_j - u_jm1
-    num = (u_jm1 - u_jm2) if upwind_sign >= 0.0 else (u_jp1 - u_j)
-    if abs(den) < _DEN_TOL:
-        if abs(num) < _DEN_TOL:
-            return 1.0
-        return math.copysign(1e15, num)
-    return num / den
-
 
 def _burgers_parts(x0: np.ndarray, u0: np.ndarray, x1: np.ndarray,
                    k: float, nu: float, phi_override: float | None = None):
@@ -524,7 +468,9 @@ def _burgers_parts(x0: np.ndarray, u0: np.ndarray, x1: np.ndarray,
     else:
         # limiter weight Phi(theta_i): the ratio over [x_{i-1}, x_i], the
         # interval whose smoothness governs the update at node i; a lagged
-        # index here displaces the discrete shock and breaks TV non-growth
+        # index here displaces the discrete shock and breaks TV non-growth.
+        # A vanishing denominator saturates theta to sign(num) * 1e15; if
+        # both differences vanish the smooth-region value 1 is used.
         j = i
         up_j = up
         den = dlt_e[j + 1]                                 # Delta u_{j-1}
@@ -565,7 +511,6 @@ def burgers_fv_step_detailed(
     k: float,
     nu: float,
     alpha: float,
-    newton: NewtonConfig | None = None,
     *,
     spacing_floor: float = 0.0,
     drift: float = 0.0,
@@ -574,8 +519,7 @@ def burgers_fv_step_detailed(
     """One finite-volume step: equidistributed mesh, then per-node solve.
 
     The blended Delta_tau term is linear in u^{n+1}_i with a positive
-    spacing coefficient, so the update is a diagonal solve; ``newton`` only
-    supplies a verification tolerance for the assembled residual.  Boundary
+    spacing coefficient, so the update is a diagonal solve.  Boundary
     values are held (Dirichlet).  ``phi_override`` pins the limiter weight
     (0 = pure low order, 1 = pure high order) for conservation probes.
     """
@@ -596,14 +540,12 @@ def burgers_fv_step_detailed(
     u1[1:-1] = -(const + k * dsf) / coef
     nxt = GridState(prev.t + k, x1, u1)
     rfin = float(np.max(np.abs(coef * u1[1:-1] + const + k * dsf)))
-    if newton is not None and rfin > newton.tol * (1.0 + float(np.max(np.abs(u1)))):
-        raise NewtonDivergence(f"diagonal solve residual {rfin:.3e} above tolerance")
     return nxt, StepInfo(0, rfin, upd.min_spacing, upd.equi_residual)
 
 
 def burgers_fv_step(prev: GridState, k: float, nu: float, alpha: float,
-                    newton: NewtonConfig | None = None, **kwargs) -> GridState:
-    return burgers_fv_step_detailed(prev, k, nu, alpha, newton, **kwargs)[0]
+                    **kwargs) -> GridState:
+    return burgers_fv_step_detailed(prev, k, nu, alpha, **kwargs)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,6 @@ from symfd.frames import (
     apply_sl2_jet3,
     apply_sl2_window,
     burgers_discrete_frame,
-    burgers_frame_slope_parameter,
     burgers_normalization_residuals,
     invariantize_burgers,
     invariantize_kdv,
@@ -341,7 +340,6 @@ def test_burgers_frame_components_and_metadata():
     assert g.eps2 == pytest.approx(-inp.t)
     assert g.eps3 == pytest.approx(-inp.u)
     assert math.exp(3.0 * g.eps4) == pytest.approx(inp.cube_argument, rel=1e-12)
-    assert burgers_frame_slope_parameter(inp) == -inp.dxu
 
 
 def test_burgers_frame_degenerate_cube_argument():

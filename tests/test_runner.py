@@ -296,6 +296,25 @@ def test_cli_run_numerical_failure_exit_code(tmp_path, capsys):
     assert snaps.exists()  # partial outputs still written
 
 
+def test_cli_run_nonfinite_exit_code(tmp_path, capsys):
+    # k = 2 h^3 is far beyond the explicit naive scheme's stability limit
+    cfg = tmp_path / "blowup.cfg"
+    snaps = tmp_path / "s.csv"
+    diags = tmp_path / "d.csv"
+    cfg.write_text(
+        "equation = kdv\nscheme = kdv_naive\n"
+        "domain_a = -30\ndomain_b = 30\nn_points = 128\nt_final = 40\n"
+        f"dt_constant = 2\nsnapshots_path = {snaps}\ndiagnostics_path = {diags}\n")
+    with np.errstate(all="ignore"):
+        assert cli_main(["run", str(cfg)]) == 3
+    assert capsys.readouterr().out.splitlines()[0] == "status: nonfinite"
+    rows = diags.read_text().splitlines()[1:]
+    assert rows[-1].endswith(",nonfinite")
+    assert all(r.endswith(",ok") for r in rows[:-1])
+    assert len(rows) < 194  # stopped before the final step
+    assert snaps.read_text().count("\n") > 128  # partial snapshots kept
+
+
 def test_cli_audit_and_exact_and_converge(capsys):
     assert cli_main(["audit", "--scheme", "uxx", "--trials", "6",
                      "--configs", "3", "--seed", "1"]) == 0

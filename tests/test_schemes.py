@@ -11,8 +11,8 @@ from symfd.runner import exact_kdv_double_soliton
 from symfd.rng import DeterministicRng
 from symfd.schemes import (
     GridState,
-    NewtonConfig,
     SchwarzianState,
+    _burgers_parts,
     burgers_fv_residual,
     burgers_fv_step,
     burgers_fv_step_detailed,
@@ -21,7 +21,6 @@ from symfd.schemes import (
     kdv_residual_6pt,
     kdv_step,
     kdv_step_detailed,
-    minmod,
     naive_kdv_residual,
     naive_kdv_step,
     rk_adaptive_solve,
@@ -29,7 +28,6 @@ from symfd.schemes import (
     schwarzian_invariantized_residual,
     schwarzian_invariantized_step,
     schwarzian_step,
-    theta_ratio,
     uxx_step,
     uxx_w_residual,
 )
@@ -269,14 +267,23 @@ def test_kdv_step_6pt_solves_residual():
     assert np.max(np.abs(kdv_residual_6pt(prev, nxt, 0.01))) <= 1e-12
 
 
-def test_kdv_step_10pt_newton_converges_fast():
+def test_kdv_step_10pt_solves_residual():
     h = 0.25
     prev, _ = _soliton_pair(h, 0.01)
-    nxt, info = kdv_step_detailed(prev, 0.01, "lagrangian", "10pt",
-                                  NewtonConfig(tol=1e-12))
+    nxt, info = kdv_step_detailed(prev, 0.01, "lagrangian", "10pt")
     assert info.residual_inf <= 1e-12
-    # the system is linear in the unknowns: one Newton update suffices
-    assert info.newton_iters <= 2
+    assert np.max(np.abs(kdv_residual_10pt(prev, nxt, 0.01))) <= 1e-12
+    # the scheme is affine in the unknowns: one banded solve
+    assert info.newton_iters == 1
+
+
+def test_kdv_step_10pt_nonfinite_data_is_singular():
+    h = 0.25
+    prev, _ = _soliton_pair(h, 0.01)
+    u = prev.u.copy()
+    u[len(u) // 2] = math.nan
+    with pytest.raises(SchemeSingularity):
+        kdv_step_detailed(GridState(0.0, prev.x, u), 0.01, "lagrangian", "10pt")
 
 
 def test_kdv_step_tangling_abort():
@@ -338,30 +345,63 @@ def test_naive_kdv_short_soliton_accuracy():
 # Burgers finite volume
 # ---------------------------------------------------------------------------
 
+def _limiter_phi(x0, u0, x1, k):
+    """Limiter weight Phi(theta_i) on the interior nodes, recovered from the
+    scheme's blended volume coefficient and its pure low/high-order values."""
+    coef = _burgers_parts(x0, u0, x1, k, 0.0)[0]
+    lo = _burgers_parts(x0, u0, x1, k, 0.0, phi_override=0.0)[0]
+    hi = _burgers_parts(x0, u0, x1, k, 0.0, phi_override=1.0)[0]
+    return (lo - coef) / (lo - hi)
+
+
+def _window_phi(window, upwind_sign):
+    """Phi at node i of the window (u_{i-2}, u_{i-1}, u_i, u_{i+1}) on a unit
+    mesh.  Translating the mesh by -10 k (+10 k) makes the mesh-relative
+    speed u - sigma/k positive (negative) for |u| < 10, which selects the
+    upwind side theta_i = Delta u_{i-2} / Delta u_{i-1} (Delta u_i / Delta u_{i-1})."""
+    x0 = np.arange(4.0)
+    k = 0.1
+    return _limiter_phi(x0, np.array(window, dtype=float),
+                        x0 - upwind_sign * 10.0 * k, k)[1]
+
+
 def test_minmod_values():
-    assert minmod(0.5) == 0.5
-    assert minmod(2.0) == 1.0
-    assert minmod(-1.0) == 0.0
+    # Phi = max(0, min(1, theta)) for theta = 0.5, 2, -1
+    assert _window_phi((0.0, 0.5, 1.5, 2.0), +1) == pytest.approx(0.5, abs=1e-12)
+    assert _window_phi((0.0, 2.0, 3.0, 4.0), +1) == pytest.approx(1.0, abs=1e-12)
+    assert _window_phi((0.0, -1.0, 0.0, 1.0), +1) == pytest.approx(0.0, abs=1e-12)
 
 
-def test_theta_ratio_conventions():
-    assert theta_ratio(0.0, 1.0, 2.0, 3.0, +1.0) == pytest.approx(1.0)
-    assert theta_ratio(0.0, 1.0, 1.0, 1.0, +1.0) == pytest.approx(1e15)
-    assert theta_ratio(1.0, 1.0, 1.0, 5.0, +1.0) == pytest.approx(1.0)
-    assert theta_ratio(1.0, 1.0, 1.0, 5.0, -1.0) == pytest.approx(1e15)
-    assert theta_ratio(3.0, 1.0, 2.0, 0.0, -1.0) == pytest.approx(-2.0)
+def test_limiter_theta_conventions():
+    # upwind side: theta = 0.5 from the left, 0.3 from the right
+    assert _window_phi((0.0, 0.5, 1.5, 1.8), +1) == pytest.approx(0.5, abs=1e-12)
+    assert _window_phi((0.0, 0.5, 1.5, 1.8), -1) == pytest.approx(0.3, abs=1e-12)
+    # a vanishing denominator saturates to sign(numerator) * 1e15 ...
+    assert _window_phi((0.0, 1.0, 1.0, 1.0), +1) == pytest.approx(1.0, abs=1e-12)
+    assert _window_phi((2.0, 1.0, 1.0, 1.0), +1) == pytest.approx(0.0, abs=1e-12)
+    assert _window_phi((2.0, 1.0, 1.0, 3.0), -1) == pytest.approx(1.0, abs=1e-12)
+    assert _window_phi((0.0, 1.0, 1.0, 0.0), -1) == pytest.approx(0.0, abs=1e-12)
+    # ... unless both differences vanish: the smooth-region value theta = 1
+    assert _window_phi((1.0, 1.0, 1.0, 5.0), +1) == pytest.approx(1.0, abs=1e-12)
+    assert _window_phi((5.0, 1.0, 1.0, 1.0), -1) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_theta_ratio_group_invariance():
+def test_limiter_group_invariance():
     rng = DeterministicRng(87)
+    k = 0.1
+    x0 = np.arange(4.0)
+    inside = 0
     for _ in range(100):
-        w = rand_admissible_window(rng)
+        u0 = np.array(rand_admissible_window(rng))
+        x1 = x0 - rng.choice_sign() * 10.0 * k
         g = rand_burgers_element(rng)
-        s = math.exp(g.eps4)
-        gw = [(v + g.eps3) / s for v in w]
-        t0 = theta_ratio(*w, +1.0)
-        t1 = theta_ratio(*gw, +1.0)
-        assert abs(t1 - t0) <= 1e-10 * (1.0 + abs(t0))
+        t0, gx0, gu0 = apply_burgers(g, (0.0, x0, u0))
+        t1, gx1, _ = apply_burgers(g, (k, x1, u0))
+        phi = _limiter_phi(x0, u0, x1, k)
+        gphi = _limiter_phi(gx0, gu0, gx1, t1 - t0)
+        assert np.max(np.abs(gphi - phi)) <= 1e-10
+        inside += int(np.sum((phi > 0.01) & (phi < 0.99)))
+    assert inside >= 20  # theta itself is compared, not only its clipped ends
 
 
 def test_burgers_constant_state_fixed_point():
@@ -406,8 +446,7 @@ def test_burgers_step_solves_residual():
     x = np.linspace(-1, 1, 24)
     u = np.tanh(-3.0 * x)
     prev = GridState(0.0, x, u)
-    nxt, info = burgers_fv_step_detailed(prev, 0.002, 0.05, 0.5,
-                                         NewtonConfig(tol=1e-10))
+    nxt, info = burgers_fv_step_detailed(prev, 0.002, 0.05, 0.5)
     assert info.residual_inf <= 1e-10 * (1.0 + float(np.max(np.abs(nxt.u))))
     r = burgers_fv_residual(prev, nxt, 0.002, 0.05)
     assert np.max(np.abs(r)) <= 1e-12
