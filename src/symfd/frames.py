@@ -151,12 +151,8 @@ def apply_kdv_jet(g: KdVGroupElement, inp: KdVFrameInput) -> KdVFrameInput:
 
 
 def apply_kdv_stencil(g: KdVGroupElement, z: KdVStencil) -> KdVStencil:
-    x = np.empty((2, 5))
-    u = np.empty((2, 5))
-    for l in range(2):
-        t_row = z.t0 + l * z.k
-        for m in range(5):
-            _, x[l, m], u[l, m] = apply_kdv(g, (t_row, float(z.x[l, m]), float(z.u[l, m])))
+    t_rows = z.t0 + z.k * np.array([[0.0], [1.0]])  # broadcast against z.x
+    _, x, u = apply_kdv(g, (t_rows, z.x, z.u))
     return KdVStencil(g.lam**3 * z.k, x, u, g.lam**3 * z.t0 + g.b)
 
 
@@ -174,12 +170,8 @@ def apply_burgers_jet(g: BurgersGroupElement, inp: BurgersFrameInput) -> Burgers
 
 def apply_burgers_stencil(g: BurgersGroupElement, z: BurgersStencil) -> BurgersStencil:
     s = math.exp(g.eps4)
-    x = np.empty((2, 3))
-    u = np.empty((2, 3))
-    for l in range(2):
-        t_row = z.t0 + l * z.k
-        for m in range(3):
-            _, x[l, m], u[l, m] = apply_burgers(g, (t_row, float(z.x[l, m]), float(z.u[l, m])))
+    t_rows = z.t0 + z.k * np.array([[0.0], [1.0]])  # broadcast against z.x
+    _, x, u = apply_burgers(g, (t_rows, z.x, z.u))
     return BurgersStencil(s**2 * z.k, x, u, s**2 * (z.t0 + g.eps2))
 
 

@@ -11,14 +11,20 @@ d_i = sqrt(1 + alpha (k Du_i)^2) keeps the k factor inside the square so the
 weights are unchanged under the scaling and boost symmetries of the KdV and
 Burgers dynamics.  Linear and natural cubic spline interpolation provide the
 invariant projection step back to a reference grid.
+
+Both tridiagonal systems (equidistribution and the spline moments) are
+solved by LAPACK ``dgtsv``, which does not check its input: non-finite or
+nonpositive monitor weights raise :class:`SingularSystem` before the solve,
+and a NaN in the spline data propagates into the projected values.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgtsv
 
 from .errors import DegenerateDenominator, MeshTangling, OutOfDomain, SingularSystem
 
@@ -60,13 +66,30 @@ def detect_tangling(x: np.ndarray, floor: float) -> TanglingDiagnostics:
 
 
 def _spacing_diag(x_next: np.ndarray, floor: float) -> MeshUpdate:
-    dx = np.diff(x_next)
-    if np.any(dx <= 0.0):
-        raise MeshTangling(f"mesh ordering lost at index {int(np.argmin(dx))}")
-    m = float(np.min(dx))
+    dx = x_next[1:] - x_next[:-1]
+    if (dx <= 0.0).any():
+        raise MeshTangling(f"mesh ordering lost at index {int(dx.argmin())}")
+    m = float(dx.min())
     if m < floor:
         raise MeshTangling(f"minimum spacing {m:.3e} below floor {floor:.3e}")
-    return MeshUpdate(x_next, m, float(np.max(dx) / m))
+    return MeshUpdate(x_next, m, float(dx.max() / m))
+
+
+def _solve_tridiagonal(sub: np.ndarray, diag: np.ndarray, sup: np.ndarray,
+                       rhs: np.ndarray) -> np.ndarray:
+    """Solve the tridiagonal system by LAPACK dgtsv (partial pivoting).
+
+    The operands are copied, so ``sub`` and ``sup`` may be one array.  No
+    finiteness check is made; a zero pivot raises :class:`SingularSystem`.
+    """
+    if diag.size == 1:  # dgtsv's wrapper rejects empty off-diagonals
+        if diag[0] == 0.0:
+            raise SingularSystem("tridiagonal solve failed: zero pivot")
+        return rhs / diag
+    *_, x, info = dgtsv(sub, diag, sup, rhs)
+    if info != 0:
+        raise SingularSystem(f"tridiagonal solve failed (LAPACK info {info})")
+    return x
 
 
 def lagrangian_update(state, k: float, floor: float = 0.0) -> MeshUpdate:
@@ -82,12 +105,15 @@ def monitor_arclength(state, k: float, params: MonitorParams) -> np.ndarray:
     Returns one weight per node; the final node has no forward difference, so
     the last interior value is repeated there.
     """
-    dx = np.diff(state.x)
-    if np.any(np.abs(dx) < 1e-14):
+    x, u = state.x, state.u
+    dx = x[1:] - x[:-1]
+    if (np.abs(dx) < 1e-14).any():
         raise DegenerateDenominator("vanishing mesh spacing in monitor")
-    slopes = k * np.diff(state.u) / dx
-    d = np.sqrt(1.0 + params.alpha * slopes**2)
-    return np.concatenate([d, d[-1:]])
+    slopes = k * (u[1:] - u[:-1]) / dx
+    d = np.empty(x.size)
+    d[:-1] = np.sqrt(1.0 + params.alpha * slopes**2)
+    d[-1] = d[-2]
+    return d
 
 
 def equidistribute(delta: np.ndarray, domain: tuple[float, float],
@@ -97,7 +123,9 @@ def equidistribute(delta: np.ndarray, domain: tuple[float, float],
     With w_{i+1/2} = (d_{i+1} + d_i)/2 the relation
     w_{i+1/2} (x_{i+1} - x_i) = w_{i-1/2} (x_i - x_{i-1}) for the interior
     and x_0 = a, x_{N-1} = b is a symmetric tridiagonal system, solved
-    directly.  The returned diagnostics include the normalized residual
+    directly by LAPACK dgtsv.  Weights that are not positive and finite
+    (NaN, inf, zero or negative) raise :class:`SingularSystem`.  The returned
+    diagnostics include the normalized residual
     max_i |w_{i+1/2} dx_i - w_{i-1/2} dx_{i-1}| / (max d (b - a)).
     """
     d = np.asarray(delta, dtype=float)
@@ -105,29 +133,29 @@ def equidistribute(delta: np.ndarray, domain: tuple[float, float],
     n = d.size
     if n < 3:
         raise ValueError("need at least three nodes")
-    if np.any(d <= 0.0):
-        raise SingularSystem("monitor weights must be positive")
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ValueError("domain endpoints must be finite")
+    d_max = d.max()
+    if not (d.min() > 0.0 and d_max < math.inf):  # a NaN fails both tests
+        raise SingularSystem("monitor weights must be positive and finite")
     w = 0.5 * (d[1:] + d[:-1])  # w[m] = weight on interval (m, m+1)
 
     # rows i = 1..n-2: -w[i-1] x_{i-1} + (w[i-1]+w[i]) x_i - w[i] x_{i+1} = 0
     m = n - 2
-    ab = np.zeros((3, m))
     rhs = np.zeros(m)
-    ab[1, :] = w[:-1] + w[1:]
-    ab[0, 1:] = -w[1:m]      # superdiagonal
-    ab[2, :-1] = -w[1:m]     # subdiagonal
     rhs[0] += w[0] * a
     rhs[-1] += w[m] * b
-    try:
-        interior = solve_banded((1, 1), ab, rhs)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - guarded by d > 0
-        raise SingularSystem(str(exc)) from exc
+    off = -w[1:m]            # sub- and superdiagonal
+    x_next = np.empty(n)
+    x_next[0] = a
+    x_next[1:-1] = _solve_tridiagonal(off, w[:-1] + w[1:], off, rhs)
+    x_next[-1] = b
 
-    x_next = np.concatenate([[a], interior, [b]])
-    res = np.max(np.abs(w[1:] * np.diff(x_next)[1:] - w[:-1] * np.diff(x_next)[:-1]))
+    dx = x_next[1:] - x_next[:-1]
+    res = np.abs(w[1:] * dx[1:] - w[:-1] * dx[:-1]).max()
     upd = _spacing_diag(x_next, floor)
     return MeshUpdate(upd.x_next, upd.min_spacing, upd.max_density_ratio,
-                      float(res / (np.max(d) * abs(b - a))))
+                      float(res / (d_max * abs(b - a))))
 
 
 def linear_interpolate(x_src: np.ndarray, u_src: np.ndarray, x_query: float) -> float:
@@ -145,16 +173,14 @@ def linear_interpolate(x_src: np.ndarray, u_src: np.ndarray, x_query: float) -> 
 def _natural_spline_moments(x: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Second derivatives of the natural cubic spline at the knots."""
     n = x.size
-    h = np.diff(x)
     if n < 3:
         return np.zeros(n)
-    ab = np.zeros((3, n - 2))
-    ab[1, :] = 2.0 * (h[:-1] + h[1:])
-    ab[0, 1:] = h[1:-1]
-    ab[2, :-1] = h[1:-1]
+    h = x[1:] - x[:-1]
+    off = h[1:-1]
     rhs = 6.0 * ((u[2:] - u[1:-1]) / h[1:] - (u[1:-1] - u[:-2]) / h[:-1])
-    mom = solve_banded((1, 1), ab, rhs)
-    return np.concatenate([[0.0], mom, [0.0]])
+    mom = np.zeros(n)
+    mom[1:-1] = _solve_tridiagonal(off, 2.0 * (h[:-1] + h[1:]), off, rhs)
+    return mom
 
 
 def spline_project(x_src: np.ndarray, u_src: np.ndarray,

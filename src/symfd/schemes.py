@@ -77,7 +77,7 @@ class GridState:
             raise ValueError("x and u must be 1-d arrays of equal length")
         if x.size < 3:
             raise ValueError("need at least three nodes")
-        if np.any(np.diff(x) <= 0.0):
+        if (x[1:] - x[:-1] <= 0.0).any():
             raise ValueError("x must be strictly increasing")
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "u", u)
@@ -219,17 +219,13 @@ def uxx_step(x_im1: float, x_i: float, u_im1: float, u_i: float,
 # KdV schemes
 # ---------------------------------------------------------------------------
 
-def _d3u(x: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Nonuniform third difference; entry i valid for 1 <= i <= N-3, else nan."""
-    n = x.size
-    h = np.diff(x)
-    du = np.diff(u) / h
-    d3 = np.full(n, np.nan)
-    i = np.arange(1, n - 2)
-    d3[i] = (2.0 / h[i]) * (
-        (du[i + 1] - du[i]) / (h[i + 1] + h[i]) - (du[i] - du[i - 1]) / (h[i] + h[i - 1])
-    )
-    return d3
+def _d3u(h: np.ndarray, du: np.ndarray) -> np.ndarray:
+    """Nonuniform third differences D3u_1 .. D3u_{N-3} from spacings and slopes.
+
+    ``h[m] = x_{m+1} - x_m`` and ``du[m] = Du_m``; entry j is D3u_{j+1}.
+    """
+    q = (du[1:] - du[:-1]) / (h[1:] + h[:-1])
+    return (2.0 / h[1:-1]) * (q[1:] - q[:-1])
 
 
 def _check_kdv_pair(prev: GridState, nxt: GridState, k: float):
@@ -245,17 +241,16 @@ def kdv_residual_6pt(prev: GridState, nxt: GridState, k: float) -> np.ndarray:
     """Per-node residual of the six-point invariant scheme, nodes 2..N-3."""
     _check_kdv_pair(prev, nxt, k)
     x0, u0, u1 = prev.x, prev.u, nxt.u
-    h0 = np.diff(x0)
-    if np.any(np.abs(h0) < _DEN_TOL):
+    h0 = x0[1:] - x0[:-1]
+    if (np.abs(h0) < _DEN_TOL).any():
         raise DegenerateDenominator("vanishing spacing")
-    du0 = np.diff(u0) / h0
-    d30 = _d3u(x0, u0)
+    du0 = (u0[1:] - u0[:-1]) / h0
+    d30 = _d3u(h0, du0)
     sig = nxt.x - prev.x
-    i = np.arange(2, prev.n - 2)
     return (
-        (u1[i] - u0[i]) / k
-        + (u0[i] - sig[i] / k) * (du0[i] + du0[i - 1]) / 2.0
-        + (d30[i] + d30[i - 1]) / 2.0
+        (u1[2:-2] - u0[2:-2]) / k
+        + (u0[2:-2] - sig[2:-2] / k) * (du0[2:-1] + du0[1:-2]) / 2.0
+        + (d30[1:] + d30[:-1]) / 2.0
     )
 
 
@@ -263,19 +258,18 @@ def kdv_residual_10pt(prev: GridState, nxt: GridState, k: float) -> np.ndarray:
     """Per-node residual of the ten-point invariant scheme, nodes 2..N-3."""
     _check_kdv_pair(prev, nxt, k)
     x0, u0, x1, u1 = prev.x, prev.u, nxt.x, nxt.u
-    h0, h1 = np.diff(x0), np.diff(x1)
-    if np.any(np.abs(h0) < _DEN_TOL) or np.any(np.abs(h1) < _DEN_TOL):
+    h0, h1 = x0[1:] - x0[:-1], x1[1:] - x1[:-1]
+    if (np.abs(h0) < _DEN_TOL).any() or (np.abs(h1) < _DEN_TOL).any():
         raise DegenerateDenominator("vanishing spacing")
-    du0 = np.diff(u0) / h0
-    du1 = np.diff(u1) / h1
-    d30 = _d3u(x0, u0)
-    d31 = _d3u(x1, u1)
+    du0 = (u0[1:] - u0[:-1]) / h0
+    du1 = (u1[1:] - u1[:-1]) / h1
+    d30 = _d3u(h0, du0)
+    d31 = _d3u(h1, du1)
     sig = x1 - x0
-    i = np.arange(2, prev.n - 2)
     return (
-        (u1[i] - u0[i]) / k
-        + (u0[i] - sig[i] / k) * (du0[i] + du0[i - 1] + du1[i] + du1[i - 1]) / 4.0
-        + (d31[i] + d31[i - 1] + d30[i] + d30[i - 1]) / 4.0
+        (u1[2:-2] - u0[2:-2]) / k
+        + (u0[2:-2] - sig[2:-2] / k) * (du0[2:-1] + du0[1:-2] + du1[2:-1] + du1[1:-2]) / 4.0
+        + (d31[1:] + d31[:-1] + d30[1:] + d30[:-1]) / 4.0
     )
 
 
@@ -286,9 +280,8 @@ def kdv_invariant_normalizer(prev: GridState, k: float) -> np.ndarray:
     multiplying by k h_i^2 (weight lam^5) gives the value-level invariant
     combination that audits compare.
     """
-    h0 = np.diff(prev.x)
-    i = np.arange(2, prev.n - 2)
-    return k * h0[i] ** 2
+    x = prev.x
+    return k * (x[3:-1] - x[2:-2]) ** 2
 
 
 def _solve_affine_banded(res_fn: Callable[[np.ndarray], np.ndarray],
@@ -357,24 +350,22 @@ def kdv_step_detailed(
         raise ValueError(f"unknown scheme {scheme!r}")
     upd = _kdv_mesh(prev, k, mesh_strategy, monitor, spacing_floor, drift)
     x1 = upd.x_next
-    n = prev.n
-    idx = np.arange(2, n - 2)
 
     u1 = prev.u.copy()
     if scheme == "6pt":
         residual = kdv_residual_6pt
         r0 = residual(prev, GridState(prev.t + k, x1, u1), k)
-        u1[idx] = prev.u[idx] - k * r0  # first term vanished at the guess u1 = u0
+        u1[2:-2] = prev.u[2:-2] - k * r0  # first term vanished at the guess u1 = u0
         iters = 0
     else:
         residual = kdv_residual_10pt
 
         def res_fn(v: np.ndarray) -> np.ndarray:
             uu = prev.u.copy()
-            uu[idx] = v
+            uu[2:-2] = v
             return residual(prev, GridState(prev.t + k, x1, uu), k)
 
-        u1[idx] = _solve_affine_banded(res_fn, prev.u[idx])
+        u1[2:-2] = _solve_affine_banded(res_fn, prev.u[2:-2])
         iters = 1
     nxt = GridState(prev.t + k, x1, u1)
     rfin = float(np.max(np.abs(residual(prev, nxt, k))))
@@ -427,61 +418,60 @@ def _burgers_parts(x0: np.ndarray, u0: np.ndarray, x1: np.ndarray,
 
     Valid on the interior i = 1..N-2.  Slopes and differences that the
     low-order stencil needs beyond the mesh are constant-extrapolated from
-    the boundary.
+    the boundary.  Stencil neighbours are slices: ``a[2:]``, ``a[1:-1]`` and
+    ``a[:-2]`` hold a_{i+1}, a_i and a_{i-1} of node-based arrays, ``b[1:]``
+    and ``b[:-1]`` hold b_i and b_{i-1} of interval-based ones.
     """
     n = u0.size
-    h0 = np.diff(x0)
-    h1 = np.diff(x1)
+    h0 = x0[1:] - x0[:-1]
+    h1 = x1[1:] - x1[:-1]
     sig = x1 - x0
-    du = np.diff(u0) / h0                            # du[m] = Du_m
-    du_e = np.concatenate([du[:1], du, du[-1:]])     # du_e[m+1] = Du_m with ghosts
-    dlt = np.diff(u0)                                # dlt[m] = u_{m+1} - u_m
-    dlt_e = np.concatenate([dlt[:1], dlt[:1], dlt])  # dlt_e[m+2] = Delta u_m
+    u_c = u0[1:-1]
+    # dlt_e[m+1] = Delta u_m = u_{m+1} - u_m, with the ghost dlt_e[0] = Delta u_0
+    dlt_e = np.empty(n)
+    dlt_e[1:] = u0[1:] - u0[:-1]
+    dlt_e[0] = dlt_e[1]
+    # du_e[m+1] = Du_m with ghosts du_e[0] = Du_0 and du_e[n] = Du_{n-2}, so
+    # the differences du_e[m+1] - du_e[m] vanish at both ends
+    du_e = np.empty(n + 1)
+    du_e[1:-1] = dlt_e[1:] / h0
+    du_e[0] = du_e[1]
+    du_e[-1] = du_e[-2]
+    nu_ddu = nu * (du_e[1:] - du_e[:-1])
 
-    i = np.arange(1, n - 1)
-    up = (u0[i] - sig[i] / k) >= 0.0
+    up = (u_c - sig[1:-1] / k) >= 0.0
 
-    coef_hi = h1[i] + h1[i - 1]
-    const_hi = -(h0[i] + h0[i - 1]) * u0[i]
-    dsf_hi = (
-        0.5 * (u0[i + 1] ** 2 - u0[i - 1] ** 2)
-        - nu * (du_e[i + 1] - du_e[i])
-        - (sig[i + 1] * u0[i + 1] - sig[i - 1] * u0[i - 1]) / k
-    )
+    coef_hi = h1[1:] + h1[:-1]
+    const_hi = -(h0[1:] + h0[:-1]) * u_c
+    sq = u0**2
+    su = sig * u0
+    dsf_hi = 0.5 * (sq[2:] - sq[:-2]) - nu_ddu[1:-1] - (su[2:] - su[:-2]) / k
 
-    coef_lo = np.where(up, h1[i - 1], h1[i])
-    const_lo = np.where(up, -h0[i - 1] * u0[i], -h0[i] * u0[i])
-    dsf_lo_up = (
-        0.5 * (u0[i] ** 2 - u0[i - 1] ** 2)
-        - nu * (du_e[i] - du_e[i - 1])
-        - (sig[i] * u0[i] - sig[i - 1] * u0[i - 1]) / k
-    )
-    dsf_lo_dn = (
-        0.5 * (u0[i + 1] ** 2 - u0[i] ** 2)
-        - nu * (du_e[i + 2] - du_e[i + 1])
-        - (sig[i + 1] * u0[i + 1] - sig[i] * u0[i]) / k
-    )
-    dsf_lo = np.where(up, dsf_lo_up, dsf_lo_dn)
+    coef_lo = np.where(up, h1[:-1], h1[1:])
+    const_lo = np.where(up, -h0[:-1] * u_c, -h0[1:] * u_c)
+    # one-sided flux differences over interval m = [x_m, x_{m+1}]
+    half_dsq = 0.5 * (sq[1:] - sq[:-1])
+    dsu_k = (su[1:] - su[:-1]) / k
+    dsf_lo = np.where(up,
+                      half_dsq[:-1] - nu_ddu[:-2] - dsu_k[:-1],
+                      half_dsq[1:] - nu_ddu[2:] - dsu_k[1:])
 
     if phi_override is not None:
-        phi = np.full(i.shape, float(phi_override))
+        phi = np.full(n - 2, float(phi_override))
     else:
         # limiter weight Phi(theta_i): the ratio over [x_{i-1}, x_i], the
         # interval whose smoothness governs the update at node i; a lagged
         # index here displaces the discrete shock and breaks TV non-growth.
         # A vanishing denominator saturates theta to sign(num) * 1e15; if
         # both differences vanish the smooth-region value 1 is used.
-        j = i
-        up_j = up
-        den = dlt_e[j + 1]                                 # Delta u_{j-1}
-        num = np.where(up_j, dlt_e[j], dlt_e[j + 2])       # Delta u_{j-2} or Delta u_j
-        theta = np.empty_like(den)
+        den = dlt_e[1:-1]                               # Delta u_{i-1}
+        num = np.where(up, dlt_e[:-2], dlt_e[2:])       # Delta u_{i-2} or Delta u_i
+        with np.errstate(divide="ignore", invalid="ignore"):
+            theta = num / den
         small_den = np.abs(den) < _DEN_TOL
-        both = small_den & (np.abs(num) < _DEN_TOL)
-        ok = ~small_den
-        theta[ok] = num[ok] / den[ok]
-        theta[small_den] = np.sign(num[small_den]) * 1e15
-        theta[both] = 1.0
+        if small_den.any():
+            theta[small_den] = np.sign(num[small_den]) * 1e15
+            theta[small_den & (np.abs(num) < _DEN_TOL)] = 1.0
         phi = np.clip(theta, 0.0, 1.0)
 
     coef = coef_lo - phi * (coef_lo - coef_hi)
@@ -502,8 +492,7 @@ def burgers_fv_residual(prev: GridState, nxt: GridState, k: float, nu: float,
     if not k > 0.0:
         raise ValueError("time step must be positive")
     coef, const, dsf = _burgers_parts(prev.x, prev.u, nxt.x, k, nu, phi_override)
-    i = np.arange(1, prev.n - 1)
-    return coef * nxt.u[i] + const + k * dsf
+    return coef * nxt.u[1:-1] + const + k * dsf
 
 
 def burgers_fv_step_detailed(
@@ -534,12 +523,13 @@ def burgers_fv_step_detailed(
     )
     x1 = upd.x_next
     coef, const, dsf = _burgers_parts(prev.x, prev.u, x1, k, nu, phi_override)
-    if np.any(coef <= 0.0):
+    if (coef <= 0.0).any():
         raise SchemeSingularity("nonpositive volume coefficient")
+    k_dsf = k * dsf
     u1 = prev.u.copy()
-    u1[1:-1] = -(const + k * dsf) / coef
+    u1[1:-1] = -(const + k_dsf) / coef
     nxt = GridState(prev.t + k, x1, u1)
-    rfin = float(np.max(np.abs(coef * u1[1:-1] + const + k * dsf)))
+    rfin = float(np.abs(coef * u1[1:-1] + const + k_dsf).max())
     return nxt, StepInfo(0, rfin, upd.min_spacing, upd.equi_residual)
 
 

@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from symfd.errors import MeshTangling, OutOfDomain
+from symfd.errors import MeshTangling, OutOfDomain, SingularSystem
 from symfd.groups import apply_kdv
 from symfd.mesh import (
     MonitorParams,
@@ -113,6 +115,27 @@ def test_equidistribute_assembled_residual():
     assert upd.equi_residual <= 1e-12
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0])
+def test_equidistribute_rejects_nonfinite_or_nonpositive_weights(bad):
+    delta = np.array([1.0, bad, 1.0, 1.0])
+    with pytest.raises(SingularSystem):
+        equidistribute(delta, (0.0, 1.0))
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    delta=st.lists(st.floats(0.05, 20.0), min_size=3, max_size=40),
+    a=st.floats(-5.0, 5.0),
+    width=st.floats(0.5, 10.0),
+)
+def test_equidistribute_property_random_weights(delta, a, width):
+    b = a + width
+    upd = equidistribute(np.array(delta), (a, b))
+    assert upd.x_next[0] == a and upd.x_next[-1] == b
+    assert np.all(np.diff(upd.x_next) > 0.0)
+    assert upd.equi_residual <= 1e-12
+
+
 def test_equidistribute_idempotent_on_static_data():
     # fixed-point behavior in the regime the schemes run in: the k factor
     # inside the monitor keeps delta - 1 small, so re-solving on the output
@@ -216,6 +239,16 @@ def test_spline_out_of_domain_and_clamp():
 # ---------------------------------------------------------------------------
 # tangling diagnostics and projection safety
 # ---------------------------------------------------------------------------
+
+def test_spline_nan_data_gives_nonfinite_values():
+    # the solve does not raise on NaN data: the runner's nonfinite guard
+    # reports the projected state instead
+    x = np.linspace(0.0, 1.0, 6)
+    u = np.array([0.0, 1.0, np.nan, 1.0, 0.0, 1.0])
+    out = spline_project(x, u, np.linspace(0.0, 1.0, 9))
+    assert out.shape == (9,)
+    assert not np.all(np.isfinite(out))
+
 
 def test_detect_tangling():
     assert not detect_tangling(np.linspace(0, 1, 9), 1e-3).tangled

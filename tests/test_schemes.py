@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symfd.errors import MeshTangling, SchemeSingularity
 from symfd.groups import apply_burgers, apply_kdv, apply_sl2
@@ -402,6 +404,82 @@ def test_limiter_group_invariance():
         assert np.max(np.abs(gphi - phi)) <= 1e-10
         inside += int(np.sum((phi > 0.01) & (phi < 0.99)))
     assert inside >= 20  # theta itself is compared, not only its clipped ends
+
+
+def _burgers_parts_reference(x0, u0, x1, k, nu, phi_override):
+    """Per-node loop over the scheme formulas: (coef, const, dsf) on 1..N-2.
+
+    Slopes Du_m and differences Delta u_m beyond the mesh take their
+    boundary values; each blended quantity is (1 - Phi) low + Phi high.
+    """
+    n = len(u0)
+    h0 = [x0[m + 1] - x0[m] for m in range(n - 1)]
+    h1 = [x1[m + 1] - x1[m] for m in range(n - 1)]
+    sig = [x1[m] - x0[m] for m in range(n)]
+
+    def delta_u(m):
+        m = min(max(m, 0), n - 2)
+        return u0[m + 1] - u0[m]
+
+    def slope(m):
+        m = min(max(m, 0), n - 2)
+        return (u0[m + 1] - u0[m]) / h0[m]
+
+    def flux_difference(left, right, viscous):
+        return (0.5 * (u0[right] ** 2 - u0[left] ** 2) - nu * viscous
+                - (sig[right] * u0[right] - sig[left] * u0[left]) / k)
+
+    out = []
+    for i in range(1, n - 1):
+        hi = (h1[i] + h1[i - 1], -(h0[i] + h0[i - 1]) * u0[i],
+              flux_difference(i - 1, i + 1, slope(i) - slope(i - 1)))
+        upwind_left = u0[i] - sig[i] / k >= 0.0
+        if upwind_left:
+            lo = (h1[i - 1], -h0[i - 1] * u0[i],
+                  flux_difference(i - 1, i, slope(i - 1) - slope(i - 2)))
+            num = delta_u(i - 2)
+        else:
+            lo = (h1[i], -h0[i] * u0[i],
+                  flux_difference(i, i + 1, slope(i + 1) - slope(i)))
+            num = delta_u(i)
+        den = delta_u(i - 1)
+        if phi_override is not None:
+            phi = phi_override
+        else:
+            if abs(den) >= 1e-14:
+                theta = num / den
+            elif abs(num) >= 1e-14:
+                theta = math.copysign(1e15, num)
+            else:
+                theta = 1.0
+            phi = max(0.0, min(1.0, theta))
+        out.append([((1.0 - phi) * l + phi * h, abs(l) + abs(h)) for l, h in zip(lo, hi)])
+    return out
+
+
+_u_values = st.one_of(st.floats(-2.0, 2.0), st.sampled_from([-1.0, 0.0, 1.0]))
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    data=st.data(),
+    n=st.integers(4, 12),
+    k=st.floats(0.05, 1.0),
+    nu=st.floats(0.0, 0.5),
+    phi_override=st.sampled_from([None, 0.0, 1.0]),
+)
+def test_burgers_parts_matches_per_node_reference(data, n, k, nu, phi_override):
+    spacing = st.lists(st.floats(0.1, 2.0), min_size=n - 1, max_size=n - 1)
+    x0 = np.concatenate([[0.0], np.cumsum(data.draw(spacing))])
+    x1 = data.draw(st.floats(-1.0, 1.0)) + np.concatenate([[0.0], np.cumsum(data.draw(spacing))])
+    u0 = np.array(data.draw(st.lists(_u_values, min_size=n, max_size=n)))
+    parts = _burgers_parts(x0, u0, x1, k, nu, phi_override)
+    ref = _burgers_parts_reference(x0, u0, x1, k, nu, phi_override)
+    for name, got, col in zip(("coef", "const", "dsf"), parts, range(3)):
+        assert got.shape == (n - 2,)
+        for i, value in enumerate(got):
+            want, scale = ref[i][col]
+            assert abs(value - want) <= 1e-12 * scale, (name, i + 1, value, want)
 
 
 def test_burgers_constant_state_fixed_point():
