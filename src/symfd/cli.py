@@ -7,9 +7,9 @@ Subcommands::
     symfd converge --scheme ID --h H1,H2,...
     symfd exact --equation ID [options]          oracle samples as CSV
 
-Exit codes: 0 success, 2 configuration error, 3 numerical failure
-(mesh tangling, a singular step, or NaN/inf values; partial outputs are
-still written).
+Exit codes: 0 success, 2 configuration error (an output path that cannot
+be written included), 3 numerical failure (mesh tangling, a singular step,
+or NaN/inf values; partial outputs are still written).
 """
 
 from __future__ import annotations
@@ -32,13 +32,17 @@ def _cmd_run(args) -> int:
         return 2
     try:
         out = runner.run_experiment(cfg)
-        runner.write_outputs(out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except SymfdError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
+    try:
+        runner.write_outputs(out)
+    except OSError as exc:
+        print(f"config error: cannot write outputs: {exc}", file=sys.stderr)
+        return 2
     print(f"status: {out.status}")
     if not cfg.snapshots_path:
         sys.stdout.write(runner.format_snapshots_csv(out))

@@ -46,7 +46,6 @@ class MeshUpdate:
 
     x_next: np.ndarray
     min_spacing: float
-    max_density_ratio: float
     equi_residual: float = 0.0
 
 
@@ -65,14 +64,15 @@ def detect_tangling(x: np.ndarray, floor: float) -> TanglingDiagnostics:
     return TanglingDiagnostics(m, i, m < floor)
 
 
-def _spacing_diag(x_next: np.ndarray, floor: float) -> MeshUpdate:
+def _checked_min_spacing(x_next: np.ndarray, floor: float) -> float:
+    """Minimum spacing of x_next; MeshTangling if unordered or below floor."""
     dx = x_next[1:] - x_next[:-1]
     if (dx <= 0.0).any():
         raise MeshTangling(f"mesh ordering lost at index {int(dx.argmin())}")
     m = float(dx.min())
     if m < floor:
         raise MeshTangling(f"minimum spacing {m:.3e} below floor {floor:.3e}")
-    return MeshUpdate(x_next, m, float(dx.max() / m))
+    return m
 
 
 def _solve_tridiagonal(sub: np.ndarray, diag: np.ndarray, sup: np.ndarray,
@@ -96,7 +96,8 @@ def lagrangian_update(state, k: float, floor: float = 0.0) -> MeshUpdate:
     """x^{n+1} = x^n + k u^n; endpoints move with the data."""
     if not k > 0.0:
         raise ValueError("time step must be positive")
-    return _spacing_diag(state.x + k * state.u, floor)
+    x_next = state.x + k * state.u
+    return MeshUpdate(x_next, _checked_min_spacing(x_next, floor))
 
 
 def monitor_arclength(state, k: float, params: MonitorParams) -> np.ndarray:
@@ -153,8 +154,7 @@ def equidistribute(delta: np.ndarray, domain: tuple[float, float],
 
     dx = x_next[1:] - x_next[:-1]
     res = np.abs(w[1:] * dx[1:] - w[:-1] * dx[:-1]).max()
-    upd = _spacing_diag(x_next, floor)
-    return MeshUpdate(upd.x_next, upd.min_spacing, upd.max_density_ratio,
+    return MeshUpdate(x_next, _checked_min_spacing(x_next, floor),
                       float(res / (d_max * abs(b - a))))
 
 

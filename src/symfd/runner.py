@@ -4,6 +4,12 @@ This is the CLI surface.  Configurations are flat ``key = value`` text files
 (UTF-8, ``#`` comments, unknown keys rejected); snapshot output is long-form
 CSV ``t,x,u`` and diagnostics are one CSV row per step.  Identical
 configuration and seed produce byte-identical output.
+
+The Schwarzian and u_xx runs march in space.  All KdV and Burgers runs
+(Lagrangian, adaptive and projected meshes, the naive baseline, the
+Burgers shock) share one time loop around a step callable that returns
+``(GridState, StepInfo)``; the loop owns the guards, the diagnostics rows,
+the snapshot cadence and the stop statuses.
 """
 
 from __future__ import annotations
@@ -30,9 +36,9 @@ from .groups import (
     apply_kdv,
     apply_sl2,
 )
-from .mesh import MonitorParams, detect_tangling
+from .mesh import MonitorParams
 from .rng import DeterministicRng
-from .schemes import GridState
+from .schemes import GridState, StepInfo
 
 
 # ---------------------------------------------------------------------------
@@ -300,63 +306,22 @@ def write_outputs(out: RunOutput) -> None:
 # experiments
 # ---------------------------------------------------------------------------
 
-def _initial_condition(cfg: ExperimentConfig, x: np.ndarray) -> np.ndarray:
-    if cfg.equation == "kdv":
-        return exact_kdv_double_soliton(0.0, x, cfg.ic_c1, cfg.ic_c2, cfg.ic_a1, cfg.ic_a2)
-    if cfg.equation == "burgers":
-        return exact_burgers(0.0, x, cfg.nu, cfg.ic_c)
-    raise ConfigError(f"no gridded initial condition for {cfg.equation!r}")
-
-
-def _pde_time_step(cfg: ExperimentConfig, h: float) -> tuple[float, int]:
-    power = 3 if cfg.equation == "kdv" else 2
-    k_raw = cfg.dt_constant * h**power
-    steps = max(1, round(cfg.t_final / k_raw))
-    return cfg.t_final / steps, steps
-
-
 def run_experiment(cfg: ExperimentConfig) -> RunOutput:
     """Time loop (or space march) with snapshot and diagnostics recording.
 
-    Terminates at the final time, on mesh tangling, on a numerical failure
-    of the step, or once u holds NaN or inf (status ``nonfinite``); the
-    status of the run is recorded and partial output preserved.
+    Every KdV and Burgers run goes through one time loop, which stops on
+    mesh tangling (``mesh_tangling``), a singular step
+    (``scheme_singularity``), any other numerical failure of the step
+    (``numerical_failure``) or once u holds NaN or inf (``nonfinite``); the
+    status of the run is recorded and the partial output preserved.
     """
     if cfg.equation == "schwarzian":
         return _run_schwarzian(cfg)
     if cfg.equation == "uxx":
         return _run_uxx(cfg)
-    if cfg.equation == "kdv" and cfg.scheme == "kdv_naive":
-        return _run_kdv_naive(cfg)
-    if cfg.equation == "kdv":
-        return _run_kdv_invariant(cfg)
-    if cfg.equation == "burgers":
-        return _run_burgers(cfg)
+    if cfg.equation in ("kdv", "burgers"):
+        return _run_pde(cfg)
     raise ConfigError(f"unknown equation {cfg.equation!r}")
-
-
-def _cadence(steps: int, every: int) -> int:
-    return every if every > 0 else max(1, math.ceil(steps / 200))
-
-
-def _record_stop(status: str, step: int, state: GridState, floor: float,
-                 diags: list, snaps: list) -> None:
-    """Append the last diagnostics row and snapshot of a run that ends early."""
-    diags.append(
-        DiagnosticsRow(step, state.t, detect_tangling(state.x, floor).min_spacing,
-                       total_variation(state.u), math.nan, 0, status)
-    )
-    snaps.append((state.t, state.x.copy(), state.u.copy()))
-
-
-def _stop_nonfinite(step: int, state: GridState, floor: float,
-                    diags: list, snaps: list) -> bool:
-    """End a run whose state holds NaN or inf with a ``nonfinite`` last row
-    and snapshot; False (nothing recorded) while u is finite."""
-    if np.all(np.isfinite(state.u)):
-        return False
-    _record_stop("nonfinite", step, state, floor, diags, snaps)
-    return True
 
 
 def _run_schwarzian(cfg: ExperimentConfig) -> RunOutput:
@@ -409,105 +374,71 @@ def _run_uxx(cfg: ExperimentConfig) -> RunOutput:
     return RunOutput([(0.0, x, u)], diags, "completed", cfg)
 
 
-def _run_kdv_naive(cfg: ExperimentConfig) -> RunOutput:
-    n = cfg.n_points
-    x = np.linspace(cfg.domain_a, cfg.domain_b, n, endpoint=False)
-    h = float((cfg.domain_b - cfg.domain_a) / n)
-    k, steps = _pde_time_step(cfg, h)
-    state = GridState(0.0, x, _initial_condition(cfg, x))
-    every = _cadence(steps, cfg.snapshot_every)
-    snaps = [(0.0, state.x.copy(), state.u.copy())]
-    diags: list[DiagnosticsRow] = []
-    status = "completed"
-    for step in range(1, steps + 1):
-        state = schemes.naive_kdv_step(state, k, h)
-        if _stop_nonfinite(step, state, 0.0, diags, snaps):
-            status = "nonfinite"
-            break
-        diags.append(
-            DiagnosticsRow(step, state.t, h, total_variation(state.u), 0.0, 0, "ok")
-        )
-        if step % every == 0 or step == steps:
-            snaps.append((state.t, state.x.copy(), state.u.copy()))
-    return RunOutput(snaps, diags, status, cfg)
+def _run_pde(cfg: ExperimentConfig) -> RunOutput:
+    """The KdV and Burgers time loop: step, check, record, snapshot.
 
-
-def _run_kdv_invariant(cfg: ExperimentConfig) -> RunOutput:
-    n = cfg.n_points
-    x = np.linspace(cfg.domain_a, cfg.domain_b, n)
-    h = float(x[1] - x[0])
-    k, steps = _pde_time_step(cfg, h)
-    state = GridState(0.0, x, _initial_condition(cfg, x))
-    scheme = "6pt" if cfg.scheme == "kdv_6pt" else "10pt"
-    monitor = MonitorParams(cfg.alpha) if cfg.mesh == "adaptive" else None
+    k = t_final / steps with k ~ dt_constant h^3 (KdV) or h^2 (Burgers).
+    Snapshots are taken every ``snapshot_every`` steps (default: about 200
+    over the run) and at the final step.  A run that stops early ends with a
+    row carrying its status, the minimum spacing of the state it stopped on
+    and a NaN residual, plus a snapshot of that state.
+    """
+    n, a, b = cfg.n_points, cfg.domain_a, cfg.domain_b
+    naive = cfg.scheme == "kdv_naive"
+    if naive:
+        x = np.linspace(a, b, n, endpoint=False)
+        h = float((b - a) / n)
+    else:
+        x = np.linspace(a, b, n)
+        h = float(x[1] - x[0])
+    k_raw = cfg.dt_constant * h ** (3 if cfg.equation == "kdv" else 2)
+    steps = max(1, round(cfg.t_final / k_raw))
+    k = cfg.t_final / steps
     floor = cfg.spacing_floor_rel * h
-    every = _cadence(steps, cfg.snapshot_every)
+
+    if cfg.equation == "burgers":
+        u = exact_burgers(0.0, x, cfg.nu, cfg.ic_c)
+        step = lambda s: schemes.burgers_fv_step_detailed(
+            s, k, cfg.nu, cfg.alpha, spacing_floor=floor)
+    else:
+        u = exact_kdv_double_soliton(0.0, x, cfg.ic_c1, cfg.ic_c2, cfg.ic_a1, cfg.ic_a2)
+        if naive:
+            step = lambda s: (schemes.naive_kdv_step(s, k, h), StepInfo(0, 0.0, h))
+        else:
+            scheme = "6pt" if cfg.scheme == "kdv_6pt" else "10pt"
+            monitor = MonitorParams(cfg.alpha) if cfg.mesh == "adaptive" else None
+            step = lambda s: schemes.kdv_step_detailed(
+                s, k, cfg.mesh, scheme, monitor=monitor, spacing_floor=floor)
+
+    state = GridState(0.0, x, u)
+    every = cfg.snapshot_every if cfg.snapshot_every > 0 else max(1, math.ceil(steps / 200))
     snaps = [(0.0, state.x.copy(), state.u.copy())]
     diags: list[DiagnosticsRow] = []
     status = "completed"
-    for step in range(1, steps + 1):
+    for i in range(1, steps + 1):
         try:
-            state, info = schemes.kdv_step_detailed(
-                state, k, cfg.mesh, scheme,
-                monitor=monitor, spacing_floor=floor,
-            )
+            state, info = step(state)
         except MeshTangling:
             status = "mesh_tangling"
         except SchemeSingularity:
             status = "scheme_singularity"
         except SymfdError:
             status = "numerical_failure"
+        else:
+            if not np.isfinite(state.u).all():
+                status = "nonfinite"
         if status != "completed":
-            _record_stop(status, step, state, floor, diags, snaps)
-            break
-        if _stop_nonfinite(step, state, floor, diags, snaps):
-            status = "nonfinite"
-            break
-        diags.append(
-            DiagnosticsRow(step, state.t, info.min_spacing,
-                           total_variation(state.u), info.residual_inf,
-                           info.newton_iters,
-                           "ok" if info.equi_residual <= 1e-10 else "equi_loose")
-        )
-        if step % every == 0 or step == steps:
+            min_spacing = float((state.x[1:] - state.x[:-1]).min())
+            diags.append(DiagnosticsRow(i, state.t, min_spacing, total_variation(state.u),
+                                        math.nan, 0, status))
             snaps.append((state.t, state.x.copy(), state.u.copy()))
-    return RunOutput(snaps, diags, status, cfg)
-
-
-def _run_burgers(cfg: ExperimentConfig) -> RunOutput:
-    n = cfg.n_points
-    x = np.linspace(cfg.domain_a, cfg.domain_b, n)
-    h = float(x[1] - x[0])
-    k, steps = _pde_time_step(cfg, h)
-    state = GridState(0.0, x, _initial_condition(cfg, x))
-    floor = cfg.spacing_floor_rel * h
-    every = _cadence(steps, cfg.snapshot_every)
-    snaps = [(0.0, state.x.copy(), state.u.copy())]
-    diags: list[DiagnosticsRow] = []
-    status = "completed"
-    for step in range(1, steps + 1):
-        try:
-            state, info = schemes.burgers_fv_step_detailed(
-                state, k, cfg.nu, cfg.alpha, spacing_floor=floor,
-            )
-        except MeshTangling:
-            status = "mesh_tangling"
-        except SchemeSingularity:
-            status = "scheme_singularity"
-        except SymfdError:
-            status = "numerical_failure"
-        if status != "completed":
-            _record_stop(status, step, state, floor, diags, snaps)
-            break
-        if _stop_nonfinite(step, state, floor, diags, snaps):
-            status = "nonfinite"
             break
         diags.append(
-            DiagnosticsRow(step, state.t, info.min_spacing,
-                           total_variation(state.u), info.residual_inf, 0,
+            DiagnosticsRow(i, state.t, info.min_spacing, total_variation(state.u),
+                           info.residual_inf, info.newton_iters,
                            "ok" if info.equi_residual <= 1e-10 else "equi_loose")
         )
-        if step % every == 0 or step == steps:
+        if i % every == 0 or i == steps:
             snaps.append((state.t, state.x.copy(), state.u.copy()))
     return RunOutput(snaps, diags, status, cfg)
 
@@ -666,24 +597,18 @@ class _SchwarzianAudit:
     def draw_element(self, rng, direction):
         return _draw_sl2(rng, direction)
 
-    def admissible(self, g: SL2Element, config) -> bool:
-        u, h, f = config
-        if any(abs(g.c * v + g.d) < 0.2 for v in u):
-            return False
-        gu = [apply_sl2(g, v) for v in u]
-        if min(abs(gu[m + 1] - gu[m]) for m in range(3)) < 1e-3:
-            return False
-        if abs(gu[2] - gu[0]) < 1e-3 or abs(gu[3] - gu[1]) < 1e-3:
-            return False
-        return True
-
     def strong(self, g, config) -> float:
         u, h, f = config
+        # resample elements with a pole near the stencil or that collapse it
+        if any(abs(g.c * v + g.d) < 0.2 for v in u):
+            raise _Resample
+        gu = [apply_sl2(g, v) for v in u]
+        if (min(abs(gu[m + 1] - gu[m]) for m in range(3)) < 1e-3
+                or abs(gu[2] - gu[0]) < 1e-3 or abs(gu[3] - gu[1]) < 1e-3):
+            raise _Resample
         res = (schemes.schwarzian_invariantized_residual if self.invariantized
                else schemes.schwarzian_invariant_residual)
-        base = res(*u, h, f)
-        gu = [apply_sl2(g, v) for v in u]
-        return _rel_dev(base, res(*gu, h, f))
+        return _rel_dev(res(*u, h, f), res(*gu, h, f))
 
     def weak(self, g, config) -> float:
         u, h, f = config
@@ -719,9 +644,6 @@ class _KdVAudit:
 
     def draw_element(self, rng, direction):
         return _draw_kdv(rng, direction)
-
-    def admissible(self, g, config) -> bool:
-        return True
 
     def strong(self, g, config) -> float:
         prev, nxt, k = config
@@ -768,9 +690,6 @@ class _BurgersAudit:
     def draw_element(self, rng, direction):
         return _draw_burgers(rng, direction)
 
-    def admissible(self, g, config) -> bool:
-        return True
-
     def strong(self, g, config) -> float:
         prev, nxt, k, nu, alpha = config
         base = schemes.burgers_fv_residual(prev, nxt, k, nu)
@@ -804,9 +723,6 @@ class _UxxAudit:
 
     def draw_element(self, rng, direction):
         return _draw_affine5(rng, direction)
-
-    def admissible(self, g, config) -> bool:
-        return True
 
     @staticmethod
     def _apply(g, x, u):
@@ -873,22 +789,15 @@ def invariance_audit(scheme: str, n_elements: int = 100, n_configs: int = 20,
             guard = 0
             while True:
                 g = audit.draw_element(rng, direction)
-                if not audit.admissible(g, config):
-                    resampled += 1
-                    guard += 1
-                    if guard > 500:
-                        raise ConfigError("audit sampling stuck on inadmissible draws")
-                    continue
                 try:
                     s_dev = audit.strong(g, config)
                     w_dev = audit.weak(g, config)
+                    break
                 except _Resample:
                     resampled += 1
                     guard += 1
                     if guard > 500:
                         raise ConfigError("audit sampling stuck on degenerate draws")
-                    continue
-                break
             dev = max(s_dev, w_dev)
             per_direction[direction] = max(per_direction[direction], dev)
             strong_max = max(strong_max, s_dev)

@@ -5,8 +5,15 @@ import math
 import numpy as np
 import pytest
 
+from symfd import schemes
 from symfd.cli import main as cli_main
-from symfd.errors import ConfigError, PoleError
+from symfd.errors import (
+    ConfigError,
+    DegenerateDenominator,
+    MeshTangling,
+    PoleError,
+    SchemeSingularity,
+)
 from symfd.runner import (
     convergence_study,
     exact_burgers,
@@ -21,6 +28,7 @@ from symfd.runner import (
     total_variation,
     validate_config,
 )
+from symfd.schemes import GridState, StepInfo
 
 
 # ---------------------------------------------------------------------------
@@ -206,6 +214,59 @@ def test_kdv_lagrangian_run_records_partial_output_on_tangling():
     assert len(out.snapshots) >= 2  # partial output preserved
 
 
+@pytest.mark.parametrize("scheme", ["kdv_10pt", "kdv_naive", "burgers_fv"])
+@pytest.mark.parametrize("fault,status", [
+    pytest.param(MeshTangling("tangled"), "mesh_tangling", id="mesh_tangling"),
+    pytest.param(SchemeSingularity("singular band"), "scheme_singularity",
+                 id="scheme_singularity"),
+    pytest.param(DegenerateDenominator("vanishing spacing"), "numerical_failure",
+                 id="numerical_failure"),
+    # the third step returns NaN values instead of raising
+    pytest.param(None, "nonfinite", id="nonfinite"),
+])
+def test_run_stops_with_status_row_and_partial_snapshot(monkeypatch, scheme, fault, status):
+    # two good steps, then a failing third one, through the schemes module
+    calls = []
+
+    def fake_step(prev, k, *args, **kwargs):
+        calls.append(k)
+        u = prev.u
+        if len(calls) == 3:
+            if fault is not None:
+                raise fault
+            u = np.full_like(u, np.nan)
+        nxt = GridState(prev.t + k, 1.5 * prev.x, u)  # a moved mesh
+        return nxt if scheme == "kdv_naive" else (nxt, StepInfo(0, 0.0, 1.0))
+
+    for name in ("kdv_step_detailed", "naive_kdv_step", "burgers_fv_step_detailed"):
+        monkeypatch.setattr(schemes, name, fake_step)
+    if scheme == "burgers_fv":
+        cfg = _small_burgers_cfg()
+    else:
+        cfg = validate_config({
+            "equation": "kdv", "scheme": scheme, "mesh": "adaptive", "alpha": 1.0,
+            "domain_a": -30.0, "domain_b": 30.0, "n_points": 16,
+            "t_final": 200.0, "dt_constant": 0.5,
+        })
+    out = run_experiment(cfg)
+
+    assert out.status == status
+    assert len(calls) == 3  # the run stopped at the failing step
+    rows = out.diagnostics
+    assert [r.status for r in rows] == ["ok", "ok", status]
+    last = rows[-1]
+    assert last.step == 3 and last.newton_iters == 0
+    assert math.isnan(last.residual_inf)
+    k = calls[0]
+    # an exception leaves the last good state, NaN values the state they hit
+    assert last.t == pytest.approx((3 if fault is None else 2) * k)
+    t, x, u = out.snapshots[-1]
+    assert t == last.t
+    assert last.min_spacing == float(np.diff(x).min())
+    assert np.isnan(u).all() == (fault is None)
+    assert len(out.snapshots) == 4  # initial, two good steps, the stop
+
+
 # ---------------------------------------------------------------------------
 # audits and convergence
 # ---------------------------------------------------------------------------
@@ -294,6 +355,20 @@ def test_cli_run_numerical_failure_exit_code(tmp_path, capsys):
         f"snapshots_path = {snaps}\n")
     assert cli_main(["run", str(cfg)]) == 3
     assert snaps.exists()  # partial outputs still written
+
+
+def test_cli_run_unwritable_output_path(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        "equation = burgers\nscheme = burgers_fv\n"
+        "domain_a = -0.5\ndomain_b = 0.5\nn_points = 16\n"
+        "t_final = 0.01\nnu = 0.01\nalpha = 0.5\n"
+        f"snapshots_path = {tmp_path / 'missing' / 's.csv'}\n")
+    assert cli_main(["run", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error:")
+    assert "missing" in captured.err
+    assert "status:" not in captured.out
 
 
 def test_cli_run_nonfinite_exit_code(tmp_path, capsys):
