@@ -206,7 +206,10 @@ def apply_burgers(g: BurgersGroupElement, node: Node) -> Node:
 class VectorFieldSpec:
     """An infinitesimal generator xi d/dx + eta d/dt + phi d/du.
 
-    The coefficients are evaluable functions of (t, x, u).  ``weight`` is an
+    The coefficients are functions of (t, x, u).  They are called on
+    scalars by :func:`flow` and on the (t, x, u) columns of a stencil by
+    :func:`perturb_stencil` and :func:`lie_matrix`, so they must work on
+    numpy arrays (a constant may be returned as a scalar).  ``weight`` is an
     optional multiplicative lattice factor w(n, i) used by generators whose
     coefficients alternate with the multi-index (e.g. the dpKdV dilations);
     it multiplies all three coefficients at a node with absolute index
@@ -306,65 +309,80 @@ def dpkdv_generators() -> list[VectorFieldSpec]:
     ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Stencil:
     """Finite collection of nodes approximating a discrete jet.
 
-    ``nodes`` maps an integer offset pair (l, j) -- time shift and space
-    shift relative to the reference index -- to a point (t, x, u).  The
-    reference multi-index ``ref`` = (n, i) matters only for generators with
+    ``offsets`` lists integer offset pairs (l, j) -- time shift and space
+    shift relative to the reference index -- and row r of the (m, 3) array
+    ``points`` holds the point (t, x, u) of node ``offsets[r]``.  The
+    constructor builds the offset -> row index once; offsets must be
+    distinct and no two nodes may share (t, x).  ``points`` is kept as a
+    read-only view, so build a new stencil to move nodes.  The reference
+    multi-index ``ref`` = (n, i) matters only for generators with
     lattice-dependent weights.
     """
 
-    nodes: tuple[tuple[tuple[int, int], Node], ...]
+    offsets: tuple[tuple[int, int], ...]
+    points: np.ndarray
     ref: tuple[int, int] = (0, 0)
+    _row: dict[tuple[int, int], int] = field(init=False, repr=False)
 
     def __post_init__(self):
-        offsets = [o for o, _ in self.nodes]
-        if len(set(offsets)) != len(offsets):
+        offsets = tuple(self.offsets)
+        points = np.asarray(self.points, dtype=float).view()
+        if points.shape != (len(offsets), 3):
+            raise ValueError(f"need one (t, x, u) row per offset, got {points.shape}")
+        points.flags.writeable = False
+        row = {off: r for r, off in enumerate(offsets)}
+        if len(row) != len(offsets):
             raise ValueError("stencil offsets must be distinct")
         seen = {}
-        for off, (t, x, _u) in self.nodes:
-            key = (t, x)
+        for off, key in zip(offsets, map(tuple, points[:, :2].tolist())):
             if key in seen:
-                raise ValueError(
-                    f"nodes {seen[key]} and {off} share independent variables {key}"
-                )
+                raise ValueError(f"nodes {seen[key]} and {off} share independent variables {key}")
             seen[key] = off
+        object.__setattr__(self, "offsets", offsets)
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "_row", row)
 
     @staticmethod
     def from_dict(nodes: dict[tuple[int, int], Node], ref=(0, 0)) -> "Stencil":
-        return Stencil(tuple(sorted(nodes.items())), ref)
+        items = sorted(nodes.items())
+        return Stencil(tuple(off for off, _ in items),
+                       np.array([val for _, val in items], dtype=float).reshape(-1, 3), ref)
+
+    @property
+    def nodes(self) -> tuple[tuple[tuple[int, int], Node], ...]:
+        """The (offset, (t, x, u)) pairs in offset order."""
+        return tuple(zip(self.offsets, map(tuple, self.points.tolist())))
 
     def as_dict(self) -> dict[tuple[int, int], Node]:
         return dict(self.nodes)
 
+    def take(self, offsets: Iterable[tuple[int, int]]) -> np.ndarray:
+        """Rows of ``points`` for the given offsets; KeyError for a missing one."""
+        return self.points[[self._row[off] for off in offsets]]
+
     def node(self, l: int, j: int) -> Node:
-        for off, val in self.nodes:
-            if off == (l, j):
-                return val
-        raise KeyError((l, j))
+        return tuple(self.points[self._row[(l, j)]].tolist())
 
     def u(self, l: int, j: int) -> float:
-        return self.node(l, j)[2]
+        return float(self.points[self._row[(l, j)], 2])
 
     def x(self, l: int, j: int) -> float:
-        return self.node(l, j)[1]
+        return float(self.points[self._row[(l, j)], 1])
 
     def t(self, l: int, j: int) -> float:
-        return self.node(l, j)[0]
+        return float(self.points[self._row[(l, j)], 0])
 
     def with_u(self, l: int, j: int, u_new: float) -> "Stencil":
-        nodes = []
-        for off, (t, x, u) in self.nodes:
-            nodes.append((off, (t, x, u_new) if off == (l, j) else (t, x, u)))
-        return Stencil(tuple(nodes), self.ref)
-
-    def map_nodes(self, fn: Callable[[tuple[int, int], Node], Node]) -> "Stencil":
-        return Stencil(tuple((off, fn(off, val)) for off, val in self.nodes), self.ref)
+        points = self.points.copy()
+        points[self._row[(l, j)], 2] = u_new
+        return Stencil(self.offsets, points, self.ref)
 
     def sup_norm(self) -> float:
-        return max(abs(c) for _, val in self.nodes for c in val)
+        return float(np.abs(self.points).max())
 
 
 StencilFunction = Callable[[Stencil], float]
@@ -427,15 +445,27 @@ def flow(field: VectorFieldSpec, node: Node, epsilon: float,
 # infinitesimal invariance machinery
 # ---------------------------------------------------------------------------
 
+def _coefficients(field: VectorFieldSpec, z: Stencil) -> np.ndarray:
+    """(m, 3) array of the generator's (eta, xi, phi) at every node of ``z``.
+
+    The coefficient functions are evaluated once on the t, x and u columns
+    (constants broadcast); only a lattice ``weight`` is evaluated per node,
+    at the node's absolute index (n + l, i + j).
+    """
+    t, x, u = z.points.T
+    c = np.empty((len(z.offsets), 3))
+    c[:, 0] = field.eta(t, x, u)
+    c[:, 1] = field.xi(t, x, u)
+    c[:, 2] = field.phi(t, x, u)
+    if field.weight is not None:
+        n, i = z.ref
+        c *= np.array([field.weight(n + l, i + j) for l, j in z.offsets])[:, None]
+    return c
+
+
 def perturb_stencil(z: Stencil, field: VectorFieldSpec, eps: float) -> Stencil:
     """Move every node by eps times the generator (linearized product action)."""
-    n, i = z.ref
-
-    def mover(off, val):
-        et, xx, ph = field.coeffs(val, (n + off[0], i + off[1]))
-        return (val[0] + eps * et, val[1] + eps * xx, val[2] + eps * ph)
-
-    return z.map_nodes(mover)
+    return Stencil(z.offsets, z.points + eps * _coefficients(field, z), z.ref)
 
 
 def prolonged_directional_derivative(F: StencilFunction, field: VectorFieldSpec,
@@ -444,7 +474,9 @@ def prolonged_directional_derivative(F: StencilFunction, field: VectorFieldSpec,
 
     The step 1e-6 * (1 + |z|_inf) balances truncation and roundoff in double
     precision; the even-order flow curvature cancels in the central
-    difference, so the linearized node motion is sufficient.
+    difference, so the linearized node motion is sufficient.  F may also
+    return an array (say a whole invariant catalog); the difference is then
+    taken componentwise and an array of derivatives is returned.
     """
     eps = 1e-6 * (1.0 + z.sup_norm())
     fp = F(perturb_stencil(z, field, eps))
@@ -457,14 +489,7 @@ def lie_matrix(fields: Sequence[VectorFieldSpec], z: Stencil) -> np.ndarray:
 
     Coordinates are ordered (t, x, u) per node, nodes in offset order.
     """
-    n, i = z.ref
-    rows = []
-    for f in fields:
-        row = []
-        for off, val in z.nodes:
-            row.extend(f.coeffs(val, (n + off[0], i + off[1])))
-        rows.append(row)
-    return np.array(rows, dtype=float)
+    return np.array([_coefficients(f, z).ravel() for f in fields], dtype=float)
 
 
 def lie_matrix_rank(fields: Sequence[VectorFieldSpec], z: Stencil,

@@ -68,6 +68,26 @@ def sl2_invariant_chain(u_im1: float, u_i: float, u_ip1: float, u_ip2: float):
 
 
 # ---------------------------------------------------------------------------
+# two-row stencils <-> generic stencils
+# ---------------------------------------------------------------------------
+
+# offsets (l, j) in row-major order of the 2 x m arrays, which is also the
+# sorted order of Stencil.from_dict
+_KDV_OFFSETS = tuple((l, j) for l in range(2) for j in range(-2, 3))
+_BURGERS_OFFSETS = tuple((l, j) for l in range(2) for j in range(-1, 2))
+
+
+def _to_stencil(offsets, t0: float, k: float, x: np.ndarray, u: np.ndarray) -> Stencil:
+    """Generic stencil of two flat rows at t0 and t0 + k."""
+    points = np.empty(x.shape + (3,))
+    points[0, :, 0] = t0
+    points[1, :, 0] = t0 + k
+    points[:, :, 1] = x
+    points[:, :, 2] = u
+    return Stencil(offsets, points.reshape(-1, 3))
+
+
+# ---------------------------------------------------------------------------
 # KdV stencil and invariants
 # ---------------------------------------------------------------------------
 
@@ -90,7 +110,7 @@ class KdVStencil:
             raise ValueError("KdV stencil needs 2x5 x and u arrays")
         if not self.k > 0.0:
             raise ValueError("time step must be positive")
-        if np.any(np.diff(x, axis=1) <= 0.0):
+        if (x[:, 1:] <= x[:, :-1]).any():
             raise ValueError("spacings must be positive")
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "u", u)
@@ -110,29 +130,16 @@ class KdVStencil:
         return np.diff(self.u, axis=1) / self.h
 
     def to_stencil(self) -> Stencil:
-        nodes = {}
-        for l in range(2):
-            for m in range(5):
-                nodes[(l, m - 2)] = (
-                    self.t0 + l * self.k,
-                    float(self.x[l, m]),
-                    float(self.u[l, m]),
-                )
-        return Stencil.from_dict(nodes)
+        return _to_stencil(_KDV_OFFSETS, self.t0, self.k, self.x, self.u)
 
     @staticmethod
     def from_stencil(z: Stencil) -> "KdVStencil":
-        x = np.empty((2, 5))
-        u = np.empty((2, 5))
-        t0 = z.t(0, 0)
-        t1 = z.t(1, 0)
-        for l in range(2):
-            for m in range(5):
-                _, x[l, m], u[l, m] = z.node(l, m - 2)
+        p = z.take(_KDV_OFFSETS).reshape(2, 5, 3)
+        t0, t1 = p[:, 2, 0].tolist()
         k = t1 - t0
         if not k > 0.0:
             raise ValueError("rows must be ordered in time")
-        return KdVStencil(k, x, u, t0)
+        return KdVStencil(k, p[:, :, 1], p[:, :, 2], t0)
 
 
 KDV_INVARIANT_NAMES = (
@@ -154,22 +161,20 @@ def kdv_invariants(z: KdVStencil) -> dict[str, float]:
     * T        = (u^{n+1}_i - u^n_i) (h^n_i)^2      scaled time increment
     * K(l, j)  = k Du^l_{i+j}                       scaled slopes
     """
-    h = z.h
-    if np.any(np.abs(h) < _DEN_TOL) or abs(z.k) < _DEN_TOL:
+    x, u, k = z.x, z.u, z.k
+    h = x[:, 1:] - x[:, :-1]
+    if np.abs(h).min() < _DEN_TOL or abs(k) < _DEN_TOL:
         raise DegenerateDenominator("vanishing spacing or time step")
-    du = z.du
-    out: dict[str, float] = {}
-    for l in range(2):
-        for j in (-1, 0, 1):
-            out[f"H({l},{j:+d})" if j else f"H({l},0)"] = float(h[l, j + 1] / h[l, j + 2])
-    out["I"] = float(h[1, 2] / h[0, 2])
-    out["J"] = float(h[0, 2] ** 3 / z.k)
-    out["L"] = float((z.sigma - z.k * z.u[0, 2]) / h[0, 2])
-    out["T"] = float((z.u[1, 2] - z.u[0, 2]) * h[0, 2] ** 2)
-    for l in range(2):
-        for j in (-2, -1, 0, 1):
-            out[f"K({l},{j:+d})" if j else f"K({l},0)"] = float(z.k * du[l, j + 2])
-    return out
+    du = (u[:, 1:] - u[:, :-1]) / h
+    h0, h1 = h[:, 2].tolist()  # h^n_i, h^{n+1}_i
+    x0, x1 = x[:, 2].tolist()
+    u0, u1 = u[:, 2].tolist()
+    values = (
+        (h[:, :-1] / h[:, 1:]).ravel().tolist()
+        + [h1 / h0, h0**3 / k, ((x1 - x0) - k * u0) / h0, (u1 - u0) * h0**2]
+        + (k * du).ravel().tolist()
+    )
+    return dict(zip(KDV_INVARIANT_NAMES, values))
 
 
 def kdv_invariant_vector(z: KdVStencil) -> np.ndarray:
@@ -218,7 +223,7 @@ class BurgersStencil:
             raise ValueError("Burgers stencil needs 2x3 x and u arrays")
         if not self.k > 0.0:
             raise ValueError("time step must be positive")
-        if np.any(np.diff(x, axis=1) <= 0.0):
+        if (x[:, 1:] <= x[:, :-1]).any():
             raise ValueError("spacings must be positive")
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "u", u)
@@ -236,26 +241,13 @@ class BurgersStencil:
         return np.diff(self.u, axis=1) / self.h
 
     def to_stencil(self) -> Stencil:
-        nodes = {}
-        for l in range(2):
-            for m in range(3):
-                nodes[(l, m - 1)] = (
-                    self.t0 + l * self.k,
-                    float(self.x[l, m]),
-                    float(self.u[l, m]),
-                )
-        return Stencil.from_dict(nodes)
+        return _to_stencil(_BURGERS_OFFSETS, self.t0, self.k, self.x, self.u)
 
     @staticmethod
     def from_stencil(z: Stencil) -> "BurgersStencil":
-        x = np.empty((2, 3))
-        u = np.empty((2, 3))
-        t0 = z.t(0, 0)
-        k = z.t(1, 0) - t0
-        for l in range(2):
-            for m in range(3):
-                _, x[l, m], u[l, m] = z.node(l, m - 1)
-        return BurgersStencil(k, x, u, t0)
+        p = z.take(_BURGERS_OFFSETS).reshape(2, 3, 3)
+        t0, t1 = p[:, 1, 0].tolist()
+        return BurgersStencil(t1 - t0, p[:, :, 1], p[:, :, 2], t0)
 
 
 BURGERS_INVARIANT_NAMES = ("I1", "I2", "I3", "I4", "I5", "I6", "I7", "I8", "I9")
@@ -263,23 +255,27 @@ BURGERS_INVARIANT_NAMES = ("I1", "I2", "I3", "I4", "I5", "I6", "I7", "I8", "I9")
 
 def burgers_invariants(z: BurgersStencil) -> dict[str, float]:
     """The 9 invariants of the four-parameter Burgers group action."""
-    h = z.h
-    if np.any(np.abs(h) < _DEN_TOL) or abs(z.k) < _DEN_TOL:
+    x, u, k = z.x, z.u, z.k
+    h = x[:, 1:] - x[:, :-1]
+    if np.abs(h).min() < _DEN_TOL or abs(k) < _DEN_TOL:
         raise DegenerateDenominator("vanishing spacing or time step")
-    du = z.du
-    k = z.k
-    sig = z.sigma
-    return {
-        "I1": float(h[0, 1] / h[0, 0]),
-        "I2": float(h[1, 1] / h[1, 0]),
-        "I3": float(h[0, 1] * h[1, 1] / k),
-        "I4": float(h[0, 1] * h[0, 0] * (du[0, 1] - du[0, 0])),
-        "I5": float(h[1, 1] * h[1, 0] * (du[1, 1] - du[1, 0])),
-        "I6": float(h[0, 1] * (sig / k - z.u[0, 1])),
-        "I7": float(h[1, 1] * (sig / k - z.u[1, 1])),
-        "I8": float(h[0, 1] ** 2 * (du[0, 1] + 1.0 / k)),
-        "I9": float(h[1, 1] ** 2 * (du[1, 1] - 1.0 / k)),
-    }
+    (hl0, hr0), (hl1, hr1) = h.tolist()  # h_{i-1}, h_i on rows n and n+1
+    (dl0, dr0), (dl1, dr1) = ((u[:, 1:] - u[:, :-1]) / h).tolist()
+    x0, x1 = x[:, 1].tolist()
+    u0, u1 = u[:, 1].tolist()
+    sig = x1 - x0
+    values = (
+        hr0 / hl0,
+        hr1 / hl1,
+        hr0 * hr1 / k,
+        hr0 * hl0 * (dr0 - dl0),
+        hr1 * hl1 * (dr1 - dl1),
+        hr0 * (sig / k - u0),
+        hr1 * (sig / k - u1),
+        hr0**2 * (dr0 + 1.0 / k),
+        hr1**2 * (dr1 - 1.0 / k),
+    )
+    return dict(zip(BURGERS_INVARIANT_NAMES, values))
 
 
 def burgers_invariant_vector(z: BurgersStencil) -> np.ndarray:

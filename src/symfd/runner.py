@@ -277,18 +277,18 @@ class RunOutput:
 def format_snapshots_csv(out: RunOutput) -> str:
     lines = ["t,x,u"]
     for t, x, u in out.snapshots:
-        for xi, ui in zip(x, u):
-            lines.append(f"{t:.17g},{xi:.17g},{ui:.17g}")
+        prefix = f"{t:.17g},"
+        lines.extend([prefix + "%.17g,%.17g" % xu for xu in zip(x.tolist(), u.tolist())])
     return "\n".join(lines) + "\n"
 
 
 def format_diagnostics_csv(out: RunOutput) -> str:
     lines = ["step,t,min_spacing,tv,residual_inf,newton_iters,status"]
-    for r in out.diagnostics:
-        lines.append(
-            f"{r.step},{r.t:.17g},{r.min_spacing:.17g},{r.tv:.17g},"
-            f"{r.residual_inf:.17g},{r.newton_iters},{r.status}"
-        )
+    lines.extend([
+        "%s,%.17g,%.17g,%.17g,%.17g,%s,%s"
+        % (r.step, r.t, r.min_spacing, r.tv, r.residual_inf, r.newton_iters, r.status)
+        for r in out.diagnostics
+    ])
     return "\n".join(lines) + "\n"
 
 

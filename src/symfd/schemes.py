@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgbsv
 
 from .errors import DegenerateDenominator, SchemeSingularity
 from .invariants import cross_ratio, cross_ratio_conjugate
@@ -110,7 +110,9 @@ class StepInfo:
     """Diagnostics of one scheme step.
 
     ``newton_iters`` counts linear solves: 1 for the ten-point KdV step,
-    0 for the explicit and diagonal updates.
+    0 for the explicit and diagonal updates.  ``min_spacing`` is the
+    minimum spacing of the mesh the returned state lives on (for a
+    projected step, the grid it is projected onto).
     """
 
     newton_iters: int
@@ -289,12 +291,14 @@ def _solve_affine_banded(res_fn: Callable[[np.ndarray], np.ndarray],
     """The root of an affine residual map with a pentadiagonal matrix.
 
     The band is read off the residual at v0 and at 5 colored unit probes
-    (exact up to roundoff for an affine map); one banded solve then gives
-    the root.
+    (exact up to roundoff for an affine map); one call of LAPACK ``dgbsv``
+    then gives the root.  ``dgbsv`` does not check its input, so a
+    non-finite band or residual is rejected first; both that and a zero
+    pivot raise :class:`SchemeSingularity`.
     """
     m = v0.size
     r0 = res_fn(v0)
-    ab = np.zeros((5, m))
+    ab = np.zeros((7, m))  # rows 0-1: dgbsv's fill-in space; the band is rows 2-6
     rows = np.arange(m)
     for color in range(5):
         probe = v0.copy()
@@ -303,11 +307,13 @@ def _solve_affine_banded(res_fn: Callable[[np.ndarray], np.ndarray],
         # row r sees exactly one probed column within the band
         cols = rows + (color - rows + 2) % 5 - 2
         ok = (cols >= 0) & (cols < m)
-        ab[2 + rows[ok] - cols[ok], cols[ok]] = dr[ok]
-    try:
-        return v0 - solve_banded((2, 2), ab, r0)
-    except (np.linalg.LinAlgError, ValueError) as exc:
-        raise SchemeSingularity(f"banded solve failed: {exc}") from exc
+        ab[4 + rows[ok] - cols[ok], cols[ok]] = dr[ok]
+    if not (np.isfinite(ab).all() and np.isfinite(r0).all()):
+        raise SchemeSingularity("banded solve failed: non-finite band or residual")
+    *_, x, info = dgbsv(2, 2, ab, r0, overwrite_ab=True)
+    if info != 0:
+        raise SchemeSingularity(f"banded solve failed (LAPACK info {info})")
+    return v0 - x
 
 
 def _kdv_mesh(prev: GridState, k: float, mesh_strategy: str,
@@ -370,12 +376,14 @@ def kdv_step_detailed(
     nxt = GridState(prev.t + k, x1, u1)
     rfin = float(np.max(np.abs(residual(prev, nxt, k))))
 
+    min_spacing = upd.min_spacing
     if mesh_strategy == "projection":
         target = np.clip(prev.x, x1[0], x1[-1])
         u_proj = spline_project(x1, u1, target)
         nxt = GridState(prev.t + k, prev.x, u_proj)
+        min_spacing = float((prev.x[1:] - prev.x[:-1]).min())
 
-    return nxt, StepInfo(iters, rfin, upd.min_spacing, upd.equi_residual)
+    return nxt, StepInfo(iters, rfin, min_spacing, upd.equi_residual)
 
 
 def kdv_step(prev: GridState, k: float, mesh_strategy: str = "lagrangian",

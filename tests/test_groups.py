@@ -2,7 +2,10 @@
 
 import math
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from symfd.errors import FlowDivergence, PoleError, ProjectionFailure
 from symfd.groups import (
@@ -17,9 +20,12 @@ from symfd.groups import (
     check_difference_symmetry,
     dpkdv_generators,
     flow,
+    burgers_generators,
     kdv_generators,
+    lie_matrix,
     lie_matrix_rank,
     make_field,
+    perturb_stencil,
     prolonged_directional_derivative,
     sl2_generators,
 )
@@ -284,3 +290,124 @@ def test_lie_matrix_rank_single_generator():
 def test_stencil_rejects_duplicate_independent_variables():
     with pytest.raises(ValueError):
         Stencil.from_dict({(0, 0): (0.0, 1.0, 2.0), (0, 1): (0.0, 1.0, 3.0)})
+
+
+# ---------------------------------------------------------------------------
+# property tests: stencil coefficients, construction and group laws
+# ---------------------------------------------------------------------------
+
+# every generator family of the package, the lattice-weighted dpKdV ones
+# included, plus the Burgers inversion field with products of coordinates
+_ALL_FIELDS = (sl2_generators() + kdv_generators() + burgers_generators()
+               + affine_5d_generators() + dpkdv_generators() + [make_field(
+                   xi=lambda t, x, u: t * x, eta=lambda t, x, u: t * t,
+                   phi=lambda t, x, u: x - t * u, name="inversion")])
+
+_coord = st.floats(-2.0, 2.0)
+
+
+@st.composite
+def _stencils(draw):
+    """Stencils on up to 10 distinct offsets with distinct (t, x) per node."""
+    offsets = draw(st.lists(st.tuples(st.integers(0, 1), st.integers(-2, 2)),
+                            min_size=1, max_size=10, unique=True))
+    nodes = {(l, j): (l + draw(st.floats(-0.4, 0.4)), j + draw(st.floats(-0.4, 0.4)),
+                      draw(_coord))
+             for l, j in offsets}
+    return Stencil.from_dict(nodes, ref=draw(st.tuples(st.integers(-3, 3), st.integers(-3, 3))))
+
+
+def _reference_coeffs(field, z):
+    """Per-node loop over ``field.coeffs`` at absolute lattice indices."""
+    n, i = z.ref
+    return [(off, val, field.coeffs(val, (n + off[0], i + off[1]))) for off, val in z.nodes]
+
+
+@settings(max_examples=60, deadline=None)
+@given(z=_stencils(), field=st.sampled_from(_ALL_FIELDS), eps=st.floats(-1e-3, 1e-3))
+def test_perturb_stencil_matches_per_node_reference(z, field, eps):
+    expected = {off: tuple(v + eps * c for v, c in zip(val, coeff))
+                for off, val, coeff in _reference_coeffs(field, z)}
+    moved = perturb_stencil(z, field, eps)
+    assert moved.as_dict() == expected
+    assert moved.ref == z.ref
+
+
+@settings(max_examples=60, deadline=None)
+@given(z=_stencils(), fields=st.lists(st.sampled_from(_ALL_FIELDS), min_size=1, max_size=5))
+def test_lie_matrix_matches_per_node_reference(z, fields):
+    expected = [[c for _off, _val, coeff in _reference_coeffs(f, z) for c in coeff]
+                for f in fields]
+    assert lie_matrix(fields, z).tolist() == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(z=_stencils())
+def test_stencil_accessors_agree_with_nodes(z):
+    assert Stencil.from_dict(z.as_dict(), z.ref).nodes == z.nodes
+    for (l, j), (t, x, u) in z.nodes:
+        assert z.node(l, j) == (t, x, u)
+        assert (z.t(l, j), z.x(l, j), z.u(l, j)) == (t, x, u)
+        assert z.with_u(l, j, 7.5).node(l, j) == (t, x, 7.5)
+    assert z.sup_norm() == max(abs(c) for _off, val in z.nodes for c in val)
+    with pytest.raises(KeyError):
+        z.node(5, 5)
+
+
+@settings(max_examples=30, deadline=None)
+@given(z=_stencils(), data=st.data())
+def test_stencil_rejects_duplicates(z, data):
+    offsets = [off for off, _ in z.nodes]
+    points = [val for _, val in z.nodes]
+    k = data.draw(st.integers(0, len(offsets) - 1))
+    with pytest.raises(ValueError, match="distinct"):
+        Stencil(tuple(offsets + [offsets[k]]), np.array(points + [points[k]]))
+    t, x, _u = points[k]
+    with pytest.raises(ValueError, match="share independent variables"):
+        Stencil(tuple(offsets + [(9, 9)]), np.array(points + [(t, x, 1.0)]))
+
+
+_lam = st.floats(-0.7, 0.7).map(math.exp)
+_unit = st.floats(-1.0, 1.0)
+_kdv_elements = st.builds(KdVGroupElement, _lam, _unit, _unit, _unit)
+_burgers_elements = st.builds(BurgersGroupElement, _unit, _unit, _unit, st.floats(-0.7, 0.7))
+_sl2_elements = st.builds(
+    lambda a, b, c: SL2Element(a, b, c, (1.0 + b * c) / a),
+    st.one_of(st.floats(-1.5, -0.3), st.floats(0.3, 1.5)), _unit, _unit)
+_points = st.tuples(_coord, _coord, _coord)
+
+
+def _close(p, q, tol=1e-12):
+    return rel_err(p, q) <= tol
+
+
+@settings(max_examples=80, deadline=None)
+@given(g=_kdv_elements, h=_kdv_elements, k=_kdv_elements, z=_points)
+def test_kdv_group_laws_property(g, h, k, z):
+    assert _close(apply_kdv(g, apply_kdv(h, z)), apply_kdv(g.compose(h), z))
+    assert _close(apply_kdv(g.inverse(), apply_kdv(g, z)), z)
+    assert _close(g.compose(g.inverse()).params(), KdVGroupElement.identity().params())
+    assert _close(g.compose(h).compose(k).params(), g.compose(h.compose(k)).params())
+
+
+@settings(max_examples=80, deadline=None)
+@given(g=_burgers_elements, h=_burgers_elements, k=_burgers_elements, z=_points)
+def test_burgers_group_laws_property(g, h, k, z):
+    assert _close(apply_burgers(g, apply_burgers(h, z)), apply_burgers(g.compose(h), z))
+    assert _close(apply_burgers(g.inverse(), apply_burgers(g, z)), z)
+    assert _close(g.compose(g.inverse()).params(), BurgersGroupElement.identity().params())
+    assert _close(g.compose(h).compose(k).params(), g.compose(h.compose(k)).params())
+
+
+@settings(max_examples=80, deadline=None)
+@given(g=_sl2_elements, h=_sl2_elements, k=_sl2_elements, u=_coord)
+def test_sl2_group_laws_property(g, h, k, u):
+    gh = g.compose(h)
+    # stay away from the poles of h, g and g h at u
+    assume(min(abs(h.c * u + h.d), abs(gh.c * u + gh.d)) >= 0.2)
+    assume(abs(g.c * apply_sl2(h, u) + g.d) >= 0.2)
+    assert _close(apply_sl2(g, apply_sl2(h, u)), apply_sl2(gh, u), 1e-11)
+    assume(abs(g.c * u + g.d) >= 0.2)
+    assert _close(apply_sl2(g.inverse(), apply_sl2(g, u)), u, 1e-11)
+    assert _close(g.compose(g.inverse()).params(), SL2Element.identity().params())
+    assert _close(gh.compose(k).params(), g.compose(h.compose(k)).params())

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symfd.errors import DegenerateDenominator
 from symfd.frames import apply_burgers_stencil, apply_kdv_stencil
@@ -306,3 +308,100 @@ def test_burgers_d2u_matches_direct_formula():
     du = np.diff(z.u, axis=1) / h
     expected = 2.0 * (du[0, 1] - du[0, 0]) / (h[0, 0] + h[0, 1])
     assert burgers_d2u(z, 0) == pytest.approx(expected, abs=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# property tests: stencil conversion and the catalogs' infinitesimal invariance
+# ---------------------------------------------------------------------------
+
+def _rows(n):
+    """Strictly increasing mesh rows: start in [-1, 1], spacings in [0.1, 2]."""
+    row = st.tuples(st.floats(-1.0, 1.0), st.lists(st.floats(0.1, 2.0), min_size=n - 1,
+                                                     max_size=n - 1))
+    return st.tuples(row, row).map(
+        lambda rs: np.array([np.cumsum([a] + h) for a, h in rs]))
+
+
+def _values(n):
+    return st.lists(st.floats(-2.0, 2.0), min_size=2 * n, max_size=2 * n).map(
+        lambda v: np.array(v).reshape(2, n))
+
+
+def _stencils(cls, n):
+    return st.builds(cls, st.floats(0.1, 2.0), _rows(n), _values(n), st.floats(-1.0, 1.0))
+
+
+def _assert_roundtrip(z, back):
+    # x, u and t0 come back bit for bit; k is recovered as (t0 + k) - t0
+    assert back.t0 == z.t0
+    assert np.array_equal(back.x, z.x) and np.array_equal(back.u, z.u)
+    assert back.k == pytest.approx(z.k, rel=0.0, abs=4e-16 * (abs(z.t0) + z.k))
+
+
+@settings(max_examples=50, deadline=None)
+@given(zk=_stencils(KdVStencil, 5), zb=_stencils(BurgersStencil, 3))
+def test_stencil_roundtrip_property(zk, zb):
+    _assert_roundtrip(zk, KdVStencil.from_stencil(zk.to_stencil()))
+    _assert_roundtrip(zb, BurgersStencil.from_stencil(zb.to_stencil()))
+
+
+def _kdv_reference(z):
+    """The 18 KdV formulas one by one, on numpy scalars (docstring notation)."""
+    h = np.diff(z.x, axis=1)
+    du = np.diff(z.u, axis=1) / h
+    out = {}
+    for l in range(2):
+        for j in (-1, 0, 1):
+            out[f"H({l},{j:+d})" if j else f"H({l},0)"] = h[l, j + 1] / h[l, j + 2]
+    out["I"] = h[1, 2] / h[0, 2]
+    out["J"] = h[0, 2] ** 3 / z.k
+    out["L"] = ((z.x[1, 2] - z.x[0, 2]) - z.k * z.u[0, 2]) / h[0, 2]
+    out["T"] = (z.u[1, 2] - z.u[0, 2]) * h[0, 2] ** 2
+    for l in range(2):
+        for j in (-2, -1, 0, 1):
+            out[f"K({l},{j:+d})" if j else f"K({l},0)"] = z.k * du[l, j + 2]
+    return out
+
+
+def _burgers_reference(z):
+    """The 9 Burgers formulas one by one, on numpy scalars."""
+    h = np.diff(z.x, axis=1)
+    du = np.diff(z.u, axis=1) / h
+    k, sig = z.k, z.x[1, 1] - z.x[0, 1]
+    return {
+        "I1": h[0, 1] / h[0, 0], "I2": h[1, 1] / h[1, 0], "I3": h[0, 1] * h[1, 1] / k,
+        "I4": h[0, 1] * h[0, 0] * (du[0, 1] - du[0, 0]),
+        "I5": h[1, 1] * h[1, 0] * (du[1, 1] - du[1, 0]),
+        "I6": h[0, 1] * (sig / k - z.u[0, 1]), "I7": h[1, 1] * (sig / k - z.u[1, 1]),
+        "I8": h[0, 1] ** 2 * (du[0, 1] + 1.0 / k), "I9": h[1, 1] ** 2 * (du[1, 1] - 1.0 / k),
+    }
+
+
+@settings(max_examples=50, deadline=None)
+@given(zk=_stencils(KdVStencil, 5), zb=_stencils(BurgersStencil, 3))
+def test_catalogs_equal_formula_by_formula_reference(zk, zb):
+    # same arithmetic in the same order, so equal bit for bit
+    assert kdv_invariants(zk) == _kdv_reference(zk)
+    assert list(kdv_invariants(zk)) == list(KDV_INVARIANT_NAMES)
+    assert burgers_invariants(zb) == _burgers_reference(zb)
+    assert list(burgers_invariants(zb)) == list(BURGERS_INVARIANT_NAMES)
+
+
+def _worst_catalog_derivative(catalog, cls, gens, z):
+    """Largest prolonged derivative of the whole catalog (one array-valued F)."""
+    F = lambda s: np.array(list(catalog(cls.from_stencil(s)).values()))  # noqa: E731
+    s = z.to_stencil()
+    return max(float(np.max(np.abs(prolonged_directional_derivative(F, f, s)))) for f in gens)
+
+
+@settings(max_examples=50, deadline=None)
+@given(z=_stencils(KdVStencil, 5))
+def test_kdv_catalog_invariance_property(z):
+    assert _worst_catalog_derivative(kdv_invariants, KdVStencil, kdv_generators(), z) <= 1e-7
+
+
+@settings(max_examples=50, deadline=None)
+@given(z=_stencils(BurgersStencil, 3))
+def test_burgers_catalog_invariance_property(z):
+    assert _worst_catalog_derivative(burgers_invariants, BurgersStencil,
+                                     burgers_generators(), z) <= 1e-7

@@ -15,6 +15,8 @@ from symfd.errors import (
     SchemeSingularity,
 )
 from symfd.runner import (
+    DiagnosticsRow,
+    RunOutput,
     convergence_study,
     exact_burgers,
     exact_kdv_double_soliton,
@@ -173,6 +175,23 @@ def test_output_formats():
     diag = format_diagnostics_csv(out)
     assert diag.splitlines()[0] == "step,t,min_spacing,tv,residual_inf,newton_iters,status"
     assert len(diag.splitlines()) == 1 + len(out.diagnostics)
+
+
+def test_csv_formats_special_values_like_per_field_format():
+    vals = [0.0, -0.0, 1.0 / 3.0, -2.5e-300, 1e300, math.nan, math.inf, -math.inf]
+    x = np.array(vals)
+    u = np.array(vals[::-1])
+    rows = [DiagnosticsRow(i, v, np.float64(w), w, abs(v), i % 2, "ok")
+            for i, (v, w) in enumerate(zip(vals, vals[::-1]))]
+    out = RunOutput([(0.25, x, u), (math.nan, x[:3], u[:3])], rows, "completed",
+                    _small_burgers_cfg())
+    snap = ["t,x,u"] + [f"{t:.17g},{a:.17g},{b:.17g}"
+                        for t, xs, us in out.snapshots for a, b in zip(xs, us)]
+    assert format_snapshots_csv(out) == "\n".join(snap) + "\n"
+    diag = ["step,t,min_spacing,tv,residual_inf,newton_iters,status"] + [
+        f"{r.step},{r.t:.17g},{r.min_spacing:.17g},{r.tv:.17g},"
+        f"{r.residual_inf:.17g},{r.newton_iters},{r.status}" for r in rows]
+    assert format_diagnostics_csv(out) == "\n".join(diag) + "\n"
 
 
 def test_schwarzian_run_crosses_pole():

@@ -15,6 +15,7 @@ from symfd.schemes import (
     GridState,
     SchwarzianState,
     _burgers_parts,
+    _solve_affine_banded,
     burgers_fv_residual,
     burgers_fv_step,
     burgers_fv_step_detailed,
@@ -261,6 +262,21 @@ def test_kdv_step_constant_state_fixed_point():
                 assert np.allclose(nxt.x, x, atol=0.1 * abs(c) + 1e-12)
 
 
+def test_kdv_step_min_spacing_is_that_of_the_returned_mesh():
+    from symfd.mesh import MonitorParams
+
+    prev, _ = _soliton_pair(0.25, 0.05)
+    for scheme in ("6pt", "10pt"):
+        for strategy in ("lagrangian", "adaptive", "projection"):
+            nxt, info = kdv_step_detailed(prev, 0.05, strategy, scheme,
+                                          monitor=MonitorParams(3.0))
+            assert info.min_spacing == float(np.min(np.diff(nxt.x)))
+    # the projected step returns to the previous grid, not the moved mesh
+    nxt, info = kdv_step_detailed(prev, 0.05, "projection", "10pt")
+    assert np.array_equal(nxt.x, prev.x)
+    assert info.min_spacing != float(np.min(np.diff(prev.x + 0.05 * prev.u)))
+
+
 def test_kdv_step_6pt_solves_residual():
     h = 0.25
     prev, _ = _soliton_pair(h, 0.01)
@@ -286,6 +302,23 @@ def test_kdv_step_10pt_nonfinite_data_is_singular():
     u[len(u) // 2] = math.nan
     with pytest.raises(SchemeSingularity):
         kdv_step_detailed(GridState(0.0, prev.x, u), 0.01, "lagrangian", "10pt")
+
+
+def test_solve_affine_banded_matches_dense_solve():
+    rng = np.random.default_rng(5)
+    m = 23
+    a = np.zeros((m, m))
+    for d in range(-2, 3):
+        a += np.diag(rng.uniform(-1.0, 1.0, m - abs(d)), d)
+    a += 4.0 * np.eye(m)  # diagonally dominant, so well conditioned
+    b = rng.uniform(-1.0, 1.0, m)
+    v = _solve_affine_banded(lambda w: a @ w - b, rng.uniform(-1.0, 1.0, m))
+    assert np.max(np.abs(v - np.linalg.solve(a, b))) <= 1e-12
+
+
+def test_solve_affine_banded_zero_band_is_singular():
+    with pytest.raises(SchemeSingularity, match="LAPACK info"):
+        _solve_affine_banded(lambda w: np.ones_like(w), np.zeros(9))
 
 
 def test_kdv_step_tangling_abort():
