@@ -16,6 +16,18 @@ Both tridiagonal systems (equidistribution and the spline moments) are
 solved by LAPACK ``dgtsv``, which does not check its input: non-finite or
 nonpositive monitor weights raise :class:`SingularSystem` before the solve,
 and a NaN in the spline data propagates into the projected values.
+
+Batches: the Lagrangian update, the monitor and equidistribution act on the
+last axis, so node arrays of shape (n,) hold one mesh and arrays of shape
+(B, n) a batch of B meshes, each row advanced exactly as it would be alone.
+Per-row scalars of a batch are (B, 1) columns (the time step k, alpha),
+except the domain endpoints of equidistribution, which are (B,) arrays.
+A batch is equidistributed by one ``dgtsv`` call on the block-diagonal
+system (zero coupling between the rows), which gives each row bit for bit
+the solution of its own system.  The diagnostics of a batch are reduced
+over its rows: the smallest spacing, the largest normalized residual.  A
+check fails for the whole batch when it fails for one row.  Projection
+(the spline) takes a single mesh.
 """
 
 from __future__ import annotations
@@ -29,20 +41,29 @@ from scipy.linalg.lapack import dgtsv
 from .errors import DegenerateDenominator, MeshTangling, OutOfDomain, SingularSystem
 
 
+def _holds(cond) -> bool:
+    """A comparison of a float (a bool) or of an array (all its entries)."""
+    return cond.all() if isinstance(cond, np.ndarray) else cond
+
+
 @dataclass(frozen=True)
 class MonitorParams:
-    """Adaptation strength alpha >= 0; alpha = 0 recovers the uniform mesh."""
+    """Adaptation strength alpha >= 0; alpha = 0 recovers the uniform mesh.
+
+    For a batch, alpha may be a (B, 1) column of per-row strengths.
+    """
 
     alpha: float
 
     def __post_init__(self):
-        if not self.alpha >= 0.0:
+        if not _holds(self.alpha >= 0.0):
             raise ValueError("alpha must be nonnegative")
 
 
 @dataclass(frozen=True)
 class MeshUpdate:
-    """Next-level abscissae plus diagnostics of the proposed mesh."""
+    """Next-level abscissae plus diagnostics of the proposed mesh (of all
+    rows of a batch: its smallest spacing and largest residual)."""
 
     x_next: np.ndarray
     min_spacing: float
@@ -64,11 +85,12 @@ def detect_tangling(x: np.ndarray, floor: float) -> TanglingDiagnostics:
     return TanglingDiagnostics(m, i, m < floor)
 
 
-def _checked_min_spacing(x_next: np.ndarray, floor: float) -> float:
-    """Minimum spacing of x_next; MeshTangling if unordered or below floor."""
-    dx = x_next[1:] - x_next[:-1]
+def _checked_min_spacing(dx: np.ndarray, floor: float) -> float:
+    """Minimum of the spacings dx; MeshTangling if one is not positive or
+    the minimum is below floor."""
     if (dx <= 0.0).any():
-        raise MeshTangling(f"mesh ordering lost at index {int(dx.argmin())}")
+        i = int(dx.argmin()) % dx.shape[-1]
+        raise MeshTangling(f"mesh ordering lost at index {i}")
     m = float(dx.min())
     if m < floor:
         raise MeshTangling(f"minimum spacing {m:.3e} below floor {floor:.3e}")
@@ -94,10 +116,10 @@ def _solve_tridiagonal(sub: np.ndarray, diag: np.ndarray, sup: np.ndarray,
 
 def lagrangian_update(state, k: float, floor: float = 0.0) -> MeshUpdate:
     """x^{n+1} = x^n + k u^n; endpoints move with the data."""
-    if not k > 0.0:
+    if not _holds(k > 0.0):
         raise ValueError("time step must be positive")
     x_next = state.x + k * state.u
-    return MeshUpdate(x_next, _checked_min_spacing(x_next, floor))
+    return MeshUpdate(x_next, _checked_min_spacing(x_next[..., 1:] - x_next[..., :-1], floor))
 
 
 def monitor_arclength(state, k: float, params: MonitorParams) -> np.ndarray:
@@ -107,13 +129,13 @@ def monitor_arclength(state, k: float, params: MonitorParams) -> np.ndarray:
     the last interior value is repeated there.
     """
     x, u = state.x, state.u
-    dx = x[1:] - x[:-1]
+    dx = x[..., 1:] - x[..., :-1]
     if (np.abs(dx) < 1e-14).any():
         raise DegenerateDenominator("vanishing mesh spacing in monitor")
-    slopes = k * (u[1:] - u[:-1]) / dx
-    d = np.empty(x.size)
-    d[:-1] = np.sqrt(1.0 + params.alpha * slopes**2)
-    d[-1] = d[-2]
+    slopes = k * (u[..., 1:] - u[..., :-1]) / dx
+    d = np.empty(x.shape)
+    np.sqrt(1.0 + params.alpha * slopes**2, out=d[..., :-1])
+    d[..., -1] = d[..., -2]
     return d
 
 
@@ -128,34 +150,43 @@ def equidistribute(delta: np.ndarray, domain: tuple[float, float],
     (NaN, inf, zero or negative) raise :class:`SingularSystem`.  The returned
     diagnostics include the normalized residual
     max_i |w_{i+1/2} dx_i - w_{i-1/2} dx_{i-1}| / (max d (b - a)).
+    For a (B, n) batch of weights, a and b are floats or (B,) arrays of
+    per-row endpoints.
     """
     d = np.asarray(delta, dtype=float)
     a, b = domain
-    n = d.size
+    n = d.shape[-1]
     if n < 3:
         raise ValueError("need at least three nodes")
-    if not (math.isfinite(a) and math.isfinite(b)):
+    width = abs(b - a)
+    if not _holds(width < math.inf):  # NaN or inf endpoints fail this test
         raise ValueError("domain endpoints must be finite")
-    d_max = d.max()
-    if not (d.min() > 0.0 and d_max < math.inf):  # a NaN fails both tests
+    d_max = d.max(axis=-1)
+    if not (d.min() > 0.0 and _holds(d_max < math.inf)):  # a NaN fails both tests
         raise SingularSystem("monitor weights must be positive and finite")
-    w = 0.5 * (d[1:] + d[:-1])  # w[m] = weight on interval (m, m+1)
+    w = 0.5 * (d[..., 1:] + d[..., :-1])  # w[m] = weight on interval (m, m+1)
 
     # rows i = 1..n-2: -w[i-1] x_{i-1} + (w[i-1]+w[i]) x_i - w[i] x_{i+1} = 0
     m = n - 2
-    rhs = np.zeros(m)
-    rhs[0] += w[0] * a
-    rhs[-1] += w[m] * b
-    off = -w[1:m]            # sub- and superdiagonal
-    x_next = np.empty(n)
-    x_next[0] = a
-    x_next[1:-1] = _solve_tridiagonal(off, w[:-1] + w[1:], off, rhs)
-    x_next[-1] = b
+    # ``v.T[j]`` is entry j of one mesh (a scalar) and column j of a batch
+    rhs = np.zeros(d.shape[:-1] + (m,))
+    rhs.T[0] += w.T[0] * a
+    rhs.T[-1] += w.T[m] * b
+    # sub- and superdiagonal of the stacked rows; the last entry of a row
+    # couples it to the next row of a batch and is zero
+    off = -w[..., 1:]
+    off.T[-1] = 0.0
+    off = off.reshape(-1)[:-1]
+    x_next = np.empty(d.shape)
+    x_next.T[0] = a
+    x_next[..., 1:-1] = _solve_tridiagonal(
+        off, (w[..., :-1] + w[..., 1:]).reshape(-1), off, rhs.reshape(-1)).reshape(rhs.shape)
+    x_next.T[-1] = b
 
-    dx = x_next[1:] - x_next[:-1]
-    res = np.abs(w[1:] * dx[1:] - w[:-1] * dx[:-1]).max()
-    return MeshUpdate(x_next, _checked_min_spacing(x_next, floor),
-                      float(res / (d_max * abs(b - a))))
+    dx = x_next[..., 1:] - x_next[..., :-1]
+    min_spacing = _checked_min_spacing(dx, floor)
+    res = np.abs(w[..., 1:] * dx[..., 1:] - w[..., :-1] * dx[..., :-1])
+    return MeshUpdate(x_next, min_spacing, float((res.T / (d_max * width)).max()))
 
 
 def linear_interpolate(x_src: np.ndarray, u_src: np.ndarray, x_query: float) -> float:

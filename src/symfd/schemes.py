@@ -33,6 +33,18 @@ Burgers equation u_t + u u_x = nu u_xx
 The naive KdV baseline lives on a uniform static mesh and is deliberately
 not Galilean invariant; the adaptive Runge-Kutta-Fehlberg 4(5) solver is the
 non-invariant ODE baseline.
+
+Batches: the KdV and Burgers kernels act on the last axis of their node
+arrays, so a :class:`GridState` holds one state with x and u of shape (n,)
+or a batch of B states with x and u of shape (B, n).  Per-state scalars of
+a batch (t, the time step k, nu, alpha, drift) are floats shared by all
+rows or (B, 1) columns.  Each row of a batch step is bit for bit the step
+of that row alone: the ten-point solve stacks the B pentadiagonal systems
+into one block-diagonal ``dgbsv`` call with zero coupling between blocks.
+A step of a batch raises when one of its rows would (tangling, a singular
+block, a nonpositive volume), and its :class:`StepInfo` is reduced over the
+rows (largest residual, smallest spacing).  The projection strategy and the
+naive, Schwarzian and u_xx schemes take single states.
 """
 
 from __future__ import annotations
@@ -49,6 +61,7 @@ from .invariants import cross_ratio, cross_ratio_conjugate
 from .mesh import (
     MeshUpdate,
     MonitorParams,
+    _holds,
     equidistribute,
     lagrangian_update,
     monitor_arclength,
@@ -64,7 +77,12 @@ _DEN_TOL = 1e-14
 
 @dataclass(frozen=True)
 class GridState:
-    """One time level: scalar t, strictly increasing x, values u."""
+    """One time level: time t, strictly increasing x, values u.
+
+    x and u have shape (n,) for one state, or (B, n) for a batch of B
+    states with one state per row; x increases along the last axis.  t is a
+    float, or for a batch a (B, 1) column of per-row times.
+    """
 
     t: float
     x: np.ndarray
@@ -73,18 +91,29 @@ class GridState:
     def __post_init__(self):
         x = np.asarray(self.x, dtype=float)
         u = np.asarray(self.u, dtype=float)
-        if x.ndim != 1 or x.shape != u.shape:
-            raise ValueError("x and u must be 1-d arrays of equal length")
-        if x.size < 3:
+        if x.ndim == 0 or x.shape != u.shape:
+            raise ValueError("x and u must be arrays of equal shape")
+        if x.shape[-1] < 3:
             raise ValueError("need at least three nodes")
-        if (x[1:] - x[:-1] <= 0.0).any():
+        if (x[..., 1:] - x[..., :-1] <= 0.0).any():
             raise ValueError("x must be strictly increasing")
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "u", u)
 
     @property
     def n(self) -> int:
-        return int(self.x.size)
+        """Nodes per state."""
+        return int(self.x.shape[-1])
+
+    @classmethod
+    def _unchecked(cls, t, x: np.ndarray, u: np.ndarray) -> "GridState":
+        """A state from float arrays of equal shape whose x the caller has
+        already checked to increase; skips the constructor's checks."""
+        st = object.__new__(cls)
+        object.__setattr__(st, "t", t)
+        object.__setattr__(st, "x", x)
+        object.__setattr__(st, "u", u)
+        return st
 
 
 @dataclass(frozen=True)
@@ -226,16 +255,16 @@ def _d3u(h: np.ndarray, du: np.ndarray) -> np.ndarray:
 
     ``h[m] = x_{m+1} - x_m`` and ``du[m] = Du_m``; entry j is D3u_{j+1}.
     """
-    q = (du[1:] - du[:-1]) / (h[1:] + h[:-1])
-    return (2.0 / h[1:-1]) * (q[1:] - q[:-1])
+    q = (du[..., 1:] - du[..., :-1]) / (h[..., 1:] + h[..., :-1])
+    return (2.0 / h[..., 1:-1]) * (q[..., 1:] - q[..., :-1])
 
 
 def _check_kdv_pair(prev: GridState, nxt: GridState, k: float):
-    if prev.n != nxt.n:
-        raise ValueError("states must share the node count")
+    if prev.x.shape != nxt.x.shape:
+        raise ValueError("states must share their shape")
     if prev.n < 5:
         raise ValueError("KdV stencils need at least five nodes")
-    if not k > 0.0:
+    if not _holds(k > 0.0):
         raise ValueError("time step must be positive")
 
 
@@ -243,16 +272,16 @@ def kdv_residual_6pt(prev: GridState, nxt: GridState, k: float) -> np.ndarray:
     """Per-node residual of the six-point invariant scheme, nodes 2..N-3."""
     _check_kdv_pair(prev, nxt, k)
     x0, u0, u1 = prev.x, prev.u, nxt.u
-    h0 = x0[1:] - x0[:-1]
+    h0 = x0[..., 1:] - x0[..., :-1]
     if (np.abs(h0) < _DEN_TOL).any():
         raise DegenerateDenominator("vanishing spacing")
-    du0 = (u0[1:] - u0[:-1]) / h0
+    du0 = (u0[..., 1:] - u0[..., :-1]) / h0
     d30 = _d3u(h0, du0)
     sig = nxt.x - prev.x
     return (
-        (u1[2:-2] - u0[2:-2]) / k
-        + (u0[2:-2] - sig[2:-2] / k) * (du0[2:-1] + du0[1:-2]) / 2.0
-        + (d30[1:] + d30[:-1]) / 2.0
+        (u1[..., 2:-2] - u0[..., 2:-2]) / k
+        + (u0[..., 2:-2] - sig[..., 2:-2] / k) * (du0[..., 2:-1] + du0[..., 1:-2]) / 2.0
+        + (d30[..., 1:] + d30[..., :-1]) / 2.0
     )
 
 
@@ -260,18 +289,19 @@ def kdv_residual_10pt(prev: GridState, nxt: GridState, k: float) -> np.ndarray:
     """Per-node residual of the ten-point invariant scheme, nodes 2..N-3."""
     _check_kdv_pair(prev, nxt, k)
     x0, u0, x1, u1 = prev.x, prev.u, nxt.x, nxt.u
-    h0, h1 = x0[1:] - x0[:-1], x1[1:] - x1[:-1]
+    h0, h1 = x0[..., 1:] - x0[..., :-1], x1[..., 1:] - x1[..., :-1]
     if (np.abs(h0) < _DEN_TOL).any() or (np.abs(h1) < _DEN_TOL).any():
         raise DegenerateDenominator("vanishing spacing")
-    du0 = (u0[1:] - u0[:-1]) / h0
-    du1 = (u1[1:] - u1[:-1]) / h1
+    du0 = (u0[..., 1:] - u0[..., :-1]) / h0
+    du1 = (u1[..., 1:] - u1[..., :-1]) / h1
     d30 = _d3u(h0, du0)
     d31 = _d3u(h1, du1)
     sig = x1 - x0
     return (
-        (u1[2:-2] - u0[2:-2]) / k
-        + (u0[2:-2] - sig[2:-2] / k) * (du0[2:-1] + du0[1:-2] + du1[2:-1] + du1[1:-2]) / 4.0
-        + (d31[1:] + d31[:-1] + d30[1:] + d30[:-1]) / 4.0
+        (u1[..., 2:-2] - u0[..., 2:-2]) / k
+        + (u0[..., 2:-2] - sig[..., 2:-2] / k)
+        * (du0[..., 2:-1] + du0[..., 1:-2] + du1[..., 2:-1] + du1[..., 1:-2]) / 4.0
+        + (d31[..., 1:] + d31[..., :-1] + d30[..., 1:] + d30[..., :-1]) / 4.0
     )
 
 
@@ -283,7 +313,7 @@ def kdv_invariant_normalizer(prev: GridState, k: float) -> np.ndarray:
     combination that audits compare.
     """
     x = prev.x
-    return k * (x[3:-1] - x[2:-2]) ** 2
+    return k * (x[..., 3:-1] - x[..., 2:-2]) ** 2
 
 
 def _solve_affine_banded(res_fn: Callable[[np.ndarray], np.ndarray],
@@ -294,26 +324,32 @@ def _solve_affine_banded(res_fn: Callable[[np.ndarray], np.ndarray],
     (exact up to roundoff for an affine map); one call of LAPACK ``dgbsv``
     then gives the root.  ``dgbsv`` does not check its input, so a
     non-finite band or residual is rejected first; both that and a zero
-    pivot raise :class:`SchemeSingularity`.
+    pivot raise :class:`SchemeSingularity`.  A (B, m) batch of unknowns
+    (each row's residual depending on that row alone) is solved as one
+    block-diagonal band of B blocks with zero coupling between them.
     """
-    m = v0.size
+    m = v0.shape[-1]
     r0 = res_fn(v0)
-    ab = np.zeros((7, m))  # rows 0-1: dgbsv's fill-in space; the band is rows 2-6
-    rows = np.arange(m)
+    dr = np.empty((5,) + r0.shape)
     for color in range(5):
         probe = v0.copy()
-        probe[color::5] += 1.0
-        dr = res_fn(probe) - r0
-        # row r sees exactly one probed column within the band
-        cols = rows + (color - rows + 2) % 5 - 2
-        ok = (cols >= 0) & (cols < m)
-        ab[4 + rows[ok] - cols[ok], cols[ok]] = dr[ok]
+        probe[..., color::5] += 1.0
+        dr[color] = res_fn(probe) - r0
+    # row r sees exactly one column of each color within the band:
+    # cols[color, r], whose band entry is dr[color, ..., r]
+    rows = np.arange(m)
+    cols = rows + (np.arange(5)[:, None] - rows + 2) % 5 - 2
+    ok = (cols >= 0) & (cols < m)
+    ab = np.zeros((7, v0.size))  # rows 0-1: dgbsv's fill-in space; the band is rows 2-6
+    # block b of a batch occupies columns b*m .. b*m + m-1
+    ab.reshape(7, -1, m)[(4 + rows - cols)[ok], :, cols[ok]] = \
+        np.moveaxis(dr.reshape(5, -1, m), 1, -1)[ok]
     if not (np.isfinite(ab).all() and np.isfinite(r0).all()):
         raise SchemeSingularity("banded solve failed: non-finite band or residual")
-    *_, x, info = dgbsv(2, 2, ab, r0, overwrite_ab=True)
+    *_, x, info = dgbsv(2, 2, ab, r0.reshape(-1), overwrite_ab=True)
     if info != 0:
         raise SchemeSingularity(f"banded solve failed (LAPACK info {info})")
-    return v0 - x
+    return v0 - x.reshape(v0.shape)
 
 
 def _kdv_mesh(prev: GridState, k: float, mesh_strategy: str,
@@ -324,10 +360,9 @@ def _kdv_mesh(prev: GridState, k: float, mesh_strategy: str,
     if mesh_strategy == "adaptive":
         if monitor is None:
             raise ValueError("adaptive strategy needs monitor parameters")
-        delta = monitor_arclength(prev, k, monitor)
-        a = float(prev.x[0]) + k * drift
-        b = float(prev.x[-1]) + k * drift
-        return equidistribute(delta, (a, b), floor=spacing_floor)
+        a, b = (prev.x[..., ::prev.n - 1] + k * drift).T  # floats, or (B,) arrays
+        return equidistribute(monitor_arclength(prev, k, monitor), (a, b),
+                              floor=spacing_floor)
     raise ValueError(f"unknown mesh strategy {mesh_strategy!r}")
 
 
@@ -350,10 +385,13 @@ def kdv_step_detailed(
     ``mesh_strategy='projection'`` the step advances on the Lagrangian mesh
     and projects the result back onto the previous abscissae with a natural
     cubic spline (extreme targets clamped into the moved hull, a constant
-    extrapolation over at most k |u_boundary|).
+    extrapolation over at most k |u_boundary|).  A batch (see the module
+    docstring) takes the Lagrangian or adaptive strategy.
     """
     if scheme not in ("6pt", "10pt"):
         raise ValueError(f"unknown scheme {scheme!r}")
+    if mesh_strategy == "projection" and prev.x.ndim != 1:
+        raise ValueError("the projection strategy steps a single state")
     upd = _kdv_mesh(prev, k, mesh_strategy, monitor, spacing_floor, drift)
     x1 = upd.x_next
 
@@ -361,20 +399,20 @@ def kdv_step_detailed(
     if scheme == "6pt":
         residual = kdv_residual_6pt
         r0 = residual(prev, GridState(prev.t + k, x1, u1), k)
-        u1[2:-2] = prev.u[2:-2] - k * r0  # first term vanished at the guess u1 = u0
+        u1[..., 2:-2] = prev.u[..., 2:-2] - k * r0  # first term vanished at the guess u1 = u0
         iters = 0
     else:
         residual = kdv_residual_10pt
 
         def res_fn(v: np.ndarray) -> np.ndarray:
             uu = prev.u.copy()
-            uu[2:-2] = v
+            uu[..., 2:-2] = v
             return residual(prev, GridState(prev.t + k, x1, uu), k)
 
-        u1[2:-2] = _solve_affine_banded(res_fn, prev.u[2:-2])
+        u1[..., 2:-2] = _solve_affine_banded(res_fn, prev.u[..., 2:-2])
         iters = 1
     nxt = GridState(prev.t + k, x1, u1)
-    rfin = float(np.max(np.abs(residual(prev, nxt, k))))
+    rfin = float(np.abs(residual(prev, nxt, k)).max())
 
     min_spacing = upd.min_spacing
     if mesh_strategy == "projection":
@@ -426,61 +464,63 @@ def _burgers_parts(x0: np.ndarray, u0: np.ndarray, x1: np.ndarray,
 
     Valid on the interior i = 1..N-2.  Slopes and differences that the
     low-order stencil needs beyond the mesh are constant-extrapolated from
-    the boundary.  Stencil neighbours are slices: ``a[2:]``, ``a[1:-1]`` and
-    ``a[:-2]`` hold a_{i+1}, a_i and a_{i-1} of node-based arrays, ``b[1:]``
-    and ``b[:-1]`` hold b_i and b_{i-1} of interval-based ones.
+    the boundary.  Stencil neighbours are slices of the last axis: ``a[2:]``,
+    ``a[1:-1]`` and ``a[:-2]`` hold a_{i+1}, a_i and a_{i-1} of node-based
+    arrays, ``b[1:]`` and ``b[:-1]`` hold b_i and b_{i-1} of interval-based
+    ones.
     """
-    n = u0.size
-    h0 = x0[1:] - x0[:-1]
-    h1 = x1[1:] - x1[:-1]
+    lead, n = u0.shape[:-1], u0.shape[-1]
+    h0 = x0[..., 1:] - x0[..., :-1]
+    h1 = x1[..., 1:] - x1[..., :-1]
     sig = x1 - x0
-    u_c = u0[1:-1]
+    u_c = u0[..., 1:-1]
     # dlt_e[m+1] = Delta u_m = u_{m+1} - u_m, with the ghost dlt_e[0] = Delta u_0
-    dlt_e = np.empty(n)
-    dlt_e[1:] = u0[1:] - u0[:-1]
-    dlt_e[0] = dlt_e[1]
+    dlt_e = np.empty(lead + (n,))
+    dlt_e[..., 1:] = u0[..., 1:] - u0[..., :-1]
+    dlt_e[..., 0] = dlt_e[..., 1]
     # du_e[m+1] = Du_m with ghosts du_e[0] = Du_0 and du_e[n] = Du_{n-2}, so
     # the differences du_e[m+1] - du_e[m] vanish at both ends
-    du_e = np.empty(n + 1)
-    du_e[1:-1] = dlt_e[1:] / h0
-    du_e[0] = du_e[1]
-    du_e[-1] = du_e[-2]
-    nu_ddu = nu * (du_e[1:] - du_e[:-1])
+    du_e = np.empty(lead + (n + 1,))
+    du_e[..., 1:-1] = dlt_e[..., 1:] / h0
+    du_e[..., 0] = du_e[..., 1]
+    du_e[..., -1] = du_e[..., -2]
+    nu_ddu = nu * (du_e[..., 1:] - du_e[..., :-1])
 
-    up = (u_c - sig[1:-1] / k) >= 0.0
+    up = (u_c - sig[..., 1:-1] / k) >= 0.0
 
-    coef_hi = h1[1:] + h1[:-1]
-    const_hi = -(h0[1:] + h0[:-1]) * u_c
+    coef_hi = h1[..., 1:] + h1[..., :-1]
+    const_hi = -(h0[..., 1:] + h0[..., :-1]) * u_c
     sq = u0**2
     su = sig * u0
-    dsf_hi = 0.5 * (sq[2:] - sq[:-2]) - nu_ddu[1:-1] - (su[2:] - su[:-2]) / k
+    dsf_hi = (0.5 * (sq[..., 2:] - sq[..., :-2]) - nu_ddu[..., 1:-1]
+              - (su[..., 2:] - su[..., :-2]) / k)
 
-    coef_lo = np.where(up, h1[:-1], h1[1:])
-    const_lo = np.where(up, -h0[:-1] * u_c, -h0[1:] * u_c)
+    coef_lo = np.where(up, h1[..., :-1], h1[..., 1:])
+    const_lo = -np.where(up, h0[..., :-1], h0[..., 1:]) * u_c
     # one-sided flux differences over interval m = [x_m, x_{m+1}]
-    half_dsq = 0.5 * (sq[1:] - sq[:-1])
-    dsu_k = (su[1:] - su[:-1]) / k
+    half_dsq = 0.5 * (sq[..., 1:] - sq[..., :-1])
+    dsu_k = (su[..., 1:] - su[..., :-1]) / k
     dsf_lo = np.where(up,
-                      half_dsq[:-1] - nu_ddu[:-2] - dsu_k[:-1],
-                      half_dsq[1:] - nu_ddu[2:] - dsu_k[1:])
+                      half_dsq[..., :-1] - nu_ddu[..., :-2] - dsu_k[..., :-1],
+                      half_dsq[..., 1:] - nu_ddu[..., 2:] - dsu_k[..., 1:])
 
     if phi_override is not None:
-        phi = np.full(n - 2, float(phi_override))
+        phi = np.full(u_c.shape, float(phi_override))
     else:
         # limiter weight Phi(theta_i): the ratio over [x_{i-1}, x_i], the
         # interval whose smoothness governs the update at node i; a lagged
         # index here displaces the discrete shock and breaks TV non-growth.
         # A vanishing denominator saturates theta to sign(num) * 1e15; if
         # both differences vanish the smooth-region value 1 is used.
-        den = dlt_e[1:-1]                               # Delta u_{i-1}
-        num = np.where(up, dlt_e[:-2], dlt_e[2:])       # Delta u_{i-2} or Delta u_i
+        den = dlt_e[..., 1:-1]                                # Delta u_{i-1}
+        num = np.where(up, dlt_e[..., :-2], dlt_e[..., 2:])   # Delta u_{i-2} or Delta u_i
         with np.errstate(divide="ignore", invalid="ignore"):
             theta = num / den
         small_den = np.abs(den) < _DEN_TOL
         if small_den.any():
             theta[small_den] = np.sign(num[small_den]) * 1e15
             theta[small_den & (np.abs(num) < _DEN_TOL)] = 1.0
-        phi = np.clip(theta, 0.0, 1.0)
+        phi = theta.clip(0.0, 1.0)
 
     coef = coef_lo - phi * (coef_lo - coef_hi)
     const = const_lo - phi * (const_lo - const_hi)
@@ -495,12 +535,12 @@ def burgers_fv_residual(prev: GridState, nxt: GridState, k: float, nu: float,
     Value-level invariant under the four-parameter group thanks to the
     conservative form and the mesh-relative upwinding.
     """
-    if prev.n != nxt.n:
-        raise ValueError("states must share the node count")
-    if not k > 0.0:
+    if prev.x.shape != nxt.x.shape:
+        raise ValueError("states must share their shape")
+    if not _holds(k > 0.0):
         raise ValueError("time step must be positive")
     coef, const, dsf = _burgers_parts(prev.x, prev.u, nxt.x, k, nu, phi_override)
-    return coef * nxt.u[1:-1] + const + k * dsf
+    return coef * nxt.u[..., 1:-1] + const + k * dsf
 
 
 def burgers_fv_step_detailed(
@@ -520,24 +560,23 @@ def burgers_fv_step_detailed(
     values are held (Dirichlet).  ``phi_override`` pins the limiter weight
     (0 = pure low order, 1 = pure high order) for conservation probes.
     """
-    if nu < 0.0:
+    if not _holds(nu >= 0.0):
         raise ValueError("viscosity must be nonnegative")
-    if not k > 0.0:
+    if not _holds(k > 0.0):
         raise ValueError("time step must be positive")
-    upd = equidistribute(
-        monitor_arclength(prev, k, MonitorParams(alpha)),
-        (float(prev.x[0]) + k * drift, float(prev.x[-1]) + k * drift),
-        floor=spacing_floor,
-    )
+    a, b = (prev.x[..., ::prev.n - 1] + k * drift).T  # floats, or (B,) arrays
+    upd = equidistribute(monitor_arclength(prev, k, MonitorParams(alpha)), (a, b),
+                         floor=spacing_floor)
     x1 = upd.x_next
     coef, const, dsf = _burgers_parts(prev.x, prev.u, x1, k, nu, phi_override)
     if (coef <= 0.0).any():
         raise SchemeSingularity("nonpositive volume coefficient")
     k_dsf = k * dsf
     u1 = prev.u.copy()
-    u1[1:-1] = -(const + k_dsf) / coef
-    nxt = GridState(prev.t + k, x1, u1)
-    rfin = float(np.abs(coef * u1[1:-1] + const + k_dsf).max())
+    u1[..., 1:-1] = -(const + k_dsf) / coef
+    # equidistribute has checked that x1 increases
+    nxt = GridState._unchecked(prev.t + k, x1, u1)
+    rfin = float(np.abs(coef * u1[..., 1:-1] + const + k_dsf).max())
     return nxt, StepInfo(0, rfin, upd.min_spacing, upd.equi_residual)
 
 

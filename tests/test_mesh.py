@@ -267,3 +267,29 @@ def test_projection_step_preserves_uniform_grid():
     nxt, _info = kdv_step_detailed(st, 0.01, "projection", "6pt")
     assert np.array_equal(nxt.x, x)
     assert nxt.n == st.n
+
+
+@pytest.mark.parametrize("n", [3, 4, 17])
+def test_equidistribute_batch_rows_equal_single_solves(n):
+    rng = DeterministicRng(40 + n)
+    rows = 5
+    delta = np.array([[rng.uniform(0.2, 5.0) for _ in range(n)] for _ in range(rows)])
+    a = np.array([rng.uniform(-3.0, 0.0) for _ in range(rows)])
+    b = a + np.array([rng.uniform(0.5, 6.0) for _ in range(rows)])
+    upd = equidistribute(delta, (a, b))
+    singles = [equidistribute(delta[i], (float(a[i]), float(b[i]))) for i in range(rows)]
+    for i, one in enumerate(singles):
+        assert upd.x_next[i].tobytes() == one.x_next.tobytes(), i
+    assert upd.min_spacing == min(s.min_spacing for s in singles)
+    assert upd.equi_residual == max(s.equi_residual for s in singles)
+
+
+def test_equidistribute_batch_checks_every_row():
+    delta = np.ones((3, 6))
+    delta[1, 2] = np.nan
+    with pytest.raises(SingularSystem):
+        equidistribute(delta, (np.zeros(3), np.ones(3)))
+    with pytest.raises(ValueError, match="finite"):
+        equidistribute(np.ones((3, 6)), (np.zeros(3), np.array([1.0, np.inf, 1.0])))
+    with pytest.raises(MeshTangling):
+        equidistribute(np.ones((3, 6)), (np.zeros(3), np.array([1.0, 1.0, 1e-3])), floor=0.01)

@@ -616,3 +616,127 @@ def test_rk_schwarzian_divergence_near_pole():
     assert tr.diverged
     assert tr.final()[0] < 1.6
     assert abs(tr.final()[0] - math.pi / 2.0) < 0.05
+
+
+# ---------------------------------------------------------------------------
+# batches: each row of a stacked call is the call on that row alone
+# ---------------------------------------------------------------------------
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _column(rng, lo, hi, rows):
+    return np.array([[rng.uniform(lo, hi)] for _ in range(rows)])
+
+
+def _batch(rng, rows, n, u_scale):
+    x = np.array([rand_mesh_row(rng, n) for _ in range(rows)])
+    u = np.array([[rng.uniform(-u_scale, u_scale) for _ in range(n)] for _ in range(rows)])
+    return GridState(_column(rng, -1.0, 1.0, rows), x, u)
+
+
+def _assert_rows_are_single_steps(step, prev, per_row, shared):
+    """step(batch) against step(row i) with row i of every (B, 1) column."""
+    nxt, info = step(prev, **per_row, **shared)
+    singles = [step(GridState(float(prev.t[i, 0]), prev.x[i], prev.u[i]),
+                    **{key: float(v[i, 0]) for key, v in per_row.items()}, **shared)
+               for i in range(prev.x.shape[0])]
+    for i, (one, one_info) in enumerate(singles):
+        assert _same_bits(nxt.x[i], one.x) and _same_bits(nxt.u[i], one.u), i
+        assert _same_bits(nxt.t[i, 0], one.t), i
+    assert info.residual_inf == max(s[1].residual_inf for s in singles)
+    assert info.min_spacing == min(s[1].min_spacing for s in singles)
+    assert info.equi_residual == max(s[1].equi_residual for s in singles)
+    assert info.newton_iters == singles[0][1].newton_iters
+
+
+@pytest.mark.parametrize("scheme", ["6pt", "10pt"])
+@pytest.mark.parametrize("strategy", ["lagrangian", "adaptive"])
+def test_kdv_step_batch_rows_equal_single_steps(scheme, strategy):
+    from symfd.mesh import MonitorParams
+
+    rng = DeterministicRng(2024)
+    rows = 7
+    prev = _batch(rng, rows, 11, 1.0)
+    # |k du| <= 0.02 * 2 stays below the smallest spacing 0.1: no tangling
+    per_row = {"k": _column(rng, 0.005, 0.02, rows)}
+    shared = {"mesh_strategy": strategy, "scheme": scheme}
+    if strategy == "adaptive":
+        per_row["drift"] = _column(rng, -1.0, 1.0, rows)
+        per_row["alpha"] = _column(rng, 0.0, 10.0, rows)
+
+        def step(p, k, drift, alpha, **kw):
+            return kdv_step_detailed(p, k, monitor=MonitorParams(alpha), drift=drift, **kw)
+    else:
+        step = kdv_step_detailed
+    _assert_rows_are_single_steps(step, prev, per_row, shared)
+
+
+def test_burgers_step_batch_rows_equal_single_steps():
+    rng = DeterministicRng(2025)
+    rows = 7
+    prev = _batch(rng, rows, 10, 2.0)
+    per_row = {"k": _column(rng, 0.05, 0.5, rows), "nu": _column(rng, 0.0, 0.5, rows),
+               "alpha": _column(rng, 0.0, 2.0, rows), "drift": _column(rng, -1.0, 1.0, rows)}
+
+    def step(p, k, nu, alpha, drift):
+        return burgers_fv_step_detailed(p, k, nu, alpha, drift=drift)
+
+    _assert_rows_are_single_steps(step, prev, per_row, {})
+
+
+def test_kdv_step_batch_rejects_projection():
+    rng = DeterministicRng(3)
+    with pytest.raises(ValueError, match="single state"):
+        kdv_step_detailed(_batch(rng, 2, 9, 1.0), 0.01, "projection", "10pt")
+
+
+def test_grid_state_batch_checks_every_row():
+    x = np.array([[0.0, 1.0, 2.0, 3.0], [0.0, 2.0, 1.0, 3.0]])
+    with pytest.raises(ValueError, match="increasing"):
+        GridState(np.zeros((2, 1)), x, np.zeros_like(x))
+    ok = GridState(np.zeros((2, 1)), np.sort(x, axis=-1), np.zeros_like(x))
+    assert ok.n == 4
+
+
+def _pentadiagonal_map(diags, rhs):
+    """v -> A v - rhs, A pentadiagonal with diagonals diags[..., q + 2, :] (row
+    index), evaluated elementwise so that every row of a batch is independent."""
+    def res(v):
+        out = diags[..., 2, :] * v - rhs
+        for q in (1, 2):
+            out[..., q:] += diags[..., 2 - q, q:] * v[..., :-q]
+            out[..., :-q] += diags[..., 2 + q, :-q] * v[..., q:]
+        return out
+    return res
+
+
+def test_solve_affine_banded_batch_rows_equal_single_solves():
+    rng = np.random.default_rng(17)
+    rows, m = 6, 13
+    diags = rng.uniform(-1.0, 1.0, (rows, 5, m))
+    diags[:, 2] += 4.0
+    diags[2, 2, 0] = 0.0  # a zero first pivot: row interchanges within block 2
+    rhs = rng.uniform(-1.0, 1.0, (rows, m))
+    v0 = rng.uniform(-1.0, 1.0, (rows, m))
+    batch = _solve_affine_banded(_pentadiagonal_map(diags, rhs), v0)
+    for i in range(rows):
+        one = _solve_affine_banded(_pentadiagonal_map(diags[i], rhs[i]), v0[i])
+        assert _same_bits(batch[i], one), i
+    assert np.max(np.abs(_pentadiagonal_map(diags, rhs)(batch))) <= 1e-12
+
+
+def test_solve_affine_banded_batch_with_a_singular_block_is_singular():
+    rng = np.random.default_rng(18)
+    rows, m = 4, 9
+    diags = rng.uniform(-1.0, 1.0, (rows, 5, m))
+    diags[:, 2] += 4.0
+    diags[1] = 0.0
+    rhs = rng.uniform(-1.0, 1.0, (rows, m))
+    v0 = np.zeros((rows, m))
+    with pytest.raises(SchemeSingularity, match="LAPACK info"):
+        _solve_affine_banded(_pentadiagonal_map(diags, rhs), v0)
+    for i in (0, 2, 3):  # the other blocks solve on their own
+        _solve_affine_banded(_pentadiagonal_map(diags[i], rhs[i]), v0[i])
