@@ -9,7 +9,8 @@ Subcommands::
 
 Exit codes: 0 success, 2 configuration error (an output path that cannot
 be written included), 3 numerical failure (mesh tangling, a singular step,
-or NaN/inf values; partial outputs are still written).
+or NaN/inf values; partial outputs are still written and the reason goes to
+standard error).
 """
 
 from __future__ import annotations
@@ -44,6 +45,8 @@ def _cmd_run(args) -> int:
         print(f"config error: cannot write outputs: {exc}", file=sys.stderr)
         return 2
     print(f"status: {out.status}")
+    if out.status != "completed":
+        print(f"run stopped: {out.message}", file=sys.stderr)
     if not cfg.snapshots_path:
         sys.stdout.write(runner.format_snapshots_csv(out))
     return 0 if out.status == "completed" else 3
@@ -75,8 +78,8 @@ def _cmd_exact(args) -> int:
     x = np.linspace(args.x_min, args.x_max, args.n)
     try:
         if args.equation == "kdv":
-            u = runner.exact_kdv_double_soliton(args.t, x, args.c1, args.c2,
-                                                args.a1, args.a2)
+            u = runner.exact_kdv_two_soliton(args.t, x, args.c1, args.c2,
+                                             args.a1, args.a2)
         elif args.equation == "burgers":
             u = runner.exact_burgers(args.t, x, args.nu, args.c)
         elif args.equation == "schwarzian":

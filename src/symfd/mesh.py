@@ -93,7 +93,8 @@ def _checked_min_spacing(dx: np.ndarray, floor: float) -> float:
         raise MeshTangling(f"mesh ordering lost at index {i}")
     m = float(dx.min())
     if m < floor:
-        raise MeshTangling(f"minimum spacing {m:.3e} below floor {floor:.3e}")
+        i = int(dx.argmin()) % dx.shape[-1]
+        raise MeshTangling(f"minimum spacing {m:.3e} below floor {floor:.3e} at index {i}")
     return m
 
 

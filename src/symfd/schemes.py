@@ -430,11 +430,11 @@ def kdv_step(prev: GridState, k: float, mesh_strategy: str = "lagrangian",
 
 
 def naive_kdv_residual(u0: np.ndarray, u1: np.ndarray, k: float, h: float) -> np.ndarray:
-    """Residual of the uniform-mesh baseline, periodic in space."""
-    up1 = np.roll(u0, -1)
-    um1 = np.roll(u0, 1)
-    up2 = np.roll(u0, -2)
-    um2 = np.roll(u0, 2)
+    """Residual of the uniform-mesh baseline, periodic along the last axis."""
+    up1 = np.roll(u0, -1, axis=-1)
+    um1 = np.roll(u0, 1, axis=-1)
+    up2 = np.roll(u0, -2, axis=-1)
+    um2 = np.roll(u0, 2, axis=-1)
     return (
         (u1 - u0) / k
         + u0 * (up1 - um1) / (2.0 * h)

@@ -138,7 +138,7 @@ def _naive_oracle(n_elements, n_configs, seed, tol):
         u0 = runner._random_u(rng, 9)
         u1 = runner._random_u(rng, 9)
         base = schemes.naive_kdv_residual(u0, u1, k, h)
-        for _ in range(max(1, n_elements // n_configs)):
+        for _ in range(n_elements):
             v = rng.uniform(-1.0, 1.0)
             img = schemes.naive_kdv_residual(u0 + v, u1 + v, k, h)
             predicted = v * (np.roll(u0, -1) - np.roll(u0, 1)) / (2.0 * h)
@@ -294,6 +294,23 @@ def test_audit_gives_up_on_a_trial_whose_step_always_degenerates(monkeypatch):
     with pytest.raises(ConfigError, match="stuck"):
         invariance_audit("kdv_10pt", 2, 3, seed=5)
     assert len(calls) == 1 + 2 * 501  # per failure: the row batch, then the failing trial alone
+
+
+@pytest.mark.parametrize("n_elements, n_configs", [(10, 4), (3, 20), (7, 3)])
+def test_naive_audit_applies_every_boost_to_every_config(monkeypatch, n_elements, n_configs):
+    rows = []
+    residual = schemes.naive_kdv_residual
+
+    def counting(u0, u1, k, h):
+        rows.append(np.atleast_2d(u0).shape[0])
+        return residual(u0, u1, k, h)
+
+    monkeypatch.setattr(schemes, "naive_kdv_residual", counting)
+    rep = invariance_audit("kdv_naive", n_elements, n_configs, seed=5)
+    # one base residual per config, then every boost on every config
+    assert sum(rows) == n_configs + n_elements * n_configs
+    assert len(rows) == 2 * n_configs
+    assert f"{n_elements} elements x {n_configs} configs" in rep.lines()[0]
 
 
 @pytest.mark.parametrize("scheme", AUDIT_SCHEMES)

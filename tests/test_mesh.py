@@ -45,6 +45,16 @@ def test_lagrangian_tangling_for_large_step():
         lagrangian_update(_state(x, u), 0.5)
 
 
+def test_spacing_below_floor_names_the_interval():
+    x = np.linspace(0.0, 1.0, 6)
+    u = np.array([0.0, 0.0, 1.0, -1.0, 0.0, 0.0])
+    with pytest.raises(MeshTangling, match=r"below floor 1\.000e-02 at index 2$"):
+        lagrangian_update(_state(x, u), 0.099, floor=0.01)
+    # in a batch the index is counted within the row
+    with pytest.raises(MeshTangling, match=r"at index 2$"):
+        lagrangian_update(_state(np.vstack([x, x]), np.vstack([0.0 * u, u])), 0.099, floor=0.01)
+
+
 # ---------------------------------------------------------------------------
 # monitor and equidistribution
 # ---------------------------------------------------------------------------

@@ -1,6 +1,9 @@
 """Experiment driver: oracles, configs, runs, audits, CSV, CLI."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -20,6 +23,7 @@ from symfd.runner import (
     convergence_study,
     exact_burgers,
     exact_kdv_double_soliton,
+    exact_kdv_two_soliton,
     exact_schwarzian,
     format_convergence_csv,
     format_diagnostics_csv,
@@ -29,6 +33,7 @@ from symfd.runner import (
     run_experiment,
     total_variation,
     validate_config,
+    write_outputs,
 )
 from symfd.schemes import GridState, StepInfo
 
@@ -82,6 +87,47 @@ def test_soliton_pde_residual_oracle():
     assert np.max(np.abs(mod - ora)) <= 1e-13
     for x in (-1.0, 0.2, 0.5, 1.5):
         assert abs(residual(0.3, x)) <= 1e-6
+
+
+def test_two_soliton_with_c2_zero_is_the_single_soliton():
+    x = np.linspace(-15.0, 15.0, 61)
+    for t in (0.0, 0.7, 12.0):
+        a = exact_kdv_two_soliton(t, x, 1.3, 0.0, 2.0, 5.0)
+        b = exact_kdv_double_soliton(t, x, 1.3, 0.0, 2.0, 5.0)
+        assert np.max(np.abs(a - b)) <= 1e-13
+
+
+def test_two_soliton_maxima_through_the_c06_collision():
+    # c06's data: the taller soliton dips during the overtaking collision
+    # and recovers; the sum of single solitons overshoots instead
+    x = np.linspace(-40.0, 60.0, 20001)
+    assert exact_kdv_two_soliton(0.0, x).max() == pytest.approx(3.000, abs=2e-3)
+    assert exact_kdv_two_soliton(40.0, x).max() == pytest.approx(2.998, abs=1e-3)
+    assert exact_kdv_double_soliton(40.0, x).max() == pytest.approx(3.169, abs=1e-3)
+    ts = np.linspace(20.0, 23.0, 61)
+    peaks = [exact_kdv_two_soliton(t, x).max() for t in ts]
+    i = int(np.argmin(peaks))
+    assert peaks[i] == pytest.approx(2.09, abs=0.01)
+    assert abs(ts[i] - 21.4) <= 0.2
+    # at t = 0, with the humps apart, it agrees with the sum used as initial data
+    x128 = np.linspace(-30.0, 30.0, 128)
+    assert np.max(np.abs(exact_kdv_two_soliton(0.0, x128)
+                         - exact_kdv_double_soliton(0.0, x128))) <= 1.5e-3
+
+
+def test_two_soliton_kdv_residual_is_small_through_the_collision():
+    def residual(f, t, x, h=1e-2):
+        ut = (-f(t + 2 * h, x) + 8 * f(t + h, x) - 8 * f(t - h, x) + f(t - 2 * h, x)) / (12 * h)
+        ux = (-f(t, x + 2 * h) + 8 * f(t, x + h) - 8 * f(t, x - h) + f(t, x - 2 * h)) / (12 * h)
+        uxxx = (-f(t, x + 3 * h) + 8 * f(t, x + 2 * h) - 13 * f(t, x + h)
+                + 13 * f(t, x - h) - 8 * f(t, x - 2 * h) + f(t, x - 3 * h)) / (8 * h**3)
+        return np.max(np.abs(ut + f(t, x) * ux + uxxx))
+
+    x = np.linspace(-30.0, 40.0, 701)
+    for t in (0.0, 21.4, 40.0):
+        assert residual(exact_kdv_two_soliton, t, x) <= 1e-6
+    # the sum of single solitons is no solution while the humps overlap
+    assert residual(exact_kdv_double_soliton, 21.4, x) >= 0.1
 
 
 def test_exact_burgers_shape_and_residual():
@@ -231,6 +277,26 @@ def test_kdv_lagrangian_run_records_partial_output_on_tangling():
     assert out.status == "mesh_tangling"
     assert out.diagnostics[-1].status == "mesh_tangling"
     assert len(out.snapshots) >= 2  # partial output preserved
+    assert out.message.startswith(f"step {out.diagnostics[-1].step}: MeshTangling: ")
+    assert "at index" in out.message
+
+
+def test_schwarzian_singular_step_stops_with_its_message(monkeypatch):
+    calls = []
+
+    def fake_step(win):
+        calls.append(win)
+        if len(calls) == 4:
+            raise SchemeSingularity("vanishing slope")
+        return win.u_ip1 + 0.1
+
+    monkeypatch.setattr(schemes, "schwarzian_step", fake_step)
+    out = run_experiment(validate_config({
+        "equation": "schwarzian", "scheme": "schwarzian_invariant",
+        "domain_a": 0.0, "domain_b": 1.0, "n_points": 16,
+    }))
+    assert out.status == "scheme_singularity"
+    assert out.message == "step 4: SchemeSingularity: vanishing slope"
 
 
 @pytest.mark.parametrize("scheme", ["kdv_10pt", "kdv_naive", "burgers_fv"])
@@ -284,6 +350,25 @@ def test_run_stops_with_status_row_and_partial_snapshot(monkeypatch, scheme, fau
     assert last.min_spacing == float(np.diff(x).min())
     assert np.isnan(u).all() == (fault is None)
     assert len(out.snapshots) == 4  # initial, two good steps, the stop
+    if fault is None:
+        assert out.message == f"step 3: u is not finite at node 0 ({u.size} of {u.size} nodes)"
+    else:
+        assert out.message == f"step 3: {type(fault).__name__}: {fault}"
+
+
+def test_nonfinite_stop_names_the_first_nonfinite_node(monkeypatch):
+    def fake_step(prev, k, *args, **kwargs):
+        u = prev.u.copy()
+        u[[5, 9]] = [np.inf, np.nan]
+        return GridState(prev.t + k, prev.x, u)
+
+    monkeypatch.setattr(schemes, "naive_kdv_step", fake_step)
+    out = run_experiment(validate_config({
+        "equation": "kdv", "scheme": "kdv_naive", "domain_a": -30.0, "domain_b": 30.0,
+        "n_points": 16, "t_final": 1.0, "dt_constant": 0.5,
+    }))
+    assert out.status == "nonfinite"
+    assert out.message == "step 1: u is not finite at node 5 (2 of 16 nodes)"
 
 
 # ---------------------------------------------------------------------------
@@ -374,6 +459,10 @@ def test_cli_run_numerical_failure_exit_code(tmp_path, capsys):
         f"snapshots_path = {snaps}\n")
     assert cli_main(["run", str(cfg)]) == 3
     assert snaps.exists()  # partial outputs still written
+    captured = capsys.readouterr()
+    assert captured.out == "status: mesh_tangling\n"
+    assert captured.err.startswith("run stopped: step ")
+    assert "MeshTangling: mesh ordering lost at index" in captured.err
 
 
 def test_cli_run_unwritable_output_path(tmp_path, capsys):
@@ -401,12 +490,97 @@ def test_cli_run_nonfinite_exit_code(tmp_path, capsys):
         f"dt_constant = 2\nsnapshots_path = {snaps}\ndiagnostics_path = {diags}\n")
     with np.errstate(all="ignore"):
         assert cli_main(["run", str(cfg)]) == 3
-    assert capsys.readouterr().out.splitlines()[0] == "status: nonfinite"
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[0] == "status: nonfinite"
+    assert captured.err.startswith("run stopped: step ")
+    assert "u is not finite at node " in captured.err
     rows = diags.read_text().splitlines()[1:]
     assert rows[-1].endswith(",nonfinite")
     assert all(r.endswith(",ok") for r in rows[:-1])
     assert len(rows) < 194  # stopped before the final step
     assert snaps.read_text().count("\n") > 128  # partial snapshots kept
+
+
+# ---------------------------------------------------------------------------
+# output files: each run writes new files
+# ---------------------------------------------------------------------------
+
+def _output(path, diags=""):
+    return run_experiment(_small_burgers_cfg(snapshots_path=str(path), diagnostics_path=diags))
+
+
+def test_write_replaces_a_longer_existing_file_with_a_new_one(tmp_path):
+    fresh, old = tmp_path / "fresh.csv", tmp_path / "old.csv"
+    write_outputs(_output(fresh))
+    old.write_text("stale,row\n" * 10_000)
+    os.link(old, tmp_path / "link.csv")
+    ino = old.stat().st_ino
+    write_outputs(_output(old))
+    assert old.read_bytes() == fresh.read_bytes()
+    assert old.stat().st_ino != ino
+    # another hard link to the old file keeps the old contents
+    assert (tmp_path / "link.csv").read_text() == "stale,row\n" * 10_000
+
+
+def test_cli_run_twice_gives_byte_identical_csvs(tmp_path, capsys):
+    snaps, diags, cfg = tmp_path / "s.csv", tmp_path / "d.csv", tmp_path / "run.cfg"
+    cfg.write_text(
+        "equation = burgers\nscheme = burgers_fv\n"
+        "domain_a = -0.5\ndomain_b = 0.5\nn_points = 16\n"
+        "t_final = 0.01\nnu = 0.01\nalpha = 0.5\n"
+        f"snapshots_path = {snaps}\ndiagnostics_path = {diags}\n")
+    assert cli_main(["run", str(cfg)]) == 0
+    first = snaps.read_bytes(), diags.read_bytes()
+    assert cli_main(["run", str(cfg)]) == 0
+    assert (snaps.read_bytes(), diags.read_bytes()) == first
+    captured = capsys.readouterr()
+    assert captured.out == "status: completed\n" * 2
+    assert captured.err == ""  # a completed run has no stop message
+
+
+def test_write_through_a_symlink_keeps_the_link(tmp_path):
+    fresh, target, link = tmp_path / "fresh.csv", tmp_path / "target.csv", tmp_path / "link.csv"
+    write_outputs(_output(fresh))
+    target.write_text("stale,row\n" * 10_000)
+    link.symlink_to(target)
+    write_outputs(_output(link))
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert target.read_bytes() == fresh.read_bytes()
+
+
+def test_write_to_a_non_regular_path_never_unlinks(monkeypatch):
+    def no_unlink(path):
+        raise AssertionError(f"unlink({path!r})")
+
+    monkeypatch.setattr(os, "unlink", no_unlink)
+    write_outputs(_output(os.devnull, diags=os.devnull))
+    assert os.path.exists(os.devnull)
+
+
+def test_write_through_when_the_unlink_is_refused(monkeypatch, tmp_path):
+    fresh, path = tmp_path / "fresh.csv", tmp_path / "s.csv"
+    write_outputs(_output(fresh))
+    path.write_text("stale,row\n" * 10_000)
+    ino = path.stat().st_ino
+
+    def refuse(p):
+        raise PermissionError(13, "Permission denied", p)
+
+    monkeypatch.setattr(os, "unlink", refuse)
+    write_outputs(_output(path))
+    assert path.read_bytes() == fresh.read_bytes()
+    assert path.stat().st_ino == ino  # truncated and rewritten in place
+
+
+def test_python_m_symfd_runs_without_an_entry_point():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-m", "symfd", "exact", "--equation", "burgers",
+                           "--n", "8"], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "t,x,u" and len(lines) == 9
 
 
 def test_cli_audit_and_exact_and_converge(capsys):
@@ -419,6 +593,11 @@ def test_cli_audit_and_exact_and_converge(capsys):
     out = capsys.readouterr().out
     assert out.splitlines()[0] == "t,x,u"
     assert len(out.splitlines()) == 9
+    # the KdV oracle is Hirota's two-soliton, exact through the collision
+    assert cli_main(["exact", "--equation", "kdv", "--t", "40", "--n", "9"]) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+    x, u = (np.array([float(r[j]) for r in rows]) for j in (1, 2))
+    assert np.array_equal(u, exact_kdv_two_soliton(40.0, x))
 
     assert cli_main(["converge", "--scheme", "schwarzian_invariant",
                      "--h", "0.1,0.05"]) == 0
