@@ -321,6 +321,11 @@ class Stencil:
     read-only view, so build a new stencil to move nodes.  The reference
     multi-index ``ref`` = (n, i) matters only for generators with
     lattice-dependent weights.
+
+    Stencils derived from this one by moving nodes (:meth:`with_u`,
+    :func:`perturb_stencil`, :func:`prolonged_directional_derivative`)
+    share its ``offsets``, ``ref`` and row index instead of rebuilding
+    them, but still check that no two moved nodes share (t, x).
     """
 
     offsets: tuple[tuple[int, int], ...]
@@ -337,14 +342,21 @@ class Stencil:
         row = {off: r for r, off in enumerate(offsets)}
         if len(row) != len(offsets):
             raise ValueError("stencil offsets must be distinct")
-        seen = {}
-        for off, key in zip(offsets, map(tuple, points[:, :2].tolist())):
-            if key in seen:
-                raise ValueError(f"nodes {seen[key]} and {off} share independent variables {key}")
-            seen[key] = off
+        _check_distinct_tx(offsets, points)
         object.__setattr__(self, "offsets", offsets)
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "_row", row)
+
+    def _derived(self, points: np.ndarray) -> "Stencil":
+        """Stencil of the fresh (m, 3) float array ``points`` on this one's offsets.
+
+        ``points`` is made read-only and only the (t, x) check is run again.
+        """
+        points.flags.writeable = False
+        _check_distinct_tx(self.offsets, points)
+        z = object.__new__(Stencil)
+        vars(z).update(offsets=self.offsets, points=points, ref=self.ref, _row=self._row)
+        return z
 
     @staticmethod
     def from_dict(nodes: dict[tuple[int, int], Node], ref=(0, 0)) -> "Stencil":
@@ -379,10 +391,22 @@ class Stencil:
     def with_u(self, l: int, j: int, u_new: float) -> "Stencil":
         points = self.points.copy()
         points[self._row[(l, j)], 2] = u_new
-        return Stencil(self.offsets, points, self.ref)
+        return self._derived(points)
 
     def sup_norm(self) -> float:
         return float(np.abs(self.points).max())
+
+
+def _check_distinct_tx(offsets, points: np.ndarray) -> None:
+    """ValueError naming the first two nodes that share (t, x), if any do."""
+    keys = points[:, :2].tolist()
+    if len(set(map(tuple, keys))) == len(keys):
+        return
+    seen = {}
+    for off, key in zip(offsets, map(tuple, keys)):
+        if key in seen:
+            raise ValueError(f"nodes {seen[key]} and {off} share independent variables {key}")
+        seen[key] = off
 
 
 StencilFunction = Callable[[Stencil], float]
@@ -465,7 +489,7 @@ def _coefficients(field: VectorFieldSpec, z: Stencil) -> np.ndarray:
 
 def perturb_stencil(z: Stencil, field: VectorFieldSpec, eps: float) -> Stencil:
     """Move every node by eps times the generator (linearized product action)."""
-    return Stencil(z.offsets, z.points + eps * _coefficients(field, z), z.ref)
+    return z._derived(z.points + eps * _coefficients(field, z))
 
 
 def prolonged_directional_derivative(F: StencilFunction, field: VectorFieldSpec,
@@ -479,8 +503,11 @@ def prolonged_directional_derivative(F: StencilFunction, field: VectorFieldSpec,
     taken componentwise and an array of derivatives is returned.
     """
     eps = 1e-6 * (1.0 + z.sup_norm())
-    fp = F(perturb_stencil(z, field, eps))
-    fm = F(perturb_stencil(z, field, -eps))
+    # one generator evaluation for both moves: (-eps) * c == -(eps * c)
+    # exactly, so these equal perturb_stencil(z, field, +-eps) bit for bit
+    d = eps * _coefficients(field, z)
+    fp = F(z._derived(z.points + d))
+    fm = F(z._derived(z.points - d))
     return (fp - fm) / (2.0 * eps)
 
 

@@ -87,6 +87,12 @@ def _to_stencil(offsets, t0: float, k: float, x: np.ndarray, u: np.ndarray) -> S
     return Stencil(offsets, points.reshape(-1, 3))
 
 
+def _rows(z: Stencil, offsets) -> np.ndarray:
+    """z's points in the order of ``offsets``: a read-only view when z
+    already has that order, a gathered copy otherwise."""
+    return z.points if z.offsets == offsets else z.take(offsets)
+
+
 # ---------------------------------------------------------------------------
 # KdV stencil and invariants
 # ---------------------------------------------------------------------------
@@ -134,7 +140,7 @@ class KdVStencil:
 
     @staticmethod
     def from_stencil(z: Stencil) -> "KdVStencil":
-        p = z.take(_KDV_OFFSETS).reshape(2, 5, 3)
+        p = _rows(z, _KDV_OFFSETS).reshape(2, 5, 3)
         t0, t1 = p[:, 2, 0].tolist()
         k = t1 - t0
         if not k > 0.0:
@@ -245,7 +251,7 @@ class BurgersStencil:
 
     @staticmethod
     def from_stencil(z: Stencil) -> "BurgersStencil":
-        p = z.take(_BURGERS_OFFSETS).reshape(2, 3, 3)
+        p = _rows(z, _BURGERS_OFFSETS).reshape(2, 3, 3)
         t0, t1 = p[:, 1, 0].tolist()
         return BurgersStencil(t1 - t0, p[:, :, 1], p[:, :, 2], t0)
 

@@ -50,6 +50,7 @@ naive, Schwarzian and u_xx schemes take single states.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from typing import Callable
 
@@ -598,8 +599,8 @@ _RKF_A = [
     [439 / 216, -8.0, 3680 / 513, -845 / 4104],
     [-8 / 27, 2.0, -3544 / 2565, 1859 / 4104, -11 / 40],
 ]
-_RKF_B4 = np.array([25 / 216, 0.0, 1408 / 2565, 2197 / 4104, -1 / 5, 0.0])
-_RKF_ERR = np.array([1 / 360, 0.0, -128 / 4275, -2197 / 75240, 1 / 50, 2 / 55])
+_RKF_B4 = (25 / 216, 0.0, 1408 / 2565, 2197 / 4104, -1 / 5, 0.0)
+_RKF_ERR = (1 / 360, 0.0, -128 / 4275, -2197 / 75240, 1 / 50, 2 / 55)
 
 _DIVERGE_LIMIT = 1e12
 
@@ -617,6 +618,19 @@ class RKTrajectory:
         return float(self.xs[-1]), self.ys[-1]
 
 
+def _weighted_sum(weights, column) -> float:
+    """0 + w0 c0 + w1 c1 + ..., added left to right."""
+    total = 0
+    for w, c in zip(weights, column):
+        total = total + w * c
+    return total
+
+
+def _max_abs(v: list[float]) -> float:
+    """max |v_i|, NaN when any v_i is NaN (as np.max(np.abs(v)))."""
+    return math.nan if any(map(math.isnan, v)) else max(map(abs, v))
+
+
 def rk_adaptive_solve(f: Callable[[float, np.ndarray], np.ndarray],
                       y0, x_span: tuple[float, float],
                       rel_tol: float) -> RKTrajectory:
@@ -626,57 +640,67 @@ def rk_adaptive_solve(f: Callable[[float, np.ndarray], np.ndarray],
     value is propagated (local extrapolation).  Integration stops with
     ``diverged=True`` once any state component exceeds 1e12 or the step
     size underflows (the two symptoms of a finite-x blow-up).
+
+    ``f`` still receives the stage abscissa and the stage state as an
+    ndarray of y0's shape, with numpy's floating-point warnings off.  The
+    stage combinations, error estimate and norms run on Python floats, one
+    component at a time, with the operations of the vector formulas in
+    the same order, so the result is that of the vector form bit for bit.
     """
     if not rel_tol > 0.0:
         raise ValueError("rel_tol must be positive")
     x0, x1 = x_span
-    y = np.atleast_1d(np.asarray(y0, dtype=float)).copy()
+    y0 = np.atleast_1d(np.asarray(y0, dtype=float))
+    shape = y0.shape
+    y = y0.ravel().tolist()
     xs = [x0]
-    ys = [y.copy()]
+    ys = array("d", y)  # accepted states, flat: 8 bytes a value
     span = x1 - x0
     direction = math.copysign(1.0, span)
     h = span / 100.0
     rejections = 0
     diverged = False
     x = x0
-    while (x1 - x) * direction > 0.0:
-        if abs(h) > abs(x1 - x):
-            h = x1 - x
-        ks = []
-        bad = False
-        err = math.inf
-        y_new = y
-        for s in range(6):
-            ya = y.copy()
-            for m, a in enumerate(_RKF_A[s]):
-                ya = ya + h * a * ks[m]
-            with np.errstate(all="ignore"):
-                k_s = np.atleast_1d(np.asarray(f(x + _RKF_C[s] * h, ya), dtype=float))
-            if not np.all(np.isfinite(k_s)):
-                bad = True
-                break
-            ks.append(k_s)
-        if not bad:
-            err_vec = h * sum(e * k for e, k in zip(_RKF_ERR, ks))
-            y_new = y + h * sum(b * k for b, k in zip(_RKF_B4, ks)) + err_vec
-            scale = 1.0 + float(np.max(np.abs(y)))
-            err = float(np.max(np.abs(err_vec))) / (rel_tol * scale)
-        if bad or not math.isfinite(err):
-            rejections += 1
-            h *= 0.25
-        elif err <= 1.0:
-            x += h
-            y = y_new
-            xs.append(x)
-            ys.append(y.copy())
-            if float(np.max(np.abs(y))) > _DIVERGE_LIMIT:
+    with np.errstate(all="ignore"):
+        while (x1 - x) * direction > 0.0:
+            if abs(h) > abs(x1 - x):
+                h = x1 - x
+            ks = []
+            err = math.inf
+            for c, row in zip(_RKF_C, _RKF_A):
+                ya = y
+                for a, k in zip(row, ks):
+                    ha = h * a
+                    ya = [v + ha * kv for v, kv in zip(ya, k)]
+                k_s = np.asarray(f(x + c * h, np.array(ya).reshape(shape)), dtype=float)
+                k_s = k_s.ravel().tolist()
+                if len(k_s) != len(y):
+                    raise ValueError(f"f returned {len(k_s)} values for a state of {len(y)}")
+                if not all(map(math.isfinite, k_s)):
+                    break
+                ks.append(k_s)
+            else:
+                columns = list(zip(*ks))
+                err_vec = [h * _weighted_sum(_RKF_ERR, col) for col in columns]
+                y_new = [v + h * _weighted_sum(_RKF_B4, col) + e
+                         for v, col, e in zip(y, columns, err_vec)]
+                err = _max_abs(err_vec) / (rel_tol * (1.0 + _max_abs(y)))
+            if not math.isfinite(err):
+                rejections += 1
+                h *= 0.25
+            elif err <= 1.0:
+                x += h
+                y = y_new
+                xs.append(x)
+                ys.extend(y)
+                if _max_abs(y) > _DIVERGE_LIMIT:
+                    diverged = True
+                    break
+                h *= min(5.0, max(0.2, 0.9 * err**-0.2 if err > 0 else 5.0))
+            else:
+                rejections += 1
+                h *= max(0.2, 0.9 * err**-0.2)
+            if abs(h) < 1e-14 * (1.0 + abs(x)):
                 diverged = True
                 break
-            h *= min(5.0, max(0.2, 0.9 * err**-0.2 if err > 0 else 5.0))
-        else:
-            rejections += 1
-            h *= max(0.2, 0.9 * err**-0.2)
-        if abs(h) < 1e-14 * (1.0 + abs(x)):
-            diverged = True
-            break
-    return RKTrajectory(np.array(xs), np.array(ys), rejections, diverged)
+    return RKTrajectory(np.array(xs), np.array(ys).reshape((-1,) + shape), rejections, diverged)

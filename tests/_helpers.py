@@ -10,7 +10,12 @@ import math
 
 import numpy as np
 
-from symfd.groups import BurgersGroupElement, KdVGroupElement, SL2Element
+from symfd.groups import (
+    BurgersGroupElement,
+    KdVGroupElement,
+    SL2Element,
+    prolonged_directional_derivative,
+)
 from symfd.invariants import BurgersStencil, KdVStencil
 from symfd.rng import DeterministicRng
 
@@ -91,3 +96,10 @@ def rel_err(a, b) -> float:
     b = np.atleast_1d(np.asarray(b, dtype=float))
     scale = max(1.0, float(np.max(np.abs(a))), float(np.max(np.abs(b))))
     return float(np.max(np.abs(a - b))) / scale
+
+
+def worst_catalog_derivative(vector, cls, gens, z) -> float:
+    """Largest |prolonged derivative| over a whole invariant catalog at the
+    generic stencil ``z``: one array-valued F per generator, not one per name."""
+    F = lambda s: vector(cls.from_stencil(s))  # noqa: E731
+    return max(float(np.max(np.abs(prolonged_directional_derivative(F, f, z)))) for f in gens)

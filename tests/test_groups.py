@@ -367,6 +367,41 @@ def test_stencil_rejects_duplicates(z, data):
         Stencil(tuple(offsets + [(9, 9)]), np.array(points + [(t, x, 1.0)]))
 
 
+@settings(max_examples=60, deadline=None)
+@given(z=_stencils(), field=st.sampled_from(_ALL_FIELDS),
+       ref=st.tuples(st.integers(-3, 3), st.integers(-3, 3)).filter(lambda r: r != (0, 0)))
+def test_prolonged_derivative_equals_two_perturbed_stencils(z, field, ref):
+    z = Stencil(z.offsets, z.points, ref)
+    F = lambda s: np.sin(s.points).ravel() * s.points[::-1].ravel()  # noqa: E731
+    eps = 1e-6 * (1.0 + z.sup_norm())
+    expected = (F(perturb_stencil(z, field, eps)) - F(perturb_stencil(z, field, -eps))) / (2.0 * eps)
+    assert prolonged_directional_derivative(F, field, z).tobytes() == expected.tobytes()
+
+
+@settings(max_examples=30, deadline=None)
+@given(z=_stencils(), field=st.sampled_from(_ALL_FIELDS))
+def test_moved_stencils_are_read_only_and_keep_the_offsets(z, field):
+    (l, j), _ = z.nodes[0]
+    for moved in (perturb_stencil(z, field, 1e-3), z.with_u(l, j, 7.5)):
+        assert moved.offsets == z.offsets and moved.ref == z.ref
+        assert not moved.points.flags.writeable
+        with pytest.raises(ValueError):
+            moved.points[0, 2] = 0.0
+        assert moved.take(z.offsets).tolist() == moved.points.tolist()
+
+
+def test_moved_stencil_rejects_nodes_that_meet():
+    z = Stencil.from_dict({(0, -1): (0.0, 0.0, 1.0), (0, 0): (0.0, 1.0, 2.0),
+                           (0, 1): (0.0, 2.0, 3.0)})
+    gather = make_field(xi=lambda t, x, u: 1.0 - x)  # moves every x to 1 at eps = 1
+    with pytest.raises(ValueError) as built:
+        Stencil(z.offsets, np.array([[0.0, 1.0, 1.0], [0.0, 1.0, 2.0], [0.0, 1.0, 3.0]]))
+    with pytest.raises(ValueError) as moved:
+        perturb_stencil(z, gather, 1.0)
+    assert str(moved.value) == str(built.value)
+    assert str(moved.value) == "nodes (0, -1) and (0, 0) share independent variables (0.0, 1.0)"
+
+
 _lam = st.floats(-0.7, 0.7).map(math.exp)
 _unit = st.floats(-1.0, 1.0)
 _kdv_elements = st.builds(KdVGroupElement, _lam, _unit, _unit, _unit)

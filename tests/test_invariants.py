@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from symfd.errors import DegenerateDenominator
 from symfd.frames import apply_burgers_stencil, apply_kdv_stencil
 from symfd.groups import apply_sl2, burgers_generators, kdv_generators
-from symfd.groups import prolonged_directional_derivative
 from symfd.invariants import (
     BURGERS_INVARIANT_NAMES,
     KDV_INVARIANT_NAMES,
@@ -33,6 +32,7 @@ from _helpers import (
     rand_kdv_stencil,
     rand_sl2_safe,
     rel_err,
+    worst_catalog_derivative,
 )
 
 
@@ -137,10 +137,7 @@ def test_kdv_invariants_prolonged_derivative_vanishes():
     worst = 0.0
     for _ in range(100):
         z = rand_kdv_stencil(rng).to_stencil()
-        for name in KDV_INVARIANT_NAMES:
-            F = lambda s, nm=name: kdv_invariants(KdVStencil.from_stencil(s))[nm]
-            for f in gens:
-                worst = max(worst, abs(prolonged_directional_derivative(F, f, z)))
+        worst = max(worst, worst_catalog_derivative(kdv_invariant_vector, KdVStencil, gens, z))
     assert worst <= 1e-7
 
 
@@ -259,10 +256,8 @@ def test_burgers_invariants_prolonged_derivative_vanishes():
     worst = 0.0
     for _ in range(100):
         z = rand_burgers_stencil(rng).to_stencil()
-        for name in BURGERS_INVARIANT_NAMES:
-            F = lambda s, nm=name: burgers_invariants(BurgersStencil.from_stencil(s))[nm]
-            for f in gens:
-                worst = max(worst, abs(prolonged_directional_derivative(F, f, z)))
+        worst = max(worst, worst_catalog_derivative(burgers_invariant_vector, BurgersStencil,
+                                                    gens, z))
     assert worst <= 1e-7
 
 
@@ -387,21 +382,15 @@ def test_catalogs_equal_formula_by_formula_reference(zk, zb):
     assert list(burgers_invariants(zb)) == list(BURGERS_INVARIANT_NAMES)
 
 
-def _worst_catalog_derivative(catalog, cls, gens, z):
-    """Largest prolonged derivative of the whole catalog (one array-valued F)."""
-    F = lambda s: np.array(list(catalog(cls.from_stencil(s)).values()))  # noqa: E731
-    s = z.to_stencil()
-    return max(float(np.max(np.abs(prolonged_directional_derivative(F, f, s)))) for f in gens)
-
-
 @settings(max_examples=50, deadline=None)
 @given(z=_stencils(KdVStencil, 5))
 def test_kdv_catalog_invariance_property(z):
-    assert _worst_catalog_derivative(kdv_invariants, KdVStencil, kdv_generators(), z) <= 1e-7
+    assert worst_catalog_derivative(kdv_invariant_vector, KdVStencil, kdv_generators(),
+                                    z.to_stencil()) <= 1e-7
 
 
 @settings(max_examples=50, deadline=None)
 @given(z=_stencils(BurgersStencil, 3))
 def test_burgers_catalog_invariance_property(z):
-    assert _worst_catalog_derivative(burgers_invariants, BurgersStencil,
-                                     burgers_generators(), z) <= 1e-7
+    assert worst_catalog_derivative(burgers_invariant_vector, BurgersStencil,
+                                    burgers_generators(), z.to_stencil()) <= 1e-7

@@ -14,6 +14,11 @@ from symfd.rng import DeterministicRng
 from symfd.schemes import (
     GridState,
     SchwarzianState,
+    _DIVERGE_LIMIT,
+    _RKF_A,
+    _RKF_B4,
+    _RKF_C,
+    _RKF_ERR,
     _burgers_parts,
     _solve_affine_banded,
     burgers_fv_residual,
@@ -506,13 +511,28 @@ def test_burgers_parts_matches_per_node_reference(data, n, k, nu, phi_override):
     x0 = np.concatenate([[0.0], np.cumsum(data.draw(spacing))])
     x1 = data.draw(st.floats(-1.0, 1.0)) + np.concatenate([[0.0], np.cumsum(data.draw(spacing))])
     u0 = np.array(data.draw(st.lists(_u_values, min_size=n, max_size=n)))
+    _assert_burgers_parts_match(x0, u0, x1, k, nu, phi_override)
+
+
+def _assert_burgers_parts_match(x0, u0, x1, k, nu, phi_override):
     parts = _burgers_parts(x0, u0, x1, k, nu, phi_override)
     ref = _burgers_parts_reference(x0, u0, x1, k, nu, phi_override)
     for name, got, col in zip(("coef", "const", "dsf"), parts, range(3)):
-        assert got.shape == (n - 2,)
+        assert got.shape == (len(x0) - 2,)
         for i, value in enumerate(got):
             want, scale = ref[i][col]
-            assert abs(value - want) <= 1e-12 * scale, (name, i + 1, value, want)
+            # a scale below the normal range would put the bound under one
+            # subnormal ulp, which no rounding can meet
+            bound = 1e-12 * max(scale, np.finfo(float).tiny)
+            assert abs(value - want) <= bound, (name, i + 1, value, want)
+
+
+def test_burgers_parts_with_a_subnormal_value():
+    # const at node 4 differs from the reference by one subnormal ulp (5e-324)
+    x0 = np.concatenate([[0.0], np.cumsum([1.0, 1.0, 1.0, 1.0, 0.5] + [1.0] * 6)])
+    x1 = np.arange(12.0)
+    u0 = np.array([0.0, 0.0, 1.5, 1.0, 2.2250738585e-313] + [0.0] * 7)
+    _assert_burgers_parts_match(x0, u0, x1, 1.0, 0.0, None)
 
 
 def test_burgers_constant_state_fixed_point():
@@ -616,6 +636,118 @@ def test_rk_schwarzian_divergence_near_pole():
     assert tr.diverged
     assert tr.final()[0] < 1.6
     assert abs(tr.final()[0] - math.pi / 2.0) < 0.05
+
+
+def _rk_adaptive_reference(f, y0, x_span, rel_tol):
+    """The RKF 4(5) stepper on numpy arrays: the vector form of rk_adaptive_solve."""
+    c_, b4, e_ = np.array(_RKF_C), np.array(_RKF_B4), np.array(_RKF_ERR)
+    x0, x1 = x_span
+    y = np.atleast_1d(np.asarray(y0, dtype=float)).copy()
+    xs = [x0]
+    ys = [y.copy()]
+    span = x1 - x0
+    direction = math.copysign(1.0, span)
+    h = span / 100.0
+    rejections = 0
+    diverged = False
+    x = x0
+    while (x1 - x) * direction > 0.0:
+        if abs(h) > abs(x1 - x):
+            h = x1 - x
+        ks = []
+        bad = False
+        err = math.inf
+        y_new = y
+        for s in range(6):
+            ya = y.copy()
+            for m, a in enumerate(_RKF_A[s]):
+                ya = ya + h * a * ks[m]
+            with np.errstate(all="ignore"):
+                k_s = np.atleast_1d(np.asarray(f(x + c_[s] * h, ya), dtype=float))
+            if not np.all(np.isfinite(k_s)):
+                bad = True
+                break
+            ks.append(k_s)
+        if not bad:
+            err_vec = h * sum(e * k for e, k in zip(e_, ks))
+            y_new = y + h * sum(b * k for b, k in zip(b4, ks)) + err_vec
+            scale = 1.0 + float(np.max(np.abs(y)))
+            err = float(np.max(np.abs(err_vec))) / (rel_tol * scale)
+        if bad or not math.isfinite(err):
+            rejections += 1
+            h *= 0.25
+        elif err <= 1.0:
+            x += h
+            y = y_new
+            xs.append(x)
+            ys.append(y.copy())
+            if float(np.max(np.abs(y))) > _DIVERGE_LIMIT:
+                diverged = True
+                break
+            h *= min(5.0, max(0.2, 0.9 * err**-0.2 if err > 0 else 5.0))
+        else:
+            rejections += 1
+            h *= max(0.2, 0.9 * err**-0.2)
+        if abs(h) < 1e-14 * (1.0 + abs(x)):
+            diverged = True
+            break
+    return np.array(xs), np.array(ys), rejections, diverged
+
+
+def _quadratic_system(a, q, b, cutoff):
+    """y' = A y + q y^2 + (1 + x/10) b, non-finite wherever some |y_i| > cutoff."""
+    a, q, b = np.array(a), np.array(q), np.array(b)
+
+    def f(x, y):
+        if cutoff is not None and np.max(np.abs(y)) > cutoff:
+            return np.full_like(y, np.nan)
+        return a @ y + q * y * y + b * (1.0 + 0.1 * x)
+
+    return f
+
+
+@st.composite
+def _rk_problems(draw):
+    n = draw(st.integers(1, 4))
+    vec = st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n)
+    a = draw(st.lists(vec, min_size=n, max_size=n))
+    q, b, y0 = draw(vec), draw(vec), draw(vec)
+    x0 = draw(st.floats(-1.0, 1.0))
+    x1 = x0 + draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(0.1, 3.0))
+    rel_tol = draw(st.sampled_from([1e-3, 1e-6, 1e-10]))
+    cutoff = draw(st.sampled_from([None, 1.5, 4.0]))
+    return _quadratic_system(a, q, b, cutoff), y0, (x0, x1), rel_tol
+
+
+# y' = y to x = 1, whose large steps send a stage past the cutoff 2.75 > e
+# (without the cutoff no step is rejected), and y1' = y1^2, which blows up
+# at x = 1
+_RK_NONFINITE = (_quadratic_system([[1.0]], [0.0], [0.0], 2.75), [1.0], (0.0, 1.0), 1e-3)
+_RK_BLOWUP = (_quadratic_system([[0.0, 0.0], [1.0, 0.0]], [1.0, 0.0], [0.0, 0.0], None),
+              [1.0, 0.0], (0.0, 2.0), 1e-8)
+
+
+def _assert_rk_matches_reference(f, y0, x_span, rel_tol):
+    tr = rk_adaptive_solve(f, y0, x_span, rel_tol)
+    xs, ys, rejections, diverged = _rk_adaptive_reference(f, y0, x_span, rel_tol)
+    assert _same_bits(tr.xs, xs) and _same_bits(tr.ys, ys)
+    assert (tr.rejections, tr.diverged) == (rejections, diverged)
+    return tr
+
+
+def test_rk_rejects_a_nonfinite_stage_and_stops_on_blowup_like_reference():
+    assert _assert_rk_matches_reference(*_RK_NONFINITE).rejections > 0
+    _, y0, x_span, rel_tol = _RK_NONFINITE
+    assert rk_adaptive_solve(_quadratic_system([[1.0]], [0.0], [0.0], None),
+                             y0, x_span, rel_tol).rejections == 0
+    tr = _assert_rk_matches_reference(*_RK_BLOWUP)
+    assert tr.diverged and tr.final()[0] < 2.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(problem=_rk_problems())
+def test_rk_adaptive_solve_equals_vector_reference(problem):
+    _assert_rk_matches_reference(*problem)
 
 
 # ---------------------------------------------------------------------------
