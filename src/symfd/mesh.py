@@ -28,6 +28,14 @@ the solution of its own system.  The diagnostics of a batch are reduced
 over its rows: the smallest spacing, the largest normalized residual.  A
 check fails for the whole batch when it fails for one row.  Projection
 (the spline) takes a single mesh.
+
+Each mesh update returns its abscissae together with their spacings
+(``MeshUpdate.dx``), so a scheme that needs them does not form them again.
+``equidistribute_arclength`` is ``monitor_arclength`` followed by
+``equidistribute`` for a caller that already holds the spacings and the
+value increments of the current mesh; the three share one kernel each for
+the weights and for the solve.  A spacing that is not positive, NaN
+included, raises :class:`MeshTangling`.
 """
 
 from __future__ import annotations
@@ -62,36 +70,23 @@ class MonitorParams:
 
 @dataclass(frozen=True)
 class MeshUpdate:
-    """Next-level abscissae plus diagnostics of the proposed mesh (of all
-    rows of a batch: its smallest spacing and largest residual)."""
+    """Next-level abscissae, their spacings dx (x_next differenced along the
+    last axis), plus diagnostics of the proposed mesh (of all rows of a
+    batch: its smallest spacing and largest residual)."""
 
     x_next: np.ndarray
+    dx: np.ndarray
     min_spacing: float
     equi_residual: float = 0.0
 
 
-@dataclass(frozen=True)
-class TanglingDiagnostics:
-    min_spacing: float
-    argmin: int
-    tangled: bool
-
-
-def detect_tangling(x: np.ndarray, floor: float) -> TanglingDiagnostics:
-    """Report the minimum spacing and whether it fell below ``floor``."""
-    dx = np.diff(np.asarray(x, dtype=float))
-    i = int(np.argmin(dx))
-    m = float(dx[i])
-    return TanglingDiagnostics(m, i, m < floor)
-
-
 def _checked_min_spacing(dx: np.ndarray, floor: float) -> float:
-    """Minimum of the spacings dx; MeshTangling if one is not positive or
-    the minimum is below floor."""
-    if (dx <= 0.0).any():
+    """Minimum of the spacings dx; MeshTangling if one is not positive (or
+    is NaN) or the minimum is below floor."""
+    m = float(dx.min())
+    if not m > 0.0:  # a NaN minimum fails this test too
         i = int(dx.argmin()) % dx.shape[-1]
         raise MeshTangling(f"mesh ordering lost at index {i}")
-    m = float(dx.min())
     if m < floor:
         i = int(dx.argmin()) % dx.shape[-1]
         raise MeshTangling(f"minimum spacing {m:.3e} below floor {floor:.3e} at index {i}")
@@ -120,7 +115,20 @@ def lagrangian_update(state, k: float, floor: float = 0.0) -> MeshUpdate:
     if not _holds(k > 0.0):
         raise ValueError("time step must be positive")
     x_next = state.x + k * state.u
-    return MeshUpdate(x_next, _checked_min_spacing(x_next[..., 1:] - x_next[..., :-1], floor))
+    dx = x_next[..., 1:] - x_next[..., :-1]
+    return MeshUpdate(x_next, dx, _checked_min_spacing(dx, floor))
+
+
+def _arclength_weights(dx: np.ndarray, du: np.ndarray, k: float, alpha) -> np.ndarray:
+    """Arc-length weights from the spacings dx and value increments du."""
+    # the exact test runs only when the minimum does not already rule it out
+    if not dx.min() >= 1e-14 and (np.abs(dx) < 1e-14).any():
+        raise DegenerateDenominator("vanishing mesh spacing in monitor")
+    slopes = k * du / dx
+    d = np.empty(dx.shape[:-1] + (dx.shape[-1] + 1,))
+    np.sqrt(1.0 + alpha * slopes**2, out=d[..., :-1])
+    d[..., -1] = d[..., -2]
+    return d
 
 
 def monitor_arclength(state, k: float, params: MonitorParams) -> np.ndarray:
@@ -130,40 +138,21 @@ def monitor_arclength(state, k: float, params: MonitorParams) -> np.ndarray:
     the last interior value is repeated there.
     """
     x, u = state.x, state.u
-    dx = x[..., 1:] - x[..., :-1]
-    if (np.abs(dx) < 1e-14).any():
-        raise DegenerateDenominator("vanishing mesh spacing in monitor")
-    slopes = k * (u[..., 1:] - u[..., :-1]) / dx
-    d = np.empty(x.shape)
-    np.sqrt(1.0 + params.alpha * slopes**2, out=d[..., :-1])
-    d[..., -1] = d[..., -2]
-    return d
+    return _arclength_weights(x[..., 1:] - x[..., :-1], u[..., 1:] - u[..., :-1],
+                              k, params.alpha)
 
 
-def equidistribute(delta: np.ndarray, domain: tuple[float, float],
-                   floor: float = 0.0) -> MeshUpdate:
-    """Solve the discrete equidistribution relation for the interior nodes.
-
-    With w_{i+1/2} = (d_{i+1} + d_i)/2 the relation
-    w_{i+1/2} (x_{i+1} - x_i) = w_{i-1/2} (x_i - x_{i-1}) for the interior
-    and x_0 = a, x_{N-1} = b is a symmetric tridiagonal system, solved
-    directly by LAPACK dgtsv.  Weights that are not positive and finite
-    (NaN, inf, zero or negative) raise :class:`SingularSystem`.  The returned
-    diagnostics include the normalized residual
-    max_i |w_{i+1/2} dx_i - w_{i-1/2} dx_{i-1}| / (max d (b - a)).
-    For a (B, n) batch of weights, a and b are floats or (B,) arrays of
-    per-row endpoints.
-    """
-    d = np.asarray(delta, dtype=float)
+def _equidistributed(d: np.ndarray, domain, floor: float, positive: bool) -> MeshUpdate:
+    """The equidistribution solve of :func:`equidistribute` for float weights
+    d of at least three nodes; ``positive`` tells whether every weight
+    compared above zero (NaN weights do not)."""
     a, b = domain
     n = d.shape[-1]
-    if n < 3:
-        raise ValueError("need at least three nodes")
     width = abs(b - a)
     if not _holds(width < math.inf):  # NaN or inf endpoints fail this test
         raise ValueError("domain endpoints must be finite")
     d_max = d.max(axis=-1)
-    if not (d.min() > 0.0 and _holds(d_max < math.inf)):  # a NaN fails both tests
+    if not (positive and _holds(d_max < math.inf)):  # a NaN weight fails d_max < inf
         raise SingularSystem("monitor weights must be positive and finite")
     w = 0.5 * (d[..., 1:] + d[..., :-1])  # w[m] = weight on interval (m, m+1)
 
@@ -186,8 +175,42 @@ def equidistribute(delta: np.ndarray, domain: tuple[float, float],
 
     dx = x_next[..., 1:] - x_next[..., :-1]
     min_spacing = _checked_min_spacing(dx, floor)
-    res = np.abs(w[..., 1:] * dx[..., 1:] - w[..., :-1] * dx[..., :-1])
-    return MeshUpdate(x_next, min_spacing, float((res.T / (d_max * width)).max()))
+    # dividing by the positive row scale is monotone, so the row maximum of
+    # the quotients is the quotient of the row maximum
+    p = w * dx
+    res = np.abs(p[..., 1:] - p[..., :-1]).max(axis=-1) / (d_max * width)
+    return MeshUpdate(x_next, dx, min_spacing, float(res.max()))
+
+
+def equidistribute(delta: np.ndarray, domain: tuple[float, float],
+                   floor: float = 0.0) -> MeshUpdate:
+    """Solve the discrete equidistribution relation for the interior nodes.
+
+    With w_{i+1/2} = (d_{i+1} + d_i)/2 the relation
+    w_{i+1/2} (x_{i+1} - x_i) = w_{i-1/2} (x_i - x_{i-1}) for the interior
+    and x_0 = a, x_{N-1} = b is a symmetric tridiagonal system, solved
+    directly by LAPACK dgtsv.  Weights that are not positive and finite
+    (NaN, inf, zero or negative) raise :class:`SingularSystem`.  The returned
+    diagnostics include the normalized residual
+    max_i |w_{i+1/2} dx_i - w_{i-1/2} dx_{i-1}| / (max d (b - a)).
+    For a (B, n) batch of weights, a and b are floats or (B,) arrays of
+    per-row endpoints.
+    """
+    d = np.asarray(delta, dtype=float)
+    if d.shape[-1] < 3:
+        raise ValueError("need at least three nodes")
+    return _equidistributed(d, domain, floor, d.min() > 0.0)
+
+
+def equidistribute_arclength(dx: np.ndarray, du: np.ndarray, k: float,
+                             params: MonitorParams, domain: tuple[float, float],
+                             floor: float = 0.0) -> MeshUpdate:
+    """``equidistribute(monitor_arclength(state, k, params), domain, floor)``,
+    bit for bit, from the spacings dx and the value increments du of the
+    state (its x and u differenced along the last axis)."""
+    # arc-length weights are at least 1 unless NaN or inf, which the
+    # solve's test of the largest weight rejects
+    return _equidistributed(_arclength_weights(dx, du, k, params.alpha), domain, floor, True)
 
 
 def linear_interpolate(x_src: np.ndarray, u_src: np.ndarray, x_query: float) -> float:

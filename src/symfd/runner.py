@@ -482,7 +482,9 @@ def _run_pde(cfg: ExperimentConfig) -> RunOutput:
         except SymfdError as exc:
             status, message = "numerical_failure", _stop_message(i, exc)
         else:
-            if not np.isfinite(state.u).all():
+            tv = total_variation(state.u)
+            # finite u can overflow to a non-finite tv, never the reverse
+            if not math.isfinite(tv) and not np.isfinite(state.u).all():
                 status = "nonfinite"
                 bad = np.flatnonzero(~np.isfinite(state.u))
                 message = (f"step {i}: u is not finite at node {bad[0]} "
@@ -494,8 +496,7 @@ def _run_pde(cfg: ExperimentConfig) -> RunOutput:
             snaps.append((state.t, state.x.copy(), state.u.copy()))
             break
         diags.append(
-            DiagnosticsRow(i, state.t, info.min_spacing, total_variation(state.u),
-                           info.residual_inf, info.newton_iters,
+            DiagnosticsRow(i, state.t, info.min_spacing, tv, info.residual_inf, info.newton_iters,
                            "ok" if info.equi_residual <= 1e-10 else "equi_loose")
         )
         if i % every == 0 or i == steps:

@@ -64,6 +64,7 @@ from .mesh import (
     MonitorParams,
     _holds,
     equidistribute,
+    equidistribute_arclength,
     lagrangian_update,
     monitor_arclength,
     spline_project,
@@ -78,7 +79,7 @@ _DEN_TOL = 1e-14
 
 @dataclass(frozen=True)
 class GridState:
-    """One time level: time t, strictly increasing x, values u.
+    """One time level: time t, finite and strictly increasing x, values u.
 
     x and u have shape (n,) for one state, or (B, n) for a batch of B
     states with one state per row; x increases along the last axis.  t is a
@@ -96,8 +97,10 @@ class GridState:
             raise ValueError("x and u must be arrays of equal shape")
         if x.shape[-1] < 3:
             raise ValueError("need at least three nodes")
-        if (x[..., 1:] - x[..., :-1] <= 0.0).any():
-            raise ValueError("x must be strictly increasing")
+        # NaN fails the first test; increasing x is finite when its span is
+        # (``x.T[j]`` is node j of one state and column j of a batch)
+        if not ((x[..., 1:] > x[..., :-1]).all() and _holds(x.T[-1] - x.T[0] < math.inf)):
+            raise ValueError("x must be finite and strictly increasing")
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "u", u)
 
@@ -387,12 +390,16 @@ def kdv_step_detailed(
     and projects the result back onto the previous abscissae with a natural
     cubic spline (extreme targets clamped into the moved hull, a constant
     extrapolation over at most k |u_boundary|).  A batch (see the module
-    docstring) takes the Lagrangian or adaptive strategy.
+    docstring) takes the Lagrangian or adaptive strategy.  Non-finite u
+    raises :class:`SchemeSingularity` before the mesh moves: on a
+    Lagrangian mesh it would otherwise surface as a lost node ordering.
     """
     if scheme not in ("6pt", "10pt"):
         raise ValueError(f"unknown scheme {scheme!r}")
     if mesh_strategy == "projection" and prev.x.ndim != 1:
         raise ValueError("the projection strategy steps a single state")
+    if not np.isfinite(prev.u).all():
+        raise SchemeSingularity("u is not finite")
     upd = _kdv_mesh(prev, k, mesh_strategy, monitor, spacing_floor, drift)
     x1 = upd.x_next
 
@@ -460,29 +467,29 @@ def naive_kdv_step(prev: GridState, k: float, h: float) -> GridState:
 # ---------------------------------------------------------------------------
 
 def _burgers_parts(x0: np.ndarray, u0: np.ndarray, x1: np.ndarray,
+                   h0: np.ndarray, dlt: np.ndarray, h1: np.ndarray,
                    k: float, nu: float, phi_override: float | None = None):
     """Blended coefficient of u^{n+1}_i, constant part, and flux difference.
 
-    Valid on the interior i = 1..N-2.  Slopes and differences that the
-    low-order stencil needs beyond the mesh are constant-extrapolated from
-    the boundary.  Stencil neighbours are slices of the last axis: ``a[2:]``,
-    ``a[1:-1]`` and ``a[:-2]`` hold a_{i+1}, a_i and a_{i-1} of node-based
-    arrays, ``b[1:]`` and ``b[:-1]`` hold b_i and b_{i-1} of interval-based
-    ones.
+    ``h0``, ``dlt`` and ``h1`` are x0, u0 and x1 differenced along the last
+    axis.  Valid on the interior i = 1..N-2.  Slopes and differences that
+    the low-order stencil needs beyond the mesh are constant-extrapolated
+    from the boundary.  Stencil neighbours are slices of the last axis:
+    ``a[2:]``, ``a[1:-1]`` and ``a[:-2]`` hold a_{i+1}, a_i and a_{i-1} of
+    node-based arrays, ``b[1:]`` and ``b[:-1]`` hold b_i and b_{i-1} of
+    interval-based ones.
     """
     lead, n = u0.shape[:-1], u0.shape[-1]
-    h0 = x0[..., 1:] - x0[..., :-1]
-    h1 = x1[..., 1:] - x1[..., :-1]
     sig = x1 - x0
     u_c = u0[..., 1:-1]
     # dlt_e[m+1] = Delta u_m = u_{m+1} - u_m, with the ghost dlt_e[0] = Delta u_0
     dlt_e = np.empty(lead + (n,))
-    dlt_e[..., 1:] = u0[..., 1:] - u0[..., :-1]
-    dlt_e[..., 0] = dlt_e[..., 1]
+    dlt_e[..., 1:] = dlt
+    dlt_e[..., 0] = dlt[..., 0]
     # du_e[m+1] = Du_m with ghosts du_e[0] = Du_0 and du_e[n] = Du_{n-2}, so
     # the differences du_e[m+1] - du_e[m] vanish at both ends
     du_e = np.empty(lead + (n + 1,))
-    du_e[..., 1:-1] = dlt_e[..., 1:] / h0
+    np.divide(dlt, h0, out=du_e[..., 1:-1])
     du_e[..., 0] = du_e[..., 1]
     du_e[..., -1] = du_e[..., -2]
     nu_ddu = nu * (du_e[..., 1:] - du_e[..., :-1])
@@ -511,22 +518,26 @@ def _burgers_parts(x0: np.ndarray, u0: np.ndarray, x1: np.ndarray,
         # limiter weight Phi(theta_i): the ratio over [x_{i-1}, x_i], the
         # interval whose smoothness governs the update at node i; a lagged
         # index here displaces the discrete shock and breaks TV non-growth.
-        # A vanishing denominator saturates theta to sign(num) * 1e15; if
-        # both differences vanish the smooth-region value 1 is used.
+        # A vanishing denominator saturates theta to sign(num) * 1e15, or to
+        # the smooth-region value 1 if both differences vanish.  Clipped,
+        # that is 1 where num > -tol, else 0 (NaN stays NaN); dividing by 1
+        # there instead gives num, which the clip takes to the same 0 or
+        # NaN, so one choice of 1 replaces the saturation branch.
         den = dlt_e[..., 1:-1]                                # Delta u_{i-1}
         num = np.where(up, dlt_e[..., :-2], dlt_e[..., 2:])   # Delta u_{i-2} or Delta u_i
-        with np.errstate(divide="ignore", invalid="ignore"):
-            theta = num / den
-        small_den = np.abs(den) < _DEN_TOL
-        if small_den.any():
-            theta[small_den] = np.sign(num[small_den]) * 1e15
-            theta[small_den & (np.abs(num) < _DEN_TOL)] = 1.0
-        phi = theta.clip(0.0, 1.0)
+        small = np.abs(den) < _DEN_TOL
+        theta = num / np.where(small, 1.0, den)
+        phi = np.where(small & (num > -_DEN_TOL), 1.0, theta).clip(0.0, 1.0)
 
     coef = coef_lo - phi * (coef_lo - coef_hi)
     const = const_lo - phi * (const_lo - const_hi)
     dsf = dsf_lo - phi * (dsf_lo - dsf_hi)
     return coef, const, dsf
+
+
+def _diff(a: np.ndarray) -> np.ndarray:
+    """a differenced along its last axis."""
+    return a[..., 1:] - a[..., :-1]
 
 
 def burgers_fv_residual(prev: GridState, nxt: GridState, k: float, nu: float,
@@ -540,7 +551,9 @@ def burgers_fv_residual(prev: GridState, nxt: GridState, k: float, nu: float,
         raise ValueError("states must share their shape")
     if not _holds(k > 0.0):
         raise ValueError("time step must be positive")
-    coef, const, dsf = _burgers_parts(prev.x, prev.u, nxt.x, k, nu, phi_override)
+    x0, u0, x1 = prev.x, prev.u, nxt.x
+    coef, const, dsf = _burgers_parts(x0, u0, x1, _diff(x0), _diff(u0), _diff(x1),
+                                      k, nu, phi_override)
     return coef * nxt.u[..., 1:-1] + const + k * dsf
 
 
@@ -565,17 +578,19 @@ def burgers_fv_step_detailed(
         raise ValueError("viscosity must be nonnegative")
     if not _holds(k > 0.0):
         raise ValueError("time step must be positive")
-    a, b = (prev.x[..., ::prev.n - 1] + k * drift).T  # floats, or (B,) arrays
-    upd = equidistribute(monitor_arclength(prev, k, MonitorParams(alpha)), (a, b),
-                         floor=spacing_floor)
+    x0, u0 = prev.x, prev.u
+    a, b = (x0[..., ::prev.n - 1] + k * drift).T  # floats, or (B,) arrays
+    h0, dlt = _diff(x0), _diff(u0)
+    upd = equidistribute_arclength(h0, dlt, k, MonitorParams(alpha), (a, b),
+                                   floor=spacing_floor)
     x1 = upd.x_next
-    coef, const, dsf = _burgers_parts(prev.x, prev.u, x1, k, nu, phi_override)
-    if (coef <= 0.0).any():
+    coef, const, dsf = _burgers_parts(x0, u0, x1, h0, dlt, upd.dx, k, nu, phi_override)
+    if not coef.min() > 0.0 and (coef <= 0.0).any():  # NaN coefficients do not raise
         raise SchemeSingularity("nonpositive volume coefficient")
     k_dsf = k * dsf
-    u1 = prev.u.copy()
+    u1 = u0.copy()
     u1[..., 1:-1] = -(const + k_dsf) / coef
-    # equidistribute has checked that x1 increases
+    # equidistribute_arclength has checked that x1 increases
     nxt = GridState._unchecked(prev.t + k, x1, u1)
     rfin = float(np.abs(coef * u1[..., 1:-1] + const + k_dsf).max())
     return nxt, StepInfo(0, rfin, upd.min_spacing, upd.equi_residual)

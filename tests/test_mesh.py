@@ -1,4 +1,4 @@
-"""Mesh strategies, interpolation, and tangling diagnostics."""
+"""Mesh strategies, interpolation, and the spacing checks."""
 
 import numpy as np
 import pytest
@@ -9,7 +9,6 @@ from symfd.errors import MeshTangling, OutOfDomain, SingularSystem
 from symfd.groups import apply_kdv
 from symfd.mesh import (
     MonitorParams,
-    detect_tangling,
     equidistribute,
     lagrangian_update,
     linear_interpolate,
@@ -53,6 +52,14 @@ def test_spacing_below_floor_names_the_interval():
     # in a batch the index is counted within the row
     with pytest.raises(MeshTangling, match=r"at index 2$"):
         lagrangian_update(_state(np.vstack([x, x]), np.vstack([0.0 * u, u])), 0.099, floor=0.01)
+
+
+def test_nan_spacing_is_lost_ordering_and_names_the_interval():
+    x = np.linspace(0.0, 1.0, 6)
+    u = np.zeros(6)
+    u[3] = np.nan
+    with pytest.raises(MeshTangling, match=r"ordering lost at index 2$"):
+        lagrangian_update(_state(x, u), 0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -123,6 +130,12 @@ def test_equidistribute_assembled_residual():
     delta = np.array([0.5 + rng.uniform(0.0, 3.0) for _ in range(17)])
     upd = equidistribute(delta, (-2.0, 5.0))
     assert upd.equi_residual <= 1e-12
+    # the documented normalized residual, entry by entry
+    w = 0.5 * (delta[1:] + delta[:-1])
+    dx = np.diff(upd.x_next)
+    want = max(abs(w[i] * dx[i] - w[i - 1] * dx[i - 1]) / (delta.max() * 7.0) for i in range(1, 16))
+    assert upd.equi_residual == want
+    assert upd.dx.tobytes() == dx.tobytes()
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0])
@@ -247,7 +260,7 @@ def test_spline_out_of_domain_and_clamp():
 
 
 # ---------------------------------------------------------------------------
-# tangling diagnostics and projection safety
+# projection safety
 # ---------------------------------------------------------------------------
 
 def test_spline_nan_data_gives_nonfinite_values():
@@ -258,13 +271,6 @@ def test_spline_nan_data_gives_nonfinite_values():
     out = spline_project(x, u, np.linspace(0.0, 1.0, 9))
     assert out.shape == (9,)
     assert not np.all(np.isfinite(out))
-
-
-def test_detect_tangling():
-    assert not detect_tangling(np.linspace(0, 1, 9), 1e-3).tangled
-    d = detect_tangling(np.array([0.0, 0.5, 0.5 + 1e-9, 1.0]), 1e-3)
-    assert d.tangled
-    assert d.argmin == 1
 
 
 def test_projection_step_preserves_uniform_grid():

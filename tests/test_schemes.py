@@ -1,14 +1,16 @@
 """Scheme residuals, steps, invariance, consistency, and baselines."""
 
 import math
+import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from symfd.errors import MeshTangling, SchemeSingularity
-from symfd.groups import apply_burgers, apply_kdv, apply_sl2
+from symfd.errors import MeshTangling, SchemeSingularity, SymfdError
+from symfd.groups import BurgersGroupElement, apply_burgers, apply_kdv, apply_sl2
+from symfd.mesh import MonitorParams, equidistribute, monitor_arclength
 from symfd.runner import exact_kdv_double_soliton
 from symfd.rng import DeterministicRng
 from symfd.schemes import (
@@ -48,6 +50,40 @@ from _helpers import (
     rand_sl2_safe,
     rel_err,
 )
+
+
+# ---------------------------------------------------------------------------
+# state containers
+# ---------------------------------------------------------------------------
+
+def _mesh(draw, n, rows):
+    """Increasing abscissae of shape (n,), or (rows, n) when rows is set."""
+    def one():
+        steps = draw(st.lists(st.floats(0.1, 2.0), min_size=n - 1, max_size=n - 1))
+        return draw(st.floats(-1.0, 1.0)) + np.concatenate([[0.0], np.cumsum(steps)])
+    return one() if rows is None else np.array([one() for _ in range(rows)])
+
+
+def _values(draw, n, rows, levels):
+    """Values of the shape of _mesh, drawn from [-2, 2] and the given levels."""
+    u = st.one_of(st.floats(-2.0, 2.0), st.sampled_from(levels))
+    size = n if rows is None else rows * n
+    return np.array(draw(st.lists(u, min_size=size, max_size=size))).reshape(
+        (n,) if rows is None else (rows, n))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), n=st.integers(3, 10), rows=st.sampled_from([None, 1, 3]))
+def test_gridstate_rejects_nonfinite_abscissae(data, n, rows):
+    x = _mesh(data.draw, n, rows)
+    # NaN in u is allowed: the run loop's nonfinite guard reports it
+    u = _values(data.draw, n, rows, [math.nan, math.inf])
+    GridState(0.0, x, u)
+    cells = data.draw(st.lists(st.integers(0, x.size - 1), min_size=1, max_size=3, unique=True))
+    for c in cells:
+        x.flat[c] = data.draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+    with pytest.raises(ValueError, match="finite and strictly increasing"):
+        GridState(0.0, x, u)
 
 
 # ---------------------------------------------------------------------------
@@ -309,6 +345,17 @@ def test_kdv_step_10pt_nonfinite_data_is_singular():
         kdv_step_detailed(GridState(0.0, prev.x, u), 0.01, "lagrangian", "10pt")
 
 
+@pytest.mark.parametrize("scheme", ["6pt", "10pt"])
+@pytest.mark.parametrize("strategy", ["lagrangian", "adaptive", "projection"])
+def test_kdv_step_rejects_nonfinite_data_on_every_mesh(strategy, scheme):
+    prev, _ = _soliton_pair(0.25, 0.01)
+    u = prev.u.copy()
+    u[len(u) // 2] = math.inf
+    with pytest.raises(SchemeSingularity, match="u is not finite"):
+        kdv_step_detailed(GridState(0.0, prev.x, u), 0.01, strategy, scheme,
+                          monitor=MonitorParams(1.0))
+
+
 def test_solve_affine_banded_matches_dense_solve():
     rng = np.random.default_rng(5)
     m = 23
@@ -385,12 +432,17 @@ def test_naive_kdv_short_soliton_accuracy():
 # Burgers finite volume
 # ---------------------------------------------------------------------------
 
+def _parts(x0, u0, x1, k, nu, phi_override=None):
+    """_burgers_parts with the spacings and increments it is handed formed here."""
+    return _burgers_parts(x0, u0, x1, np.diff(x0), np.diff(u0), np.diff(x1), k, nu, phi_override)
+
+
 def _limiter_phi(x0, u0, x1, k):
     """Limiter weight Phi(theta_i) on the interior nodes, recovered from the
     scheme's blended volume coefficient and its pure low/high-order values."""
-    coef = _burgers_parts(x0, u0, x1, k, 0.0)[0]
-    lo = _burgers_parts(x0, u0, x1, k, 0.0, phi_override=0.0)[0]
-    hi = _burgers_parts(x0, u0, x1, k, 0.0, phi_override=1.0)[0]
+    coef = _parts(x0, u0, x1, k, 0.0)[0]
+    lo = _parts(x0, u0, x1, k, 0.0, phi_override=0.0)[0]
+    hi = _parts(x0, u0, x1, k, 0.0, phi_override=1.0)[0]
     return (lo - coef) / (lo - hi)
 
 
@@ -515,7 +567,7 @@ def test_burgers_parts_matches_per_node_reference(data, n, k, nu, phi_override):
 
 
 def _assert_burgers_parts_match(x0, u0, x1, k, nu, phi_override):
-    parts = _burgers_parts(x0, u0, x1, k, nu, phi_override)
+    parts = _parts(x0, u0, x1, k, nu, phi_override)
     ref = _burgers_parts_reference(x0, u0, x1, k, nu, phi_override)
     for name, got, col in zip(("coef", "const", "dsf"), parts, range(3)):
         assert got.shape == (len(x0) - 2,)
@@ -571,6 +623,87 @@ def test_burgers_residual_group_invariance():
         img = burgers_fv_residual(gp, gn, gn.t - gp.t, nu)
         assert rel_err(base, img) <= 1e-9
         count += 1
+
+
+# u levels for hypothesis states: exact repeats give flat stretches
+# (Delta u = 0) and the last two differ by one ulp, both of which saturate
+# the limiter's ratio
+_FLAT_U = [-1.0, 0.0, 1.0, 0.5, 0.5 + 2.0**-52]
+
+
+def _per_row(draw, strategy, rows):
+    """A float, or for a batch a (rows, 1) column of per-row values."""
+    if rows is None:
+        return draw(strategy)
+    return np.array([[draw(strategy)] for _ in range(rows)])
+
+
+def _burgers_step_reference(prev, k, nu, alpha, drift):
+    """monitor_arclength, equidistribute and the diagonal solve of the
+    _burgers_parts terms, each forming its own spacings and differences."""
+    a, b = (prev.x[..., ::prev.n - 1] + k * drift).T
+    upd = equidistribute(monitor_arclength(prev, k, MonitorParams(alpha)), (a, b))
+    coef, const, dsf = _parts(prev.x, prev.u, upd.x_next, k, nu)
+    if (coef <= 0.0).any():
+        raise SchemeSingularity("nonpositive volume coefficient")
+    u1 = prev.u.copy()
+    u1[..., 1:-1] = -(const + k * dsf) / coef
+    rfin = float(np.abs(coef * u1[..., 1:-1] + const + k * dsf).max())
+    return upd.x_next, u1, rfin, upd.min_spacing, upd.equi_residual
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), n=st.integers(5, 12), rows=st.sampled_from([None, 1, 4]))
+def test_burgers_step_equals_public_composition(data, n, rows):
+    prev = GridState(0.0, _mesh(data.draw, n, rows), _values(data.draw, n, rows, _FLAT_U))
+    k = _per_row(data.draw, st.floats(1e-3, 0.5), rows)
+    nu = _per_row(data.draw, st.floats(0.0, 0.5), rows)
+    alpha = _per_row(data.draw, st.floats(0.0, 2.0), rows)
+    drift = _per_row(data.draw, st.floats(-1.0, 1.0), rows)
+    try:
+        want = _burgers_step_reference(prev, k, nu, alpha, drift)
+    except SymfdError as exc:
+        with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+            burgers_fv_step_detailed(prev, k, nu, alpha, drift=drift)
+        return
+    nxt, info = burgers_fv_step_detailed(prev, k, nu, alpha, drift=drift)
+    x1, u1, rfin, min_spacing, equi_residual = want
+    assert nxt.x.tobytes() == x1.tobytes()
+    assert nxt.u.tobytes() == u1.tobytes()
+    assert (info.residual_inf, info.min_spacing, info.equi_residual) == (
+        rfin, min_spacing, equi_residual)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), n=st.integers(5, 10))
+def test_burgers_step_and_residual_strong_invariance(data, n):
+    # exact repeats stay exact under the group; other differences keep a
+    # margin from the limiter's 1e-14 threshold and the upwind selector
+    # from its sign change, so that both frames take the same branches
+    k = data.draw(st.floats(0.1, 0.5))
+    nu = data.draw(st.floats(0.0, 0.5))
+    alpha = data.draw(st.floats(0.0, 2.0))
+    prev = GridState(0.0, _mesh(data.draw, n, None), _values(data.draw, n, None, [-1.0, 0.0, 1.0]))
+    nxt = GridState(k, _mesh(data.draw, n, None), _values(data.draw, n, None, [-1.0, 0.0, 1.0]))
+    du = np.abs(np.diff(prev.u))
+    assume(((du == 0.0) | (du >= 1e-6)).all())
+    stepped = burgers_fv_step(prev, k, nu, alpha)
+    for x1 in (nxt.x, stepped.x):
+        assume(np.min(np.abs(prev.u[1:-1] - (x1 - prev.x)[1:-1] / k)) >= 1e-3)
+    g = BurgersGroupElement(data.draw(st.floats(-1.0, 1.0)), data.draw(st.floats(-1.0, 1.0)),
+                            data.draw(st.floats(-1.0, 1.0)), data.draw(st.floats(-0.7, 0.7)))
+
+    def image(state):
+        pts = [apply_burgers(g, (state.t, float(a), float(b))) for a, b in zip(state.x, state.u)]
+        return GridState(pts[0][0], np.array([p[1] for p in pts]), np.array([p[2] for p in pts]))
+
+    gp, gn, gs = image(prev), image(nxt), image(stepped)
+    assert rel_err(burgers_fv_residual(prev, nxt, k, nu),
+                   burgers_fv_residual(gp, gn, gn.t - gp.t, nu)) <= 1e-9
+    s = math.exp(g.eps4)
+    gstepped = burgers_fv_step(gp, s**2 * k, nu, alpha, drift=g.eps3 / s)
+    assert rel_err(gs.x, gstepped.x) <= 1e-9
+    assert rel_err(gs.u, gstepped.u) <= 1e-9
 
 
 def test_burgers_step_solves_residual():
