@@ -134,13 +134,6 @@ def apply_sl2_jet2(g: SL2Element, u: float, ux: float, uxx: float):
     return (U, UX, UXX)
 
 
-def apply_sl2_jet3(g: SL2Element, u: float, ux: float, uxx: float, uxxx: float):
-    den = g.c * u + g.d
-    U, UX, UXX = apply_sl2_jet2(g, u, ux, uxx)
-    UXXX = uxxx / den**2 - 6.0 * g.c * ux * uxx / den**3 + 6.0 * g.c**2 * ux**3 / den**4
-    return (U, UX, UXX, UXXX)
-
-
 def apply_sl2_window(g: SL2Element, inp: SL2DiscreteFrameInput) -> SL2DiscreteFrameInput:
     return SL2DiscreteFrameInput(*(apply_sl2(g, u) for u in inp.window), inp.h)
 

@@ -135,14 +135,25 @@ class KdVGroupElement:
         return (self.lam, self.v, self.a, self.b)
 
 
+# The point actions are written once, as an image of (t, x, u) under an
+# element's factors, so that the same arithmetic serves one element on
+# scalars or arrays and a batch of elements on (B, n) arrays: there the
+# factors are stacked into (B, 1) columns (``_batch_factors``).  Powers are
+# Python float powers; numpy's array powers can differ in the last bit.
+
 def apply_kdv(g: KdVGroupElement, node: Node) -> Node:
-    t, x, u = node
+    return _kdv_image(_kdv_factors(g), *node)
+
+
+def _kdv_factors(g: KdVGroupElement) -> tuple[float, ...]:
+    """lam, lam^2, lam^3, v, a, b."""
     lam = g.lam
-    return (
-        lam**3 * t + g.b,
-        lam * x + lam**3 * g.v * t + g.a,
-        u / lam**2 + g.v,
-    )
+    return (lam, lam**2, lam**3, g.v, g.a, g.b)
+
+
+def _kdv_image(f, t, x, u) -> Node:
+    lam, lam2, lam3, v, a, b = f
+    return lam3 * t + b, lam * x + lam3 * v * t + a, u / lam2 + v
 
 
 @dataclass(frozen=True)
@@ -189,13 +200,23 @@ class BurgersGroupElement:
 
 
 def apply_burgers(g: BurgersGroupElement, node: Node) -> Node:
-    t, x, u = node
+    return _burgers_image(_burgers_factors(g), *node)
+
+
+def _burgers_factors(g: BurgersGroupElement) -> tuple[float, ...]:
+    """s, s^2, eps1, eps2, eps3 with s = exp(eps4)."""
     s = math.exp(g.eps4)
-    return (
-        s**2 * (t + g.eps2),
-        s * (x + g.eps1 + g.eps3 * (t + g.eps2)),
-        (u + g.eps3) / s,
-    )
+    return (s, s**2, g.eps1, g.eps2, g.eps3)
+
+
+def _burgers_image(f, t, x, u) -> Node:
+    s, s2, e1, e2, e3 = f
+    return s2 * (t + e2), s * (x + e1 + e3 * (t + e2)), (u + e3) / s
+
+
+def _batch_factors(factors, gs) -> np.ndarray:
+    """The factors of each element of ``gs`` as (B, 1) columns, stacked on axis 0."""
+    return np.array([factors(g) for g in gs]).T[..., None]
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,11 @@ from .groups import (
     BurgersGroupElement,
     KdVGroupElement,
     SL2Element,
+    _batch_factors,
+    _burgers_factors,
+    _burgers_image,
+    _kdv_factors,
+    _kdv_image,
     apply_sl2,
 )
 from .mesh import MonitorParams
@@ -512,17 +517,6 @@ def _stop_message(step: int, exc: SymfdError) -> str:
 # invariance audits
 # ---------------------------------------------------------------------------
 
-AUDIT_SCHEMES = (
-    "schwarzian_invariant",
-    "schwarzian_invariantized",
-    "kdv_6pt",
-    "kdv_10pt",
-    "burgers_fv",
-    "uxx",
-    "kdv_naive",
-)
-
-
 @dataclass
 class AuditReport:
     """Strong (residual-level) and weak (step-level) invariance deviations."""
@@ -635,44 +629,41 @@ def _random_u(rng: DeterministicRng, n: int) -> np.ndarray:
     return np.array([rng.uniform(-2.0, 2.0) for _ in range(n)])
 
 
-# Group actions on a batch: row i transformed by element i.  The per-element
-# factors are (B, 1) columns whose powers are Python scalar pow, as in
-# apply_kdv and apply_burgers (numpy's array powers can differ in the last
-# bit), and the arithmetic is theirs, term for term.
-def _kdv_columns(gs: list[KdVGroupElement]) -> np.ndarray:
-    """Columns lam, lam^2, lam^3, v, a, b of the elements, shape (6, B, 1)."""
-    return np.array([(g.lam, g.lam**2, g.lam**3, g.v, g.a, g.b) for g in gs]).T[..., None]
-
-
-def _kdv_image(cols: np.ndarray, t, x: np.ndarray, u: np.ndarray):
-    lam, lam2, lam3, v, a, b = cols
-    return lam3 * t + b, lam * x + lam3 * v * t + a, u / lam2 + v
-
-
-def _burgers_columns(gs: list[BurgersGroupElement]) -> np.ndarray:
-    """Columns s, s^2, eps1, eps2, eps3 (s = exp(eps4)), shape (5, B, 1)."""
-    rows = []
-    for g in gs:
-        s = math.exp(g.eps4)
-        rows.append((s, s**2, g.eps1, g.eps2, g.eps3))
-    return np.array(rows).T[..., None]
-
-
-def _burgers_image(cols: np.ndarray, t, x: np.ndarray, u: np.ndarray):
-    s, s2, e1, e2, e3 = cols
-    return s2 * (t + e2), s * (x + e1 + e3 * (t + e2)), (u + e3) / s
-
-
 def _stack(states: list[GridState]) -> tuple[np.ndarray, np.ndarray]:
     return np.array([st.x for st in states]), np.array([st.u for st in states])
 
 
 # Each audit draws its configurations (``draw_config``), computes their
-# config-only terms once (``prepare``), draws the element of a trial on
-# config c (``draw_element``, raising _Resample for a draw it rejects from
-# the element and config alone) and evaluates a run of trials, trial i on
-# config c0 + i, as one batch (``deviations``, returning the strong and weak
-# deviations, or raising _Resample when a trial is degenerate).
+# config-only terms once (``prepare``, raising ConfigError when a
+# configuration's own step fails), draws the element of a trial on config c
+# (``draw_element``, raising _Resample for a draw it rejects from the
+# element and config alone; only these redraws count as resampled) and
+# evaluates a row of trials, trial c on config c, as one batch
+# (``deviations``, returning the strong and weak deviations).  In the KdV
+# and Burgers audits a step of the transformed configurations that fails is
+# an infinite weak deviation of every trial in the batch (``_weak_dev``),
+# which fails the audit.
+
+
+def _config_step(step):
+    """The configurations' own step; ConfigError when it fails."""
+    try:
+        return step()
+    except SymfdError as exc:
+        # no element can repair a config whose own step fails
+        raise ConfigError(f"an audit configuration's own step fails: {exc}") from None
+
+
+def _weak_dev(step, ix, iu) -> np.ndarray:
+    """Deviation of the stepped configurations' images (ix, iu) from
+    ``step()``, the step of the transformed configurations; infinite for
+    every trial when that step fails."""
+    try:
+        gstepped = step()
+    except SymfdError:
+        return np.full(len(ix), math.inf)
+    return np.maximum(_rel_dev(ix, gstepped.x), _rel_dev(iu, gstepped.u))
+
 
 class _SchwarzianAudit:
     directions = ("shift_u", "dilate_u", "special_u", "mixed")
@@ -699,7 +690,7 @@ class _SchwarzianAudit:
 
     def prepare(self, configs):
         self.configs = configs
-        self.base = [self.residual(*u, h, f) for u, h, f in configs]
+        self.base = np.array([self.residual(*u, h, f) for u, h, f in configs])[:, None]
         self.w = [self._march(h, f, u) for u, h, f in configs]
 
     def draw_element(self, rng, direction, c):
@@ -716,14 +707,13 @@ class _SchwarzianAudit:
             raise _Resample
         return g, gu
 
-    def deviations(self, trials, c0):
+    def deviations(self, trials):
         img, iw, gw = [], [], []
-        for (g, gu), (_u, h, f), w in zip(trials, self.configs[c0:], self.w[c0:]):
+        for (g, gu), (_u, h, f), w in zip(trials, self.configs, self.w):
             img.append(self.residual(*gu, h, f))
             iw.append(apply_sl2(g, w))
             gw.append(self._march(h, f, gu))
-        b = len(trials)
-        return (_rel_dev(np.array(self.base[c0:c0 + b])[:, None], np.array(img)[:, None]),
+        return (_rel_dev(self.base, np.array(img)[:, None]),
                 _rel_dev(np.array(iw)[:, None], np.array(gw)[:, None]))
 
 
@@ -753,31 +743,22 @@ class _KdVAudit:
         prev = GridState(0.0, self.x0, self.u0)
         self.base = (self.residual(prev, GridState(self.k, self.x1, self.u1), self.k)
                      * schemes.kdv_invariant_normalizer(prev, self.k))
-        try:
-            self.stepped = schemes.kdv_step(prev, self.k, "lagrangian", self.scheme)
-        except (MeshTangling, SchemeSingularity):
-            # no element can repair a config whose own step fails
-            raise ConfigError("audit sampling stuck on degenerate draws") from None
+        self.stepped = _config_step(
+            lambda: schemes.kdv_step(prev, self.k, "lagrangian", self.scheme))
 
     def draw_element(self, rng, direction, c):
         return _draw_kdv(rng, direction)
 
-    def deviations(self, gs, c0):
-        rows = slice(c0, c0 + len(gs))
-        cols = _kdv_columns(gs)
-        k = self.k[rows]
-        gp = GridState(*_kdv_image(cols, 0.0, self.x0[rows], self.u0[rows]))
-        try:
-            gstepped = schemes.kdv_step(gp, cols[2] * k, "lagrangian", self.scheme)
-        except (MeshTangling, SchemeSingularity):
-            raise _Resample from None
-        st = self.stepped
-        _t, ix, iu = _kdv_image(cols, st.t[rows], st.x[rows], st.u[rows])
-        weak = np.maximum(_rel_dev(ix, gstepped.x), _rel_dev(iu, gstepped.u))
-        gn = GridState(*_kdv_image(cols, k, self.x1[rows], self.u1[rows]))
+    def deviations(self, gs):
+        f = _batch_factors(_kdv_factors, gs)
+        k, st = self.k, self.stepped
+        gp = GridState(*_kdv_image(f, 0.0, self.x0, self.u0))
+        gn = GridState(*_kdv_image(f, k, self.x1, self.u1))
         gk = gn.t - gp.t
         img = self.residual(gp, gn, gk) * schemes.kdv_invariant_normalizer(gp, gk)
-        return _rel_dev(self.base[rows], img), weak
+        _t, ix, iu = _kdv_image(f, st.t, st.x, st.u)
+        return _rel_dev(self.base, img), _weak_dev(
+            lambda: schemes.kdv_step(gp, f[2] * k, "lagrangian", self.scheme), ix, iu)
 
 
 class _BurgersAudit:
@@ -808,24 +789,22 @@ class _BurgersAudit:
         prev = GridState(0.0, self.x0, self.u0)
         self.base = schemes.burgers_fv_residual(
             prev, GridState(self.k, self.x1, self.u1), self.k, self.nu)
-        self.stepped = schemes.burgers_fv_step(prev, self.k, self.nu, self.alpha)
+        self.stepped = _config_step(
+            lambda: schemes.burgers_fv_step(prev, self.k, self.nu, self.alpha))
 
     def draw_element(self, rng, direction, c):
         return _draw_burgers(rng, direction)
 
-    def deviations(self, gs, c0):
-        rows = slice(c0, c0 + len(gs))
-        cols = _burgers_columns(gs)
-        s, s2, _e1, _e2, e3 = cols
-        k, nu = self.k[rows], self.nu[rows]
-        gp = GridState(*_burgers_image(cols, 0.0, self.x0[rows], self.u0[rows]))
-        gn = GridState(*_burgers_image(cols, k, self.x1[rows], self.u1[rows]))
+    def deviations(self, gs):
+        f = _batch_factors(_burgers_factors, gs)
+        s, s2, _e1, _e2, e3 = f
+        k, nu, st = self.k, self.nu, self.stepped
+        gp = GridState(*_burgers_image(f, 0.0, self.x0, self.u0))
+        gn = GridState(*_burgers_image(f, k, self.x1, self.u1))
         img = schemes.burgers_fv_residual(gp, gn, gn.t - gp.t, nu)
-        gstepped = schemes.burgers_fv_step(gp, s2 * k, nu, self.alpha[rows], drift=e3 / s)
-        st = self.stepped
-        _t, ix, iu = _burgers_image(cols, st.t[rows], st.x[rows], st.u[rows])
-        return (_rel_dev(self.base[rows], img),
-                np.maximum(_rel_dev(ix, gstepped.x), _rel_dev(iu, gstepped.u)))
+        _t, ix, iu = _burgers_image(f, st.t, st.x, st.u)
+        return _rel_dev(self.base, img), _weak_dev(
+            lambda: schemes.burgers_fv_step(gp, s2 * k, nu, self.alpha, drift=e3 / s), ix, iu)
 
 
 class _UxxAudit:
@@ -852,9 +831,9 @@ class _UxxAudit:
         lam, alpha, a, b, beta = g
         return lam * x + a, alpha * u + beta * x + b
 
-    def deviations(self, gs, c0):
+    def deviations(self, gs):
         strong, img, gstepped = [], [], []
-        for g, (x, u, f), stepped in zip(gs, self.configs[c0:], self.stepped[c0:]):
+        for g, (x, u, f), stepped in zip(gs, self.configs, self.stepped):
             gx, gu = self._apply(g, x, u)
             w = schemes.uxx_w_residual(gx[0], gx[1], gx[2], gu[0], gu[1], gu[2])
             scale = max(
@@ -877,54 +856,27 @@ class _Resample(Exception):
 _RESAMPLE_LIMIT = 500
 
 
-def _count_resample(guard: int) -> int:
-    """One more resample of a trial; ConfigError past the per-trial limit."""
-    if guard >= _RESAMPLE_LIMIT:
-        raise ConfigError("audit sampling stuck on degenerate draws")
-    return guard + 1
-
-
 def _audit_row(audit, rng: DeterministicRng, direction: str,
                strong: np.ndarray, weak: np.ndarray) -> int:
     """Fill one element row (trial c on config c) and return its resample count.
 
-    Elements are drawn trial by trial, a rejected draw replaced at once,
-    and the row is then evaluated as one batch.  If the batch holds a
-    degenerate trial, the trials are evaluated one at a time up to the
-    first degenerate one, the generator is set back to just after that
-    trial's draw, and the row goes on from there with a fresh draw: the
-    order in which a trial-by-trial loop consumes the generator.
+    Elements are drawn trial by trial, a rejected draw replaced at once
+    (ConfigError when ``_RESAMPLE_LIMIT`` redraws of one trial are all rejected),
+    and the row is then evaluated as one batch.
     """
-    resampled = c0 = guard = 0
-    n = strong.size
-    while True:
-        trials, states, guards = [], [], []
-        for c in range(c0, n):
-            while True:
-                try:
-                    trials.append(audit.draw_element(rng, direction, c))
-                    break
-                except _Resample:
-                    resampled += 1
-                    guard = _count_resample(guard)
-            states.append(rng._state)
-            guards.append(guard)
-            guard = 0
-        try:
-            strong[c0:], weak[c0:] = audit.deviations(trials, c0)
-            return resampled
-        except _Resample:
-            pass
-        for i, trial in enumerate(trials):
-            one = slice(c0 + i, c0 + i + 1)
+    resampled = 0
+    trials = []
+    for c in range(strong.size):
+        for _ in range(_RESAMPLE_LIMIT + 1):
             try:
-                strong[one], weak[one] = audit.deviations([trial], c0 + i)
-            except _Resample:
+                trials.append(audit.draw_element(rng, direction, c))
                 break
-        rng._state = states[i]
-        resampled += 1
-        guard = _count_resample(guards[i])
-        c0 += i
+            except _Resample:
+                resampled += 1
+        else:
+            raise ConfigError("audit sampling stuck on degenerate draws")
+    strong[:], weak[:] = audit.deviations(trials)
+    return resampled
 
 
 def invariance_audit(scheme: str, n_elements: int = 100, n_configs: int = 20,
@@ -937,43 +889,42 @@ def invariance_audit(scheme: str, n_elements: int = 100, n_configs: int = 20,
     index pairs one element with every configuration; that row of
     ``n_configs`` trials is evaluated as one batch, and the terms that
     depend on a configuration alone once per audit.  A non-finite
-    deviation fails the audit.  The naive KdV scheme is audited against the
-    Galilean boost only and is expected to fail with the analytic defect
-    v (u_{i+1} - u_{i-1}) / (2h); its report checks that formula to 1e-10
-    and passes when the defect is present.
+    deviation fails the audit; a failing KdV or Burgers step of the
+    transformed configurations is an infinite weak deviation.  The naive
+    KdV scheme is audited against the Galilean boost only and is expected
+    to fail with the analytic defect v (u_{i+1} - u_{i-1}) / (2h); its
+    report checks that formula to 1e-10 and passes when the defect is
+    present.
     """
     if n_elements < 1 or n_configs < 1:
         raise ConfigError("an audit needs at least one element and one configuration")
-    if scheme == "kdv_naive":
-        return _naive_galilean_audit(n_elements, n_configs, seed, tol)
-    audits = {
-        "schwarzian_invariant": lambda: _SchwarzianAudit(False),
-        "schwarzian_invariantized": lambda: _SchwarzianAudit(True),
-        "kdv_6pt": lambda: _KdVAudit("6pt"),
-        "kdv_10pt": lambda: _KdVAudit("10pt"),
-        "burgers_fv": lambda: _BurgersAudit(),
-        "uxx": lambda: _UxxAudit(),
-    }
-    if scheme not in audits:
+    if scheme not in _AUDITS:
         raise ConfigError(f"unknown audit scheme {scheme!r}; "
                           f"known: {', '.join(AUDIT_SCHEMES)}")
-    audit = audits[scheme]()
-    rng = DeterministicRng(seed)
-    audit.prepare([audit.draw_config(rng) for _ in range(n_configs)])
-    strong = np.empty((n_elements, n_configs))
-    weak = np.empty((n_elements, n_configs))
-    n_dir = len(audit.directions)
-    resampled = sum(_audit_row(audit, rng, audit.directions[e % n_dir], strong[e], weak[e])
-                    for e in range(n_elements))
-    dev = np.maximum(strong, weak)
-    per_direction = {d: float(dev[i::n_dir].max(initial=0.0))
-                     for i, d in enumerate(audit.directions)}
-    strong_max, weak_max = float(strong.max()), float(weak.max())
-    return AuditReport(scheme, tol, n_elements, n_configs, strong_max, weak_max,
-                       per_direction, resampled, strong_max <= tol and weak_max <= tol)
+    return _AUDITS[scheme](scheme, n_elements, n_configs, seed, tol)
 
 
-def _naive_galilean_audit(n_elements, n_configs, seed, tol) -> AuditReport:
+def _sampled(make):
+    """The audit of ``make()``: configurations first, then one batch per element row."""
+    def run(scheme, n_elements, n_configs, seed, tol) -> AuditReport:
+        audit = make()
+        rng = DeterministicRng(seed)
+        audit.prepare([audit.draw_config(rng) for _ in range(n_configs)])
+        strong = np.empty((n_elements, n_configs))
+        weak = np.empty((n_elements, n_configs))
+        n_dir = len(audit.directions)
+        resampled = sum(_audit_row(audit, rng, audit.directions[e % n_dir], strong[e], weak[e])
+                        for e in range(n_elements))
+        dev = np.maximum(strong, weak)
+        per_direction = {d: float(dev[i::n_dir].max(initial=0.0))
+                         for i, d in enumerate(audit.directions)}
+        strong_max, weak_max = float(strong.max()), float(weak.max())
+        return AuditReport(scheme, tol, n_elements, n_configs, strong_max, weak_max,
+                           per_direction, resampled, strong_max <= tol and weak_max <= tol)
+    return run
+
+
+def _naive_galilean_audit(scheme, n_elements, n_configs, seed, tol) -> AuditReport:
     """Each config's ``n_elements`` boosts, drawn after the config, as one batch."""
     rng = DeterministicRng(seed)
     worst_dev = 0.0
@@ -993,10 +944,22 @@ def _naive_galilean_audit(n_elements, n_configs, seed, tol) -> AuditReport:
         worst_formula = np.maximum(worst_formula, np.abs((img - base) - predicted).max())
     worst_dev, worst_formula = float(worst_dev), float(worst_formula)
     return AuditReport(
-        "kdv_naive", tol, n_elements, n_configs, worst_dev, 0.0,
+        scheme, tol, n_elements, n_configs, worst_dev, 0.0,
         {"boost": worst_dev}, 0, worst_dev > tol and worst_formula <= 1e-10,
         expected_to_fail=True, formula_match_error=worst_formula,
     )
+
+
+_AUDITS = {
+    "schwarzian_invariant": _sampled(lambda: _SchwarzianAudit(False)),
+    "schwarzian_invariantized": _sampled(lambda: _SchwarzianAudit(True)),
+    "kdv_6pt": _sampled(lambda: _KdVAudit("6pt")),
+    "kdv_10pt": _sampled(lambda: _KdVAudit("10pt")),
+    "burgers_fv": _sampled(_BurgersAudit),
+    "uxx": _sampled(_UxxAudit),
+    "kdv_naive": _naive_galilean_audit,
+}
+AUDIT_SCHEMES = tuple(_AUDITS)
 
 
 # ---------------------------------------------------------------------------

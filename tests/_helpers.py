@@ -1,14 +1,16 @@
-"""Shared random constructors for the test suite.
+"""Shared random constructors and hypothesis strategies for the test suite.
 
-All draws go through the package's deterministic generator so every test is
-reproducible bit for bit.  Sampling policy: u values uniform on [-2, 2],
-mesh spacings uniform on [0.1, 2], scale parameters log-uniform within a
-factor ~2 of unity.
+The constructors draw through the package's deterministic generator so
+every test that uses them is reproducible bit for bit.  Sampling policy:
+u values uniform on [-2, 2], mesh spacings uniform on [0.1, 2], scale
+parameters log-uniform within a factor ~2 of unity.  The element
+strategies follow the same policy.
 """
 
 import math
 
 import numpy as np
+from hypothesis import strategies as st
 
 from symfd.groups import (
     BurgersGroupElement,
@@ -18,6 +20,11 @@ from symfd.groups import (
 )
 from symfd.invariants import BurgersStencil, KdVStencil
 from symfd.rng import DeterministicRng
+
+
+_unit = st.floats(-1.0, 1.0)
+kdv_elements = st.builds(KdVGroupElement, st.floats(-0.7, 0.7).map(math.exp), _unit, _unit, _unit)
+burgers_elements = st.builds(BurgersGroupElement, _unit, _unit, _unit, st.floats(-0.7, 0.7))
 
 
 def rand_sl2(rng: DeterministicRng) -> SL2Element:

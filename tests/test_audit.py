@@ -1,9 +1,12 @@
 """Invariance audits: the row-batched audit against a per-trial reference.
 
 ``oracle_audit`` is the trial-by-trial loop the batched audit replaced: for
-each element index and each configuration it draws an element, evaluates the
-strong and weak comparisons on single states, and redraws at once when a
-trial is rejected.  The batched audit must reproduce its report exactly.
+each element index and each configuration it draws an element, redraws at
+once when ``draw_element`` would reject it, and evaluates the strong and
+weak comparisons on single states.  The batched audit must reproduce its
+report exactly.  A step of a transformed configuration that fails is an
+infinite weak deviation, never a redraw: ``resampled`` counts only the
+rejected element draws.
 """
 
 import math
@@ -16,7 +19,7 @@ from hypothesis import strategies as st
 
 from symfd import runner, schemes
 from symfd.cli import main as cli_main
-from symfd.errors import ConfigError, MeshTangling, SchemeSingularity
+from symfd.errors import ConfigError, MeshTangling, SchemeSingularity, SymfdError
 from symfd.groups import SL2Element, apply_burgers, apply_kdv, apply_sl2
 from symfd.rng import DeterministicRng
 from symfd.runner import AUDIT_SCHEMES, AuditReport, invariance_audit
@@ -81,11 +84,11 @@ def _kdv_trial(scheme):
         gk = gn.t - gp.t
         img = residual(gp, gn, gk) * schemes.kdv_invariant_normalizer(gp, gk)
         strong = _rel(base, img)
+        stepped = schemes.kdv_step(prev, k, "lagrangian", scheme)
         try:
-            stepped = schemes.kdv_step(prev, k, "lagrangian", scheme)
             gstepped = schemes.kdv_step(gp, g.lam**3 * k, "lagrangian", scheme)
-        except (MeshTangling, SchemeSingularity):
-            raise _Reject from None
+        except SymfdError:
+            return strong, math.inf
         img = _kdv_state(g, stepped)
         return strong, max(_rel(img.x, gstepped.x), _rel(img.u, gstepped.u))
 
@@ -99,7 +102,10 @@ def _burgers_trial(g, config):
                   schemes.burgers_fv_residual(gp, gn, gn.t - gp.t, nu))
     s = math.exp(g.eps4)
     stepped = schemes.burgers_fv_step(prev, k, nu, alpha)
-    gstepped = schemes.burgers_fv_step(gp, s**2 * k, nu, alpha, drift=g.eps3 / s)
+    try:
+        gstepped = schemes.burgers_fv_step(gp, s**2 * k, nu, alpha, drift=g.eps3 / s)
+    except SymfdError:
+        return strong, math.inf
     img = _burgers_state(g, stepped)
     return strong, max(_rel(img.x, gstepped.x), _rel(img.u, gstepped.u))
 
@@ -203,33 +209,40 @@ def test_batched_audit_equals_per_trial_reference(scheme, seed, n_elements, n_co
     assert _fields(rep) == _fields(oracle_audit(scheme, n_elements, n_configs, seed))
 
 
-@pytest.mark.parametrize("scheme", ["kdv_6pt", "kdv_10pt"])
+_STEPS = {"kdv_6pt": "kdv_step", "kdv_10pt": "kdv_step", "burgers_fv": "burgers_fv_step"}
+
+
+@pytest.mark.parametrize("scheme", list(_STEPS))
 @pytest.mark.parametrize("exc", [MeshTangling, SchemeSingularity])
-@pytest.mark.parametrize("pick", [0, 1, -1])
-def test_degenerate_step_resamples_like_reference(monkeypatch, scheme, exc, pick):
-    real = schemes.kdv_step
-    seen = []
-
-    def spy(prev, k, *args, **kwargs):
-        seen.extend(np.ravel(k).tolist())
-        return real(prev, k, *args, **kwargs)
-
-    monkeypatch.setattr(schemes, "kdv_step", spy)
-    oracle_audit(scheme, 8, 4, seed=3)
-    # a time step seen once belongs to one scaled trial's image step
-    counts = Counter(seen)
-    target = [k for k in seen if counts[k] == 1][pick]
+@pytest.mark.parametrize("row", [0, 1, -1])
+def test_failing_image_step_fails_the_audit(monkeypatch, scheme, exc, row):
+    n_elements, n_configs = 8, 4
+    ref = invariance_audit(scheme, n_elements, n_configs, seed=3)
+    real = getattr(schemes, _STEPS[scheme])
+    forced = row % n_elements
+    batches = []
 
     def failing(prev, k, *args, **kwargs):
-        if np.any(np.asarray(k) == target):
+        batches.append(np.shape(prev.x))
+        # call 0 steps the configurations, call 1 + e the images of row e
+        if len(batches) == 2 + forced:
             raise exc("forced")
         return real(prev, k, *args, **kwargs)
 
-    monkeypatch.setattr(schemes, "kdv_step", failing)
-    rep = invariance_audit(scheme, 8, 4, seed=3)
-    ref = oracle_audit(scheme, 8, 4, seed=3)
-    assert ref.resampled == 1
-    assert _fields(rep) == _fields(ref)
+    monkeypatch.setattr(schemes, _STEPS[scheme], failing)
+    rep = invariance_audit(scheme, n_elements, n_configs, seed=3)
+    directions = list(ref.per_direction)
+    hit = directions[forced % len(directions)]
+    assert len(batches) == 1 + n_elements
+    assert len(set(batches)) == 1 and batches[0][0] == n_configs
+    assert rep.per_direction[hit] == math.inf
+    assert rep.weak_max == math.inf
+    others = {d: repr(v) for d, v in rep.per_direction.items() if d != hit}
+    assert others == {d: repr(v) for d, v in ref.per_direction.items() if d != hit}
+    assert repr(rep.strong_max) == repr(ref.strong_max)
+    assert rep.resampled == ref.resampled
+    assert not rep.passed
+    assert rep.lines()[-1] == "  verdict: FAIL"
 
 
 def test_audit_rows_reuse_the_per_config_terms(monkeypatch):
@@ -280,7 +293,7 @@ def test_audit_gives_up_on_a_trial_that_never_draws_admissibly(monkeypatch):
         invariance_audit("schwarzian_invariant", 2, 3, seed=5)
 
 
-def test_audit_gives_up_on_a_trial_whose_step_always_degenerates(monkeypatch):
+def test_audit_fails_when_every_image_step_degenerates(monkeypatch):
     real = schemes.kdv_step
     calls = []
 
@@ -291,9 +304,27 @@ def test_audit_gives_up_on_a_trial_whose_step_always_degenerates(monkeypatch):
         return real(prev, k, *args, **kwargs)
 
     monkeypatch.setattr(schemes, "kdv_step", first_call_only)
-    with pytest.raises(ConfigError, match="stuck"):
-        invariance_audit("kdv_10pt", 2, 3, seed=5)
-    assert len(calls) == 1 + 2 * 501  # per failure: the row batch, then the failing trial alone
+    rep = invariance_audit("kdv_10pt", 2, 3, seed=5)
+    assert len(calls) == 1 + 2  # the configs, then one batch per element row
+    assert rep.weak_max == math.inf
+    assert [rep.per_direction[d] for d in ("shift_x", "shift_t")] == [math.inf] * 2
+    assert rep.resampled == 0
+    assert rep.lines()[-1] == "  verdict: FAIL"
+
+
+@pytest.mark.parametrize("scheme", ["kdv_6pt", "burgers_fv"])
+@pytest.mark.parametrize("exc", [MeshTangling, SchemeSingularity])
+def test_failing_config_step_is_a_config_error(monkeypatch, capsys, scheme, exc):
+    def failing(*args, **kwargs):
+        raise exc("forced")
+
+    monkeypatch.setattr(schemes, _STEPS[scheme], failing)
+    with pytest.raises(ConfigError, match="own step fails: forced"):
+        invariance_audit(scheme, 3, 2, seed=5)
+    assert cli_main(["audit", "--scheme", scheme, "--trials", "3", "--configs", "2"]) == 2
+    out = capsys.readouterr()
+    assert "config error" in out.err
+    assert "verdict" not in out.out
 
 
 @pytest.mark.parametrize("n_elements, n_configs", [(10, 4), (3, 20), (7, 3)])

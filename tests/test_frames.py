@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from symfd.errors import DegenerateJet, FrameSingularity
 from symfd.frames import (
@@ -15,7 +17,6 @@ from symfd.frames import (
     apply_kdv_jet,
     apply_kdv_stencil,
     apply_sl2_jet2,
-    apply_sl2_jet3,
     apply_sl2_window,
     burgers_discrete_frame,
     burgers_normalization_residuals,
@@ -34,9 +35,10 @@ from symfd.invariants import burgers_d2u, cross_ratio, kdv_invariants
 from symfd.rng import DeterministicRng
 
 from _helpers import (
+    burgers_elements,
+    kdv_elements,
     rand_burgers_element,
     rand_burgers_stencil,
-    rand_kdv_element,
     rand_kdv_stencil,
     rand_sl2_safe,
     rand_window,
@@ -118,21 +120,6 @@ def test_sl2_differential_frame_equivariance():
         rhs = sl2_differential_frame(u, ux, uxx).compose(g.inverse())
         assert sl2_projectively_equal(lhs, rhs, 1e-9)
         count += 1
-
-
-def test_sl2_schwarzian_from_invariantized_third_derivative():
-    # eps * iota(u_xxx) equals the Schwarzian combination of the jet
-    rng = DeterministicRng(52)
-    for _ in range(100):
-        u = rng.uniform(-2, 2)
-        ux = rng.choice_sign() * rng.uniform(0.1, 3.0)
-        uxx = rng.uniform(-2, 2)
-        uxxx = rng.uniform(-2, 2)
-        g = sl2_differential_frame(u, ux, uxx)
-        img = apply_sl2_jet3(g, u, ux, uxx, uxxx)
-        eps = 1.0 if ux >= 0 else -1.0
-        schwarzian = (ux * uxxx - 1.5 * uxx**2) / ux**2
-        assert eps * img[3] == pytest.approx(schwarzian, rel=1e-9, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -287,14 +274,15 @@ def test_kdv_frame_normalization_500():
     assert worst <= 1e-10
 
 
-def test_kdv_frame_equivariance_100():
-    rng = DeterministicRng(60)
-    for _ in range(100):
-        inp = _rand_kdv_input(rng)
-        g = rand_kdv_element(rng)
-        lhs = np.array(kdv_discrete_frame(apply_kdv_jet(g, inp)).params())
-        rhs = np.array(kdv_discrete_frame(inp).compose(g.inverse()).params())
-        assert np.max(np.abs(lhs - rhs) / (1.0 + np.abs(rhs))) <= 1e-9
+@settings(max_examples=100, deadline=None)
+@given(inp=st.builds(KdVFrameInput, st.floats(-1.0, 1.0), st.floats(-2.0, 2.0),
+                     st.floats(-2.0, 2.0), st.floats(0.05, 3.0)),
+       g=kdv_elements)
+def test_kdv_frame_equivariance_100(inp, g):
+    # rho(g . z) = rho(z) g^-1
+    lhs = np.array(kdv_discrete_frame(apply_kdv_jet(g, inp)).params())
+    rhs = np.array(kdv_discrete_frame(inp).compose(g.inverse()).params())
+    assert np.max(np.abs(lhs - rhs) / (1.0 + np.abs(rhs))) <= 1e-9
 
 
 def test_invariantize_kdv_invariant_is_identity():
@@ -356,19 +344,20 @@ def test_burgers_frame_normalization_500():
     assert worst <= 1e-10
 
 
-def test_burgers_frame_equivariance_100():
-    rng = DeterministicRng(64)
-    count = 0
-    while count < 100:
-        inp = _rand_burgers_input(rng)
-        g = rand_burgers_element(rng)
-        gi = apply_burgers_jet(g, inp)
-        if gi.cube_argument < 1e-6:
-            continue
-        lhs = np.array(burgers_discrete_frame(gi).params())
-        rhs = np.array(burgers_discrete_frame(inp).compose(g.inverse()).params())
-        assert np.max(np.abs(lhs - rhs) / (1.0 + np.abs(rhs))) <= 1e-9
-        count += 1
+_burgers_inputs = st.builds(
+    BurgersFrameInput, st.floats(-1.0, 1.0), *[st.floats(-2.0, 2.0)] * 5, st.floats(0.1, 2.0),
+).filter(lambda inp: inp.cube_argument > 0.05)
+
+
+@settings(max_examples=100, deadline=None)
+@given(inp=_burgers_inputs, g=burgers_elements)
+def test_burgers_frame_equivariance_100(inp, g):
+    # rho(g . z) = rho(z) g^-1
+    gi = apply_burgers_jet(g, inp)
+    assume(gi.cube_argument >= 1e-6)
+    lhs = np.array(burgers_discrete_frame(gi).params())
+    rhs = np.array(burgers_discrete_frame(inp).compose(g.inverse()).params())
+    assert np.max(np.abs(lhs - rhs) / (1.0 + np.abs(rhs))) <= 1e-9
 
 
 def test_burgers_invariantized_second_difference():

@@ -33,6 +33,8 @@ from symfd.invariants import cross_ratio
 from symfd.rng import DeterministicRng
 
 from _helpers import (
+    burgers_elements,
+    kdv_elements,
     rand_admissible_window,
     rand_burgers_element,
     rand_kdv_element,
@@ -402,10 +404,7 @@ def test_moved_stencil_rejects_nodes_that_meet():
     assert str(moved.value) == "nodes (0, -1) and (0, 0) share independent variables (0.0, 1.0)"
 
 
-_lam = st.floats(-0.7, 0.7).map(math.exp)
 _unit = st.floats(-1.0, 1.0)
-_kdv_elements = st.builds(KdVGroupElement, _lam, _unit, _unit, _unit)
-_burgers_elements = st.builds(BurgersGroupElement, _unit, _unit, _unit, st.floats(-0.7, 0.7))
 _sl2_elements = st.builds(
     lambda a, b, c: SL2Element(a, b, c, (1.0 + b * c) / a),
     st.one_of(st.floats(-1.5, -0.3), st.floats(0.3, 1.5)), _unit, _unit)
@@ -417,7 +416,7 @@ def _close(p, q, tol=1e-12):
 
 
 @settings(max_examples=80, deadline=None)
-@given(g=_kdv_elements, h=_kdv_elements, k=_kdv_elements, z=_points)
+@given(g=kdv_elements, h=kdv_elements, k=kdv_elements, z=_points)
 def test_kdv_group_laws_property(g, h, k, z):
     assert _close(apply_kdv(g, apply_kdv(h, z)), apply_kdv(g.compose(h), z))
     assert _close(apply_kdv(g.inverse(), apply_kdv(g, z)), z)
@@ -426,7 +425,7 @@ def test_kdv_group_laws_property(g, h, k, z):
 
 
 @settings(max_examples=80, deadline=None)
-@given(g=_burgers_elements, h=_burgers_elements, k=_burgers_elements, z=_points)
+@given(g=burgers_elements, h=burgers_elements, k=burgers_elements, z=_points)
 def test_burgers_group_laws_property(g, h, k, z):
     assert _close(apply_burgers(g, apply_burgers(h, z)), apply_burgers(g.compose(h), z))
     assert _close(apply_burgers(g.inverse(), apply_burgers(g, z)), z)

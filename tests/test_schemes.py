@@ -43,9 +43,9 @@ from symfd.schemes import (
 )
 
 from _helpers import (
+    kdv_elements,
     rand_admissible_window,
     rand_burgers_element,
-    rand_kdv_element,
     rand_mesh_row,
     rand_sl2_safe,
     rel_err,
@@ -263,27 +263,21 @@ def test_kdv_residual_first_order_on_soliton(residual):
 
 
 @pytest.mark.parametrize("residual", [kdv_residual_6pt, kdv_residual_10pt])
-def test_kdv_residual_group_invariance(residual):
-    rng = DeterministicRng(85)
-    for _ in range(100):
-        n = 9
-        k = rng.uniform(0.1, 0.5)
-        prev = GridState(0.0, rand_mesh_row(rng, n),
-                         np.array([rng.uniform(-2, 2) for _ in range(n)]))
-        nxt = GridState(k, rand_mesh_row(rng, n),
-                        np.array([rng.uniform(-2, 2) for _ in range(n)]))
-        base = residual(prev, nxt, k) * kdv_invariant_normalizer(prev, k)
-        g = rand_kdv_element(rng)
-
-        def tr(st):
-            pts = [apply_kdv(g, (st.t, float(a), float(b)))
-                   for a, b in zip(st.x, st.u)]
-            return GridState(pts[0][0], np.array([p[1] for p in pts]),
-                             np.array([p[2] for p in pts]))
-
-        gp, gn = tr(prev), tr(nxt)
-        img = residual(gp, gn, gn.t - gp.t) * kdv_invariant_normalizer(gp, gn.t - gp.t)
-        assert rel_err(base, img) <= 1e-9
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), rows=st.sampled_from([None, 1, 3]), g=kdv_elements)
+def test_kdv_residual_group_invariance(residual, data, rows, g):
+    # the normalized residual of a state pair, or of a (rows, 9) batch of
+    # pairs, equals that of its image under g
+    n = 9
+    k = _per_row(data.draw, st.floats(0.1, 0.5), rows)
+    prev = GridState(0.0, _mesh(data.draw, n, rows), _values(data.draw, n, rows, [-1.0, 0.0, 1.0]))
+    nxt = GridState(k, _mesh(data.draw, n, rows), _values(data.draw, n, rows, [-1.0, 0.0, 1.0]))
+    base = residual(prev, nxt, k) * kdv_invariant_normalizer(prev, k)
+    gp, gn = (GridState(*apply_kdv(g, (s.t, s.x, s.u))) for s in (prev, nxt))
+    gk = gn.t - gp.t
+    img = residual(gp, gn, gk) * kdv_invariant_normalizer(gp, gk)
+    assert img.shape == base.shape
+    assert rel_err(base, img) <= 1e-9
 
 
 def test_kdv_step_constant_state_fixed_point():
