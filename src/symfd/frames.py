@@ -301,25 +301,6 @@ def invariantize_burgers(F: Callable[[BurgersStencil], float], z: BurgersStencil
     return F(apply_burgers_stencil(g, z))
 
 
-def invariantize(frame_family: str, F, z) -> float:
-    """Dispatch iota(F)(z) = F(rho(z) . z) by frame family name.
-
-    ``frame_family`` is one of ``'sl2'`` (four-point windows), ``'kdv'``
-    (two-row five-column stencils) or ``'burgers'`` (two-row three-column
-    stencils).
-    """
-    table = {
-        "sl2": invariantize_sl2_discrete,
-        "kdv": invariantize_kdv,
-        "burgers": invariantize_burgers,
-    }
-    try:
-        fn = table[frame_family]
-    except KeyError:
-        raise ValueError(f"unknown frame family {frame_family!r}") from None
-    return fn(F, z)
-
-
 def sl2_projectively_equal(g1: SL2Element, g2: SL2Element,
                            tol: float = 1e-9) -> bool:
     """Equality in the Mobius group, i.e. up to the overall sign of the matrix.

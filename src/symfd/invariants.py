@@ -6,6 +6,10 @@ five-column stencil; the Burgers family admits 9 invariants on a two-row,
 three-column stencil.  Every catalog is exposed both as a named record and
 as a flat ordered vector so that schemes and rank tests share one code path.
 
+``KdVStencil`` and ``BurgersStencil`` are one two-row type that differs only
+in the offsets it names: checks, differences and the conversions to and from
+:class:`~symfd.groups.Stencil` are written once.
+
 Notation for the stencils (shared with the schemes module)::
 
     k       = t^{n+1} - t^n           time step (rows are flat in t)
@@ -68,40 +72,17 @@ def sl2_invariant_chain(u_im1: float, u_i: float, u_ip1: float, u_ip2: float):
 
 
 # ---------------------------------------------------------------------------
-# two-row stencils <-> generic stencils
-# ---------------------------------------------------------------------------
-
-# offsets (l, j) in row-major order of the 2 x m arrays, which is also the
-# sorted order of Stencil.from_dict
-_KDV_OFFSETS = tuple((l, j) for l in range(2) for j in range(-2, 3))
-_BURGERS_OFFSETS = tuple((l, j) for l in range(2) for j in range(-1, 2))
-
-
-def _to_stencil(offsets, t0: float, k: float, x: np.ndarray, u: np.ndarray) -> Stencil:
-    """Generic stencil of two flat rows at t0 and t0 + k."""
-    points = np.empty(x.shape + (3,))
-    points[0, :, 0] = t0
-    points[1, :, 0] = t0 + k
-    points[:, :, 1] = x
-    points[:, :, 2] = u
-    return Stencil(offsets, points.reshape(-1, 3))
-
-
-def _rows(z: Stencil, offsets) -> np.ndarray:
-    """z's points in the order of ``offsets``: a read-only view when z
-    already has that order, a gathered copy otherwise."""
-    return z.points if z.offsets == offsets else z.take(offsets)
-
-
-# ---------------------------------------------------------------------------
-# KdV stencil and invariants
+# two-row stencils
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class KdVStencil:
-    """Two flat time rows, five columns j = i-2 .. i+2.
+class _TwoRowStencil:
+    """Two flat time rows of a stencil: row 0 at time t0, row 1 at t0 + k.
 
-    ``x`` and ``u`` are 2x5 arrays (row 0 at time t0, row 1 at t0 + k).
+    ``x`` and ``u`` are (2, width) arrays over the columns that the subclass's
+    ``_offsets`` name, in row-major order, which is also the sorted order of
+    Stencil.from_dict.  The width, the centre column (j = 0) and the array
+    shape follow from those offsets when the subclass is defined.
     """
 
     k: float
@@ -109,11 +90,18 @@ class KdVStencil:
     u: np.ndarray
     t0: float = 0.0
 
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        columns = [j for l, j in cls._offsets if l == 0]
+        cls._width = len(columns)
+        cls._centre = columns.index(0)
+        cls._shape = (2, cls._width)
+
     def __post_init__(self):
         x = np.asarray(self.x, dtype=float)
         u = np.asarray(self.u, dtype=float)
-        if x.shape != (2, 5) or u.shape != (2, 5):
-            raise ValueError("KdV stencil needs 2x5 x and u arrays")
+        if x.shape != self._shape or u.shape != self._shape:
+            raise ValueError(f"{type(self).__name__} needs 2x{self._width} x and u arrays")
         if not self.k > 0.0:
             raise ValueError("time step must be positive")
         if (x[:, 1:] <= x[:, :-1]).any():
@@ -123,29 +111,50 @@ class KdVStencil:
 
     @property
     def h(self) -> np.ndarray:
-        """Spacings h[l, m] = x[l, m+1] - x[l, m]; column m holds h_{i+m-2}."""
+        """Spacings h[l, m] = x[l, m+1] - x[l, m]."""
         return np.diff(self.x, axis=1)
 
     @property
     def sigma(self) -> float:
-        return float(self.x[1, 2] - self.x[0, 2])
+        """Displacement of the centre column from row 0 to row 1."""
+        return float(self.x[1, self._centre] - self.x[0, self._centre])
 
     @property
     def du(self) -> np.ndarray:
-        """First differences Du[l, m] = Du_{i+m-2}."""
+        """First differences Du[l, m] = (u[l, m+1] - u[l, m]) / h[l, m]."""
         return np.diff(self.u, axis=1) / self.h
 
     def to_stencil(self) -> Stencil:
-        return _to_stencil(_KDV_OFFSETS, self.t0, self.k, self.x, self.u)
+        """Generic stencil of the two rows at t0 and t0 + k."""
+        points = np.empty(self._shape + (3,))
+        points[0, :, 0] = self.t0
+        points[1, :, 0] = self.t0 + self.k
+        points[:, :, 1] = self.x
+        points[:, :, 2] = self.u
+        return Stencil(self._offsets, points.reshape(-1, 3))
 
-    @staticmethod
-    def from_stencil(z: Stencil) -> "KdVStencil":
-        p = _rows(z, _KDV_OFFSETS).reshape(2, 5, 3)
-        t0, t1 = p[:, 2, 0].tolist()
+    @classmethod
+    def from_stencil(cls, z: Stencil):
+        """The two rows of z, which must hold every offset of this class
+        (KeyError otherwise) with its row 1 after its row 0 in time."""
+        # a read-only view when z already has the canonical order
+        rows = z.points if z.offsets == cls._offsets else z.take(cls._offsets)
+        p = rows.reshape(2, cls._width, 3)
+        t0, t1 = p[:, cls._centre, 0].tolist()
         k = t1 - t0
         if not k > 0.0:
             raise ValueError("rows must be ordered in time")
-        return KdVStencil(k, p[:, :, 1], p[:, :, 2], t0)
+        return cls(k, p[:, :, 1], p[:, :, 2], t0)
+
+
+# ---------------------------------------------------------------------------
+# KdV stencil and invariants
+# ---------------------------------------------------------------------------
+
+class KdVStencil(_TwoRowStencil):
+    """Two flat time rows, five columns j = i-2 .. i+2 (2x5 arrays)."""
+
+    _offsets = tuple((l, j) for l in range(2) for j in range(-2, 3))
 
 
 KDV_INVARIANT_NAMES = (
@@ -213,47 +222,10 @@ def kdv_Q(z: KdVStencil, row: int = 0, column_shift: int = 0) -> float:
 # Burgers stencil and invariants
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BurgersStencil:
+class BurgersStencil(_TwoRowStencil):
     """Two flat time rows, three columns j = i-1, i, i+1 (2x3 arrays)."""
 
-    k: float
-    x: np.ndarray
-    u: np.ndarray
-    t0: float = 0.0
-
-    def __post_init__(self):
-        x = np.asarray(self.x, dtype=float)
-        u = np.asarray(self.u, dtype=float)
-        if x.shape != (2, 3) or u.shape != (2, 3):
-            raise ValueError("Burgers stencil needs 2x3 x and u arrays")
-        if not self.k > 0.0:
-            raise ValueError("time step must be positive")
-        if (x[:, 1:] <= x[:, :-1]).any():
-            raise ValueError("spacings must be positive")
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "u", u)
-
-    @property
-    def h(self) -> np.ndarray:
-        return np.diff(self.x, axis=1)
-
-    @property
-    def sigma(self) -> float:
-        return float(self.x[1, 1] - self.x[0, 1])
-
-    @property
-    def du(self) -> np.ndarray:
-        return np.diff(self.u, axis=1) / self.h
-
-    def to_stencil(self) -> Stencil:
-        return _to_stencil(_BURGERS_OFFSETS, self.t0, self.k, self.x, self.u)
-
-    @staticmethod
-    def from_stencil(z: Stencil) -> "BurgersStencil":
-        p = _rows(z, _BURGERS_OFFSETS).reshape(2, 3, 3)
-        t0, t1 = p[:, 1, 0].tolist()
-        return BurgersStencil(t1 - t0, p[:, :, 1], p[:, :, 2], t0)
+    _offsets = tuple((l, j) for l in range(2) for j in range(-1, 2))
 
 
 BURGERS_INVARIANT_NAMES = ("I1", "I2", "I3", "I4", "I5", "I6", "I7", "I8", "I9")

@@ -9,7 +9,7 @@ nodes so that the monitor-weighted spacing is constant,
 with the endpoints pinned to the domain boundary.  The arc-length monitor
 d_i = sqrt(1 + alpha (k Du_i)^2) keeps the k factor inside the square so the
 weights are unchanged under the scaling and boost symmetries of the KdV and
-Burgers dynamics.  Linear and natural cubic spline interpolation provide the
+Burgers dynamics.  Natural cubic spline interpolation provides the
 invariant projection step back to a reference grid.
 
 Both tridiagonal systems (equidistribution and the spline moments) are
@@ -211,18 +211,6 @@ def equidistribute_arclength(dx: np.ndarray, du: np.ndarray, k: float,
     # arc-length weights are at least 1 unless NaN or inf, which the
     # solve's test of the largest weight rejects
     return _equidistributed(_arclength_weights(dx, du, k, params.alpha), domain, floor, True)
-
-
-def linear_interpolate(x_src: np.ndarray, u_src: np.ndarray, x_query: float) -> float:
-    """Two-point interpolation; the query must lie inside the source hull."""
-    x_src = np.asarray(x_src, dtype=float)
-    u_src = np.asarray(u_src, dtype=float)
-    if not (x_src[0] <= x_query <= x_src[-1]):
-        raise OutOfDomain(f"query {x_query} outside [{x_src[0]}, {x_src[-1]}]")
-    j = min(int(np.searchsorted(x_src, x_query, side="right") - 1), x_src.size - 2)
-    j = max(j, 0)
-    w = (x_query - x_src[j]) / (x_src[j + 1] - x_src[j])
-    return float((1.0 - w) * u_src[j] + w * u_src[j + 1])
 
 
 def _natural_spline_moments(x: np.ndarray, u: np.ndarray) -> np.ndarray:

@@ -2,8 +2,8 @@
 
 This is the CLI surface.  Configurations are flat ``key = value`` text files
 (UTF-8, ``#`` comments, unknown keys rejected); snapshot output is long-form
-CSV ``t,x,u`` and diagnostics are one CSV row per step.  Identical
-configuration and seed produce byte-identical output.
+CSV ``t,x,u`` and diagnostics are one CSV row per step.  An identical
+configuration produces byte-identical output.
 
 The Schwarzian and u_xx runs march in space.  All KdV and Burgers runs
 (Lagrangian, adaptive and projected meshes, the naive baseline, the
@@ -175,7 +175,6 @@ _CONFIG_KEYS: dict[str, tuple[type, object]] = {
     "mesh": (str, "lagrangian"),
     "alpha": (float, -1.0),
     "nu": (float, 0.0),
-    "ic": (str, ""),
     "ic_c1": (float, 1.0),
     "ic_c2": (float, 0.5),
     "ic_a1": (float, 20.0),
@@ -189,10 +188,8 @@ _CONFIG_KEYS: dict[str, tuple[type, object]] = {
     "ic_q": (float, 0.0),
     "source_f": (float, 2.0),
     "mesh_f": (float, 1.0),
-    "boundary": (str, ""),
     "spacing_floor_rel": (float, 1e-3),
     "snapshot_every": (int, 0),
-    "seed": (int, 0),
     "snapshots_path": (str, ""),
     "diagnostics_path": (str, ""),
 }
@@ -242,6 +239,9 @@ def parse_config(text: str) -> ExperimentConfig:
 
 def validate_config(values: dict) -> ExperimentConfig:
     cfg = dict(values)
+    unknown = cfg.keys() - _CONFIG_KEYS.keys()
+    if unknown:
+        raise ConfigError(f"unknown key {min(unknown)!r}")
     for key, (_typ, default) in _CONFIG_KEYS.items():
         cfg.setdefault(key, default)
     for key in ("equation", "scheme", "domain_a", "domain_b", "n_points"):
@@ -268,24 +268,12 @@ def validate_config(values: dict) -> ExperimentConfig:
             raise ConfigError(f"unknown mesh strategy {cfg['mesh']!r}")
         if cfg["mesh"] == "adaptive" and cfg["alpha"] < 0.0:
             raise ConfigError("adaptive strategy needs alpha >= 0")
-        cfg["ic"] = cfg["ic"] or "double_soliton"
-        cfg["boundary"] = cfg["boundary"] or (
-            "periodic" if cfg["scheme"] == "kdv_naive" else "dirichlet"
-        )
-        if cfg["scheme"] == "kdv_naive" and cfg["boundary"] != "periodic":
-            raise ConfigError("the naive scheme needs periodic boundaries")
     if eq == "burgers":
-        if not cfg["nu"] >= 0.0:
-            raise ConfigError("nu must be nonnegative")
+        if not cfg["nu"] > 0.0:
+            raise ConfigError("burgers runs start from the viscous shock, which needs nu > 0")
         if cfg["alpha"] < 0.0:
             raise ConfigError("burgers_fv needs alpha >= 0")
-        cfg["ic"] = cfg["ic"] or "viscous_shock"
-        if cfg["ic"] == "viscous_shock" and not cfg["nu"] > 0.0:
-            raise ConfigError("the viscous shock profile needs nu > 0")
-    if eq == "schwarzian":
-        cfg["ic"] = cfg["ic"] or "exact_seed"
     if eq == "uxx":
-        cfg["ic"] = cfg["ic"] or "affine"
         if not cfg["mesh_f"] > 0.0:
             raise ConfigError("mesh_f must be positive")
     return ExperimentConfig(cfg)

@@ -300,16 +300,6 @@ def test_invariantize_kdv_invariant_is_identity():
         count += 1
 
 
-def test_invariantize_dispatcher():
-    from symfd.frames import invariantize
-
-    inp = SL2DiscreteFrameInput(0.0, 1.0, 2.0, 3.0, 1.0)
-    v = invariantize("sl2", lambda w: cross_ratio(*w.window), inp)
-    assert v == pytest.approx(0.25, abs=1e-12)
-    with pytest.raises(ValueError):
-        invariantize("unknown", lambda w: 0.0, inp)
-
-
 # ---------------------------------------------------------------------------
 # Burgers frame
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from symfd.errors import DegenerateDenominator
 from symfd.frames import apply_burgers_stencil, apply_kdv_stencil
-from symfd.groups import apply_sl2, burgers_generators, kdv_generators
+from symfd.groups import Stencil, apply_sl2, burgers_generators, kdv_generators
 from symfd.invariants import (
     BURGERS_INVARIANT_NAMES,
     KDV_INVARIANT_NAMES,
@@ -338,6 +338,31 @@ def _assert_roundtrip(z, back):
 def test_stencil_roundtrip_property(zk, zb):
     _assert_roundtrip(zk, KdVStencil.from_stencil(zk.to_stencil()))
     _assert_roundtrip(zb, BurgersStencil.from_stencil(zb.to_stencil()))
+
+
+@settings(max_examples=50, deadline=None)
+@given(zk=_stencils(KdVStencil, 5), zb=_stencils(BurgersStencil, 3), data=st.data())
+def test_from_stencil_gathers_any_offset_order(zk, zb, data):
+    for z in (zk, zb):
+        cls = type(z)
+        canon = z.to_stencil()
+        order = data.draw(st.permutations(range(len(canon.offsets))))
+        if order == sorted(order):  # the canonical order would take the view path
+            order.reverse()
+        shuffled = Stencil(tuple(canon.offsets[r] for r in order), canon.points[order])
+        back, ref = cls.from_stencil(shuffled), cls.from_stencil(canon)
+        assert type(back) is cls
+        assert back.k == ref.k and back.t0 == ref.t0
+        assert np.array_equal(back.x, ref.x) and np.array_equal(back.u, ref.u)
+        # a stencil lacking one of the class's offsets
+        with pytest.raises(KeyError):
+            cls.from_stencil(Stencil(shuffled.offsets[1:], shuffled.points[1:]))
+        # row 1 before row 0 in time, on the gather path and on the view path
+        swapped = canon.points.copy()
+        swapped[:, 0] = np.where(swapped[:, 0] == z.t0, z.t0 + z.k, z.t0)
+        for bad in (Stencil(canon.offsets, swapped), Stencil(shuffled.offsets, swapped[order])):
+            with pytest.raises(ValueError, match="ordered in time"):
+                cls.from_stencil(bad)
 
 
 def _kdv_reference(z):

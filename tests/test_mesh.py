@@ -11,7 +11,6 @@ from symfd.mesh import (
     MonitorParams,
     equidistribute,
     lagrangian_update,
-    linear_interpolate,
     monitor_arclength,
     spline_project,
 )
@@ -179,31 +178,6 @@ def test_equidistribute_idempotent_on_static_data():
 # ---------------------------------------------------------------------------
 # interpolation
 # ---------------------------------------------------------------------------
-
-def test_linear_interpolate_nodes_and_midpoints():
-    x = np.array([0.0, 1.0, 3.0])
-    u = np.array([1.0, 3.0, -1.0])
-    assert linear_interpolate(x, u, 1.0) == pytest.approx(3.0)
-    assert linear_interpolate(x, u, 2.0) == pytest.approx(1.0)
-    with pytest.raises(OutOfDomain):
-        linear_interpolate(x, u, 3.5)
-
-
-def test_linear_interpolate_equivariance():
-    rng = DeterministicRng(72)
-    x = np.cumsum(np.array([0.0, 0.7, 0.4, 0.9, 0.5]))
-    u = np.array([0.3, -1.0, 0.8, 1.4, -0.2])
-    t = 0.4
-    for _ in range(50):
-        g = rand_kdv_element(rng)
-        xq = rng.uniform(float(x[0]), float(x[-1]))
-        v = linear_interpolate(x, u, xq)
-        pts = [apply_kdv(g, (t, float(a), float(b))) for a, b in zip(x, u)]
-        gx = np.array([p[1] for p in pts])
-        gu = np.array([p[2] for p in pts])
-        _, gxq, gv = apply_kdv(g, (t, xq, v))
-        assert abs(linear_interpolate(gx, gu, gxq) - gv) <= 1e-11 * (1.0 + abs(gv))
-
 
 def test_spline_reproduces_cubics_midspan():
     x = np.linspace(0, 10, 61)

@@ -185,11 +185,22 @@ def test_parse_config_roundtrip():
     ("equation = kdv\nscheme = kdv_10pt\nmesh = adaptive\ndomain_a = 0\ndomain_b = 1\nn_points = 16\nt_final = 1", "alpha"),
     ("equation = kdv\nscheme = kdv_10pt\ndomain_a = 0\ndomain_b = 1\nn_points = 16", "t_final"),
     ("equation = burgers\nscheme = burgers_fv\ndomain_a = 0\ndomain_b = 1\nn_points = 16\nt_final = 1\nalpha = 0.5", "nu > 0"),
-    ("equation = kdv\nscheme = kdv_naive\nboundary = dirichlet\ndomain_a = 0\ndomain_b = 1\nn_points = 16\nt_final = 1", "periodic"),
+    ("equation = kdv\nscheme = kdv_naive\nboundary = dirichlet\ndomain_a = 0\ndomain_b = 1\nn_points = 16\nt_final = 1", "unknown key"),
+    ("equation = kdv\nscheme = kdv_6pt\nic = gaussian\ndomain_a = 0\ndomain_b = 1\nn_points = 16\nt_final = 1", "unknown key"),
+    ("equation = kdv\nscheme = kdv_6pt\nseed = 5\ndomain_a = 0\ndomain_b = 1\nn_points = 16\nt_final = 1", "unknown key"),
 ])
 def test_config_errors(text, fragment):
     with pytest.raises(ConfigError, match=fragment):
         parse_config(text)
+
+
+def test_validate_config_rejects_unknown_keys():
+    base = {"equation": "kdv", "scheme": "kdv_6pt", "domain_a": 0.0, "domain_b": 1.0,
+            "n_points": 16, "t_final": 1.0}
+    validate_config(base)
+    for key, val in (("seed", 3), ("ic", "flat"), ("boundary", "periodic")):
+        with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
+            validate_config({**base, key: val})
 
 
 # ---------------------------------------------------------------------------
@@ -207,8 +218,8 @@ def _small_burgers_cfg(**over):
 
 
 def test_run_deterministic_byte_identical():
-    o1 = run_experiment(_small_burgers_cfg(seed=3))
-    o2 = run_experiment(_small_burgers_cfg(seed=3))
+    o1 = run_experiment(_small_burgers_cfg())
+    o2 = run_experiment(_small_burgers_cfg())
     assert format_snapshots_csv(o1) == format_snapshots_csv(o2)
     assert format_diagnostics_csv(o1) == format_diagnostics_csv(o2)
 
@@ -448,6 +459,21 @@ def test_cli_run_config_error(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("equation = kdv\nwhatever = 1\n")
     assert cli_main(["run", str(cfg)]) == 2
+
+
+@pytest.mark.parametrize("ic_line,message", [
+    ("ic = flat\n", "unknown key 'ic'"),
+    ("", "nu > 0"),
+])
+def test_cli_run_burgers_without_viscosity_is_a_config_error(tmp_path, capsys, ic_line, message):
+    cfg = tmp_path / "flat.cfg"
+    cfg.write_text(
+        "equation = burgers\nscheme = burgers_fv\ndomain_a = -0.5\ndomain_b = 0.5\n"
+        f"n_points = 16\nt_final = 0.01\nalpha = 0.5\nnu = 0\n{ic_line}")
+    assert cli_main(["run", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: ") and message in captured.err
 
 
 def test_cli_run_numerical_failure_exit_code(tmp_path, capsys):
