@@ -197,27 +197,6 @@ def kdv_invariant_vector(z: KdVStencil) -> np.ndarray:
     return np.array([inv[name] for name in KDV_INVARIANT_NAMES])
 
 
-def kdv_Q(z: KdVStencil, row: int = 0, column_shift: int = 0) -> float:
-    """Q_{i+s} = H_{i+s+1} (K_{i+s+1} - K_{i+s})/(1 + H_{i+s+1})
-               - (K_{i+s} - K_{i+s-1})/(1 + H_{i+s}) on the requested row.
-
-    Equal to k h_{i+s}^2 / 2 times the discrete third x-derivative, which is
-    how it enters the invariant schemes.  Only shifts 0 and -1 fit on the
-    stencil.
-    """
-    if row not in (0, 1) or column_shift not in (0, -1):
-        raise ValueError("row must be 0/1 and column_shift 0/-1")
-    h = z.h
-    if np.any(np.abs(h[row]) < _DEN_TOL) or abs(z.k) < _DEN_TOL:
-        raise DegenerateDenominator("vanishing spacing or time step")
-    du = z.du
-    s = column_shift + 2  # array column of h_{i+s}, Du_{i+s}
-    k_m1, k_0, k_p1 = (z.k * du[row, s - 1], z.k * du[row, s], z.k * du[row, s + 1])
-    h_0 = h[row, s - 1] / h[row, s]          # H_{i+s}
-    h_p1 = h[row, s] / h[row, s + 1]         # H_{i+s+1}
-    return float(h_p1 * (k_p1 - k_0) / (1.0 + h_p1) - (k_0 - k_m1) / (1.0 + h_0))
-
-
 # ---------------------------------------------------------------------------
 # Burgers stencil and invariants
 # ---------------------------------------------------------------------------
@@ -260,10 +239,3 @@ def burgers_invariant_vector(z: BurgersStencil) -> np.ndarray:
     inv = burgers_invariants(z)
     return np.array([inv[name] for name in BURGERS_INVARIANT_NAMES])
 
-
-def burgers_d2u(z: BurgersStencil, row: int = 0) -> float:
-    """Discrete second x-derivative 2 (Du_i - Du_{i-1}) / (h_i + h_{i-1})."""
-    h = z.h
-    du = z.du
-    den = h[row, 0] + h[row, 1]
-    return float(_checked_div(2.0 * (du[row, 1] - du[row, 0]), den))

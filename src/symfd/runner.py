@@ -180,16 +180,10 @@ _CONFIG_KEYS: dict[str, tuple[type, object]] = {
     "ic_a1": (float, 20.0),
     "ic_a2": (float, 5.0),
     "ic_c": (float, 0.25),
-    "ic_ma": (float, 1.0),
-    "ic_mb": (float, 0.0),
-    "ic_mc": (float, 0.0),
-    "ic_md": (float, 1.0),
     "ic_p": (float, 1.0),
     "ic_q": (float, 0.0),
     "source_f": (float, 2.0),
     "mesh_f": (float, 1.0),
-    "spacing_floor_rel": (float, 1e-3),
-    "snapshot_every": (int, 0),
     "snapshots_path": (str, ""),
     "diagnostics_path": (str, ""),
 }
@@ -202,6 +196,11 @@ _SCHEMES_BY_EQUATION = {
 }
 
 _DT_DEFAULT = {"kdv": 0.5, "burgers": 0.4}
+
+# the tangling floor of a moving mesh, as a fraction of the initial spacing
+_SPACING_FLOOR_REL = 1e-3
+# a time loop snapshots every ceil(steps / _SNAPSHOTS) steps and at the end
+_SNAPSHOTS = 200
 
 
 @dataclass(frozen=True)
@@ -247,6 +246,9 @@ def validate_config(values: dict) -> ExperimentConfig:
     for key in ("equation", "scheme", "domain_a", "domain_b", "n_points"):
         if cfg[key] is None:
             raise ConfigError(f"missing required key {key!r}")
+    for key, (typ, _default) in _CONFIG_KEYS.items():
+        if typ is float and cfg[key] is not None and not math.isfinite(cfg[key]):
+            raise ConfigError(f"{key} must be finite, got {cfg[key]!r}")
     eq = cfg["equation"]
     if eq not in _SCHEMES_BY_EQUATION:
         raise ConfigError(f"unknown equation {eq!r}")
@@ -362,7 +364,9 @@ def run_experiment(cfg: ExperimentConfig) -> RunOutput:
     mesh tangling (``mesh_tangling``), a singular step
     (``scheme_singularity``), any other numerical failure of the step
     (``numerical_failure``) or once u holds NaN or inf (``nonfinite``); the
-    status of the run is recorded and the partial output preserved.
+    Schwarzian march stops with ``scheme_singularity`` at a node whose step
+    or diagnostics raise.  The status of the run is recorded and the
+    partial output preserved.
     """
     if cfg.equation == "schwarzian":
         return _run_schwarzian(cfg)
@@ -374,36 +378,49 @@ def run_experiment(cfg: ExperimentConfig) -> RunOutput:
 
 
 def _run_schwarzian(cfg: ExperimentConfig) -> RunOutput:
-    n = cfg.n_points
-    x = np.linspace(cfg.domain_a, cfg.domain_b, n)
-    h = float(x[1] - x[0])
-    src = lambda _x: cfg.source_f
-    exact = lambda xx: exact_schwarzian(xx, cfg.ic_ma, cfg.ic_mb, cfg.ic_mc, cfg.ic_md)
-    u = np.empty(n)
-    u[0], u[1], u[2] = exact(x[0]), exact(x[1]), exact(x[2])
+    """The invariant recurrence from three samples of tan x.
+
+    A node whose step or diagnostics raise stops the run with status
+    ``scheme_singularity``; the output keeps the nodes before it.
+    """
+    x = np.linspace(cfg.domain_a, cfg.domain_b, cfg.n_points)
+    u = np.empty(cfg.n_points)
+    u[:3] = [exact_schwarzian(v) for v in x[:3]]
     diags: list[DiagnosticsRow] = []
     status, message = "completed", ""
-    poles = 0
-    for i in range(1, n - 2):
-        win = schemes.SchwarzianState(h, float(x[i]), u[i - 1], u[i], u[i + 1], src)
-        try:
-            u[i + 2] = schemes.schwarzian_step(win)
-        except SymfdError as exc:
-            status = "scheme_singularity"
-            message = _stop_message(i, exc)
-            u = u[: i + 2]
-            x = x[: i + 2]
-            break
-        flag = schemes.schwarzian_step_through_pole(u[i + 1], u[i + 2])
-        poles += int(flag)
-        res = schemes.schwarzian_invariant_residual(
-            u[i - 1], u[i], u[i + 1], u[i + 2], h, cfg.source_f
-        )
-        diags.append(
-            DiagnosticsRow(i, float(x[i]), h, total_variation(u[: i + 3]),
-                           abs(res), 0, "pole" if flag else "ok")
-        )
+    stop = _schwarzian_march(x, u, lambda _x: cfg.source_f, diags)
+    if stop is not None:
+        i, exc = stop
+        status, message = "scheme_singularity", _stop_message(i, exc)
+        x, u = x[: i + 2], u[: i + 2]
     return RunOutput([(0.0, x, u)], diags, status, cfg, message)
+
+
+def _schwarzian_march(x: np.ndarray, u: np.ndarray, source: Callable[[float], float],
+                      diags: list[DiagnosticsRow] | None = None
+                      ) -> tuple[int, SymfdError] | None:
+    """Fill u[3:] by the invariant recurrence from the seed u[:3].
+
+    Node i = 1 .. n-3 sets u[i+2] = schwarzian_step(u[i-1], u[i], u[i+1],
+    h, F(x_i)) on the uniform mesh x; with ``diags`` it also appends the
+    node's row (pole flag, total variation so far, |invariant residual|).
+    Returns None once every node is filled, else (i, exc) for the first
+    node whose step or row raised the SymfdError exc.
+    """
+    h = float(x[1] - x[0])
+    for i in range(1, x.size - 2):
+        try:
+            f_i = source(float(x[i]))
+            u[i + 2] = schemes.schwarzian_step(u[i - 1], u[i], u[i + 1], h, f_i)
+            if diags is not None:
+                flag = schemes.schwarzian_step_through_pole(u[i + 1], u[i + 2])
+                res = schemes.schwarzian_invariant_residual(
+                    u[i - 1], u[i], u[i + 1], u[i + 2], h, f_i)
+                diags.append(DiagnosticsRow(i, float(x[i]), h, total_variation(u[: i + 3]),
+                                            abs(res), 0, "pole" if flag else "ok"))
+        except SymfdError as exc:
+            return i, exc
+    return None
 
 
 def _run_uxx(cfg: ExperimentConfig) -> RunOutput:
@@ -428,8 +445,8 @@ def _run_pde(cfg: ExperimentConfig) -> RunOutput:
     """The KdV and Burgers time loop: step, check, record, snapshot.
 
     k = t_final / steps with k ~ dt_constant h^3 (KdV) or h^2 (Burgers).
-    Snapshots are taken every ``snapshot_every`` steps (default: about 200
-    over the run) and at the final step.  A run that stops early ends with a
+    Snapshots are taken every ceil(steps / 200) steps, about 200 over the
+    run, and at the final step.  A run that stops early ends with a
     row carrying its status, the minimum spacing of the state it stopped on
     and a NaN residual, plus a snapshot of that state.
     """
@@ -444,7 +461,7 @@ def _run_pde(cfg: ExperimentConfig) -> RunOutput:
     k_raw = cfg.dt_constant * h ** (3 if cfg.equation == "kdv" else 2)
     steps = max(1, round(cfg.t_final / k_raw))
     k = cfg.t_final / steps
-    floor = cfg.spacing_floor_rel * h
+    floor = _SPACING_FLOOR_REL * h
 
     if cfg.equation == "burgers":
         u = exact_burgers(0.0, x, cfg.nu, cfg.ic_c)
@@ -461,7 +478,7 @@ def _run_pde(cfg: ExperimentConfig) -> RunOutput:
                 s, k, cfg.mesh, scheme, monitor=monitor, spacing_floor=floor)
 
     state = GridState(0.0, x, u)
-    every = cfg.snapshot_every if cfg.snapshot_every > 0 else max(1, math.ceil(steps / 200))
+    every = max(1, math.ceil(steps / _SNAPSHOTS))
     snaps = [(0.0, state.x.copy(), state.u.copy())]
     diags: list[DiagnosticsRow] = []
     status, message = "completed", ""
@@ -673,13 +690,10 @@ class _SchwarzianAudit:
             f = rng.uniform(-1.0, 1.0)
             return (tuple(u), h, f)
 
-    def _march(self, h, f, u):
-        return self.step(schemes.SchwarzianState(h, 0.0, u[0], u[1], u[2], lambda _x: f))
-
     def prepare(self, configs):
         self.configs = configs
         self.base = np.array([self.residual(*u, h, f) for u, h, f in configs])[:, None]
-        self.w = [self._march(h, f, u) for u, h, f in configs]
+        self.w = [self.step(*u[:3], h, f) for u, h, f in configs]
 
     def draw_element(self, rng, direction, c):
         g = _draw_sl2(rng, direction)
@@ -700,7 +714,7 @@ class _SchwarzianAudit:
         for (g, gu), (_u, h, f), w in zip(trials, self.configs, self.w):
             img.append(self.residual(*gu, h, f))
             iw.append(apply_sl2(g, w))
-            gw.append(self._march(h, f, gu))
+            gw.append(self.step(*gu[:3], h, f))
         return (_rel_dev(self.base, np.array(img)[:, None]),
                 _rel_dev(np.array(iw)[:, None], np.array(gw)[:, None]))
 
@@ -971,13 +985,12 @@ def _schwarzian_manufactured(h: float) -> float:
     """
     u_ex = lambda xx: xx + xx**3
     src = lambda xx: (6.0 - 36.0 * xx**2) / (1.0 + 3.0 * xx**2) ** 2
-    n = round(1.0 / h) + 1
-    x = np.arange(n) * h
-    u = np.empty(n)
+    x = np.arange(round(1.0 / h) + 1) * h
+    u = np.empty(x.size)
     u[:3] = u_ex(x[:3])
-    for i in range(1, n - 2):
-        win = schemes.SchwarzianState(h, float(x[i]), u[i - 1], u[i], u[i + 1], src)
-        u[i + 2] = schemes.schwarzian_step(win)
+    stop = _schwarzian_march(x, u, src)
+    if stop is not None:
+        raise stop[1]
     return float(np.max(np.abs(u - u_ex(x))))
 
 

@@ -37,14 +37,15 @@ non-invariant ODE baseline.
 Batches: the KdV and Burgers kernels act on the last axis of their node
 arrays, so a :class:`GridState` holds one state with x and u of shape (n,)
 or a batch of B states with x and u of shape (B, n).  Per-state scalars of
-a batch (t, the time step k, nu, alpha, drift) are floats shared by all
-rows or (B, 1) columns.  Each row of a batch step is bit for bit the step
-of that row alone: the ten-point solve stacks the B pentadiagonal systems
-into one block-diagonal ``dgbsv`` call with zero coupling between blocks.
-A step of a batch raises when one of its rows would (tangling, a singular
-block, a nonpositive volume), and its :class:`StepInfo` is reduced over the
-rows (largest residual, smallest spacing).  The projection strategy and the
-naive, Schwarzian and u_xx schemes take single states.
+a batch (t, the time step k, nu, alpha, the Burgers drift) are floats
+shared by all rows or (B, 1) columns.  Each row of a batch step is bit for
+bit the step of that row alone: the ten-point solve stacks the B
+pentadiagonal systems into one block-diagonal ``dgbsv`` call with zero
+coupling between blocks.  A step of a batch raises when one of its rows
+would (tangling, a singular block, a nonpositive volume), and its
+:class:`StepInfo` is reduced over the rows (largest residual, smallest
+spacing).  The projection strategy and the naive scheme take single
+states; the Schwarzian and u_xx steps take scalars.
 """
 
 from __future__ import annotations
@@ -121,24 +122,6 @@ class GridState:
 
 
 @dataclass(frozen=True)
-class SchwarzianState:
-    """Sliding window for the Schwarzian recurrence."""
-
-    h: float
-    x_i: float
-    u_im1: float
-    u_i: float
-    u_ip1: float
-    source: Callable[[float], float]
-
-    def __post_init__(self):
-        if not self.h > 0.0:
-            raise ValueError("step must be positive")
-        if self.u_im1 == self.u_i or self.u_i == self.u_ip1:
-            raise ValueError("consecutive u values must be distinct")
-
-
-@dataclass(frozen=True)
 class StepInfo:
     """Diagnostics of one scheme step.
 
@@ -170,17 +153,22 @@ def _solve_cross_ratio_target(u_im1: float, u_i: float, u_ip1: float,
     return num / den
 
 
-def schwarzian_step(s: SchwarzianState) -> float:
+def _check_window(u_im1: float, u_i: float, u_ip1: float) -> None:
+    if u_im1 == u_i or u_i == u_ip1:
+        raise SchemeSingularity("consecutive u values must be distinct")
+
+
+def schwarzian_step(u_im1: float, u_i: float, u_ip1: float, h: float, f_i: float) -> float:
     """Advance the invariant Schwarzian recurrence by one node.
 
-    Enforces cross_ratio = 1 / (2 (2 - h^2 F(x_i))); the step is a closed
-    form fractional-linear solve, no iteration.
+    Enforces cross_ratio = 1 / (2 (2 - h^2 F(x_i))) with ``f_i`` = F(x_i);
+    the step is a closed form fractional-linear solve, no iteration.
     """
-    f_i = s.source(s.x_i)
-    den = 2.0 * (2.0 - s.h**2 * f_i)
+    _check_window(u_im1, u_i, u_ip1)
+    den = 2.0 * (2.0 - h**2 * f_i)
     if abs(den) < _DEN_TOL:
         raise SchemeSingularity("target cross-ratio undefined: h^2 F = 2")
-    return _solve_cross_ratio_target(s.u_im1, s.u_i, s.u_ip1, 1.0 / den)
+    return _solve_cross_ratio_target(u_im1, u_i, u_ip1, 1.0 / den)
 
 
 def schwarzian_step_through_pole(u_ip1: float, u_ip2: float) -> bool:
@@ -205,20 +193,21 @@ def schwarzian_invariantized_residual(u_im1, u_i, u_ip1, u_ip2, h, f_at_x) -> fl
     return (1.0 / (rbar - r) - 2.0) / h**2 - f_at_x
 
 
-def schwarzian_invariantized_step(s: SchwarzianState) -> float:
+def schwarzian_invariantized_step(u_im1: float, u_i: float, u_ip1: float,
+                                  h: float, f_i: float) -> float:
     """Advance the invariantized form: enforce Rbar - R = 1/(2 + h^2 F).
 
     Rbar - R = (w D2 + M) / ((w - u_i) S) with D2 the second difference,
     S = u_{i+1} - u_{i-1} and M = u_i (u_{i-1} + u_{i+1}) - 2 u_{i-1} u_{i+1},
     fractional linear in the unknown w, so this too is a closed form solve.
     """
-    f_i = s.source(s.x_i)
-    rho = 1.0 / (2.0 + s.h**2 * f_i)
-    d2 = s.u_ip1 - 2.0 * s.u_i + s.u_im1
-    m = s.u_i * (s.u_im1 + s.u_ip1) - 2.0 * s.u_im1 * s.u_ip1
-    span = s.u_ip1 - s.u_im1
+    _check_window(u_im1, u_i, u_ip1)
+    rho = 1.0 / (2.0 + h**2 * f_i)
+    d2 = u_ip1 - 2.0 * u_i + u_im1
+    m = u_i * (u_im1 + u_ip1) - 2.0 * u_im1 * u_ip1
+    span = u_ip1 - u_im1
     den = rho * span - d2
-    num = rho * span * s.u_i + m
+    num = rho * span * u_i + m
     if abs(den) < _DEN_TOL * (1.0 + abs(num)):
         raise SchemeSingularity("invariantized solve degenerated")
     return num / den
@@ -357,14 +346,13 @@ def _solve_affine_banded(res_fn: Callable[[np.ndarray], np.ndarray],
 
 
 def _kdv_mesh(prev: GridState, k: float, mesh_strategy: str,
-              monitor: MonitorParams | None, spacing_floor: float,
-              drift: float) -> MeshUpdate:
+              monitor: MonitorParams | None, spacing_floor: float) -> MeshUpdate:
     if mesh_strategy in ("lagrangian", "projection"):
         return lagrangian_update(prev, k, floor=spacing_floor)
     if mesh_strategy == "adaptive":
         if monitor is None:
             raise ValueError("adaptive strategy needs monitor parameters")
-        a, b = (prev.x[..., ::prev.n - 1] + k * drift).T  # floats, or (B,) arrays
+        a, b = prev.x[..., ::prev.n - 1].T  # floats, or (B,) arrays
         return equidistribute(monitor_arclength(prev, k, monitor), (a, b),
                               floor=spacing_floor)
     raise ValueError(f"unknown mesh strategy {mesh_strategy!r}")
@@ -378,7 +366,6 @@ def kdv_step_detailed(
     *,
     monitor: MonitorParams | None = None,
     spacing_floor: float = 0.0,
-    drift: float = 0.0,
 ) -> tuple[GridState, StepInfo]:
     """One KdV step: mesh update first, then the solve for u^{n+1}.
 
@@ -400,7 +387,7 @@ def kdv_step_detailed(
         raise ValueError("the projection strategy steps a single state")
     if not np.isfinite(prev.u).all():
         raise SchemeSingularity("u is not finite")
-    upd = _kdv_mesh(prev, k, mesh_strategy, monitor, spacing_floor, drift)
+    upd = _kdv_mesh(prev, k, mesh_strategy, monitor, spacing_floor)
     x1 = upd.x_next
 
     u1 = prev.u.copy()
@@ -477,7 +464,8 @@ def _burgers_parts(x0: np.ndarray, u0: np.ndarray, x1: np.ndarray,
     from the boundary.  Stencil neighbours are slices of the last axis:
     ``a[2:]``, ``a[1:-1]`` and ``a[:-2]`` hold a_{i+1}, a_i and a_{i-1} of
     node-based arrays, ``b[1:]`` and ``b[:-1]`` hold b_i and b_{i-1} of
-    interval-based ones.
+    interval-based ones.  ``phi_override`` pins the limiter weight (0 =
+    pure low order, 1 = pure high order) for conservation probes.
     """
     lead, n = u0.shape[:-1], u0.shape[-1]
     sig = x1 - x0
@@ -540,8 +528,7 @@ def _diff(a: np.ndarray) -> np.ndarray:
     return a[..., 1:] - a[..., :-1]
 
 
-def burgers_fv_residual(prev: GridState, nxt: GridState, k: float, nu: float,
-                        phi_override: float | None = None) -> np.ndarray:
+def burgers_fv_residual(prev: GridState, nxt: GridState, k: float, nu: float) -> np.ndarray:
     """Blended Delta_tau(x_s u) + k Delta_s f on the interior nodes 1..N-2.
 
     Value-level invariant under the four-parameter group thanks to the
@@ -553,7 +540,7 @@ def burgers_fv_residual(prev: GridState, nxt: GridState, k: float, nu: float,
         raise ValueError("time step must be positive")
     x0, u0, x1 = prev.x, prev.u, nxt.x
     coef, const, dsf = _burgers_parts(x0, u0, x1, _diff(x0), _diff(u0), _diff(x1),
-                                      k, nu, phi_override)
+                                      k, nu)
     return coef * nxt.u[..., 1:-1] + const + k * dsf
 
 
@@ -565,14 +552,13 @@ def burgers_fv_step_detailed(
     *,
     spacing_floor: float = 0.0,
     drift: float = 0.0,
-    phi_override: float | None = None,
 ) -> tuple[GridState, StepInfo]:
     """One finite-volume step: equidistributed mesh, then per-node solve.
 
     The blended Delta_tau term is linear in u^{n+1}_i with a positive
     spacing coefficient, so the update is a diagonal solve.  Boundary
-    values are held (Dirichlet).  ``phi_override`` pins the limiter weight
-    (0 = pure low order, 1 = pure high order) for conservation probes.
+    values are held (Dirichlet).  ``drift`` moves both ends of the mesh by
+    k drift, as a Galilean boost of the domain does.
     """
     if not _holds(nu >= 0.0):
         raise ValueError("viscosity must be nonnegative")
@@ -584,7 +570,7 @@ def burgers_fv_step_detailed(
     upd = equidistribute_arclength(h0, dlt, k, MonitorParams(alpha), (a, b),
                                    floor=spacing_floor)
     x1 = upd.x_next
-    coef, const, dsf = _burgers_parts(x0, u0, x1, h0, dlt, upd.dx, k, nu, phi_override)
+    coef, const, dsf = _burgers_parts(x0, u0, x1, h0, dlt, upd.dx, k, nu)
     if not coef.min() > 0.0 and (coef <= 0.0).any():  # NaN coefficients do not raise
         raise SchemeSingularity("nonpositive volume coefficient")
     k_dsf = k * dsf

@@ -23,7 +23,7 @@ from symfd.errors import ConfigError, MeshTangling, SchemeSingularity, SymfdErro
 from symfd.groups import SL2Element, apply_burgers, apply_kdv, apply_sl2
 from symfd.rng import DeterministicRng
 from symfd.runner import AUDIT_SCHEMES, AuditReport, invariance_audit
-from symfd.schemes import GridState, SchwarzianState
+from symfd.schemes import GridState
 
 
 # ---------------------------------------------------------------------------
@@ -64,11 +64,10 @@ def _schwarzian_trial(invariantized):
                 or abs(gu[2] - gu[0]) < 1e-3 or abs(gu[3] - gu[1]) < 1e-3):
             raise _Reject
         strong = _rel(res(*u, h, f), res(*gu, h, f))
-        src = lambda _x: f  # noqa: E731
-        w = step(SchwarzianState(h, 0.0, u[0], u[1], u[2], src))
+        w = step(*u[:3], h, f)
         if abs(g.c * w + g.d) < 0.2:
             raise _Reject
-        gw = step(SchwarzianState(h, 0.0, gu[0], gu[1], gu[2], src))
+        gw = step(*gu[:3], h, f)
         return strong, _rel(apply_sl2(g, w), gw)
 
     return trial

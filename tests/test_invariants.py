@@ -13,11 +13,9 @@ from symfd.invariants import (
     KDV_INVARIANT_NAMES,
     BurgersStencil,
     KdVStencil,
-    burgers_d2u,
     burgers_invariant_vector,
     burgers_invariants,
     cross_ratio,
-    kdv_Q,
     kdv_invariant_vector,
     kdv_invariants,
     sl2_invariant_chain,
@@ -165,37 +163,6 @@ def test_kdv_functional_independence_jacobian_rank():
         assert jac_rank(rand_kdv_stencil(rng)) == 18
 
 
-def test_kdv_Q_polynomial_oracle():
-    # brute-force assembly of Q from the K and H values, plus the closed
-    # forms Q = 0 on quadratics and Q = 3 k h^2 on cubics (uniform mesh)
-    h, k = 0.3, 0.17
-    xr = np.arange(5) * h
-    x = np.vstack([xr, xr])
-    for exponent, expected in ((1, 0.0), (2, 0.0), (3, 3.0 * k * h**2)):
-        u = np.vstack([xr**exponent, xr**exponent])
-        z = KdVStencil(k, x, u)
-        du = np.diff(u[0]) / h
-        K = k * du
-        q_oracle = 1.0 * (K[3] - K[2]) / 2.0 - (K[2] - K[1]) / 2.0  # H = 1
-        got = kdv_Q(z, 0, 0)
-        assert got == pytest.approx(q_oracle, abs=1e-14)
-        assert got == pytest.approx(expected, abs=1e-13)
-
-
-def test_kdv_Q_group_invariance():
-    rng = DeterministicRng(38)
-    worst = 0.0
-    for _ in range(200):
-        z = rand_kdv_stencil(rng)
-        g = rand_kdv_element(rng)
-        for row in (0, 1):
-            for shift in (0, -1):
-                q0 = kdv_Q(z, row, shift)
-                q1 = kdv_Q(apply_kdv_stencil(g, z), row, shift)
-                worst = max(worst, abs(q1 - q0) / (1.0 + abs(q0)))
-    assert worst <= 1e-9
-
-
 # ---------------------------------------------------------------------------
 # Burgers invariants
 # ---------------------------------------------------------------------------
@@ -294,15 +261,6 @@ def test_stencil_roundtrips():
     back = BurgersStencil.from_stencil(zb.to_stencil())
     assert back.k == pytest.approx(zb.k, abs=1e-14)
     assert np.allclose(back.x, zb.x) and np.allclose(back.u, zb.u)
-
-
-def test_burgers_d2u_matches_direct_formula():
-    rng = DeterministicRng(43)
-    z = rand_burgers_stencil(rng)
-    h = np.diff(z.x, axis=1)
-    du = np.diff(z.u, axis=1) / h
-    expected = 2.0 * (du[0, 1] - du[0, 0]) / (h[0, 0] + h[0, 1])
-    assert burgers_d2u(z, 0) == pytest.approx(expected, abs=1e-14)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -18,6 +19,7 @@ from symfd.errors import (
     SchemeSingularity,
 )
 from symfd.runner import (
+    _CONFIG_KEYS,
     DiagnosticsRow,
     RunOutput,
     convergence_study,
@@ -194,11 +196,45 @@ def test_config_errors(text, fragment):
         parse_config(text)
 
 
+_FLOAT_KEYS = sorted(k for k, (typ, _d) in _CONFIG_KEYS.items() if typ is float)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("key", _FLOAT_KEYS)
+def test_config_rejects_nonfinite_floats(key, value):
+    with pytest.raises(ConfigError, match=f"{key} must be finite"):
+        parse_config("equation = kdv\nscheme = kdv_10pt\nmesh = adaptive\nalpha = 1\n"
+                     "domain_a = -1\ndomain_b = 1\nn_points = 16\nt_final = 1\n"
+                     f"{key} = {value}\n")
+
+
+def test_cli_run_nonfinite_source_is_a_config_error(tmp_path, capsys):
+    cfg = tmp_path / "nan.cfg"
+    cfg.write_text("equation = schwarzian\nscheme = schwarzian_invariant\n"
+                   "domain_a = 0\ndomain_b = 1\nn_points = 16\nsource_f = nan\n")
+    assert cli_main(["run", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "config error: source_f must be finite, got nan\n"
+
+
+def test_readme_key_table_lists_exactly_the_config_keys():
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        table = fh.read().split("\nKeys:\n\n", 1)[1].split("\n\n", 1)[0]
+    rows = table.splitlines()[2:]  # below the header and its rule
+    keys = [key for row in rows for key in re.findall(r"\w+", row.split("|")[1])]
+    assert sorted(keys) == sorted(_CONFIG_KEYS)
+    assert len(_CONFIG_KEYS) == 21
+
+
 def test_validate_config_rejects_unknown_keys():
     base = {"equation": "kdv", "scheme": "kdv_6pt", "domain_a": 0.0, "domain_b": 1.0,
             "n_points": 16, "t_final": 1.0}
     validate_config(base)
-    for key, val in (("seed", 3), ("ic", "flat"), ("boundary", "periodic")):
+    for key, val in (("seed", 3), ("ic", "flat"), ("boundary", "periodic"),
+                     ("ic_ma", 1.0), ("ic_mb", 0.0), ("ic_mc", 0.0), ("ic_md", 1.0),
+                     ("spacing_floor_rel", 1e-3), ("snapshot_every", 0)):
         with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
             validate_config({**base, key: val})
 
@@ -295,11 +331,11 @@ def test_kdv_lagrangian_run_records_partial_output_on_tangling():
 def test_schwarzian_singular_step_stops_with_its_message(monkeypatch):
     calls = []
 
-    def fake_step(win):
-        calls.append(win)
+    def fake_step(u_im1, u_i, u_ip1, h, f_i):
+        calls.append(u_ip1)
         if len(calls) == 4:
             raise SchemeSingularity("vanishing slope")
-        return win.u_ip1 + 0.1
+        return u_ip1 + 0.1
 
     monkeypatch.setattr(schemes, "schwarzian_step", fake_step)
     out = run_experiment(validate_config({
@@ -308,6 +344,51 @@ def test_schwarzian_singular_step_stops_with_its_message(monkeypatch):
     }))
     assert out.status == "scheme_singularity"
     assert out.message == "step 4: SchemeSingularity: vanishing slope"
+
+
+def _schwarzian_cfg(**over):
+    return validate_config({"equation": "schwarzian", "scheme": "schwarzian_invariant",
+                            "domain_a": 0.0, "domain_b": 1.0, "n_points": 16, **over})
+
+
+def test_schwarzian_failing_diagnostics_stop_with_partial_output(monkeypatch):
+    calls = []
+    residual = schemes.schwarzian_invariant_residual
+
+    def fake_residual(*args):
+        calls.append(args)
+        if len(calls) == 4:
+            raise DegenerateDenominator("cross-ratio vanished")
+        return residual(*args)
+
+    monkeypatch.setattr(schemes, "schwarzian_invariant_residual", fake_residual)
+    out = run_experiment(_schwarzian_cfg())
+    assert out.status == "scheme_singularity"
+    assert out.message == "step 4: DegenerateDenominator: cross-ratio vanished"
+    # the nodes and rows before node 4 are kept
+    _t, x, u = out.snapshots[-1]
+    assert x.size == u.size == 6
+    assert [r.step for r in out.diagnostics] == [1, 2, 3]
+    whole = run_experiment(_schwarzian_cfg())
+    assert np.array_equal(u, whole.snapshots[-1][2][:6])
+
+
+def test_cli_schwarzian_degenerate_run_writes_partial_csvs(tmp_path, capsys):
+    # h^2 F overflows the target cross-ratio to ~0, so the first residual
+    # meets a vanishing cross-ratio
+    snaps, diags = tmp_path / "s.csv", tmp_path / "d.csv"
+    cfg = tmp_path / "schwarzian.cfg"
+    cfg.write_text("equation = schwarzian\nscheme = schwarzian_invariant\n"
+                   "domain_a = 0\ndomain_b = 2.5\nn_points = 251\nsource_f = 1e300\n"
+                   f"snapshots_path = {snaps}\ndiagnostics_path = {diags}\n")
+    assert cli_main(["run", str(cfg)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "status: scheme_singularity\n"
+    assert captured.err.startswith("run stopped: step 1: DegenerateDenominator: ")
+    assert snaps.read_text().splitlines()[0] == "t,x,u"
+    assert len(snaps.read_text().splitlines()) == 1 + 3  # the seed nodes
+    assert diags.read_text().splitlines() == [
+        "step,t,min_spacing,tv,residual_inf,newton_iters,status"]
 
 
 @pytest.mark.parametrize("scheme", ["kdv_10pt", "kdv_naive", "burgers_fv"])

@@ -15,13 +15,13 @@ from symfd.runner import exact_kdv_double_soliton
 from symfd.rng import DeterministicRng
 from symfd.schemes import (
     GridState,
-    SchwarzianState,
     _DIVERGE_LIMIT,
     _RKF_A,
     _RKF_B4,
     _RKF_C,
     _RKF_ERR,
     _burgers_parts,
+    _d3u,
     _solve_affine_banded,
     burgers_fv_residual,
     burgers_fv_step,
@@ -46,6 +46,8 @@ from _helpers import (
     kdv_elements,
     rand_admissible_window,
     rand_burgers_element,
+    rand_kdv_element,
+    rand_kdv_stencil,
     rand_mesh_row,
     rand_sl2_safe,
     rel_err,
@@ -91,8 +93,7 @@ def test_gridstate_rejects_nonfinite_abscissae(data, n, rows):
 # ---------------------------------------------------------------------------
 
 def test_schwarzian_step_continues_equal_spacing():
-    s = SchwarzianState(1.0, 0.0, -1.0, 0.0, 1.0, lambda x: 0.0)
-    assert schwarzian_step(s) == pytest.approx(2.0, abs=1e-12)
+    assert schwarzian_step(-1.0, 0.0, 1.0, 1.0, 0.0) == pytest.approx(2.0, abs=1e-12)
 
 
 def test_schwarzian_step_tracks_tangent():
@@ -102,8 +103,7 @@ def test_schwarzian_step_tracks_tangent():
     u = np.empty(n)
     u[:3] = np.tan(x[:3])
     for i in range(1, n - 2):
-        st = SchwarzianState(h, float(x[i]), u[i - 1], u[i], u[i + 1], lambda _x: 2.0)
-        u[i + 2] = schwarzian_step(st)
+        u[i + 2] = schwarzian_step(u[i - 1], u[i], u[i + 1], h, 2.0)
     rel = abs(u[100] - math.tan(1.0)) / abs(math.tan(1.0))
     assert rel < 1e-2
 
@@ -115,20 +115,24 @@ def test_schwarzian_step_mobius_commutation():
         u = rand_admissible_window(rng)[:3]
         h = rng.uniform(0.05, 1.0)
         f = rng.uniform(-1.0, 1.0)
-        s = SchwarzianState(h, 0.0, u[0], u[1], u[2], lambda _x, ff=f: ff)
-        w = schwarzian_step(s)
+        w = schwarzian_step(*u, h, f)
         g = rand_sl2_safe(rng, list(u) + [w])
         gu = [apply_sl2(g, v) for v in u]
-        gw = schwarzian_step(SchwarzianState(h, 0.0, gu[0], gu[1], gu[2],
-                                             lambda _x, ff=f: ff))
+        gw = schwarzian_step(*gu, h, f)
         assert rel_err(apply_sl2(g, w), gw) <= 1e-9
         count += 1
 
 
 def test_schwarzian_step_singular_target():
-    s = SchwarzianState(1.0, 0.0, 0.0, 1.0, 2.0, lambda x: 2.0)  # h^2 F = 2
-    with pytest.raises(SchemeSingularity):
-        schwarzian_step(s)
+    with pytest.raises(SchemeSingularity, match="h\\^2 F = 2"):
+        schwarzian_step(0.0, 1.0, 2.0, 1.0, 2.0)
+
+
+@pytest.mark.parametrize("step", [schwarzian_step, schwarzian_invariantized_step])
+@pytest.mark.parametrize("window", [(1.0, 1.0, 2.0), (0.0, 1.0, 1.0), (3.0, 3.0, 3.0)])
+def test_schwarzian_steps_reject_equal_consecutive_values(step, window):
+    with pytest.raises(SchemeSingularity, match="consecutive u values must be distinct"):
+        step(*window, 0.1, 2.0)
 
 
 def test_schwarzian_residuals_on_exact_samples():
@@ -173,8 +177,7 @@ def test_schwarzian_invariantized_step_solves_residual():
         u = rand_admissible_window(rng)[:3]
         h = rng.uniform(0.05, 0.5)
         f = rng.uniform(-1.0, 1.0)
-        w = schwarzian_invariantized_step(
-            SchwarzianState(h, 0.0, u[0], u[1], u[2], lambda _x, ff=f: ff))
+        w = schwarzian_invariantized_step(*u, h, f)
         r = schwarzian_invariantized_residual(u[0], u[1], u[2], w, h, f)
         assert abs(r) <= 1e-8 * (1.0 + abs(f))
 
@@ -232,6 +235,43 @@ def test_uxx_w_zero_set_preserved():
 # ---------------------------------------------------------------------------
 # KdV residuals and steps
 # ---------------------------------------------------------------------------
+
+def _row_d3u(x, u):
+    h = np.diff(x)
+    return _d3u(h, np.diff(u) / h)
+
+
+def test_d3u_polynomial_oracle():
+    # per-node assembly from the definition on a nonuniform row, plus the
+    # closed forms D3u = 0 on quadratics and 6 on cubics (uniform row)
+    xr = np.arange(7) * 0.3
+    for exponent, expected in ((1, 0.0), (2, 0.0), (3, 6.0)):
+        assert np.allclose(_row_d3u(xr, xr**exponent), expected, rtol=0.0, atol=1e-11)
+    x = np.array([-1.0, -0.6, 0.1, 0.3, 1.2, 1.5, 2.6])
+    u = np.sin(2.0 * x)
+    h = np.diff(x)
+    du = np.diff(u) / h
+    oracle = [2.0 / h[i] * ((du[i + 1] - du[i]) / (h[i + 1] + h[i])
+                            - (du[i] - du[i - 1]) / (h[i] + h[i - 1]))
+              for i in range(1, x.size - 2)]
+    assert np.allclose(_row_d3u(x, u), oracle, rtol=1e-14, atol=1e-14)
+
+
+def test_d3u_group_invariance():
+    # k h_i^2 D3u_i / 2 is a KdV invariant on either row of the stencil
+    from symfd.frames import apply_kdv_stencil
+
+    rng = DeterministicRng(38)
+    worst = 0.0
+    for _ in range(200):
+        z = rand_kdv_stencil(rng)
+        gz = apply_kdv_stencil(rand_kdv_element(rng), z)
+        for row in (0, 1):
+            q0, q1 = (s.k * np.diff(s.x[row])[1:-1] ** 2 * _row_d3u(s.x[row], s.u[row]) / 2.0
+                      for s in (z, gz))
+            worst = max(worst, float(np.max(np.abs(q1 - q0) / (1.0 + np.abs(q0)))))
+    assert worst <= 1e-9
+
 
 def _soliton_pair(h, k, lagrangian=True):
     x = np.arange(-10.0, 10.0, h)
@@ -717,10 +757,10 @@ def test_burgers_low_order_mass_balance():
     x = np.linspace(0.0, 1.0, n)
     h = x[1] - x[0]
     u = 1.0 + 0.5 * np.sin(2.0 * np.pi * x) ** 2
-    prev = GridState(0.0, x, u)
     k = 0.001
-    nxt, _ = burgers_fv_step_detailed(prev, k, 0.0, 0.0, phi_override=0.0)
-    dm = h * float(np.sum(nxt.u[1:-1] - u[1:-1]))
+    coef, const, dsf = _parts(x, u, x, k, 0.0, phi_override=0.0)
+    u1 = -(const + k * dsf) / coef  # the step's diagonal solve
+    dm = h * float(np.sum(u1 - u[1:-1]))
     f = 0.5 * u**2  # sigma = 0 and nu = 0 leave only the advective flux
     assert abs(dm + k * (f[-2] - f[0])) <= 1e-10
 
@@ -923,11 +963,10 @@ def test_kdv_step_batch_rows_equal_single_steps(scheme, strategy):
     per_row = {"k": _column(rng, 0.005, 0.02, rows)}
     shared = {"mesh_strategy": strategy, "scheme": scheme}
     if strategy == "adaptive":
-        per_row["drift"] = _column(rng, -1.0, 1.0, rows)
         per_row["alpha"] = _column(rng, 0.0, 10.0, rows)
 
-        def step(p, k, drift, alpha, **kw):
-            return kdv_step_detailed(p, k, monitor=MonitorParams(alpha), drift=drift, **kw)
+        def step(p, k, alpha, **kw):
+            return kdv_step_detailed(p, k, monitor=MonitorParams(alpha), **kw)
     else:
         step = kdv_step_detailed
     _assert_rows_are_single_steps(step, prev, per_row, shared)
