@@ -70,6 +70,9 @@ def _cmd_converge(args) -> int:
     except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except SymfdError as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return 3
     sys.stdout.write(runner.format_convergence_csv(rows))
     return 0
 
@@ -116,8 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
     audit.set_defaults(fn=_cmd_audit)
 
     conv = sub.add_parser("converge", help="mesh refinement study")
-    conv.add_argument("--scheme", required=True,
-                      choices=("schwarzian_invariant", "kdv_naive"))
+    conv.add_argument("--scheme", required=True, choices=runner.CONVERGENCE_SCHEMES)
     conv.add_argument("--h", required=True, help="comma separated spacings")
     conv.set_defaults(fn=_cmd_converge)
 

@@ -1,4 +1,7 @@
-"""Exception taxonomy shared by all symfd modules."""
+"""Exception taxonomy shared by all symfd modules, and their shared threshold."""
+
+# below this a denominator, slope, spacing or determinant counts as vanishing
+DEGENERACY_TOL = 1e-14
 
 
 class SymfdError(Exception):
@@ -22,7 +25,7 @@ class DegenerateDenominator(SymfdError):
 
 
 class FlowDivergence(SymfdError):
-    """A one-parameter flow left the working chart (component above 1e12)."""
+    """A one-parameter flow diverged (component above 1e12 or a vanishing step)."""
 
 
 class ProjectionFailure(SymfdError):

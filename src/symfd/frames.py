@@ -26,7 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DegenerateJet, FrameSingularity
+from .errors import DEGENERACY_TOL, DegenerateJet, FrameSingularity
 from .groups import (
     BurgersGroupElement,
     KdVGroupElement,
@@ -37,8 +37,6 @@ from .groups import (
     sign_pos,
 )
 from .invariants import BurgersStencil, KdVStencil
-
-_TOL = 1e-14
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +176,7 @@ def sl2_differential_frame(u: float, ux: float, uxx: float) -> SL2Element:
     a = |u_x|^{-1/2}, b = -u a, c = u_xx / (2 |u_x|^{3/2}),
     d = (2 u_x^2 - u u_xx) / (2 |u_x|^{3/2}); unimodular by construction.
     """
-    if abs(ux) < _TOL:
+    if abs(ux) < DEGENERACY_TOL:
         raise DegenerateJet(f"|u_x| = {abs(ux)} below 1e-14")
     root = math.sqrt(abs(ux))
     a = 1.0 / root
@@ -206,7 +204,7 @@ def sl2_discrete_frame(inp: SL2DiscreteFrameInput) -> SL2Element:
     eps = inp.epsilon
 
     if abs(du_i - du_im1) <= 1e-12 * max(abs(du_i), abs(du_im1)):
-        if abs(du_i) < _TOL:
+        if abs(du_i) < DEGENERACY_TOL:
             raise DegenerateJet("window slope vanishes in the limiting branch")
         a = 1.0 / math.sqrt(abs(du_i))
         return SL2Element(a, -a * u_i, 0.0, 1.0 / a)
@@ -226,7 +224,7 @@ def kdv_discrete_frame(inp: KdVFrameInput) -> KdVGroupElement:
     a = (u t - x) m^{1/3}, where m is the centered slope (must be positive).
     """
     m = inp.dxu
-    if m <= _TOL:
+    if m <= DEGENERACY_TOL:
         raise DegenerateJet(f"centered slope {m} not positive")
     lam = m ** (1.0 / 3.0)
     v = -inp.u / m ** (2.0 / 3.0)
@@ -242,7 +240,7 @@ def burgers_discrete_frame(inp: BurgersFrameInput) -> BurgersGroupElement:
     e^{3 e4} = (1 + k Dx u)(Dt u + u^{n+1} Dx u), which must be positive.
     """
     p = inp.cube_argument
-    if p <= _TOL:
+    if p <= DEGENERACY_TOL:
         raise DegenerateJet(f"cube root argument {p} not positive")
     return BurgersGroupElement(-inp.x, -inp.t, -inp.u, math.log(p) / 3.0)
 

@@ -30,13 +30,10 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import FlowDivergence, PoleError, ProjectionFailure
+from .errors import DEGENERACY_TOL, FlowDivergence, PoleError, ProjectionFailure
 from .rng import DeterministicRng
 
 Node = tuple[float, float, float]  # (t, x, u)
-
-_POLE_TOL = 1e-14
-_FLOW_LIMIT = 1e12
 
 
 def sign_pos(x: float) -> float:
@@ -94,7 +91,7 @@ class SL2Element:
 def apply_sl2(g: SL2Element, u: float) -> float:
     """Fractional linear action (a u + b)/(c u + d)."""
     den = g.c * u + g.d
-    if abs(den) < _POLE_TOL:
+    if abs(den) < DEGENERACY_TOL:
         raise PoleError(f"Mobius map evaluated at pole: cu + d = {den}")
     return (g.a * u + g.b) / den
 
@@ -438,52 +435,23 @@ StencilFunction = Callable[[Stencil], float]
 # ---------------------------------------------------------------------------
 
 def flow(field: VectorFieldSpec, node: Node, epsilon: float,
-         index: tuple[int, int] = (0, 0), tol: float = 1e-13) -> Node:
+         index: tuple[int, int] = (0, 0)) -> Node:
     """Exponentiate ``field`` through ``node`` for parameter ``epsilon``.
 
-    Classical RK4 with step doubling; each substep is accepted when the
-    doubled-step estimate agrees to ``tol`` relative.  Raises
-    :class:`FlowDivergence` once any component exceeds 1e12.
+    exp(epsilon v) z solves dz/de = v(z), integrated as dz/ds = epsilon v(z)
+    over s in [0, 1] (so a tiny epsilon cannot trip the step-underflow test)
+    by :func:`schemes.rk_adaptive_solve` at relative tolerance 1e-13.
+    Raises :class:`FlowDivergence` when that trajectory diverges.
     """
     if epsilon == 0.0:
         return node
+    from .schemes import rk_adaptive_solve  # schemes imports this module
 
-    def rhs(z: np.ndarray) -> np.ndarray:
-        return np.array(field.coeffs((z[0], z[1], z[2]), index))
-
-    def rk4(z: np.ndarray, h: float) -> np.ndarray:
-        k1 = rhs(z)
-        k2 = rhs(z + 0.5 * h * k1)
-        k3 = rhs(z + 0.5 * h * k2)
-        k4 = rhs(z + h * k3)
-        return z + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-    z = np.array(node, dtype=float)
-    remaining = epsilon
-    h = epsilon / 8.0
-    guard = 0
-    while remaining != 0.0 and guard < 100_000:
-        guard += 1
-        if abs(h) > abs(remaining):
-            h = remaining
-        full = rk4(z, h)
-        half = rk4(rk4(z, h / 2.0), h / 2.0)
-        err = float(np.max(np.abs(full - half)))
-        scale = 1.0 + float(np.max(np.abs(half)))
-        if err <= tol * scale:
-            z = half + (half - full) / 15.0  # 5th order local extrapolation
-            remaining -= h
-            if np.max(np.abs(z)) > _FLOW_LIMIT:
-                raise FlowDivergence(f"flow state exceeded {_FLOW_LIMIT:g}")
-            if err < 0.01 * tol * scale:
-                h *= 2.0
-        else:
-            h /= 2.0
-            if abs(h) < 1e-16 * abs(epsilon):
-                raise FlowDivergence("flow step size underflow")
-    if remaining != 0.0:
-        raise FlowDivergence("flow failed to reach requested parameter")
-    return (float(z[0]), float(z[1]), float(z[2]))
+    traj = rk_adaptive_solve(lambda _s, z: [epsilon * c for c in field.coeffs(tuple(z), index)],
+                             node, (0.0, 1.0), 1e-13)
+    if traj.diverged:
+        raise FlowDivergence(f"flow diverged at parameter {traj.xs[-1] * epsilon:g}")
+    return tuple(traj.ys[-1].tolist())
 
 
 # ---------------------------------------------------------------------------

@@ -24,14 +24,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateDenominator
+from .errors import DEGENERACY_TOL, DegenerateDenominator
 from .groups import Stencil
-
-_DEN_TOL = 1e-14
 
 
 def _checked_div(num: float, den: float) -> float:
-    if abs(den) < _DEN_TOL:
+    if abs(den) < DEGENERACY_TOL:
         raise DegenerateDenominator(f"denominator {den} below 1e-14")
     return num / den
 
@@ -178,7 +176,7 @@ def kdv_invariants(z: KdVStencil) -> dict[str, float]:
     """
     x, u, k = z.x, z.u, z.k
     h = x[:, 1:] - x[:, :-1]
-    if np.abs(h).min() < _DEN_TOL or abs(k) < _DEN_TOL:
+    if np.abs(h).min() < DEGENERACY_TOL or abs(k) < DEGENERACY_TOL:
         raise DegenerateDenominator("vanishing spacing or time step")
     du = (u[:, 1:] - u[:, :-1]) / h
     h0, h1 = h[:, 2].tolist()  # h^n_i, h^{n+1}_i
@@ -214,7 +212,7 @@ def burgers_invariants(z: BurgersStencil) -> dict[str, float]:
     """The 9 invariants of the four-parameter Burgers group action."""
     x, u, k = z.x, z.u, z.k
     h = x[:, 1:] - x[:, :-1]
-    if np.abs(h).min() < _DEN_TOL or abs(k) < _DEN_TOL:
+    if np.abs(h).min() < DEGENERACY_TOL or abs(k) < DEGENERACY_TOL:
         raise DegenerateDenominator("vanishing spacing or time step")
     (hl0, hr0), (hl1, hr1) = h.tolist()  # h_{i-1}, h_i on rows n and n+1
     (dl0, dr0), (dl1, dr1) = ((u[:, 1:] - u[:, :-1]) / h).tolist()

@@ -46,7 +46,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import dgtsv
 
-from .errors import DegenerateDenominator, MeshTangling, OutOfDomain, SingularSystem
+from .errors import (
+    DEGENERACY_TOL,
+    DegenerateDenominator,
+    MeshTangling,
+    OutOfDomain,
+    SingularSystem,
+)
 
 
 def _holds(cond) -> bool:
@@ -122,7 +128,7 @@ def lagrangian_update(state, k: float, floor: float = 0.0) -> MeshUpdate:
 def _arclength_weights(dx: np.ndarray, du: np.ndarray, k: float, alpha) -> np.ndarray:
     """Arc-length weights from the spacings dx and value increments du."""
     # the exact test runs only when the minimum does not already rule it out
-    if not dx.min() >= 1e-14 and (np.abs(dx) < 1e-14).any():
+    if not dx.min() >= DEGENERACY_TOL and (np.abs(dx) < DEGENERACY_TOL).any():
         raise DegenerateDenominator("vanishing mesh spacing in monitor")
     slopes = k * du / dx
     d = np.empty(dx.shape[:-1] + (dx.shape[-1] + 1,))

@@ -5,7 +5,7 @@ This is the CLI surface.  Configurations are flat ``key = value`` text files
 CSV ``t,x,u`` and diagnostics are one CSV row per step.  An identical
 configuration produces byte-identical output.
 
-The Schwarzian and u_xx runs march in space.  All KdV and Burgers runs
+The Schwarzian run marches in space.  All KdV and Burgers runs
 (Lagrangian, adaptive and projected meshes, the naive baseline, the
 Burgers shock) share one time loop around a step callable that returns
 ``(GridState, StepInfo)``; the loop owns the guards, the diagnostics rows,
@@ -24,6 +24,7 @@ import numpy as np
 
 from . import schemes
 from .errors import (
+    DEGENERACY_TOL,
     ConfigError,
     MeshTangling,
     PoleError,
@@ -54,7 +55,7 @@ def exact_schwarzian(x: float, a: float = 1.0, b: float = 0.0,
                      c: float = 0.0, d: float = 1.0) -> float:
     """(a sin x + b cos x) / (c sin x + d cos x), the general Schwarzian
     solution for constant source 2; (1, 0, 0, 1) gives tan x."""
-    if abs(a * d - b * c) < 1e-14:
+    if abs(a * d - b * c) < DEGENERACY_TOL:
         raise ValueError("parameters must satisfy ad - bc != 0")
     den = c * math.sin(x) + d * math.cos(x)
     if abs(den) < 1e-12 * math.hypot(c, d):
@@ -180,10 +181,7 @@ _CONFIG_KEYS: dict[str, tuple[type, object]] = {
     "ic_a1": (float, 20.0),
     "ic_a2": (float, 5.0),
     "ic_c": (float, 0.25),
-    "ic_p": (float, 1.0),
-    "ic_q": (float, 0.0),
     "source_f": (float, 2.0),
-    "mesh_f": (float, 1.0),
     "snapshots_path": (str, ""),
     "diagnostics_path": (str, ""),
 }
@@ -192,7 +190,6 @@ _SCHEMES_BY_EQUATION = {
     "schwarzian": {"schwarzian_invariant"},
     "kdv": {"kdv_6pt", "kdv_10pt", "kdv_naive"},
     "burgers": {"burgers_fv"},
-    "uxx": {"uxx"},
 }
 
 _DT_DEFAULT = {"kdv": 0.5, "burgers": 0.4}
@@ -275,9 +272,6 @@ def validate_config(values: dict) -> ExperimentConfig:
             raise ConfigError("burgers runs start from the viscous shock, which needs nu > 0")
         if cfg["alpha"] < 0.0:
             raise ConfigError("burgers_fv needs alpha >= 0")
-    if eq == "uxx":
-        if not cfg["mesh_f"] > 0.0:
-            raise ConfigError("mesh_f must be positive")
     return ExperimentConfig(cfg)
 
 
@@ -303,11 +297,6 @@ class RunOutput:
     status: str
     config: ExperimentConfig
     message: str = ""  # why a run stopped; empty when it completed
-
-    @property
-    def final_state(self) -> GridState:
-        t, x, u = self.snapshots[-1]
-        return GridState(t, x, u)
 
 
 def format_snapshots_csv(out: RunOutput) -> str:
@@ -364,14 +353,13 @@ def run_experiment(cfg: ExperimentConfig) -> RunOutput:
     mesh tangling (``mesh_tangling``), a singular step
     (``scheme_singularity``), any other numerical failure of the step
     (``numerical_failure``) or once u holds NaN or inf (``nonfinite``); the
-    Schwarzian march stops with ``scheme_singularity`` at a node whose step
-    or diagnostics raise.  The status of the run is recorded and the
-    partial output preserved.
+    Schwarzian march stops with ``numerical_failure`` at a seed node on a
+    pole and with ``scheme_singularity`` at a node whose step or
+    diagnostics raise.  The status of the run is recorded and the partial
+    output preserved.
     """
     if cfg.equation == "schwarzian":
         return _run_schwarzian(cfg)
-    if cfg.equation == "uxx":
-        return _run_uxx(cfg)
     if cfg.equation in ("kdv", "burgers"):
         return _run_pde(cfg)
     raise ConfigError(f"unknown equation {cfg.equation!r}")
@@ -380,12 +368,18 @@ def run_experiment(cfg: ExperimentConfig) -> RunOutput:
 def _run_schwarzian(cfg: ExperimentConfig) -> RunOutput:
     """The invariant recurrence from three samples of tan x.
 
-    A node whose step or diagnostics raise stops the run with status
-    ``scheme_singularity``; the output keeps the nodes before it.
+    A seed node on a pole of tan x stops the run with status
+    ``numerical_failure``, and a node whose step or diagnostics raise stops
+    it with ``scheme_singularity``; the output keeps the nodes before it.
     """
     x = np.linspace(cfg.domain_a, cfg.domain_b, cfg.n_points)
     u = np.empty(cfg.n_points)
-    u[:3] = [exact_schwarzian(v) for v in x[:3]]
+    for j, v in enumerate(x[:3]):
+        try:
+            u[j] = exact_schwarzian(v)
+        except SymfdError as exc:
+            return RunOutput([(0.0, x[:j], u[:j])], [], "numerical_failure", cfg,
+                             f"seed node {j}: {type(exc).__name__}: {exc}")
     diags: list[DiagnosticsRow] = []
     status, message = "completed", ""
     stop = _schwarzian_march(x, u, lambda _x: cfg.source_f, diags)
@@ -421,24 +415,6 @@ def _schwarzian_march(x: np.ndarray, u: np.ndarray, source: Callable[[float], fl
         except SymfdError as exc:
             return i, exc
     return None
-
-
-def _run_uxx(cfg: ExperimentConfig) -> RunOutput:
-    n = cfg.n_points
-    h0 = (cfg.domain_b - cfg.domain_a) / (n - 1)
-    x = np.empty(n)
-    u = np.empty(n)
-    x[0], x[1] = cfg.domain_a, cfg.domain_a + h0
-    u[0] = cfg.ic_p * x[0] + cfg.ic_q
-    u[1] = cfg.ic_p * x[1] + cfg.ic_q
-    diags: list[DiagnosticsRow] = []
-    for i in range(1, n - 1):
-        x[i + 1], u[i + 1] = schemes.uxx_step(x[i - 1], x[i], u[i - 1], u[i], cfg.mesh_f)
-        diags.append(
-            DiagnosticsRow(i, float(x[i]), float(x[i + 1] - x[i]),
-                           total_variation(u[: i + 2]), 0.0, 0, "ok")
-        )
-    return RunOutput([(0.0, x, u)], diags, "completed", cfg)
 
 
 def _run_pde(cfg: ExperimentConfig) -> RunOutput:
@@ -986,6 +962,8 @@ def _schwarzian_manufactured(h: float) -> float:
     u_ex = lambda xx: xx + xx**3
     src = lambda xx: (6.0 - 36.0 * xx**2) / (1.0 + 3.0 * xx**2) ** 2
     x = np.arange(round(1.0 / h) + 1) * h
+    if x.size < 4:  # three seed nodes and at least one step
+        raise ConfigError(f"spacing {h!r} leaves fewer than 4 nodes on [0, 1]")
     u = np.empty(x.size)
     u[:3] = u_ex(x[:3])
     stop = _schwarzian_march(x, u, src)
@@ -994,38 +972,47 @@ def _schwarzian_manufactured(h: float) -> float:
     return float(np.max(np.abs(u - u_ex(x))))
 
 
+def _kdv_naive_soliton(h: float) -> float:
+    """Max-norm error of the naive scheme on a single soliton on [-20, 20]
+    at t = 0.1, with k = 0.05 h^3: the small constant keeps the amplified
+    high-wavenumber noise of the explicit update far below truncation."""
+    cfg = validate_config({
+        "equation": "kdv", "scheme": "kdv_naive",
+        "domain_a": -20.0, "domain_b": 20.0, "n_points": round(40.0 / h),
+        "t_final": 0.1, "dt_constant": 0.05,
+        "ic_c1": 1.0, "ic_c2": 0.0, "ic_a1": 0.0, "ic_a2": 0.0,
+    })
+    t, x, u = run_experiment(cfg).snapshots[-1]
+    return float(np.max(np.abs(u - exact_kdv_double_soliton(t, x, 1.0, 0.0, 0.0, 0.0))))
+
+
+# scheme -> max-norm error at spacing h
+_CONVERGENCE: dict[str, Callable[[float], float]] = {
+    "schwarzian_invariant": _schwarzian_manufactured,
+    "kdv_naive": _kdv_naive_soliton,
+}
+CONVERGENCE_SCHEMES = tuple(_CONVERGENCE)
+
+
 def convergence_study(scheme: str, h_list: Iterable[float]) -> list[ConvergenceRow]:
     """Max-norm error against the exact solution under mesh refinement.
 
-    ``schwarzian_invariant`` integrates a manufactured variable-source
-    problem over [0, 1]; ``kdv_naive`` runs a single soliton to t = 0.1 with
-    k = 0.05 h^3 (the small constant keeps the amplified high-wavenumber
-    noise of the explicit update far below truncation on refined levels).
+    ``_CONVERGENCE`` maps each scheme to its error at spacing h.  An
+    unknown scheme or a spacing that is not positive and finite is a
+    ConfigError, raised before any level runs.
     """
-    errors = []
+    if scheme not in _CONVERGENCE:
+        raise ConfigError(f"no convergence driver for scheme {scheme!r}; "
+                          f"known: {', '.join(CONVERGENCE_SCHEMES)}")
     hs = list(h_list)
     for h in hs:
-        if scheme == "schwarzian_invariant":
-            errors.append(_schwarzian_manufactured(h))
-        elif scheme == "kdv_naive":
-            a, b = -20.0, 20.0
-            n = round((b - a) / h)
-            cfg = validate_config({
-                "equation": "kdv", "scheme": "kdv_naive",
-                "domain_a": a, "domain_b": b, "n_points": n,
-                "t_final": 0.1, "dt_constant": 0.05,
-                "ic_c1": 1.0, "ic_c2": 0.0, "ic_a1": 0.0, "ic_a2": 0.0,
-            })
-            out = run_experiment(cfg)
-            t, x, u = out.snapshots[-1]
-            exact = exact_kdv_double_soliton(t, x, 1.0, 0.0, 0.0, 0.0)
-            errors.append(float(np.max(np.abs(u - exact))))
-        else:
-            raise ConfigError(f"no convergence driver for scheme {scheme!r}")
+        if not (h > 0.0 and math.isfinite(h)):
+            raise ConfigError(f"mesh spacing must be positive and finite, got {h!r}")
+    errors = [_CONVERGENCE[scheme](h) for h in hs]
     rows = []
     for m, (h, err) in enumerate(zip(hs, errors)):
         order = math.nan
-        if m > 0 and err > 0 and errors[m - 1] > 0:
+        if m > 0 and err > 0 and errors[m - 1] > 0 and h != hs[m - 1]:
             order = math.log2(errors[m - 1] / err) / math.log2(hs[m - 1] / h)
         rows.append(ConvergenceRow(h, err, order))
     return rows

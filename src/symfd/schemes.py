@@ -58,7 +58,7 @@ from typing import Callable
 import numpy as np
 from scipy.linalg.lapack import dgbsv
 
-from .errors import DegenerateDenominator, SchemeSingularity
+from .errors import DEGENERACY_TOL, DegenerateDenominator, SchemeSingularity
 from .invariants import cross_ratio, cross_ratio_conjugate
 from .mesh import (
     MeshUpdate,
@@ -70,8 +70,6 @@ from .mesh import (
     monitor_arclength,
     spline_project,
 )
-
-_DEN_TOL = 1e-14
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +146,7 @@ def _solve_cross_ratio_target(u_im1: float, u_i: float, u_ip1: float,
     span = u_ip1 - u_im1
     num = i_im1 * u_ip1 - target * span * u_i
     den = i_im1 - target * span
-    if abs(den) < _DEN_TOL * (1.0 + abs(num)):
+    if abs(den) < DEGENERACY_TOL * (1.0 + abs(num)):
         raise SchemeSingularity("cross-ratio solve degenerated")
     return num / den
 
@@ -166,7 +164,7 @@ def schwarzian_step(u_im1: float, u_i: float, u_ip1: float, h: float, f_i: float
     """
     _check_window(u_im1, u_i, u_ip1)
     den = 2.0 * (2.0 - h**2 * f_i)
-    if abs(den) < _DEN_TOL:
+    if abs(den) < DEGENERACY_TOL:
         raise SchemeSingularity("target cross-ratio undefined: h^2 F = 2")
     return _solve_cross_ratio_target(u_im1, u_i, u_ip1, 1.0 / den)
 
@@ -179,7 +177,7 @@ def schwarzian_step_through_pole(u_ip1: float, u_ip2: float) -> bool:
 def schwarzian_invariant_residual(u_im1, u_i, u_ip1, u_ip2, h, f_at_x) -> float:
     """(1/h^2) [2 - 1/(2 R_i)] - F(x_i); Mobius invariant at value level."""
     r = cross_ratio(u_im1, u_i, u_ip1, u_ip2)
-    if abs(r) < _DEN_TOL:
+    if abs(r) < DEGENERACY_TOL:
         raise DegenerateDenominator("cross-ratio vanished")
     return (2.0 - 0.5 / r) / h**2 - f_at_x
 
@@ -188,7 +186,7 @@ def schwarzian_invariantized_residual(u_im1, u_i, u_ip1, u_ip2, h, f_at_x) -> fl
     """(1/h^2) [1/(Rbar_i - R_i) - 2] - F(x_i)."""
     r = cross_ratio(u_im1, u_i, u_ip1, u_ip2)
     rbar = cross_ratio_conjugate(u_im1, u_i, u_ip1, u_ip2)
-    if abs(rbar - r) < _DEN_TOL:
+    if abs(rbar - r) < DEGENERACY_TOL:
         raise DegenerateDenominator("Rbar - R vanished")
     return (1.0 / (rbar - r) - 2.0) / h**2 - f_at_x
 
@@ -208,7 +206,7 @@ def schwarzian_invariantized_step(u_im1: float, u_i: float, u_ip1: float,
     span = u_ip1 - u_im1
     den = rho * span - d2
     num = rho * span * u_i + m
-    if abs(den) < _DEN_TOL * (1.0 + abs(num)):
+    if abs(den) < DEGENERACY_TOL * (1.0 + abs(num)):
         raise SchemeSingularity("invariantized solve degenerated")
     return num / den
 
@@ -266,7 +264,7 @@ def kdv_residual_6pt(prev: GridState, nxt: GridState, k: float) -> np.ndarray:
     _check_kdv_pair(prev, nxt, k)
     x0, u0, u1 = prev.x, prev.u, nxt.u
     h0 = x0[..., 1:] - x0[..., :-1]
-    if (np.abs(h0) < _DEN_TOL).any():
+    if (np.abs(h0) < DEGENERACY_TOL).any():
         raise DegenerateDenominator("vanishing spacing")
     du0 = (u0[..., 1:] - u0[..., :-1]) / h0
     d30 = _d3u(h0, du0)
@@ -283,7 +281,7 @@ def kdv_residual_10pt(prev: GridState, nxt: GridState, k: float) -> np.ndarray:
     _check_kdv_pair(prev, nxt, k)
     x0, u0, x1, u1 = prev.x, prev.u, nxt.x, nxt.u
     h0, h1 = x0[..., 1:] - x0[..., :-1], x1[..., 1:] - x1[..., :-1]
-    if (np.abs(h0) < _DEN_TOL).any() or (np.abs(h1) < _DEN_TOL).any():
+    if (np.abs(h0) < DEGENERACY_TOL).any() or (np.abs(h1) < DEGENERACY_TOL).any():
         raise DegenerateDenominator("vanishing spacing")
     du0 = (u0[..., 1:] - u0[..., :-1]) / h0
     du1 = (u1[..., 1:] - u1[..., :-1]) / h1
@@ -513,9 +511,9 @@ def _burgers_parts(x0: np.ndarray, u0: np.ndarray, x1: np.ndarray,
         # NaN, so one choice of 1 replaces the saturation branch.
         den = dlt_e[..., 1:-1]                                # Delta u_{i-1}
         num = np.where(up, dlt_e[..., :-2], dlt_e[..., 2:])   # Delta u_{i-2} or Delta u_i
-        small = np.abs(den) < _DEN_TOL
+        small = np.abs(den) < DEGENERACY_TOL
         theta = num / np.where(small, 1.0, den)
-        phi = np.where(small & (num > -_DEN_TOL), 1.0, theta).clip(0.0, 1.0)
+        phi = np.where(small & (num > -DEGENERACY_TOL), 1.0, theta).clip(0.0, 1.0)
 
     coef = coef_lo - phi * (coef_lo - coef_hi)
     const = const_lo - phi * (const_lo - const_hi)

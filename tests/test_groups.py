@@ -176,6 +176,41 @@ def test_flow_respects_lattice_weight():
     assert dn == pytest.approx(u0 * math.exp(-0.5), abs=1e-10)
 
 
+def _apply_sl2_on_u(g: SL2Element, z):
+    return (z[0], z[1], apply_sl2(g, z[2]))
+
+
+# each generator with its one-parameter element: exp(eps v) z = g(eps) z
+_KDV_FIELDS, _BURGERS_FIELDS, _SL2_FIELDS = kdv_generators(), burgers_generators(), sl2_generators()
+_FLOW_CLOSED_FORMS = {
+    "kdv_shift_x": (_KDV_FIELDS[0], lambda e: KdVGroupElement(1.0, 0.0, e, 0.0), apply_kdv),
+    "kdv_shift_t": (_KDV_FIELDS[1], lambda e: KdVGroupElement(1.0, 0.0, 0.0, e), apply_kdv),
+    "kdv_boost": (_KDV_FIELDS[2], lambda e: KdVGroupElement(1.0, e, 0.0, 0.0), apply_kdv),
+    "kdv_scale": (_KDV_FIELDS[3], lambda e: KdVGroupElement(math.exp(e)), apply_kdv),
+    "burgers_shift_x": (_BURGERS_FIELDS[0], lambda e: BurgersGroupElement(eps1=e), apply_burgers),
+    "burgers_shift_t": (_BURGERS_FIELDS[1], lambda e: BurgersGroupElement(eps2=e), apply_burgers),
+    "burgers_boost": (_BURGERS_FIELDS[2], lambda e: BurgersGroupElement(eps3=e), apply_burgers),
+    "burgers_scale": (_BURGERS_FIELDS[3], lambda e: BurgersGroupElement(eps4=e), apply_burgers),
+    "shift_u": (_SL2_FIELDS[0], lambda e: SL2Element(1.0, e, 0.0, 1.0), _apply_sl2_on_u),
+    "dilate_u": (_SL2_FIELDS[1], lambda e: SL2Element(math.exp(e / 2), 0.0, 0.0, math.exp(-e / 2)),
+                 _apply_sl2_on_u),
+    "special_u": (_SL2_FIELDS[2], lambda e: SL2Element(1.0, 0.0, -e, 1.0), _apply_sl2_on_u),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_FLOW_CLOSED_FORMS))
+@settings(max_examples=30, deadline=None)
+@given(node=st.tuples(*[st.floats(-2.0, 2.0)] * 3), eps=st.floats(-1.0, 1.0))
+def test_flow_equals_the_one_parameter_element_property(name, node, eps):
+    field, element, apply = _FLOW_CLOSED_FORMS[name]
+    if name == "special_u":
+        assume(abs(eps * node[2]) <= 0.4)  # keep away from the pole u = 1/eps
+    want = apply(element(eps), node)
+    got = flow(field, node, eps)
+    for g, w in zip(got, want):
+        assert abs(g - w) <= 1e-10 * (1.0 + abs(w))
+
+
 # ---------------------------------------------------------------------------
 # prolonged directional derivative
 # ---------------------------------------------------------------------------

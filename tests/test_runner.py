@@ -1,5 +1,6 @@
 """Experiment driver: oracles, configs, runs, audits, CSV, CLI."""
 
+import argparse
 import math
 import os
 import re
@@ -9,7 +10,8 @@ import sys
 import numpy as np
 import pytest
 
-from symfd import schemes
+from symfd import runner, schemes
+from symfd.cli import build_parser
 from symfd.cli import main as cli_main
 from symfd.errors import (
     ConfigError,
@@ -20,6 +22,9 @@ from symfd.errors import (
 )
 from symfd.runner import (
     _CONFIG_KEYS,
+    _SCHEMES_BY_EQUATION,
+    AUDIT_SCHEMES,
+    CONVERGENCE_SCHEMES,
     DiagnosticsRow,
     RunOutput,
     convergence_study,
@@ -222,10 +227,15 @@ def test_readme_key_table_lists_exactly_the_config_keys():
     readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
     with open(readme, encoding="utf-8") as fh:
         table = fh.read().split("\nKeys:\n\n", 1)[1].split("\n\n", 1)[0]
-    rows = table.splitlines()[2:]  # below the header and its rule
-    keys = [key for row in rows for key in re.findall(r"\w+", row.split("|")[1])]
+    rows = [row.split("|")[1:3] for row in table.splitlines()[2:]]  # below the rule
+    keys = [key for key, _meaning in rows for key in re.findall(r"\w+", key)]
     assert sorted(keys) == sorted(_CONFIG_KEYS)
-    assert len(_CONFIG_KEYS) == 21
+    assert len(_CONFIG_KEYS) == 18
+    # the equation and scheme rows list exactly what validation accepts
+    meaning = {key.strip(" `"): text for key, text in rows}
+    assert sorted(re.findall(r"`(\w+)`", meaning["equation"])) == sorted(_SCHEMES_BY_EQUATION)
+    assert sorted(re.findall(r"`(\w+)`", meaning["scheme"])) == sorted(
+        set().union(*_SCHEMES_BY_EQUATION.values()))
 
 
 def test_validate_config_rejects_unknown_keys():
@@ -234,9 +244,27 @@ def test_validate_config_rejects_unknown_keys():
     validate_config(base)
     for key, val in (("seed", 3), ("ic", "flat"), ("boundary", "periodic"),
                      ("ic_ma", 1.0), ("ic_mb", 0.0), ("ic_mc", 0.0), ("ic_md", 1.0),
-                     ("spacing_floor_rel", 1e-3), ("snapshot_every", 0)):
+                     ("spacing_floor_rel", 1e-3), ("snapshot_every", 0),
+                     ("ic_p", 1.0), ("ic_q", 0.0), ("mesh_f", 1.0)):
         with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
             validate_config({**base, key: val})
+
+
+@pytest.mark.parametrize("line,message", [
+    ("equation = uxx\nscheme = uxx", "unknown equation 'uxx'"),
+    ("equation = schwarzian\nscheme = uxx", "scheme 'uxx' does not solve 'schwarzian'"),
+    ("equation = schwarzian\nscheme = schwarzian_invariant\nic_p = 2", "unknown key 'ic_p'"),
+    ("equation = schwarzian\nscheme = schwarzian_invariant\nic_q = 1", "unknown key 'ic_q'"),
+    ("equation = schwarzian\nscheme = schwarzian_invariant\nmesh_f = 1.3", "unknown key 'mesh_f'"),
+])
+def test_cli_run_uxx_is_not_a_run(tmp_path, capsys, line, message):
+    # the u_xx scheme is audited (symfd audit --scheme uxx), never run
+    cfg = tmp_path / "uxx.cfg"
+    cfg.write_text(f"{line}\ndomain_a = 0\ndomain_b = 1\nn_points = 11\n")
+    assert cli_main(["run", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: ") and message in captured.err
 
 
 # ---------------------------------------------------------------------------
@@ -302,18 +330,6 @@ def test_schwarzian_run_crosses_pole():
     assert any(r.status == "pole" for r in out.diagnostics)
 
 
-def test_uxx_run_affine_exact():
-    cfg = validate_config({
-        "equation": "uxx", "scheme": "uxx", "domain_a": 0.0, "domain_b": 1.0,
-        "n_points": 11, "ic_p": 2.0, "ic_q": 1.0, "mesh_f": 1.3,
-    })
-    out = run_experiment(cfg)
-    _t, x, u = out.snapshots[-1]
-    assert np.max(np.abs(u - (2.0 * x + 1.0))) <= 1e-10
-    ratios = np.diff(x)[1:] / np.diff(x)[:-1]
-    assert np.max(np.abs(ratios - 1.3)) <= 1e-10
-
-
 def test_kdv_lagrangian_run_records_partial_output_on_tangling():
     cfg = validate_config({
         "equation": "kdv", "scheme": "kdv_6pt", "mesh": "lagrangian",
@@ -371,6 +387,30 @@ def test_schwarzian_failing_diagnostics_stop_with_partial_output(monkeypatch):
     assert [r.step for r in out.diagnostics] == [1, 2, 3]
     whole = run_experiment(_schwarzian_cfg())
     assert np.array_equal(u, whole.snapshots[-1][2][:6])
+
+
+@pytest.mark.parametrize("domain_a,node", [
+    pytest.param(math.pi / 2, 0, id="pole_at_node_0"),
+    pytest.param(math.pi / 2 - 0.1, 1, id="pole_at_node_1"),  # h = 0.1
+])
+def test_cli_schwarzian_seed_on_a_pole_writes_partial_csvs(tmp_path, capsys, domain_a, node):
+    snaps, diags = tmp_path / "s.csv", tmp_path / "d.csv"
+    cfg = tmp_path / "pole.cfg"
+    cfg.write_text("equation = schwarzian\nscheme = schwarzian_invariant\n"
+                   f"domain_a = {domain_a!r}\ndomain_b = {domain_a + 1.0!r}\n"
+                   "n_points = 11\n"
+                   f"snapshots_path = {snaps}\ndiagnostics_path = {diags}\n")
+    assert cli_main(["run", str(cfg)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "status: numerical_failure\n"
+    assert captured.err.startswith(
+        f"run stopped: seed node {node}: PoleError: denominator vanishes near x = ")
+    rows = snaps.read_text().splitlines()
+    assert rows[0] == "t,x,u" and len(rows) == 1 + node  # the seed nodes before it
+    assert [float(r.split(",")[2]) for r in rows[1:]] == [
+        exact_schwarzian(domain_a) for _ in range(node)]
+    assert diags.read_text().splitlines() == [
+        "step,t,min_spacing,tv,residual_inf,newton_iters,status"]
 
 
 def test_cli_schwarzian_degenerate_run_writes_partial_csvs(tmp_path, capsys):
@@ -514,6 +554,25 @@ def test_convergence_csv_format():
     assert len(lines) == 3
     assert math.isnan(rows[0].observed_order)
     assert rows[1].observed_order == pytest.approx(1.0, abs=0.35)
+
+
+def test_convergence_study_rejects_bad_input_before_any_level(monkeypatch):
+    calls = []
+    for scheme in CONVERGENCE_SCHEMES:
+        monkeypatch.setitem(runner._CONVERGENCE, scheme, lambda h: calls.append(h) or 1.0)
+    with pytest.raises(ConfigError, match="no convergence driver for scheme 'nope'"):
+        convergence_study("nope", [])
+    for scheme in CONVERGENCE_SCHEMES:
+        for bad in (0.0, -0.1, math.nan, math.inf):
+            with pytest.raises(ConfigError, match="positive and finite"):
+                convergence_study(scheme, [0.1, 0.05, bad])
+    assert calls == []
+
+
+def test_convergence_order_of_a_repeated_spacing_is_nan():
+    rows = convergence_study("schwarzian_invariant", [0.1, 0.1])
+    assert rows[0].error == rows[1].error
+    assert math.isnan(rows[1].observed_order)
 
 
 # ---------------------------------------------------------------------------
@@ -688,6 +747,48 @@ def test_python_m_symfd_runs_without_an_entry_point():
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert lines[0] == "t,x,u" and len(lines) == 9
+
+
+@pytest.mark.parametrize("h", ["0", "-0.1", "nan", "inf"])
+@pytest.mark.parametrize("scheme", ["schwarzian_invariant", "kdv_naive"])
+def test_cli_converge_rejects_bad_spacing(capsys, scheme, h):
+    assert cli_main(["converge", "--scheme", scheme, "--h", f"0.1,{h}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: mesh spacing must be positive and finite")
+
+
+@pytest.mark.parametrize("scheme,h,message", [
+    ("schwarzian_invariant", "2", "spacing 2.0 leaves fewer than 4 nodes on [0, 1]"),
+    ("schwarzian_invariant", "0.5", "spacing 0.5 leaves fewer than 4 nodes on [0, 1]"),
+    ("kdv_naive", "10", "n_points must be at least 8"),
+])
+def test_cli_converge_rejects_a_spacing_too_coarse_for_the_domain(capsys, scheme, h, message):
+    assert cli_main(["converge", "--scheme", scheme, "--h", h]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"config error: {message}\n"
+
+
+def test_cli_converge_numerical_failure_exits_3(monkeypatch, capsys):
+    def fail(h):
+        raise SchemeSingularity("cross-ratio vanished")
+    monkeypatch.setitem(runner._CONVERGENCE, "schwarzian_invariant", fail)
+    assert cli_main(["converge", "--scheme", "schwarzian_invariant", "--h", "0.1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "numerical failure: cross-ratio vanished\n"
+
+
+def _scheme_choices(command):
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return tuple(next(a.choices for a in sub.choices[command]._actions if a.dest == "scheme"))
+
+
+def test_cli_scheme_choices_are_the_driver_tables():
+    assert _scheme_choices("converge") == CONVERGENCE_SCHEMES
+    assert _scheme_choices("audit") == AUDIT_SCHEMES
 
 
 def test_cli_audit_and_exact_and_converge(capsys):

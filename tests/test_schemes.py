@@ -191,6 +191,8 @@ def test_uxx_step_keeps_affine_data():
     p, q = 2.0, 1.0
     x_ip1, u_ip1 = uxx_step(x_im1, x_i, p * x_im1 + q, p * x_i + q, 1.7)
     assert u_ip1 == pytest.approx(p * x_ip1 + q, abs=1e-12)
+    # the new spacing is f times the previous one
+    assert x_ip1 - x_i == pytest.approx(1.7 * (x_i - x_im1), abs=1e-12)
 
 
 def test_uxx_step_unit_ratio_uniform_mesh():
