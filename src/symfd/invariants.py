@@ -48,12 +48,6 @@ def cross_ratio(u_im1: float, u_i: float, u_ip1: float, u_ip2: float) -> float:
     return _checked_div((u_i - u_im1) * (u_ip2 - u_ip1), den)
 
 
-def cross_ratio_conjugate(u_im1: float, u_i: float, u_ip1: float, u_ip2: float) -> float:
-    """(u_{i+2} - u_{i-1})(u_{i+1} - u_i) / ((u_{i+2} - u_i)(u_{i+1} - u_{i-1}))."""
-    den = (u_ip2 - u_i) * (u_ip1 - u_im1)
-    return _checked_div((u_ip2 - u_im1) * (u_ip1 - u_i), den)
-
-
 def sl2_invariant_chain(u_im1: float, u_i: float, u_ip1: float, u_ip2: float):
     """Stepwise reduction: differences I, ratios J, and the cross-ratio R.
 

@@ -1,11 +1,15 @@
 """Invariant numerical schemes and their non-invariant baselines.
 
 Schwarzian ODE (third order, Mobius symmetry)
-    The invariant step enforces a target cross-ratio
-    R* = 1 / (2 (2 - h^2 F(x_i))) on each four-point window and solves the
-    resulting fractional-linear equation for the new value in closed form.
-    The invariantized residual uses the conjugate ratio Rbar:
-    (1/h^2) [1/(Rbar - R) - 2] - F(x_i).
+    Both schemes are one recurrence: on each four-point window the new value
+    solves cross_ratio = R* in closed form (the equation is fractional
+    linear in it).  The invariant scheme's target is
+    R* = 1 / (2 (2 - h^2 F(x_i))).  The invariantized scheme enforces
+    Rbar - R = 1 / (2 + h^2 F(x_i)) with the conjugate ratio Rbar; since
+    (d-a)(c-b) + (b-a)(d-c) = (c-a)(d-b) for any four values, Rbar = 1 - R
+    and Rbar - R = 1 - 2R, so its target is
+    R* = (1 + h^2 F(x_i)) / (2 (2 + h^2 F(x_i))).  Its residual is
+    (1/h^2) [1/(1 - 2R) - 2] - F(x_i).
 
 KdV equation u_t + u u_x + u_xxx = 0
     Six-point scheme (one node on the upper row):
@@ -59,7 +63,7 @@ import numpy as np
 from scipy.linalg.lapack import dgbsv
 
 from .errors import DEGENERACY_TOL, DegenerateDenominator, SchemeSingularity
-from .invariants import cross_ratio, cross_ratio_conjugate
+from .invariants import cross_ratio
 from .mesh import (
     MeshUpdate,
     MonitorParams,
@@ -183,32 +187,25 @@ def schwarzian_invariant_residual(u_im1, u_i, u_ip1, u_ip2, h, f_at_x) -> float:
 
 
 def schwarzian_invariantized_residual(u_im1, u_i, u_ip1, u_ip2, h, f_at_x) -> float:
-    """(1/h^2) [1/(Rbar_i - R_i) - 2] - F(x_i)."""
-    r = cross_ratio(u_im1, u_i, u_ip1, u_ip2)
-    rbar = cross_ratio_conjugate(u_im1, u_i, u_ip1, u_ip2)
-    if abs(rbar - r) < DEGENERACY_TOL:
+    """(1/h^2) [1/(Rbar_i - R_i) - 2] - F(x_i), with Rbar_i - R_i = 1 - 2 R_i."""
+    gap = 1.0 - 2.0 * cross_ratio(u_im1, u_i, u_ip1, u_ip2)
+    if abs(gap) < DEGENERACY_TOL:
         raise DegenerateDenominator("Rbar - R vanished")
-    return (1.0 / (rbar - r) - 2.0) / h**2 - f_at_x
+    return (1.0 / gap - 2.0) / h**2 - f_at_x
 
 
 def schwarzian_invariantized_step(u_im1: float, u_i: float, u_ip1: float,
                                   h: float, f_i: float) -> float:
     """Advance the invariantized form: enforce Rbar - R = 1/(2 + h^2 F).
 
-    Rbar - R = (w D2 + M) / ((w - u_i) S) with D2 the second difference,
-    S = u_{i+1} - u_{i-1} and M = u_i (u_{i-1} + u_{i+1}) - 2 u_{i-1} u_{i+1},
-    fractional linear in the unknown w, so this too is a closed form solve.
+    As Rbar - R = 1 - 2R, that is cross_ratio = (1 + h^2 F) / (2 (2 + h^2 F)),
+    the invariant step's recurrence with another target.
     """
     _check_window(u_im1, u_i, u_ip1)
-    rho = 1.0 / (2.0 + h**2 * f_i)
-    d2 = u_ip1 - 2.0 * u_i + u_im1
-    m = u_i * (u_im1 + u_ip1) - 2.0 * u_im1 * u_ip1
-    span = u_ip1 - u_im1
-    den = rho * span - d2
-    num = rho * span * u_i + m
-    if abs(den) < DEGENERACY_TOL * (1.0 + abs(num)):
-        raise SchemeSingularity("invariantized solve degenerated")
-    return num / den
+    den = 2.0 * (2.0 + h**2 * f_i)
+    if abs(den) < DEGENERACY_TOL:
+        raise SchemeSingularity("target cross-ratio undefined: h^2 F = -2")
+    return _solve_cross_ratio_target(u_im1, u_i, u_ip1, (1.0 + h**2 * f_i) / den)
 
 
 # ---------------------------------------------------------------------------
@@ -482,11 +479,13 @@ def _burgers_parts(x0: np.ndarray, u0: np.ndarray, x1: np.ndarray,
 
     up = (u_c - sig[..., 1:-1] / k) >= 0.0
 
+    # the high-order volume and flux differences span [x_{i-1}, x_{i+1}],
+    # two cells, so the viscous flux difference is twice the one-cell one
     coef_hi = h1[..., 1:] + h1[..., :-1]
     const_hi = -(h0[..., 1:] + h0[..., :-1]) * u_c
     sq = u0**2
     su = sig * u0
-    dsf_hi = (0.5 * (sq[..., 2:] - sq[..., :-2]) - nu_ddu[..., 1:-1]
+    dsf_hi = (0.5 * (sq[..., 2:] - sq[..., :-2]) - 2.0 * nu_ddu[..., 1:-1]
               - (su[..., 2:] - su[..., :-2]) / k)
 
     coef_lo = np.where(up, h1[..., :-1], h1[..., 1:])

@@ -330,6 +330,17 @@ def test_schwarzian_run_crosses_pole():
     assert any(r.status == "pole" for r in out.diagnostics)
 
 
+def test_schwarzian_tv_column_is_the_total_variation_of_the_prefix():
+    out = run_experiment(validate_config({
+        "equation": "schwarzian", "scheme": "schwarzian_invariant",
+        "domain_a": 0.0, "domain_b": 2.5, "n_points": 251,
+    }))
+    u = out.snapshots[-1][2]
+    for r in out.diagnostics:
+        want = total_variation(u[: r.step + 3])
+        assert abs(r.tv - want) <= 1e-13 * want
+
+
 def test_kdv_lagrangian_run_records_partial_output_on_tangling():
     cfg = validate_config({
         "equation": "kdv", "scheme": "kdv_6pt", "mesh": "lagrangian",
@@ -554,6 +565,13 @@ def test_convergence_csv_format():
     assert len(lines) == 3
     assert math.isnan(rows[0].observed_order)
     assert rows[1].observed_order == pytest.approx(1.0, abs=0.35)
+
+
+def test_burgers_converges_at_second_order():
+    # nu = 0.02 resolves the shock on these meshes, so the smooth-region
+    # order of the finite-volume scheme shows in the max norm
+    rows = convergence_study("burgers_fv", [1 / 64, 1 / 128])
+    assert rows[1].observed_order >= 1.8, rows
 
 
 def test_convergence_study_rejects_bad_input_before_any_level(monkeypatch):

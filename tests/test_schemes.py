@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 
 from symfd.errors import MeshTangling, SchemeSingularity, SymfdError
 from symfd.groups import BurgersGroupElement, apply_burgers, apply_kdv, apply_sl2
+from symfd.invariants import cross_ratio
 from symfd.mesh import MonitorParams, equidistribute, monitor_arclength
-from symfd.runner import exact_kdv_double_soliton
+from symfd.runner import exact_burgers, exact_kdv_double_soliton
 from symfd.rng import DeterministicRng
 from symfd.schemes import (
     GridState,
@@ -126,6 +127,44 @@ def test_schwarzian_step_mobius_commutation():
 def test_schwarzian_step_singular_target():
     with pytest.raises(SchemeSingularity, match="h\\^2 F = 2"):
         schwarzian_step(0.0, 1.0, 2.0, 1.0, 2.0)
+    with pytest.raises(SchemeSingularity, match="h\\^2 F = -2"):
+        schwarzian_invariantized_step(0.0, 1.0, 3.0, 1.0, -2.0)
+
+
+def _conjugate_ratio_reference(a, b, c, d):
+    """Rbar = (d - a)(c - b) / ((d - b)(c - a)), the conjugate cross-ratio."""
+    return (d - a) * (c - b) / ((d - b) * (c - a))
+
+
+def _invariantized_step_reference(u_im1, u_i, u_ip1, h, f_i):
+    """The closed form that solves Rbar - R = 1/(2 + h^2 F) directly:
+    Rbar - R = (w D2 + M) / ((w - u_i) S) with D2 the second difference,
+    S = u_{i+1} - u_{i-1} and M = u_i (u_{i-1} + u_{i+1}) - 2 u_{i-1} u_{i+1}."""
+    rho = 1.0 / (2.0 + h**2 * f_i)
+    d2 = u_ip1 - 2.0 * u_i + u_im1
+    m = u_i * (u_im1 + u_ip1) - 2.0 * u_im1 * u_ip1
+    span = u_ip1 - u_im1
+    return (rho * span * u_i + m) / (rho * span - d2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(-1e3, 1e3), min_size=4, max_size=4))
+def test_cross_ratio_and_its_conjugate_sum_to_one(u):
+    a, b, c, d = u
+    assume(abs(c - a) > 1e-3 and abs(d - b) > 1e-3)
+    r = cross_ratio(*u)
+    rbar = _conjugate_ratio_reference(*u)
+    assert abs(r + rbar - 1.0) <= 1e-12 * (1.0 + abs(r) + abs(rbar))
+
+
+def test_schwarzian_invariantized_step_matches_direct_closed_form():
+    rng = DeterministicRng(83)
+    for _ in range(2000):
+        u = rand_admissible_window(rng)[:3]
+        h = rng.uniform(0.05, 1.0)
+        f = rng.uniform(-1.0, 1.0)
+        want = _invariantized_step_reference(*u, h, f)
+        assert abs(schwarzian_invariantized_step(*u, h, f) - want) <= 1e-10 * abs(want)
 
 
 @pytest.mark.parametrize("step", [schwarzian_step, schwarzian_invariantized_step])
@@ -154,8 +193,7 @@ def test_schwarzian_invariantized_residual_defines_source():
     # equal spacing, F chosen as the residual combination: residual vanishes
     u = (0.0, 1.0, 2.0, 3.0)
     h = 0.3
-    from symfd.invariants import cross_ratio, cross_ratio_conjugate
-    f = (1.0 / (cross_ratio_conjugate(*u) - cross_ratio(*u)) - 2.0) / h**2
+    f = (1.0 / (_conjugate_ratio_reference(*u) - cross_ratio(*u)) - 2.0) / h**2
     assert schwarzian_invariantized_residual(*u, h, f) == pytest.approx(0.0, abs=1e-12)
 
 
@@ -557,8 +595,10 @@ def _burgers_parts_reference(x0, u0, x1, k, nu, phi_override):
 
     out = []
     for i in range(1, n - 1):
+        # the high-order cell [x_{i-1}, x_{i+1}] is two cells wide, and so is
+        # its viscous flux difference
         hi = (h1[i] + h1[i - 1], -(h0[i] + h0[i - 1]) * u0[i],
-              flux_difference(i - 1, i + 1, slope(i) - slope(i - 1)))
+              flux_difference(i - 1, i + 1, 2.0 * (slope(i) - slope(i - 1))))
         upwind_left = u0[i] - sig[i] / k >= 0.0
         if upwind_left:
             lo = (h1[i - 1], -h0[i - 1] * u0[i],
@@ -765,6 +805,36 @@ def test_burgers_low_order_mass_balance():
     dm = h * float(np.sum(u1 - u[1:-1]))
     f = 0.5 * u**2  # sigma = 0 and nu = 0 leave only the advective flux
     assert abs(dm + k * (f[-2] - f[0])) <= 1e-10
+
+
+def _burgers_consistency_error(n, nu, a, phase, v, psi, t0):
+    """Largest |residual| / (k volume) on the exact viscous shock.
+
+    The two levels t0 and t0 + k (k = 0.4 h^2, h = 1/n) sit on a smooth
+    random mesh of [-0.5, 0.5], moved by k times a smooth random velocity;
+    the volume is the high-order cell x1_{i+1} - x1_{i-1}.  Nodes 1 and
+    N-2 are left out: their constant-extrapolated ghost slopes make them
+    first order.
+    """
+    s = np.linspace(-0.5, 0.5, n + 1)
+    k = 0.4 / n**2
+    x0 = s + a * np.sin(2.0 * np.pi * s + phase) / (2.0 * np.pi)
+    x1 = x0 + k * v * np.cos(2.0 * np.pi * x0 + psi)
+    prev = GridState(t0, x0, exact_burgers(t0, x0, nu))
+    nxt = GridState(t0 + k, x1, exact_burgers(t0 + k, x1, nu))
+    r = burgers_fv_residual(prev, nxt, k, nu)
+    return float(np.max(np.abs(r / (k * (x1[2:] - x1[:-2])))[1:-1]))
+
+
+@settings(max_examples=25, deadline=None)
+@given(a=st.floats(-0.5, 0.5), phase=st.floats(0.0, 2.0 * math.pi),
+       v=st.floats(-2.0, 2.0), psi=st.floats(0.0, 2.0 * math.pi), t0=st.floats(0.0, 1.0))
+def test_burgers_residual_is_second_order_consistent(a, phase, v, psi, t0):
+    # the exact solution leaves a residual per unit volume and time that
+    # falls at the scheme's second order, on moved nonuniform meshes
+    coarse, fine = (_burgers_consistency_error(n, 0.05, a, phase, v, psi, t0)
+                    for n in (256, 512))
+    assert math.log2(coarse / fine) >= 1.8, (coarse, fine)
 
 
 def test_burgers_shock_total_variation_bound():
