@@ -1,6 +1,6 @@
 """Exception taxonomy shared by all symfd modules, and their shared threshold."""
 
-# below this a denominator, slope, spacing or determinant counts as vanishing
+# below this a denominator, slope or determinant counts as vanishing
 DEGENERACY_TOL = 1e-14
 
 

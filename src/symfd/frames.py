@@ -3,7 +3,7 @@
 A right moving frame rho sends each admissible jet/stencil z to the unique
 group element with rho(z) . z on a chosen cross-section; equivariance
 rho(g . z) = rho(z) g^{-1} then makes iota(F)(z) = F(rho(z) . z) an
-invariant for any scalar F.  Three families are implemented:
+invariant for any scalar F.  Four frames are implemented:
 
 * the Mobius frame on differential jets (u, u_x, u_xx), normalizing to
   {u = 0, u_x = sign(u_x), u_xx = 0};

@@ -10,6 +10,8 @@ as a flat ordered vector so that schemes and rank tests share one code path.
 in the offsets it names: checks, differences and the conversions to and from
 :class:`~symfd.groups.Stencil` are written once.
 
+Powers are products, which scale exactly under x -> 2^j x; pow may not.
+
 Notation for the stencils (shared with the schemes module)::
 
     k       = t^{n+1} - t^n           time step (rows are flat in t)
@@ -20,12 +22,14 @@ Notation for the stencils (shared with the schemes module)::
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DEGENERACY_TOL, DegenerateDenominator
 from .groups import Stencil
+from .mesh import _finite_increasing
 
 
 def _checked_div(num: float, den: float) -> float:
@@ -74,7 +78,8 @@ class _TwoRowStencil:
     ``x`` and ``u`` are (2, width) arrays over the columns that the subclass's
     ``_offsets`` name, in row-major order, which is also the sorted order of
     Stencil.from_dict.  The width, the centre column (j = 0) and the array
-    shape follow from those offsets when the subclass is defined.
+    shape follow from those offsets when the subclass is defined.  x is
+    checked as a GridState's, and 0 < k < inf: the catalogs divide by both.
     """
 
     k: float
@@ -94,10 +99,10 @@ class _TwoRowStencil:
         u = np.asarray(self.u, dtype=float)
         if x.shape != self._shape or u.shape != self._shape:
             raise ValueError(f"{type(self).__name__} needs 2x{self._width} x and u arrays")
-        if not self.k > 0.0:
-            raise ValueError("time step must be positive")
-        if (x[:, 1:] <= x[:, :-1]).any():
-            raise ValueError("spacings must be positive")
+        if not 0.0 < self.k < math.inf:  # NaN fails this test too
+            raise ValueError("time step must be finite and positive")
+        if not _finite_increasing(x):
+            raise ValueError("x must be finite and strictly increasing")
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "u", u)
 
@@ -170,15 +175,13 @@ def kdv_invariants(z: KdVStencil) -> dict[str, float]:
     """
     x, u, k = z.x, z.u, z.k
     h = x[:, 1:] - x[:, :-1]
-    if np.abs(h).min() < DEGENERACY_TOL or abs(k) < DEGENERACY_TOL:
-        raise DegenerateDenominator("vanishing spacing or time step")
     du = (u[:, 1:] - u[:, :-1]) / h
     h0, h1 = h[:, 2].tolist()  # h^n_i, h^{n+1}_i
     x0, x1 = x[:, 2].tolist()
     u0, u1 = u[:, 2].tolist()
     values = (
         (h[:, :-1] / h[:, 1:]).ravel().tolist()
-        + [h1 / h0, h0**3 / k, ((x1 - x0) - k * u0) / h0, (u1 - u0) * h0**2]
+        + [h1 / h0, h0 * h0 * h0 / k, ((x1 - x0) - k * u0) / h0, (u1 - u0) * (h0 * h0)]
         + (k * du).ravel().tolist()
     )
     return dict(zip(KDV_INVARIANT_NAMES, values))
@@ -206,8 +209,6 @@ def burgers_invariants(z: BurgersStencil) -> dict[str, float]:
     """The 9 invariants of the four-parameter Burgers group action."""
     x, u, k = z.x, z.u, z.k
     h = x[:, 1:] - x[:, :-1]
-    if np.abs(h).min() < DEGENERACY_TOL or abs(k) < DEGENERACY_TOL:
-        raise DegenerateDenominator("vanishing spacing or time step")
     (hl0, hr0), (hl1, hr1) = h.tolist()  # h_{i-1}, h_i on rows n and n+1
     (dl0, dr0), (dl1, dr1) = ((u[:, 1:] - u[:, :-1]) / h).tolist()
     x0, x1 = x[:, 1].tolist()
@@ -221,8 +222,8 @@ def burgers_invariants(z: BurgersStencil) -> dict[str, float]:
         hr1 * hl1 * (dr1 - dl1),
         hr0 * (sig / k - u0),
         hr1 * (sig / k - u1),
-        hr0**2 * (dr0 + 1.0 / k),
-        hr1**2 * (dr1 - 1.0 / k),
+        hr0 * hr0 * (dr0 + 1.0 / k),
+        hr1 * hr1 * (dr1 - 1.0 / k),
     )
     return dict(zip(BURGERS_INVARIANT_NAMES, values))
 

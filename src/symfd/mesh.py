@@ -46,18 +46,19 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import dgtsv
 
-from .errors import (
-    DEGENERACY_TOL,
-    DegenerateDenominator,
-    MeshTangling,
-    OutOfDomain,
-    SingularSystem,
-)
+from .errors import MeshTangling, OutOfDomain, SingularSystem
 
 
 def _holds(cond) -> bool:
     """A comparison of a float (a bool) or of an array (all its entries)."""
     return cond.all() if isinstance(cond, np.ndarray) else cond
+
+
+def _finite_increasing(x: np.ndarray) -> bool:
+    """Whether each row of x, a state's or a stencil's, is finite and strictly increasing."""
+    # NaN fails the first test; increasing x is finite when its span is
+    # (``x.T[j]`` is node j of one row and column j of several)
+    return (x[..., 1:] > x[..., :-1]).all() and _holds(x.T[-1] - x.T[0] < math.inf)
 
 
 @dataclass(frozen=True)
@@ -127,9 +128,6 @@ def lagrangian_update(state, k: float, floor: float = 0.0) -> MeshUpdate:
 
 def _arclength_weights(dx: np.ndarray, du: np.ndarray, k: float, alpha) -> np.ndarray:
     """Arc-length weights from the spacings dx and value increments du."""
-    # the exact test runs only when the minimum does not already rule it out
-    if not dx.min() >= DEGENERACY_TOL and (np.abs(dx) < DEGENERACY_TOL).any():
-        raise DegenerateDenominator("vanishing mesh spacing in monitor")
     slopes = k * du / dx
     d = np.empty(dx.shape[:-1] + (dx.shape[-1] + 1,))
     np.sqrt(1.0 + alpha * slopes**2, out=d[..., :-1])
@@ -243,7 +241,7 @@ def spline_project(x_src: np.ndarray, u_src: np.ndarray,
     u_src = np.asarray(u_src, dtype=float)
     xq = np.asarray(x_target, dtype=float)
     lo, hi = x_src[0], x_src[-1]
-    slack = 1e-12 * (1.0 + abs(hi - lo))
+    slack = 1e-12 * (hi - lo)
     if np.any(xq < lo - slack) or np.any(xq > hi + slack):
         raise OutOfDomain("projection target outside the source hull")
     xq = np.clip(xq, lo, hi)

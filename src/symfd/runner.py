@@ -154,7 +154,7 @@ def schwarzian_rhs(source: Callable[[float], float]):
     """First-order system for the Schwarzian ODE: y = (u, u', u'')."""
 
     def f(x, y):
-        u, p, q = y
+        u, p, q = y.tolist()
         return np.array([p, q, (source(x) * p**2 + 1.5 * q**2) / p])
 
     return f

@@ -26,6 +26,10 @@ _unit = st.floats(-1.0, 1.0)
 kdv_elements = st.builds(KdVGroupElement, st.floats(-0.7, 0.7).map(math.exp), _unit, _unit, _unit)
 burgers_elements = st.builds(BurgersGroupElement, _unit, _unit, _unit, st.floats(-0.7, 0.7))
 
+# scale factors 2^j, which floating point applies exactly: far outside the
+# sampled scales, at spacings far below 1e-14 (j = -50, -60) and far above 1
+POWER_OF_TWO_SCALES = tuple(2.0**j for j in (-60, -50, 60))
+
 
 def rand_sl2(rng: DeterministicRng) -> SL2Element:
     while True:

@@ -7,7 +7,13 @@ from hypothesis import strategies as st
 
 from symfd.errors import DegenerateDenominator
 from symfd.frames import apply_burgers_stencil, apply_kdv_stencil
-from symfd.groups import Stencil, apply_sl2, burgers_generators, kdv_generators
+from symfd.groups import (
+    KdVGroupElement,
+    Stencil,
+    apply_sl2,
+    burgers_generators,
+    kdv_generators,
+)
 from symfd.invariants import (
     BURGERS_INVARIANT_NAMES,
     KDV_INVARIANT_NAMES,
@@ -23,6 +29,7 @@ from symfd.invariants import (
 from symfd.rng import DeterministicRng
 
 from _helpers import (
+    POWER_OF_TWO_SCALES,
     rand_admissible_window,
     rand_burgers_element,
     rand_burgers_stencil,
@@ -117,6 +124,10 @@ def test_kdv_invariants_group_invariance_200():
         v0 = kdv_invariant_vector(z)
         v1 = kdv_invariant_vector(apply_kdv_stencil(g, z))
         worst = max(worst, float(np.max(np.abs(v1 - v0) / (1.0 + np.abs(v0)))))
+        # floating point applies a scaling by 2^j exactly
+        for lam in POWER_OF_TWO_SCALES:
+            gz = apply_kdv_stencil(KdVGroupElement(lam, 0.0, 0.0, 0.0), z)
+            assert np.array_equal(kdv_invariant_vector(gz), v0), lam
     assert worst <= 1e-9
 
 
@@ -214,6 +225,10 @@ def test_burgers_invariants_group_invariance_200():
         v0 = burgers_invariant_vector(z)
         v1 = burgers_invariant_vector(apply_burgers_stencil(g, z))
         worst = max(worst, float(np.max(np.abs(v1 - v0) / (1.0 + np.abs(v0)))))
+        # x -> lam x, t -> lam^2 t, u -> u / lam, exact for lam = 2^j
+        for lam in POWER_OF_TWO_SCALES:
+            gz = BurgersStencil(lam**2 * z.k, lam * z.x, z.u / lam, lam**2 * z.t0)
+            assert np.array_equal(burgers_invariant_vector(gz), v0), lam
     assert worst <= 1e-9
 
 
@@ -261,6 +276,20 @@ def test_stencil_roundtrips():
     back = BurgersStencil.from_stencil(zb.to_stencil())
     assert back.k == pytest.approx(zb.k, abs=1e-14)
     assert np.allclose(back.x, zb.x) and np.allclose(back.u, zb.u)
+
+
+_ROW5 = [0.0, 1.0, 2.0, 3.0, 4.0]
+
+
+@pytest.mark.parametrize("make", [
+    lambda: KdVStencil(1.0, [[0.0, np.nan, 2.0, 3.0, 4.0], _ROW5], np.zeros((2, 5))),
+    lambda: KdVStencil(1.0, [_ROW5[:4] + [np.inf], _ROW5], np.zeros((2, 5))),
+    lambda: BurgersStencil(np.inf, [_ROW5[:3], _ROW5[:3]], np.zeros((2, 3))),
+], ids=["nan_abscissa", "inf_abscissa", "inf_time_step"])
+def test_two_row_stencils_reject_nonfinite_abscissae_and_time_steps(make):
+    # the catalogs divide by the spacings and k without a test of their own
+    with pytest.raises(ValueError, match="finite"):
+        make()
 
 
 # ---------------------------------------------------------------------------
@@ -332,9 +361,9 @@ def _kdv_reference(z):
         for j in (-1, 0, 1):
             out[f"H({l},{j:+d})" if j else f"H({l},0)"] = h[l, j + 1] / h[l, j + 2]
     out["I"] = h[1, 2] / h[0, 2]
-    out["J"] = h[0, 2] ** 3 / z.k
+    out["J"] = h[0, 2] * h[0, 2] * h[0, 2] / z.k
     out["L"] = ((z.x[1, 2] - z.x[0, 2]) - z.k * z.u[0, 2]) / h[0, 2]
-    out["T"] = (z.u[1, 2] - z.u[0, 2]) * h[0, 2] ** 2
+    out["T"] = (z.u[1, 2] - z.u[0, 2]) * (h[0, 2] * h[0, 2])
     for l in range(2):
         for j in (-2, -1, 0, 1):
             out[f"K({l},{j:+d})" if j else f"K({l},0)"] = z.k * du[l, j + 2]
@@ -351,7 +380,8 @@ def _burgers_reference(z):
         "I4": h[0, 1] * h[0, 0] * (du[0, 1] - du[0, 0]),
         "I5": h[1, 1] * h[1, 0] * (du[1, 1] - du[1, 0]),
         "I6": h[0, 1] * (sig / k - z.u[0, 1]), "I7": h[1, 1] * (sig / k - z.u[1, 1]),
-        "I8": h[0, 1] ** 2 * (du[0, 1] + 1.0 / k), "I9": h[1, 1] ** 2 * (du[1, 1] - 1.0 / k),
+        "I8": h[0, 1] * h[0, 1] * (du[0, 1] + 1.0 / k),
+        "I9": h[1, 1] * h[1, 1] * (du[1, 1] - 1.0 / k),
     }
 
 

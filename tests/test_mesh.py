@@ -17,7 +17,7 @@ from symfd.mesh import (
 from symfd.rng import DeterministicRng
 from symfd.schemes import GridState
 
-from _helpers import rand_kdv_element
+from _helpers import POWER_OF_TWO_SCALES, rand_kdv_element
 
 
 def _state(x, u, t=0.0):
@@ -94,6 +94,12 @@ def test_monitor_group_invariance():
         gst = _state([p[1] for p in pts], [p[2] for p in pts], pts[0][0])
         d1 = monitor_arclength(gst, g.lam**3 * k, MonitorParams(3.0))
         assert np.max(np.abs(d1 - d0)) <= 1e-10
+    # the KdV (k -> lam^3 k, u -> u / lam^2) and Burgers (k -> lam^2 k,
+    # u -> u / lam) scalings by 2^j give the same weights bit for bit
+    for lam in POWER_OF_TWO_SCALES:
+        for kk, uu in ((lam**3 * k, u / lam**2), (lam**2 * k, u / lam)):
+            d1 = monitor_arclength(_state(lam * x, uu), kk, MonitorParams(3.0))
+            assert np.array_equal(d1, d0), lam
 
 
 def test_equidistribute_uniform_for_unit_weights():
@@ -231,6 +237,12 @@ def test_spline_out_of_domain_and_clamp():
     assert got[0] == pytest.approx(0.0, abs=1e-12)
     with pytest.raises(OutOfDomain):
         spline_project(x, u, np.array([1.1]))
+    # the slack is relative to the hull width, also on a hull 2^-60 wide
+    lam = 2.0**-60
+    got = spline_project(lam * x, u, lam * np.array([0.0 - 1e-13, 1.0]))
+    assert got[0] == pytest.approx(0.0, abs=1e-12)
+    with pytest.raises(OutOfDomain):
+        spline_project(lam * x, u, np.array([2.0 * lam]))
 
 
 # ---------------------------------------------------------------------------

@@ -355,6 +355,31 @@ def test_kdv_lagrangian_run_records_partial_output_on_tangling():
     assert "at index" in out.message
 
 
+@pytest.mark.parametrize("mesh", ["lagrangian", "adaptive", "projection"])
+def test_kdv_6pt_run_commutes_with_power_of_two_scaling(mesh):
+    # x -> lam x, t -> lam^3 t, u -> u / lam^2 with lam = 2^j is exact in
+    # floating point, so a scale-free run maps onto its image bit for bit
+    base = {
+        "equation": "kdv", "scheme": "kdv_6pt", "mesh": mesh, "alpha": 10.0,
+        "domain_a": -12.0, "domain_b": 12.0, "n_points": 48, "t_final": 0.25,
+        "dt_constant": 0.5, "ic_c1": 1.0, "ic_a1": 4.0, "ic_c2": 0.5, "ic_a2": -4.0,
+    }
+    ref = run_experiment(validate_config(base))
+    assert ref.status == "completed" and len(ref.diagnostics) == 4
+    _, x_ref, u_ref = ref.snapshots[-1]
+    for j in (-60, -50, -40, -20, 20, 40, 60):
+        lam = 2.0**j
+        cfg = dict(base, t_final=base["t_final"] * lam**3)
+        for key in ("domain_a", "domain_b", "ic_a1", "ic_a2"):
+            cfg[key] = base[key] * lam
+        for key in ("ic_c1", "ic_c2"):
+            cfg[key] = base[key] / lam**2
+        out = run_experiment(validate_config(cfg))
+        assert (out.status, len(out.diagnostics)) == (ref.status, 4), (j, out.message)
+        _, x, u = out.snapshots[-1]
+        assert np.array_equal(x / lam, x_ref) and np.array_equal(u * lam**2, u_ref), j
+
+
 def test_schwarzian_singular_step_stops_with_its_message(monkeypatch):
     calls = []
 

@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from symfd.errors import MeshTangling, SchemeSingularity, SymfdError
-from symfd.groups import BurgersGroupElement, apply_burgers, apply_kdv, apply_sl2
+from symfd.groups import BurgersGroupElement, KdVGroupElement, apply_burgers, apply_kdv, apply_sl2
 from symfd.invariants import cross_ratio
 from symfd.mesh import MonitorParams, equidistribute, monitor_arclength
 from symfd.runner import exact_burgers, exact_kdv_double_soliton
@@ -44,6 +44,7 @@ from symfd.schemes import (
 )
 
 from _helpers import (
+    POWER_OF_TWO_SCALES,
     kdv_elements,
     rand_admissible_window,
     rand_burgers_element,
@@ -347,17 +348,37 @@ def test_kdv_residual_first_order_on_soliton(residual):
 @given(data=st.data(), rows=st.sampled_from([None, 1, 3]), g=kdv_elements)
 def test_kdv_residual_group_invariance(residual, data, rows, g):
     # the normalized residual of a state pair, or of a (rows, 9) batch of
-    # pairs, equals that of its image under g
+    # pairs, equals that of its image under g; under the scalings by 2^j,
+    # which floating point applies exactly, it is equal bit for bit
     n = 9
     k = _per_row(data.draw, st.floats(0.1, 0.5), rows)
     prev = GridState(0.0, _mesh(data.draw, n, rows), _values(data.draw, n, rows, [-1.0, 0.0, 1.0]))
     nxt = GridState(k, _mesh(data.draw, n, rows), _values(data.draw, n, rows, [-1.0, 0.0, 1.0]))
     base = residual(prev, nxt, k) * kdv_invariant_normalizer(prev, k)
-    gp, gn = (GridState(*apply_kdv(g, (s.t, s.x, s.u))) for s in (prev, nxt))
-    gk = gn.t - gp.t
-    img = residual(gp, gn, gk) * kdv_invariant_normalizer(gp, gk)
+
+    def image(g):
+        gp, gn = (GridState(*apply_kdv(g, (s.t, s.x, s.u))) for s in (prev, nxt))
+        gk = gn.t - gp.t
+        return residual(gp, gn, gk) * kdv_invariant_normalizer(gp, gk)
+
+    img = image(g)
     assert img.shape == base.shape
     assert rel_err(base, img) <= 1e-9
+
+    def in_range(fn):
+        # rounding commutes with a scaling by 2^j unless a result underflows
+        # or overflows; such a draw gives None and is not compared
+        with np.errstate(under="raise", over="raise"):
+            try:
+                return fn()
+            except FloatingPointError:
+                return None
+
+    ref = in_range(lambda: residual(prev, nxt, k) * kdv_invariant_normalizer(prev, k))
+    for lam in POWER_OF_TWO_SCALES:
+        got = in_range(lambda: image(KdVGroupElement(lam, 0.0, 0.0, 0.0)))
+        if ref is not None and got is not None:
+            assert np.array_equal(got, ref), lam
 
 
 def test_kdv_step_constant_state_fixed_point():
