@@ -16,6 +16,10 @@ Both tridiagonal systems (equidistribution and the spline moments) are
 solved by LAPACK ``dgtsv``, which does not check its input: non-finite or
 nonpositive monitor weights raise :class:`SingularSystem` before the solve,
 and a NaN in the spline data propagates into the projected values.
+scipy's LAPACK wrappers are imported at the first linear solve, here or in
+the ten-point KdV step (``_lapack``), so a process that never solves (the
+frames, the invariant catalogs, the Schwarzian march) does not load
+``scipy.linalg``.
 
 Batches: the Lagrangian update, the monitor and equidistribution act on the
 last axis, so node arrays of shape (n,) hold one mesh and arrays of shape
@@ -40,11 +44,11 @@ included, raises :class:`MeshTangling`.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv
 
 from .errors import MeshTangling, OutOfDomain, SingularSystem
 
@@ -100,9 +104,18 @@ def _checked_min_spacing(dx: np.ndarray, floor: float) -> float:
     return m
 
 
+@functools.cache
+def _lapack():
+    """``scipy.linalg.lapack``, imported by the first call, so that a process
+    which never solves a linear system does not load ``scipy.linalg``."""
+    from scipy.linalg import lapack
+    return lapack
+
+
 def _solve_tridiagonal(sub: np.ndarray, diag: np.ndarray, sup: np.ndarray,
                        rhs: np.ndarray) -> np.ndarray:
-    """Solve the tridiagonal system by LAPACK dgtsv (partial pivoting).
+    """Solve the tridiagonal system by LAPACK dgtsv (partial pivoting),
+    loaded by :func:`_lapack`.
 
     The operands are copied, so ``sub`` and ``sup`` may be one array.  No
     finiteness check is made; a zero pivot raises :class:`SingularSystem`.
@@ -111,7 +124,7 @@ def _solve_tridiagonal(sub: np.ndarray, diag: np.ndarray, sup: np.ndarray,
         if diag[0] == 0.0:
             raise SingularSystem("tridiagonal solve failed: zero pivot")
         return rhs / diag
-    *_, x, info = dgtsv(sub, diag, sup, rhs)
+    *_, x, info = _lapack().dgtsv(sub, diag, sup, rhs)
     if info != 0:
         raise SingularSystem(f"tridiagonal solve failed (LAPACK info {info})")
     return x
@@ -253,8 +266,8 @@ def spline_project(x_src: np.ndarray, u_src: np.ndarray,
     dr = x_src[j + 1] - xq
     hj = h[j]
     out = (
-        mom[j] * dr**3 / (6.0 * hj)
-        + mom[j + 1] * dl**3 / (6.0 * hj)
+        mom[j] * (dr * dr * dr) / (6.0 * hj)
+        + mom[j + 1] * (dl * dl * dl) / (6.0 * hj)
         + (u_src[j] / hj - mom[j] * hj / 6.0) * dr
         + (u_src[j + 1] / hj - mom[j + 1] * hj / 6.0) * dl
     )

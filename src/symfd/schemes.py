@@ -46,22 +46,23 @@ a batch (t, the time step k, nu, alpha, the Burgers drift) are floats
 shared by all rows or (B, 1) columns.  Each row of a batch step is bit for
 bit the step of that row alone: the ten-point solve stacks the B
 pentadiagonal systems into one block-diagonal ``dgbsv`` call with zero
-coupling between blocks.  A step of a batch raises when one of its rows
-would (tangling, a singular block, a nonpositive volume), and its
-:class:`StepInfo` is reduced over the rows (largest residual, smallest
-spacing).  The projection strategy and the naive scheme take single
-states; the Schwarzian and u_xx steps take scalars.
+coupling between blocks (LAPACK, loaded by ``mesh._lapack`` at the first
+solve).  A step of a batch raises when one of its rows would (tangling, a
+singular block, a nonpositive volume), and its :class:`StepInfo` is
+reduced over the rows (largest residual, smallest spacing).  The
+projection strategy and the naive scheme take single states; the
+Schwarzian and u_xx steps take scalars.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from array import array
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg.lapack import dgbsv
 
 from .errors import DEGENERACY_TOL, DegenerateDenominator, SchemeSingularity
 from .invariants import cross_ratio
@@ -70,6 +71,7 @@ from .mesh import (
     MonitorParams,
     _finite_increasing,
     _holds,
+    _lapack,
     equidistribute,
     equidistribute_arclength,
     lagrangian_update,
@@ -300,6 +302,26 @@ def kdv_invariant_normalizer(prev: GridState, k: float) -> np.ndarray:
     return k * (x[..., 3:-1] - x[..., 2:-2]) ** 2
 
 
+@functools.lru_cache(maxsize=16)
+def _band_layout(blocks: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat indices (dst, src) that fill the (7, blocks m) ``dgbsv`` band of
+    ``_solve_affine_banded`` by ``ab.reshape(-1)[dst] = dr.take(src)``
+    from the probe differences dr of shape (5, blocks, m).  Both are read-only.
+    """
+    # row r sees exactly one column of each color within the band:
+    # cols[color, r], whose band entry is dr[color, ..., r]
+    rows = np.arange(m)
+    cols = rows + (np.arange(5)[:, None] - rows + 2) % 5 - 2
+    color, r = np.nonzero((cols >= 0) & (cols < m))
+    c = cols[color, r]
+    size = blocks * m
+    block = np.arange(0, size, m)  # block b of a batch occupies columns b*m .. b*m + m-1
+    dst = (((4 + r - c) * size + c)[:, None] + block).ravel()
+    src = ((color * size + r)[:, None] + block).ravel()
+    dst.flags.writeable = src.flags.writeable = False
+    return dst, src
+
+
 def _solve_affine_banded(res_fn: Callable[[np.ndarray], np.ndarray],
                          v0: np.ndarray) -> np.ndarray:
     """The root of an affine residual map with a pentadiagonal matrix.
@@ -319,18 +341,13 @@ def _solve_affine_banded(res_fn: Callable[[np.ndarray], np.ndarray],
         probe = v0.copy()
         probe[..., color::5] += 1.0
         dr[color] = res_fn(probe) - r0
-    # row r sees exactly one column of each color within the band:
-    # cols[color, r], whose band entry is dr[color, ..., r]
-    rows = np.arange(m)
-    cols = rows + (np.arange(5)[:, None] - rows + 2) % 5 - 2
-    ok = (cols >= 0) & (cols < m)
-    ab = np.zeros((7, v0.size))  # rows 0-1: dgbsv's fill-in space; the band is rows 2-6
-    # block b of a batch occupies columns b*m .. b*m + m-1
-    ab.reshape(7, -1, m)[(4 + rows - cols)[ok], :, cols[ok]] = \
-        np.moveaxis(dr.reshape(5, -1, m), 1, -1)[ok]
+    dst, src = _band_layout(v0.size // m, m)
+    ab = np.zeros(7 * v0.size)  # rows 0-1: dgbsv's fill-in space; the band is rows 2-6
+    ab[dst] = dr.take(src)
+    ab = ab.reshape(7, -1)
     if not (np.isfinite(ab).all() and np.isfinite(r0).all()):
         raise SchemeSingularity("banded solve failed: non-finite band or residual")
-    *_, x, info = dgbsv(2, 2, ab, r0.reshape(-1), overwrite_ab=True)
+    *_, x, info = _lapack().dgbsv(2, 2, ab, r0.reshape(-1), overwrite_ab=True)
     if info != 0:
         raise SchemeSingularity(f"banded solve failed (LAPACK info {info})")
     return v0 - x.reshape(v0.shape)

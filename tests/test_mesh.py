@@ -245,6 +245,22 @@ def test_spline_out_of_domain_and_clamp():
         spline_project(lam * x, u, np.array([2.0 * lam]))
 
 
+def test_spline_commutes_with_power_of_two_scaling():
+    # the cubes are products: numpy's pow rounds (2^j r)**3 and 2^3j r**3
+    # differently in a few of a million values
+    rng = np.random.default_rng(41)
+    mismatches = dict.fromkeys((-50, -20, 20, 50), 0)
+    for _ in range(300):
+        x = np.cumsum(rng.uniform(0.1, 2.0, 40))
+        u = rng.uniform(-2.0, 2.0, 40)
+        xq = rng.uniform(x[0], x[-1], 1000)
+        v = spline_project(x, u, xq)
+        for j in mismatches:
+            lam = 2.0**j
+            mismatches[j] += int(np.count_nonzero(spline_project(lam * x, u, lam * xq) != v))
+    assert mismatches == dict.fromkeys(mismatches, 0)
+
+
 # ---------------------------------------------------------------------------
 # projection safety
 # ---------------------------------------------------------------------------

@@ -781,15 +781,77 @@ def test_write_through_when_the_unlink_is_refused(monkeypatch, tmp_path):
     assert path.stat().st_ino == ino  # truncated and rewritten in place
 
 
-def test_python_m_symfd_runs_without_an_entry_point():
+def _subprocess_env():
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
+def test_python_m_symfd_runs_without_an_entry_point():
     proc = subprocess.run([sys.executable, "-m", "symfd", "exact", "--equation", "burgers",
-                           "--n", "8"], capture_output=True, text=True, env=env, timeout=60)
+                           "--n", "8"], capture_output=True, text=True,
+                          env=_subprocess_env(), timeout=60)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert lines[0] == "t,x,u" and len(lines) == 9
+
+
+# Run in a fresh interpreter with an import hook that refuses scipy: what
+# does not solve a linear system works without it, the two steps that solve
+# one raise ImportError, and scipy.linalg is loaded at the first solve.
+_WITHOUT_SCIPY = r"""
+import contextlib, io, sys
+
+class RefuseScipy:
+    refused = []
+
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "scipy":
+            self.refused.append(name)
+            raise ModuleNotFoundError(f"import of {name} refused")
+
+blocker = RefuseScipy()
+sys.meta_path.insert(0, blocker)
+
+import numpy as np
+from symfd import cli, invariants, runner, schemes
+
+with contextlib.redirect_stdout(io.StringIO()):
+    for equation in ("kdv", "burgers", "schwarzian"):
+        assert cli.main(["exact", "--equation", equation, "--n", "8"]) == 0
+for scheme in ("schwarzian_invariant", "kdv_6pt"):
+    assert runner.invariance_audit(scheme, 4, 2).passed, scheme
+cfg = runner.parse_config("equation = schwarzian\nscheme = schwarzian_invariant\n"
+                          "domain_a = 0\ndomain_b = 2.5\nn_points = 51\nsource_f = 2\n")
+assert runner.run_experiment(cfg).status == "completed"
+x = np.array([[0.0, 0.4, 1.0, 1.3, 2.0], [0.1, 0.5, 1.1, 1.4, 2.1]])
+assert len(invariants.kdv_invariants(invariants.KdVStencil(0.1, x, np.sin(x)))) == 18
+assert blocker.refused == [], blocker.refused
+
+x = np.linspace(-5.0, 5.0, 16)
+state = schemes.GridState(0.0, x, np.exp(-x * x))
+solves = (lambda: schemes.kdv_step_detailed(state, 0.01, "lagrangian", "10pt"),
+          lambda: schemes.burgers_fv_step_detailed(state, 0.01, 0.1, 1.0))
+for solve in solves:
+    try:
+        solve()
+    except ImportError:
+        continue
+    raise AssertionError("a linear solve ran without scipy")
+assert blocker.refused == ["scipy", "scipy"], blocker.refused
+
+sys.meta_path.remove(blocker)
+assert "scipy.linalg" not in sys.modules
+for solve in solves:
+    solve()
+assert "scipy.linalg" in sys.modules
+"""
+
+
+def test_only_a_linear_solve_loads_scipy():
+    proc = subprocess.run([sys.executable, "-c", _WITHOUT_SCIPY], capture_output=True,
+                          text=True, env=_subprocess_env(), timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.parametrize("h", ["0", "-0.1", "nan", "inf"])

@@ -22,6 +22,7 @@ from symfd.schemes import (
     _RKF_C,
     _RKF_ERR,
     _burgers_parts,
+    _band_layout,
     _d3u,
     _solve_affine_banded,
     burgers_fv_residual,
@@ -1117,6 +1118,25 @@ def test_solve_affine_banded_batch_rows_equal_single_solves():
         one = _solve_affine_banded(_pentadiagonal_map(diags[i], rhs[i]), v0[i])
         assert _same_bits(batch[i], one), i
     assert np.max(np.abs(_pentadiagonal_map(diags, rhs)(batch))) <= 1e-12
+
+
+@pytest.mark.parametrize("shape", [(1,), (2,), (5,), (9,), (63,), (20, 5), (3, 13), (4, 1)])
+def test_band_layout_fills_the_band_of_the_index_expression(shape):
+    # oracle: the band as the solver assembled it before the layout was cached
+    m = shape[-1]
+    dr = np.random.default_rng(m).uniform(-1.0, 1.0, (5,) + shape)
+    rows = np.arange(m)
+    cols = rows + (np.arange(5)[:, None] - rows + 2) % 5 - 2
+    ok = (cols >= 0) & (cols < m)
+    want = np.zeros((7, dr[0].size))
+    want.reshape(7, -1, m)[(4 + rows - cols)[ok], :, cols[ok]] = \
+        np.moveaxis(dr.reshape(5, -1, m), 1, -1)[ok]
+    dst, src = _band_layout(dr[0].size // m, m)
+    got = np.zeros(want.size)
+    got[dst] = dr.take(src)
+    assert np.array_equal(got.reshape(want.shape), want)
+    assert not (dst.flags.writeable or src.flags.writeable)
+    assert _band_layout(dr[0].size // m, m)[0] is dst
 
 
 def test_solve_affine_banded_batch_with_a_singular_block_is_singular():
