@@ -82,10 +82,9 @@ class KdVFrameInput:
 
     @staticmethod
     def from_stencil(z: KdVStencil) -> "KdVFrameInput":
-        du = z.du
-        return KdVFrameInput(
-            z.t0, float(z.x[0, 2]), float(z.u[0, 2]), float((du[0, 2] + du[0, 1]) / 2.0)
-        )
+        (x, _), (u, _) = z.x.tolist(), z.u.tolist()  # row n
+        dxu = ((u[3] - u[2]) / (x[3] - x[2]) + (u[2] - u[1]) / (x[2] - x[1])) / 2.0
+        return KdVFrameInput(z.t0, x[2], u[2], dxu)
 
 
 @dataclass(frozen=True)
@@ -107,12 +106,10 @@ class BurgersFrameInput:
 
     @staticmethod
     def from_stencil(z: BurgersStencil) -> "BurgersFrameInput":
-        du = z.du
-        dxu = float((du[0, 1] + du[0, 0]) / 2.0)
-        dtu = float((z.u[1, 1] - z.u[0, 1]) / z.k - (z.sigma / z.k) * dxu)
-        return BurgersFrameInput(
-            z.t0, float(z.x[0, 1]), float(z.u[0, 1]), float(z.u[1, 1]), dxu, dtu, z.k
-        )
+        (x0, x1), (u0, u1) = z.x.tolist(), z.u.tolist()  # rows n and n+1
+        dxu = ((u0[2] - u0[1]) / (x0[2] - x0[1]) + (u0[1] - u0[0]) / (x0[1] - x0[0])) / 2.0
+        dtu = (u1[1] - u0[1]) / z.k - ((x1[1] - x0[1]) / z.k) * dxu
+        return BurgersFrameInput(z.t0, x0[1], u0[1], u1[1], dxu, dtu, z.k)
 
     @property
     def cube_argument(self) -> float:

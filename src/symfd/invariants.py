@@ -8,7 +8,12 @@ as a flat ordered vector so that schemes and rank tests share one code path.
 
 ``KdVStencil`` and ``BurgersStencil`` are one two-row type that differs only
 in the offsets it names: checks, differences and the conversions to and from
-:class:`~symfd.groups.Stencil` are written once.
+:class:`~symfd.groups.Stencil` are written once.  Both constructors run one
+check on Python floats (0 < k < inf, each row of x finite and strictly
+increasing), and the catalogs read a stencil's arrays once, with
+``tolist``, and do their arithmetic on Python floats: on arrays of 6-10
+entries numpy's per-call cost would exceed the arithmetic.  The check makes
+every spacing and k nonzero, so no catalog can raise ZeroDivisionError.
 
 Powers are products, which scale exactly under x -> 2^j x; pow may not.
 
@@ -23,13 +28,13 @@ Notation for the stencils (shared with the schemes module)::
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DEGENERACY_TOL, DegenerateDenominator
 from .groups import Stencil
-from .mesh import _finite_increasing
 
 
 def _checked_div(num: float, den: float) -> float:
@@ -71,6 +76,17 @@ def sl2_invariant_chain(u_im1: float, u_i: float, u_ip1: float, u_ip2: float):
 # two-row stencils
 # ---------------------------------------------------------------------------
 
+def _check_two_rows(k: float, x_rows: list[list[float]]) -> None:
+    """Raise ValueError unless 0 < k < inf and each row of x is finite and
+    strictly increasing: the catalogs divide by k and by the spacings."""
+    if not 0.0 < k < math.inf:  # NaN fails this test too
+        raise ValueError("time step must be finite and positive")
+    for row in x_rows:
+        # NaN fails the first test; an increasing row is finite when its span is
+        if not (all(map(operator.lt, row, row[1:])) and row[-1] - row[0] < math.inf):
+            raise ValueError("x must be finite and strictly increasing")
+
+
 @dataclass(frozen=True)
 class _TwoRowStencil:
     """Two flat time rows of a stencil: row 0 at time t0, row 1 at t0 + k.
@@ -78,8 +94,9 @@ class _TwoRowStencil:
     ``x`` and ``u`` are (2, width) arrays over the columns that the subclass's
     ``_offsets`` name, in row-major order, which is also the sorted order of
     Stencil.from_dict.  The width, the centre column (j = 0) and the array
-    shape follow from those offsets when the subclass is defined.  x is
-    checked as a GridState's, and 0 < k < inf: the catalogs divide by both.
+    shape follow from those offsets when the subclass is defined.  Each row
+    of x must be finite and strictly increasing, and 0 < k < inf: the
+    catalogs divide by both.
     """
 
     k: float
@@ -99,10 +116,7 @@ class _TwoRowStencil:
         u = np.asarray(self.u, dtype=float)
         if x.shape != self._shape or u.shape != self._shape:
             raise ValueError(f"{type(self).__name__} needs 2x{self._width} x and u arrays")
-        if not 0.0 < self.k < math.inf:  # NaN fails this test too
-            raise ValueError("time step must be finite and positive")
-        if not _finite_increasing(x):
-            raise ValueError("x must be finite and strictly increasing")
+        _check_two_rows(self.k, x.tolist())
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "u", u)
 
@@ -110,11 +124,6 @@ class _TwoRowStencil:
     def h(self) -> np.ndarray:
         """Spacings h[l, m] = x[l, m+1] - x[l, m]."""
         return np.diff(self.x, axis=1)
-
-    @property
-    def sigma(self) -> float:
-        """Displacement of the centre column from row 0 to row 1."""
-        return float(self.x[1, self._centre] - self.x[0, self._centre])
 
     @property
     def du(self) -> np.ndarray:
@@ -137,11 +146,16 @@ class _TwoRowStencil:
         # a read-only view when z already has the canonical order
         rows = z.points if z.offsets == cls._offsets else z.take(cls._offsets)
         p = rows.reshape(2, cls._width, 3)
-        t0, t1 = p[:, cls._centre, 0].tolist()
+        t, x, _ = p.transpose(2, 0, 1).tolist()
+        t0, t1 = t[0][cls._centre], t[1][cls._centre]
         k = t1 - t0
         if not k > 0.0:
             raise ValueError("rows must be ordered in time")
-        return cls(k, p[:, :, 1], p[:, :, 2], t0)
+        _check_two_rows(k, x)
+        # p holds floats in the right shape, so the constructor's work is done
+        two_rows = object.__new__(cls)
+        vars(two_rows).update(k=k, x=p[:, :, 1], u=p[:, :, 2], t0=t0)
+        return two_rows
 
 
 # ---------------------------------------------------------------------------
@@ -173,23 +187,30 @@ def kdv_invariants(z: KdVStencil) -> dict[str, float]:
     * T        = (u^{n+1}_i - u^n_i) (h^n_i)^2      scaled time increment
     * K(l, j)  = k Du^l_{i+j}                       scaled slopes
     """
-    x, u, k = z.x, z.u, z.k
-    h = x[:, 1:] - x[:, :-1]
-    du = (u[:, 1:] - u[:, :-1]) / h
-    h0, h1 = h[:, 2].tolist()  # h^n_i, h^{n+1}_i
-    x0, x1 = x[:, 2].tolist()
-    u0, u1 = u[:, 2].tolist()
-    values = (
-        (h[:, :-1] / h[:, 1:]).ravel().tolist()
-        + [h1 / h0, h0 * h0 * h0 / k, ((x1 - x0) - k * u0) / h0, (u1 - u0) * (h0 * h0)]
-        + (k * du).ravel().tolist()
-    )
-    return dict(zip(KDV_INVARIANT_NAMES, values))
+    return dict(zip(KDV_INVARIANT_NAMES, _kdv_values(z)))
 
 
 def kdv_invariant_vector(z: KdVStencil) -> np.ndarray:
-    inv = kdv_invariants(z)
-    return np.array([inv[name] for name in KDV_INVARIANT_NAMES])
+    return np.array(_kdv_values(z))
+
+
+def _kdv_values(z: KdVStencil) -> list[float]:
+    """The KdV catalog in KDV_INVARIANT_NAMES order."""
+    # a: row n, b: row n+1; columns i-2 .. i+2 numbered 0 .. 4
+    (xa0, xa1, xa2, xa3, xa4), (xb0, xb1, xb2, xb3, xb4) = z.x.tolist()
+    (ua0, ua1, ua2, ua3, ua4), (ub0, ub1, ub2, ub3, ub4) = z.u.tolist()
+    k = z.k
+    ha0, ha1, ha2, ha3 = xa1 - xa0, xa2 - xa1, xa3 - xa2, xa4 - xa3
+    hb0, hb1, hb2, hb3 = xb1 - xb0, xb2 - xb1, xb3 - xb2, xb4 - xb3
+    return [
+        ha0 / ha1, ha1 / ha2, ha2 / ha3,
+        hb0 / hb1, hb1 / hb2, hb2 / hb3,
+        hb2 / ha2, ha2 * ha2 * ha2 / k, ((xb2 - xa2) - k * ua2) / ha2, (ub2 - ua2) * (ha2 * ha2),
+        k * ((ua1 - ua0) / ha0), k * ((ua2 - ua1) / ha1),
+        k * ((ua3 - ua2) / ha2), k * ((ua4 - ua3) / ha3),
+        k * ((ub1 - ub0) / hb0), k * ((ub2 - ub1) / hb1),
+        k * ((ub3 - ub2) / hb2), k * ((ub4 - ub3) / hb3),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -207,14 +228,22 @@ BURGERS_INVARIANT_NAMES = ("I1", "I2", "I3", "I4", "I5", "I6", "I7", "I8", "I9")
 
 def burgers_invariants(z: BurgersStencil) -> dict[str, float]:
     """The 9 invariants of the four-parameter Burgers group action."""
-    x, u, k = z.x, z.u, z.k
-    h = x[:, 1:] - x[:, :-1]
-    (hl0, hr0), (hl1, hr1) = h.tolist()  # h_{i-1}, h_i on rows n and n+1
-    (dl0, dr0), (dl1, dr1) = ((u[:, 1:] - u[:, :-1]) / h).tolist()
-    x0, x1 = x[:, 1].tolist()
-    u0, u1 = u[:, 1].tolist()
+    return dict(zip(BURGERS_INVARIANT_NAMES, _burgers_values(z)))
+
+
+def burgers_invariant_vector(z: BurgersStencil) -> np.ndarray:
+    return np.array(_burgers_values(z))
+
+
+def _burgers_values(z: BurgersStencil) -> list[float]:
+    """The Burgers catalog in BURGERS_INVARIANT_NAMES order."""
+    (xl0, x0, xr0), (xl1, x1, xr1) = z.x.tolist()
+    (ul0, u0, ur0), (ul1, u1, ur1) = z.u.tolist()
+    k = z.k
+    hl0, hr0, hl1, hr1 = x0 - xl0, xr0 - x0, x1 - xl1, xr1 - x1  # h_{i-1}, h_i on rows n, n+1
+    dl0, dr0, dl1, dr1 = (u0 - ul0) / hl0, (ur0 - u0) / hr0, (u1 - ul1) / hl1, (ur1 - u1) / hr1
     sig = x1 - x0
-    values = (
+    return [
         hr0 / hl0,
         hr1 / hl1,
         hr0 * hr1 / k,
@@ -224,11 +253,5 @@ def burgers_invariants(z: BurgersStencil) -> dict[str, float]:
         hr1 * (sig / k - u1),
         hr0 * hr0 * (dr0 + 1.0 / k),
         hr1 * hr1 * (dr1 - 1.0 / k),
-    )
-    return dict(zip(BURGERS_INVARIANT_NAMES, values))
-
-
-def burgers_invariant_vector(z: BurgersStencil) -> np.ndarray:
-    inv = burgers_invariants(z)
-    return np.array([inv[name] for name in BURGERS_INVARIANT_NAMES])
+    ]
 

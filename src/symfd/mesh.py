@@ -59,7 +59,7 @@ def _holds(cond) -> bool:
 
 
 def _finite_increasing(x: np.ndarray) -> bool:
-    """Whether each row of x, a state's or a stencil's, is finite and strictly increasing."""
+    """Whether each row of x, one state or a batch of them, is finite and strictly increasing."""
     # NaN fails the first test; increasing x is finite when its span is
     # (``x.T[j]`` is node j of one row and column j of several)
     return (x[..., 1:] > x[..., :-1]).all() and _holds(x.T[-1] - x.T[0] < math.inf)

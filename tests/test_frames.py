@@ -386,3 +386,25 @@ def test_burgers_invariantize_orbit_constancy():
         v1 = invariantize_burgers(_d2u, gz)
         assert abs(v1 - v0) <= 1e-9 * (1.0 + abs(v0))
         count += 1
+
+
+# ---------------------------------------------------------------------------
+# frame inputs read from two-row stencils
+# ---------------------------------------------------------------------------
+
+def test_frame_inputs_from_stencil_equal_array_reference():
+    # the same operations in the same order as on the stencil's arrays (z.du),
+    # on Python floats: equal bit for bit
+    rng = DeterministicRng(67)
+    for _ in range(500):
+        z = rand_kdv_stencil(rng)
+        du = z.du
+        assert KdVFrameInput.from_stencil(z) == KdVFrameInput(
+            z.t0, float(z.x[0, 2]), float(z.u[0, 2]), float((du[0, 2] + du[0, 1]) / 2.0))
+        z = rand_burgers_stencil(rng)
+        du = z.du
+        dxu = float((du[0, 1] + du[0, 0]) / 2.0)
+        sigma = float(z.x[1, 1] - z.x[0, 1])
+        dtu = float((z.u[1, 1] - z.u[0, 1]) / z.k - (sigma / z.k) * dxu)
+        assert BurgersFrameInput.from_stencil(z) == BurgersFrameInput(
+            z.t0, float(z.x[0, 1]), float(z.u[0, 1]), float(z.u[1, 1]), dxu, dtu, z.k)

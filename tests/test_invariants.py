@@ -278,18 +278,69 @@ def test_stencil_roundtrips():
     assert np.allclose(back.x, zb.x) and np.allclose(back.u, zb.u)
 
 
-_ROW5 = [0.0, 1.0, 2.0, 3.0, 4.0]
+_ORDER = "rows must be ordered in time"
+_STEP = "time step must be finite and positive"
+_X = "x must be finite and strictly increasing"
 
 
-@pytest.mark.parametrize("make", [
-    lambda: KdVStencil(1.0, [[0.0, np.nan, 2.0, 3.0, 4.0], _ROW5], np.zeros((2, 5))),
-    lambda: KdVStencil(1.0, [_ROW5[:4] + [np.inf], _ROW5], np.zeros((2, 5))),
-    lambda: BurgersStencil(np.inf, [_ROW5[:3], _ROW5[:3]], np.zeros((2, 3))),
-], ids=["nan_abscissa", "inf_abscissa", "inf_time_step"])
-def test_two_row_stencils_reject_nonfinite_abscissae_and_time_steps(make):
-    # the catalogs divide by the spacings and k without a test of their own
-    with pytest.raises(ValueError, match="finite"):
-        make()
+def _assert_both_constructors_reject(t0, t1, edits, direct_msg, gathered_msg):
+    """cls(t1 - t0, x, u, t0) and cls.from_stencil of the same nodes raise
+    ValueError with the given messages, for both two-row families.
+
+    x starts as rows 0, 1, 2, ... and 0.5, 1.5, ... (no shared (t, x) even at
+    t1 == t0); ``edits`` maps (row, column) to a new abscissa.
+    """
+    for cls, n in ((KdVStencil, 5), (BurgersStencil, 3)):
+        x = np.arange(n) + np.array([[0.0], [0.5]])
+        u = np.linspace(-1.0, 1.0, 2 * n).reshape(2, n)
+        offsets = cls(1.0, x, u).to_stencil().offsets
+        for (l, m), value in edits.items():
+            x[l, m] = value
+        t = np.repeat([[t0], [t1]], n, axis=1)
+        points = np.stack([t, x, u], axis=-1).reshape(-1, 3)
+        with pytest.raises(ValueError) as direct:
+            cls(t1 - t0, x, u, t0)
+        with pytest.raises(ValueError) as gathered:
+            cls.from_stencil(Stencil(offsets, points))
+        assert type(direct.value) is type(gathered.value) is ValueError
+        assert (str(direct.value), str(gathered.value)) == (direct_msg, gathered_msg), cls
+
+
+# the catalogs divide by the spacings and k without a test of their own
+@pytest.mark.parametrize("t0, t1, edits, direct_msg, gathered_msg", [
+    (0.0, 1.0, {(0, 1): np.nan}, _X, _X),
+    (0.0, 1.0, {(1, -1): np.inf}, _X, _X),
+    (0.0, 1.0, {(0, 0): -np.inf}, _X, _X),
+    (-1e308, 1e308, {}, _STEP, _STEP),
+    (0.0, np.nan, {}, _STEP, _ORDER),  # from_stencil tests the time order first
+], ids=["nan_abscissa", "inf_abscissa", "minus_inf_abscissa", "inf_time_step", "nan_time"])
+def test_two_row_stencils_reject_nonfinite_abscissae_and_time_steps(t0, t1, edits, direct_msg,
+                                                                     gathered_msg):
+    _assert_both_constructors_reject(t0, t1, edits, direct_msg, gathered_msg)
+
+
+# the constructor takes k = t1 - t0 and reports the time step; from_stencil
+# reads the two times and reports their order
+@pytest.mark.parametrize("t0, t1, edits, direct_msg, gathered_msg", [
+    (0.0, 1.0, {(0, 1): -0.5}, _X, _X),
+    (0.0, 1.0, {(1, 2): 0.25}, _X, _X),
+    (1.0, 1.0, {}, _STEP, _ORDER),
+    (1.0, 0.5, {}, _STEP, _ORDER),
+], ids=["decreasing_row_0", "decreasing_row_1", "equal_times", "reversed_times"])
+def test_two_row_stencils_reject_unordered_abscissae_and_times(t0, t1, edits, direct_msg,
+                                                               gathered_msg):
+    _assert_both_constructors_reject(t0, t1, edits, direct_msg, gathered_msg)
+
+
+def test_two_row_constructor_rejects_a_repeated_abscissa():
+    # from_stencil never sees one: two nodes of a row would share (t, x),
+    # which the Stencil already rejects
+    for cls, n in ((KdVStencil, 5), (BurgersStencil, 3)):
+        for l in range(2):
+            x = np.arange(n) + np.array([[0.0], [0.5]])
+            x[l, 1] = x[l, 0]
+            with pytest.raises(ValueError, match=_X):
+                cls(1.0, x, np.zeros((2, n)))
 
 
 # ---------------------------------------------------------------------------
@@ -341,6 +392,9 @@ def test_from_stencil_gathers_any_offset_order(zk, zb, data):
         assert type(back) is cls
         assert back.k == ref.k and back.t0 == ref.t0
         assert np.array_equal(back.x, ref.x) and np.array_equal(back.u, ref.u)
+        # the canonical order is not copied: x and u are read-only views of the points
+        for rows in (ref.x, ref.u):
+            assert np.shares_memory(rows, canon.points) and not rows.flags.writeable
         # a stencil lacking one of the class's offsets
         with pytest.raises(KeyError):
             cls.from_stencil(Stencil(shuffled.offsets[1:], shuffled.points[1:]))
@@ -393,6 +447,80 @@ def test_catalogs_equal_formula_by_formula_reference(zk, zb):
     assert list(kdv_invariants(zk)) == list(KDV_INVARIANT_NAMES)
     assert burgers_invariants(zb) == _burgers_reference(zb)
     assert list(burgers_invariants(zb)) == list(BURGERS_INVARIANT_NAMES)
+
+
+def _kdv_array_catalog(z):
+    """The KdV catalog in name order, as numpy expressions over whole rows."""
+    x, u, k = z.x, z.u, z.k
+    h = x[:, 1:] - x[:, :-1]
+    du = (u[:, 1:] - u[:, :-1]) / h
+    h0, h1 = h[:, 2].tolist()
+    x0, x1 = x[:, 2].tolist()
+    u0, u1 = u[:, 2].tolist()
+    return ((h[:, :-1] / h[:, 1:]).ravel().tolist()
+            + [h1 / h0, h0 * h0 * h0 / k, ((x1 - x0) - k * u0) / h0, (u1 - u0) * (h0 * h0)]
+            + (k * du).ravel().tolist())
+
+
+def _burgers_array_catalog(z):
+    """The Burgers catalog in name order, with h and Du as numpy expressions."""
+    x, u, k = z.x, z.u, z.k
+    h = x[:, 1:] - x[:, :-1]
+    (hl0, hr0), (hl1, hr1) = h.tolist()
+    (dl0, dr0), (dl1, dr1) = ((u[:, 1:] - u[:, :-1]) / h).tolist()
+    x0, x1 = x[:, 1].tolist()
+    u0, u1 = u[:, 1].tolist()
+    sig = x1 - x0
+    return [hr0 / hl0, hr1 / hl1, hr0 * hr1 / k, hr0 * hl0 * (dr0 - dl0),
+            hr1 * hl1 * (dr1 - dl1), hr0 * (sig / k - u0), hr1 * (sig / k - u1),
+            hr0 * hr0 * (dr0 + 1.0 / k), hr1 * hr1 * (dr1 - 1.0 / k)]
+
+
+def _adjacent_rows(n):
+    """Two rows whose neighbouring abscissae are adjacent doubles, from 1 <= |x_0| <= 2."""
+    def row(a):
+        r = [a]
+        for _ in range(n - 1):
+            r.append(np.nextafter(r[-1], np.inf))
+        return r
+
+    start = st.one_of(st.floats(-2.0, -1.0), st.floats(1.0, 2.0))
+    return st.tuples(start, start).map(lambda s: np.array([row(a) for a in s]))
+
+
+def _adjacent_stencils(cls, n):
+    return st.builds(cls, st.floats(0.1, 2.0), _adjacent_rows(n), _values(n),
+                     st.floats(-1.0, 1.0))
+
+
+def _assert_catalog_equals(catalog, vector, names, oracle, z):
+    want = oracle(z)
+    got = catalog(z)
+    assert list(got) == list(names)
+    assert list(got.values()) == want
+    assert vector(z).tolist() == want
+    return want
+
+
+@settings(max_examples=50, deadline=None)
+@given(zk=_stencils(KdVStencil, 5), zb=_stencils(BurgersStencil, 3),
+       ak=_adjacent_stencils(KdVStencil, 5), ab=_adjacent_stencils(BurgersStencil, 3))
+def test_scalar_catalogs_equal_array_oracle(zk, zb, ak, ab):
+    # the same operations in the same order on Python floats: equal bit for bit
+    kdv = (kdv_invariants, kdv_invariant_vector, KDV_INVARIANT_NAMES, _kdv_array_catalog)
+    burgers = (burgers_invariants, burgers_invariant_vector, BURGERS_INVARIANT_NAMES,
+               _burgers_array_catalog)
+    _assert_catalog_equals(*kdv, zk)
+    _assert_catalog_equals(*burgers, zb)
+    for lam in (2.0**-40, 2.0**40):
+        _assert_catalog_equals(*kdv, KdVStencil(lam**3 * zk.k, lam * zk.x, zk.u / lam**2,
+                                                lam**3 * zk.t0))
+        _assert_catalog_equals(*burgers, BurgersStencil(lam**2 * zb.k, lam * zb.x, zb.u / lam,
+                                                        lam**2 * zb.t0))
+    # spacings of one ulp: no spacing is zero, so no ZeroDivisionError, and
+    # every invariant stays finite
+    for args, z in ((kdv, ak), (burgers, ab)):
+        assert all(map(np.isfinite, _assert_catalog_equals(*args, z)))
 
 
 @settings(max_examples=50, deadline=None)
