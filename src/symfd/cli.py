@@ -81,8 +81,8 @@ def _cmd_exact(args) -> int:
     x = np.linspace(args.x_min, args.x_max, args.n)
     try:
         if args.equation == "kdv":
-            u = runner.exact_kdv_two_soliton(args.t, x, args.c1, args.c2,
-                                             args.a1, args.a2)
+            u = runner.exact_kdv_double_soliton(args.t, x, args.c1, args.c2,
+                                                args.a1, args.a2)
         elif args.equation == "burgers":
             u = runner.exact_burgers(args.t, x, args.nu, args.c)
         elif args.equation == "schwarzian":

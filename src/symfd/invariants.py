@@ -120,16 +120,6 @@ class _TwoRowStencil:
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "u", u)
 
-    @property
-    def h(self) -> np.ndarray:
-        """Spacings h[l, m] = x[l, m+1] - x[l, m]."""
-        return np.diff(self.x, axis=1)
-
-    @property
-    def du(self) -> np.ndarray:
-        """First differences Du[l, m] = (u[l, m+1] - u[l, m]) / h[l, m]."""
-        return np.diff(self.u, axis=1) / self.h
-
     def to_stencil(self) -> Stencil:
         """Generic stencil of the two rows at t0 and t0 + k."""
         points = np.empty(self._shape + (3,))

@@ -9,15 +9,15 @@ non-increasing" clause fails, and no faithful scheme can pass it on this
 data.  The exact (Hirota) two-soliton with c1 = 1, c2 = 0.5, a1 = 20,
 a2 = 5, u = 12 d^2/dx^2 log(1 + e^n1 + e^n2 + A e^(n1 + n2)) with
 k = sqrt(c), A = ((k1 - k2)/(k1 + k2))^2, n1 = k1 (x + a1 - c1 t) and
-n2 = k2 (x + a2 - c2 t) - log A (phases that put the humps at -a1 and -a2,
-within 1.2e-3 of the test's initial data), has a domain maximum of 3.00
-at t = 0 that dips to about 2.09 (2.094 at the test's snapshot times, near
-t = 21.5) while the taller soliton overtakes the shorter one, and recovers
-to 3.00 by t = 40.  This is the exchange-type interaction Lax predicts for
-c1/c2 < (3 + sqrt(5))/2 (Lax, CPAM 21 (1968) 467): the two humps trade
-mass and never merge into one.  The numerical run dips and recovers the
-same way, so its series of maxima must rise; the assertion is kept
-faithful rather than loosened.
+n2 = k2 (x + a2 - c2 t) - log A (phases that put the humps at -a1 and -a2;
+the run starts from this solution, ``runner.exact_kdv_double_soliton``),
+has a domain maximum of 3.00 at t = 0 that dips to about 2.09 (2.094 at the
+test's snapshot times, near t = 21.5) while the taller soliton overtakes
+the shorter one, and recovers to 3.00 by t = 40.  This is the exchange-type
+interaction Lax predicts for c1/c2 < (3 + sqrt(5))/2 (Lax, CPAM 21 (1968)
+467): the two humps trade mass and never merge into one.  The numerical
+run dips and recovers the same way, so its series of maxima must rise; the
+assertion is kept faithful rather than loosened.
 """
 
 import math

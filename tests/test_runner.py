@@ -30,7 +30,6 @@ from symfd.runner import (
     convergence_study,
     exact_burgers,
     exact_kdv_double_soliton,
-    exact_kdv_two_soliton,
     exact_schwarzian,
     format_convergence_csv,
     format_diagnostics_csv,
@@ -59,12 +58,10 @@ def test_exact_schwarzian_values():
 
 
 def test_soliton_peak_and_single_soliton_limit():
-    # peak of the first hump at x = -a1 equals three times its speed, plus
-    # the exponentially small tail of the second hump
-    u = float(exact_kdv_double_soliton(0.0, -20.0, 1.0, 0.5, 20.0, 5.0))
-    tail = float(exact_kdv_double_soliton(0.0, -20.0, 0.0, 0.5, 20.0, 5.0))
-    assert u == pytest.approx(3.0 + tail, abs=1e-12)
-    # with c2 = 0 the second term vanishes identically
+    # the single soliton peaks at x = c t - a with three times its speed
+    assert float(exact_kdv_double_soliton(0.3, 1.3 * 0.3 - 2.0, 1.3, 0.0, 2.0, 0.0)) \
+        == pytest.approx(3.9, abs=1e-14)
+    # with c2 = 0 it is 3 c1 sech^2(sqrt(c1)/2 (x + a1 - c1 t))
     a = exact_kdv_double_soliton(0.3, np.linspace(-5, 5, 11), 1.0, 0.0, 0.0, 0.0)
     b = 3.0 / np.cosh(0.5 * (np.linspace(-5, 5, 11) - 0.3)) ** 2
     assert np.max(np.abs(a - b)) <= 1e-14
@@ -99,27 +96,22 @@ def test_soliton_pde_residual_oracle():
 def test_two_soliton_with_c2_zero_is_the_single_soliton():
     x = np.linspace(-15.0, 15.0, 61)
     for t in (0.0, 0.7, 12.0):
-        a = exact_kdv_two_soliton(t, x, 1.3, 0.0, 2.0, 5.0)
-        b = exact_kdv_double_soliton(t, x, 1.3, 0.0, 2.0, 5.0)
+        a = exact_kdv_double_soliton(t, x, 1.3, 0.0, 2.0, 5.0)
+        b = 3.9 / np.cosh(0.5 * math.sqrt(1.3) * (x + 2.0 - 1.3 * t)) ** 2
         assert np.max(np.abs(a - b)) <= 1e-13
 
 
 def test_two_soliton_maxima_through_the_c06_collision():
     # c06's data: the taller soliton dips during the overtaking collision
-    # and recovers; the sum of single solitons overshoots instead
+    # and recovers
     x = np.linspace(-40.0, 60.0, 20001)
-    assert exact_kdv_two_soliton(0.0, x).max() == pytest.approx(3.000, abs=2e-3)
-    assert exact_kdv_two_soliton(40.0, x).max() == pytest.approx(2.998, abs=1e-3)
-    assert exact_kdv_double_soliton(40.0, x).max() == pytest.approx(3.169, abs=1e-3)
+    assert exact_kdv_double_soliton(0.0, x).max() == pytest.approx(3.000, abs=2e-3)
+    assert exact_kdv_double_soliton(40.0, x).max() == pytest.approx(2.998, abs=1e-3)
     ts = np.linspace(20.0, 23.0, 61)
-    peaks = [exact_kdv_two_soliton(t, x).max() for t in ts]
+    peaks = [exact_kdv_double_soliton(t, x).max() for t in ts]
     i = int(np.argmin(peaks))
     assert peaks[i] == pytest.approx(2.09, abs=0.01)
     assert abs(ts[i] - 21.4) <= 0.2
-    # at t = 0, with the humps apart, it agrees with the sum used as initial data
-    x128 = np.linspace(-30.0, 30.0, 128)
-    assert np.max(np.abs(exact_kdv_two_soliton(0.0, x128)
-                         - exact_kdv_double_soliton(0.0, x128))) <= 1.5e-3
 
 
 def test_two_soliton_kdv_residual_is_small_through_the_collision():
@@ -132,9 +124,7 @@ def test_two_soliton_kdv_residual_is_small_through_the_collision():
 
     x = np.linspace(-30.0, 40.0, 701)
     for t in (0.0, 21.4, 40.0):
-        assert residual(exact_kdv_two_soliton, t, x) <= 1e-6
-    # the sum of single solitons is no solution while the humps overlap
-    assert residual(exact_kdv_double_soliton, 21.4, x) >= 0.1
+        assert residual(exact_kdv_double_soliton, t, x) <= 1e-6
 
 
 def test_exact_burgers_shape_and_residual():
@@ -353,6 +343,18 @@ def test_kdv_lagrangian_run_records_partial_output_on_tangling():
     assert len(out.snapshots) >= 2  # partial output preserved
     assert out.message.startswith(f"step {out.diagnostics[-1].step}: MeshTangling: ")
     assert "at index" in out.message
+
+
+def test_kdv_run_starts_from_the_exact_two_soliton():
+    cfg = validate_config({
+        "equation": "kdv", "scheme": "kdv_10pt", "mesh": "adaptive", "alpha": 10.0,
+        "domain_a": -30.0, "domain_b": 30.0, "n_points": 128,
+        "t_final": 0.02, "dt_constant": 0.0625,
+    })
+    t, x, u = run_experiment(cfg).snapshots[0]
+    assert t == 0.0
+    assert np.array_equal(u, exact_kdv_double_soliton(0.0, x, cfg.ic_c1, cfg.ic_c2,
+                                                      cfg.ic_a1, cfg.ic_a2))
 
 
 @pytest.mark.parametrize("mesh", ["lagrangian", "adaptive", "projection"])
@@ -885,6 +887,16 @@ def test_cli_converge_numerical_failure_exits_3(monkeypatch, capsys):
     assert captured.err == "numerical failure: cross-ratio vanished\n"
 
 
+def test_cli_converge_stopped_level_exits_3(capsys):
+    # the naive scheme blows up at h = 0.0625 before t = 0.1; that level
+    # is a numerical failure, not an infinite error
+    with np.errstate(all="ignore"):
+        assert cli_main(["converge", "--scheme", "kdv_naive", "--h", "0.125,0.0625"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("numerical failure: nonfinite: step ")
+
+
 def _scheme_choices(command):
     parser = build_parser()
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
@@ -910,7 +922,7 @@ def test_cli_audit_and_exact_and_converge(capsys):
     assert cli_main(["exact", "--equation", "kdv", "--t", "40", "--n", "9"]) == 0
     rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
     x, u = (np.array([float(r[j]) for r in rows]) for j in (1, 2))
-    assert np.array_equal(u, exact_kdv_two_soliton(40.0, x))
+    assert np.array_equal(u, exact_kdv_double_soliton(40.0, x))
 
     assert cli_main(["converge", "--scheme", "schwarzian_invariant",
                      "--h", "0.1,0.05"]) == 0
