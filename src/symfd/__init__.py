@@ -2,7 +2,7 @@
 
 Subpackages:
 
-* :mod:`symfd.groups`     group actions, flows, infinitesimal invariance
+* :mod:`symfd.groups`     group actions, generators, infinitesimal invariance
 * :mod:`symfd.invariants` closed-form difference invariants
 * :mod:`symfd.frames`     moving frames and invariantization
 * :mod:`symfd.mesh`       Lagrangian / equidistributed meshes, interpolation

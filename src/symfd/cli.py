@@ -93,6 +93,9 @@ def _cmd_exact(args) -> int:
     except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except SymfdError as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return 3
     print("t,x,u")
     for xi, ui in zip(x, u):
         print(f"{args.t:.17g},{xi:.17g},{ui:.17g}")

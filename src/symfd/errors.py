@@ -24,10 +24,6 @@ class DegenerateDenominator(SymfdError):
     """A denominator fell below the uniform 1e-14 degeneracy threshold."""
 
 
-class FlowDivergence(SymfdError):
-    """A one-parameter flow diverged (component above 1e12 or a vanishing step)."""
-
-
 class ProjectionFailure(SymfdError):
     """A sampled stencil could not be projected onto the solution set E = 0."""
 

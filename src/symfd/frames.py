@@ -3,10 +3,8 @@
 A right moving frame rho sends each admissible jet/stencil z to the unique
 group element with rho(z) . z on a chosen cross-section; equivariance
 rho(g . z) = rho(z) g^{-1} then makes iota(F)(z) = F(rho(z) . z) an
-invariant for any scalar F.  Four frames are implemented:
+invariant for any scalar F.  Three frames are implemented:
 
-* the Mobius frame on differential jets (u, u_x, u_xx), normalizing to
-  {u = 0, u_x = sign(u_x), u_xx = 0};
 * the compatible Mobius frame on four-point windows with uniform spacing h,
   normalizing the window to (-h e, 0, h e) where e is a data-dependent sign;
 * the KdV frame on (t, x, u, centered slope), normalizing to
@@ -36,7 +34,6 @@ from .groups import (
     apply_sl2,
     sign_pos,
 )
-from .invariants import BurgersStencil, KdVStencil
 
 
 # ---------------------------------------------------------------------------
@@ -80,12 +77,6 @@ class KdVFrameInput:
     u: float
     dxu: float
 
-    @staticmethod
-    def from_stencil(z: KdVStencil) -> "KdVFrameInput":
-        (x, _), (u, _) = z.x.tolist(), z.u.tolist()  # row n
-        dxu = ((u[3] - u[2]) / (x[3] - x[2]) + (u[2] - u[1]) / (x[2] - x[1])) / 2.0
-        return KdVFrameInput(z.t0, x[2], u[2], dxu)
-
 
 @dataclass(frozen=True)
 class BurgersFrameInput:
@@ -104,13 +95,6 @@ class BurgersFrameInput:
     dtu: float
     k: float
 
-    @staticmethod
-    def from_stencil(z: BurgersStencil) -> "BurgersFrameInput":
-        (x0, x1), (u0, u1) = z.x.tolist(), z.u.tolist()  # rows n and n+1
-        dxu = ((u0[2] - u0[1]) / (x0[2] - x0[1]) + (u0[1] - u0[0]) / (x0[1] - x0[0])) / 2.0
-        dtu = (u1[1] - u0[1]) / z.k - ((x1[1] - x0[1]) / z.k) * dxu
-        return BurgersFrameInput(z.t0, x0[1], u0[1], u1[1], dxu, dtu, z.k)
-
     @property
     def cube_argument(self) -> float:
         return (1.0 + self.k * self.dxu) * (self.dtu + self.u_next * self.dxu)
@@ -120,15 +104,6 @@ class BurgersFrameInput:
 # prolonged actions on frame inputs
 # ---------------------------------------------------------------------------
 
-def apply_sl2_jet2(g: SL2Element, u: float, ux: float, uxx: float):
-    """Second prolongation of the Mobius action (x is untouched)."""
-    den = g.c * u + g.d
-    U = apply_sl2(g, u)
-    UX = ux / den**2
-    UXX = uxx / den**2 - 2.0 * g.c * ux**2 / den**3
-    return (U, UX, UXX)
-
-
 def apply_sl2_window(g: SL2Element, inp: SL2DiscreteFrameInput) -> SL2DiscreteFrameInput:
     return SL2DiscreteFrameInput(*(apply_sl2(g, u) for u in inp.window), inp.h)
 
@@ -136,12 +111,6 @@ def apply_sl2_window(g: SL2Element, inp: SL2DiscreteFrameInput) -> SL2DiscreteFr
 def apply_kdv_jet(g: KdVGroupElement, inp: KdVFrameInput) -> KdVFrameInput:
     t, x, u = apply_kdv(g, (inp.t, inp.x, inp.u))
     return KdVFrameInput(t, x, u, inp.dxu / g.lam**3)
-
-
-def apply_kdv_stencil(g: KdVGroupElement, z: KdVStencil) -> KdVStencil:
-    t_rows = z.t0 + z.k * np.array([[0.0], [1.0]])  # broadcast against z.x
-    _, x, u = apply_kdv(g, (t_rows, z.x, z.u))
-    return KdVStencil(g.lam**3 * z.k, x, u, g.lam**3 * z.t0 + g.b)
 
 
 def apply_burgers_jet(g: BurgersGroupElement, inp: BurgersFrameInput) -> BurgersFrameInput:
@@ -156,32 +125,9 @@ def apply_burgers_jet(g: BurgersGroupElement, inp: BurgersFrameInput) -> Burgers
     )
 
 
-def apply_burgers_stencil(g: BurgersGroupElement, z: BurgersStencil) -> BurgersStencil:
-    s = math.exp(g.eps4)
-    t_rows = z.t0 + z.k * np.array([[0.0], [1.0]])  # broadcast against z.x
-    _, x, u = apply_burgers(g, (t_rows, z.x, z.u))
-    return BurgersStencil(s**2 * z.k, x, u, s**2 * (z.t0 + g.eps2))
-
-
 # ---------------------------------------------------------------------------
 # frames
 # ---------------------------------------------------------------------------
-
-def sl2_differential_frame(u: float, ux: float, uxx: float) -> SL2Element:
-    """Right Mobius frame of the jet (u, u_x, u_xx).
-
-    a = |u_x|^{-1/2}, b = -u a, c = u_xx / (2 |u_x|^{3/2}),
-    d = (2 u_x^2 - u u_xx) / (2 |u_x|^{3/2}); unimodular by construction.
-    """
-    if abs(ux) < DEGENERACY_TOL:
-        raise DegenerateJet(f"|u_x| = {abs(ux)} below 1e-14")
-    root = math.sqrt(abs(ux))
-    a = 1.0 / root
-    b = -u / root
-    c = uxx / (2.0 * abs(ux) * root)
-    d = (2.0 * ux**2 - u * uxx) / (2.0 * abs(ux) * root)
-    return SL2Element(a, b, c, d)
-
 
 def sl2_discrete_frame(inp: SL2DiscreteFrameInput) -> SL2Element:
     """Compatible Mobius frame of a four-point window.
@@ -257,12 +203,6 @@ def sl2_discrete_normalization_residuals(inp: SL2DiscreteFrameInput) -> np.ndarr
     ])
 
 
-def sl2_differential_normalization_residuals(u, ux, uxx) -> np.ndarray:
-    g = sl2_differential_frame(u, ux, uxx)
-    U, UX, UXX = apply_sl2_jet2(g, u, ux, uxx)
-    return np.array([U, UX - sign_pos(ux), UXX])
-
-
 def kdv_normalization_residuals(inp: KdVFrameInput) -> np.ndarray:
     g = kdv_discrete_frame(inp)
     img = apply_kdv_jet(g, inp)
@@ -284,16 +224,6 @@ def invariantize_sl2_discrete(F: Callable[[SL2DiscreteFrameInput], float],
     """iota(F) = F(rho(z) . z) for window functions F."""
     g = sl2_discrete_frame(inp)
     return F(apply_sl2_window(g, inp))
-
-
-def invariantize_kdv(F: Callable[[KdVStencil], float], z: KdVStencil) -> float:
-    g = kdv_discrete_frame(KdVFrameInput.from_stencil(z))
-    return F(apply_kdv_stencil(g, z))
-
-
-def invariantize_burgers(F: Callable[[BurgersStencil], float], z: BurgersStencil) -> float:
-    g = burgers_discrete_frame(BurgersFrameInput.from_stencil(z))
-    return F(apply_burgers_stencil(g, z))
 
 
 def sl2_projectively_equal(g1: SL2Element, g2: SL2Element,

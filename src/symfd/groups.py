@@ -1,4 +1,4 @@
-"""Concrete symmetry group actions, generator flows and invariance checks.
+"""Concrete symmetry group actions, generators and invariance checks.
 
 Three transformation families act on points (t, x, u):
 
@@ -19,7 +19,7 @@ Three transformation families act on points (t, x, u):
 Each element knows how to compose with and invert against its own family,
 so group-law checks can be phrased directly on parameters.  Infinitesimal
 generators are represented by :class:`VectorFieldSpec`; their prolongation
-to a stencil acts on every node with the same flow.
+to a stencil moves every node along the same generator.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import DEGENERACY_TOL, FlowDivergence, PoleError, ProjectionFailure
+from .errors import DEGENERACY_TOL, PoleError, ProjectionFailure
 from .rng import DeterministicRng
 
 Node = tuple[float, float, float]  # (t, x, u)
@@ -68,10 +68,6 @@ class SL2Element:
         object.__setattr__(self, "c", self.c * s)
         object.__setattr__(self, "d", self.d * s)
 
-    @staticmethod
-    def identity() -> "SL2Element":
-        return SL2Element(1.0, 0.0, 0.0, 1.0)
-
     def compose(self, other: "SL2Element") -> "SL2Element":
         """Matrix product self * other (self applied after other)."""
         return SL2Element(
@@ -108,10 +104,6 @@ class KdVGroupElement:
     def __post_init__(self):
         if not (self.lam > 0.0 and math.isfinite(self.lam)):
             raise ValueError(f"scaling parameter must be positive, got {self.lam}")
-
-    @staticmethod
-    def identity() -> "KdVGroupElement":
-        return KdVGroupElement(1.0, 0.0, 0.0, 0.0)
 
     def compose(self, other: "KdVGroupElement") -> "KdVGroupElement":
         """self applied after other."""
@@ -167,10 +159,6 @@ class BurgersGroupElement:
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
 
-    @staticmethod
-    def identity() -> "BurgersGroupElement":
-        return BurgersGroupElement()
-
     def compose(self, other: "BurgersGroupElement") -> "BurgersGroupElement":
         """self applied after other."""
         s = math.exp(other.eps4)  # scale factor of the inner element
@@ -224,14 +212,13 @@ def _batch_factors(factors, gs) -> np.ndarray:
 class VectorFieldSpec:
     """An infinitesimal generator xi d/dx + eta d/dt + phi d/du.
 
-    The coefficients are functions of (t, x, u).  They are called on
-    scalars by :func:`flow` and on the (t, x, u) columns of a stencil by
-    :func:`perturb_stencil` and :func:`lie_matrix`, so they must work on
-    numpy arrays (a constant may be returned as a scalar).  ``weight`` is an
-    optional multiplicative lattice factor w(n, i) used by generators whose
-    coefficients alternate with the multi-index (e.g. the dpKdV dilations);
-    it multiplies all three coefficients at a node with absolute index
-    (n, i).
+    The coefficients are functions of (t, x, u).  They are called on the
+    (t, x, u) columns of a stencil by :func:`prolonged_directional_derivative`
+    and :func:`lie_matrix`, so they must work on numpy arrays (a constant may
+    be returned as a scalar).  ``weight`` is an optional multiplicative
+    lattice factor w(n, i) used by generators whose coefficients alternate
+    with the multi-index (e.g. the dpKdV dilations); it multiplies all three
+    coefficients at a node with absolute index (n, i).
     """
 
     xi: Callable[[float, float, float], float]
@@ -239,11 +226,6 @@ class VectorFieldSpec:
     phi: Callable[[float, float, float], float]
     weight: Callable[[int, int], float] | None = None
     name: str = ""
-
-    def coeffs(self, node: Node, index: tuple[int, int] = (0, 0)) -> Node:
-        t, x, u = node
-        w = 1.0 if self.weight is None else self.weight(*index)
-        return (w * self.eta(t, x, u), w * self.xi(t, x, u), w * self.phi(t, x, u))
 
 
 def _zero(t, x, u):
@@ -256,15 +238,6 @@ def _one(t, x, u):
 
 def make_field(xi=None, eta=None, phi=None, weight=None, name="") -> VectorFieldSpec:
     return VectorFieldSpec(xi or _zero, eta or _zero, phi or _zero, weight, name)
-
-
-def sl2_generators() -> list[VectorFieldSpec]:
-    """Generators of the Mobius action: d/du, u d/du, u^2 d/du."""
-    return [
-        make_field(phi=_one, name="shift_u"),
-        make_field(phi=lambda t, x, u: u, name="dilate_u"),
-        make_field(phi=lambda t, x, u: u * u, name="special_u"),
-    ]
 
 
 def kdv_generators() -> list[VectorFieldSpec]:
@@ -341,9 +314,9 @@ class Stencil:
     lattice-dependent weights.
 
     Stencils derived from this one by moving nodes (:meth:`with_u`,
-    :func:`perturb_stencil`, :func:`prolonged_directional_derivative`)
-    share its ``offsets``, ``ref`` and row index instead of rebuilding
-    them, but still check that no two moved nodes share (t, x).
+    :func:`prolonged_directional_derivative`) share its ``offsets``, ``ref``
+    and row index instead of rebuilding them, but still check that no two
+    moved nodes share (t, x).
     """
 
     offsets: tuple[tuple[int, int], ...]
@@ -382,29 +355,12 @@ class Stencil:
         return Stencil(tuple(off for off, _ in items),
                        np.array([val for _, val in items], dtype=float).reshape(-1, 3), ref)
 
-    @property
-    def nodes(self) -> tuple[tuple[tuple[int, int], Node], ...]:
-        """The (offset, (t, x, u)) pairs in offset order."""
-        return tuple(zip(self.offsets, map(tuple, self.points.tolist())))
-
-    def as_dict(self) -> dict[tuple[int, int], Node]:
-        return dict(self.nodes)
-
     def take(self, offsets: Iterable[tuple[int, int]]) -> np.ndarray:
         """Rows of ``points`` for the given offsets; KeyError for a missing one."""
         return self.points[[self._row[off] for off in offsets]]
 
-    def node(self, l: int, j: int) -> Node:
-        return tuple(self.points[self._row[(l, j)]].tolist())
-
     def u(self, l: int, j: int) -> float:
         return float(self.points[self._row[(l, j)], 2])
-
-    def x(self, l: int, j: int) -> float:
-        return float(self.points[self._row[(l, j)], 1])
-
-    def t(self, l: int, j: int) -> float:
-        return float(self.points[self._row[(l, j)], 0])
 
     def with_u(self, l: int, j: int, u_new: float) -> "Stencil":
         points = self.points.copy()
@@ -431,30 +387,6 @@ StencilFunction = Callable[[Stencil], float]
 
 
 # ---------------------------------------------------------------------------
-# flows
-# ---------------------------------------------------------------------------
-
-def flow(field: VectorFieldSpec, node: Node, epsilon: float,
-         index: tuple[int, int] = (0, 0)) -> Node:
-    """Exponentiate ``field`` through ``node`` for parameter ``epsilon``.
-
-    exp(epsilon v) z solves dz/de = v(z), integrated as dz/ds = epsilon v(z)
-    over s in [0, 1] (so a tiny epsilon cannot trip the step-underflow test)
-    by :func:`schemes.rk_adaptive_solve` at relative tolerance 1e-13.
-    Raises :class:`FlowDivergence` when that trajectory diverges.
-    """
-    if epsilon == 0.0:
-        return node
-    from .schemes import rk_adaptive_solve  # schemes imports this module
-
-    traj = rk_adaptive_solve(lambda _s, z: [epsilon * c for c in field.coeffs(tuple(z), index)],
-                             node, (0.0, 1.0), 1e-13)
-    if traj.diverged:
-        raise FlowDivergence(f"flow diverged at parameter {traj.xs[-1] * epsilon:g}")
-    return tuple(traj.ys[-1].tolist())
-
-
-# ---------------------------------------------------------------------------
 # infinitesimal invariance machinery
 # ---------------------------------------------------------------------------
 
@@ -476,11 +408,6 @@ def _coefficients(field: VectorFieldSpec, z: Stencil) -> np.ndarray:
     return c
 
 
-def perturb_stencil(z: Stencil, field: VectorFieldSpec, eps: float) -> Stencil:
-    """Move every node by eps times the generator (linearized product action)."""
-    return z._derived(z.points + eps * _coefficients(field, z))
-
-
 def prolonged_directional_derivative(F: StencilFunction, field: VectorFieldSpec,
                                      z: Stencil) -> float:
     """d/de F(exp(e field) . z) at e = 0 by central differencing.
@@ -493,7 +420,7 @@ def prolonged_directional_derivative(F: StencilFunction, field: VectorFieldSpec,
     """
     eps = 1e-6 * (1.0 + z.sup_norm())
     # one generator evaluation for both moves: (-eps) * c == -(eps * c)
-    # exactly, so these equal perturb_stencil(z, field, +-eps) bit for bit
+    # exactly, so these are the stencils moved by +eps and -eps bit for bit
     d = eps * _coefficients(field, z)
     fp = F(z._derived(z.points + d))
     fm = F(z._derived(z.points - d))
@@ -549,7 +476,7 @@ def _solve_for_coordinate(E: StencilFunction, z: Stencil,
             break
         val -= step
     raise ProjectionFailure(
-        f"could not solve E = 0 for coordinate {solve_offset} from {z.as_dict()}"
+        f"could not solve E = 0 for coordinate {solve_offset} from {z.points.tolist()}"
     )
 
 

@@ -3,8 +3,8 @@
 The Mobius family admits the cross-ratio of four consecutive u values; the
 KdV family admits 18 functionally independent invariants on a two-row,
 five-column stencil; the Burgers family admits 9 invariants on a two-row,
-three-column stencil.  Every catalog is exposed both as a named record and
-as a flat ordered vector so that schemes and rank tests share one code path.
+three-column stencil.  Each catalog is exposed both as a named record and as
+a flat ordered vector, computed by one function.
 
 ``KdVStencil`` and ``BurgersStencil`` are one two-row type that differs only
 in the offsets it names: checks, differences and the conversions to and from
@@ -55,21 +55,6 @@ def cross_ratio(u_im1: float, u_i: float, u_ip1: float, u_ip2: float) -> float:
     """
     den = (u_ip1 - u_im1) * (u_ip2 - u_i)
     return _checked_div((u_i - u_im1) * (u_ip2 - u_ip1), den)
-
-
-def sl2_invariant_chain(u_im1: float, u_i: float, u_ip1: float, u_ip2: float):
-    """Stepwise reduction: differences I, ratios J, and the cross-ratio R.
-
-    Returns (I_{i-1}, I_i, I_{i+1}, J_i, J_{i+1}, R_i) where
-    R_i = J_i / ((1 + J_i)(1 + J_{i+1})) coincides with :func:`cross_ratio`.
-    """
-    i_im1 = u_i - u_im1
-    i_i = u_ip1 - u_i
-    i_ip1 = u_ip2 - u_ip1
-    j_i = _checked_div(i_im1, i_i)
-    j_ip1 = _checked_div(i_i, i_ip1)
-    r = _checked_div(j_i, (1.0 + j_i) * (1.0 + j_ip1))
-    return (i_im1, i_i, i_ip1, j_i, j_ip1, r)
 
 
 # ---------------------------------------------------------------------------

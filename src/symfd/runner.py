@@ -188,7 +188,7 @@ class ExperimentConfig:
 
 
 def parse_config(text: str) -> ExperimentConfig:
-    """Parse flat ``key = value`` text; unknown keys are errors."""
+    """Parse flat ``key = value`` text; unknown and repeated keys are errors."""
     values: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -201,6 +201,8 @@ def parse_config(text: str) -> ExperimentConfig:
         val = val.strip()
         if key not in _CONFIG_KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
+        if key in values:
+            raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         typ, _default = _CONFIG_KEYS[key]
         try:
             values[key] = typ(val) if typ is not str else val
@@ -1001,13 +1003,15 @@ def convergence_study(scheme: str, h_list: Iterable[float]) -> list[ConvergenceR
     """Max-norm error against the exact solution under mesh refinement.
 
     ``_CONVERGENCE`` maps each scheme to its error at spacing h.  An
-    unknown scheme or a spacing that is not positive and finite is a
-    ConfigError, raised before any level runs.
+    unknown scheme, an empty list of spacings or a spacing that is not
+    positive and finite is a ConfigError, raised before any level runs.
     """
     if scheme not in _CONVERGENCE:
         raise ConfigError(f"no convergence driver for scheme {scheme!r}; "
                           f"known: {', '.join(CONVERGENCE_SCHEMES)}")
     hs = list(h_list)
+    if not hs:
+        raise ConfigError("no mesh spacing given")
     for h in hs:
         if not (h > 0.0 and math.isfinite(h)):
             raise ConfigError(f"mesh spacing must be positive and finite, got {h!r}")

@@ -1,4 +1,4 @@
-"""Shared random constructors and hypothesis strategies for the test suite.
+"""Shared random constructors, hypothesis strategies and oracles for the test suite.
 
 The constructors draw through the package's deterministic generator so
 every test that uses them is reproducible bit for bit.  Sampling policy:
@@ -16,10 +16,15 @@ from symfd.groups import (
     BurgersGroupElement,
     KdVGroupElement,
     SL2Element,
+    Stencil,
+    apply_burgers,
+    apply_kdv,
+    make_field,
     prolonged_directional_derivative,
 )
 from symfd.invariants import BurgersStencil, KdVStencil
 from symfd.rng import DeterministicRng
+from symfd.schemes import rk_adaptive_solve
 
 
 _unit = st.floats(-1.0, 1.0)
@@ -114,3 +119,66 @@ def worst_catalog_derivative(vector, cls, gens, z) -> float:
     generic stencil ``z``: one array-valued F per generator, not one per name."""
     F = lambda s: vector(cls.from_stencil(s))  # noqa: E731
     return max(float(np.max(np.abs(prolonged_directional_derivative(F, f, z)))) for f in gens)
+
+
+# ---------------------------------------------------------------------------
+# oracles: independent, per-node or integrated forms of production paths
+# ---------------------------------------------------------------------------
+
+def field_coeffs(field, node, index=(0, 0)):
+    """(eta, xi, phi) of ``field`` at one (t, x, u) node, times its lattice
+    weight at the absolute index ``index``."""
+    t, x, u = node
+    w = 1.0 if field.weight is None else field.weight(*index)
+    return (w * field.eta(t, x, u), w * field.xi(t, x, u), w * field.phi(t, x, u))
+
+
+def sl2_generators():
+    """Generators of the Mobius action: d/du, u d/du, u^2 d/du."""
+    return [
+        make_field(phi=lambda t, x, u: 1.0, name="shift_u"),
+        make_field(phi=lambda t, x, u: u, name="dilate_u"),
+        make_field(phi=lambda t, x, u: u * u, name="special_u"),
+    ]
+
+
+def flow(field, node, epsilon, index=(0, 0)):
+    """exp(epsilon field) . node: the oracle of the closed-form group actions.
+
+    exp(epsilon v) z solves dz/de = v(z), integrated as dz/ds = epsilon v(z)
+    over s in [0, 1] (so a tiny epsilon cannot trip the step-underflow test)
+    by rk_adaptive_solve at relative tolerance 1e-13.  Raises OverflowError
+    when that trajectory diverges.
+    """
+    if epsilon == 0.0:
+        return node
+    traj = rk_adaptive_solve(lambda _s, z: [epsilon * c for c in field_coeffs(field, tuple(z), index)],
+                             node, (0.0, 1.0), 1e-13)
+    if traj.diverged:
+        raise OverflowError(f"flow diverged at parameter {traj.xs[-1] * epsilon:g}")
+    return tuple(traj.ys[-1].tolist())
+
+
+def perturb_stencil(z, field, eps):
+    """z with every node moved by eps times the generator, one node at a time
+    (the linearized product action): the oracle of the two stencils that
+    prolonged_directional_derivative moves."""
+    n, i = z.ref
+    points = [[v + eps * c for v, c in zip(p, field_coeffs(field, p, (n + l, i + j)))]
+              for (l, j), p in zip(z.offsets, z.points.tolist())]
+    return Stencil(z.offsets, np.array(points), z.ref)
+
+
+def apply_kdv_stencil(g, z):
+    """The KdV element g applied to every node of the two-row stencil z."""
+    t_rows = z.t0 + z.k * np.array([[0.0], [1.0]])  # broadcast against z.x
+    _, x, u = apply_kdv(g, (t_rows, z.x, z.u))
+    return KdVStencil(g.lam**3 * z.k, x, u, g.lam**3 * z.t0 + g.b)
+
+
+def apply_burgers_stencil(g, z):
+    """The Burgers element g applied to every node of the two-row stencil z."""
+    s = math.exp(g.eps4)
+    t_rows = z.t0 + z.k * np.array([[0.0], [1.0]])  # broadcast against z.x
+    _, x, u = apply_burgers(g, (t_rows, z.x, z.u))
+    return BurgersStencil(s**2 * z.k, x, u, s**2 * (z.t0 + g.eps2))

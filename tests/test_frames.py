@@ -13,20 +13,13 @@ from symfd.frames import (
     KdVFrameInput,
     SL2DiscreteFrameInput,
     apply_burgers_jet,
-    apply_burgers_stencil,
     apply_kdv_jet,
-    apply_kdv_stencil,
-    apply_sl2_jet2,
     apply_sl2_window,
     burgers_discrete_frame,
     burgers_normalization_residuals,
-    invariantize_burgers,
-    invariantize_kdv,
     invariantize_sl2_discrete,
     kdv_discrete_frame,
     kdv_normalization_residuals,
-    sl2_differential_frame,
-    sl2_differential_normalization_residuals,
     sl2_discrete_frame,
     sl2_discrete_normalization_residuals,
     sl2_projectively_equal,
@@ -35,6 +28,8 @@ from symfd.invariants import cross_ratio, kdv_invariants
 from symfd.rng import DeterministicRng
 
 from _helpers import (
+    apply_burgers_stencil,
+    apply_kdv_stencil,
     burgers_elements,
     kdv_elements,
     rand_burgers_element,
@@ -68,6 +63,23 @@ def _du(z):
     return np.diff(z.u, axis=1) / np.diff(z.x, axis=1)
 
 
+def _kdv_input(z):
+    """The KdV frame input at the base node of a two-row stencil."""
+    du = _du(z)
+    return KdVFrameInput(z.t0, float(z.x[0, 2]), float(z.u[0, 2]),
+                         float((du[0, 2] + du[0, 1]) / 2.0))
+
+
+def _burgers_input(z):
+    """The Burgers frame input at the base node of a two-row stencil."""
+    du = _du(z)
+    dxu = float((du[0, 1] + du[0, 0]) / 2.0)
+    sigma = float(z.x[1, 1] - z.x[0, 1])
+    dtu = float((z.u[1, 1] - z.u[0, 1]) / z.k - (sigma / z.k) * dxu)
+    return BurgersFrameInput(z.t0, float(z.x[0, 1]), float(z.u[0, 1]), float(z.u[1, 1]),
+                             dxu, dtu, z.k)
+
+
 def _rand_burgers_input(rng):
     while True:
         inp = BurgersFrameInput(rng.uniform(-1, 1), rng.uniform(-2, 2),
@@ -76,56 +88,6 @@ def _rand_burgers_input(rng):
                                 rng.uniform(0.1, 2.0))
         if inp.cube_argument > 0.05:
             return inp
-
-
-# ---------------------------------------------------------------------------
-# differential Mobius frame
-# ---------------------------------------------------------------------------
-
-def test_sl2_differential_frame_on_cross_section():
-    assert sl2_differential_frame(0.0, 1.0, 0.0).params() == pytest.approx(
-        (1.0, 0.0, 0.0, 1.0))
-
-
-def test_sl2_differential_frame_scaled_jet():
-    # direct substitution; the frame then maps the jet onto the cross-section
-    g = sl2_differential_frame(0.0, 4.0, 0.0)
-    assert g.params() == pytest.approx((0.5, 0.0, 0.0, 2.0))
-    assert np.max(np.abs(sl2_differential_normalization_residuals(0.0, 4.0, 0.0))) <= 1e-12
-
-
-def test_sl2_differential_frame_normalization_500():
-    rng = DeterministicRng(50)
-    worst = 0.0
-    for _ in range(500):
-        u = rng.uniform(-2, 2)
-        ux = rng.choice_sign() * rng.uniform(0.1, 3.0)
-        uxx = rng.uniform(-2, 2)
-        worst = max(worst, float(np.max(np.abs(
-            sl2_differential_normalization_residuals(u, ux, uxx)))))
-    assert worst <= 1e-10
-
-
-def test_sl2_differential_frame_degenerate_jet():
-    with pytest.raises(DegenerateJet):
-        sl2_differential_frame(0.5, 0.0, 1.0)
-
-
-def test_sl2_differential_frame_equivariance():
-    rng = DeterministicRng(51)
-    count = 0
-    while count < 100:
-        u = rng.uniform(-2, 2)
-        ux = rng.choice_sign() * rng.uniform(0.1, 3.0)
-        uxx = rng.uniform(-2, 2)
-        g = rand_sl2_safe(rng, [u])
-        gu, gux, guxx = apply_sl2_jet2(g, u, ux, uxx)
-        if abs(gux) < 1e-3:
-            continue
-        lhs = sl2_differential_frame(gu, gux, guxx)
-        rhs = sl2_differential_frame(u, ux, uxx).compose(g.inverse())
-        assert sl2_projectively_equal(lhs, rhs, 1e-9)
-        count += 1
 
 
 # ---------------------------------------------------------------------------
@@ -292,15 +254,15 @@ def test_kdv_frame_equivariance_100(inp, g):
 
 
 def test_invariantize_kdv_invariant_is_identity():
+    # the frame of the base node moves the whole stencil: iota(T) = T
     rng = DeterministicRng(61)
     count = 0
     while count < 100:
         z = rand_kdv_stencil(rng)
-        du = _du(z)
-        if (du[0, 1] + du[0, 2]) / 2.0 <= 0.05:
+        inp = _kdv_input(z)
+        if inp.dxu <= 0.05:
             continue
-        F = lambda s: kdv_invariants(s)["T"]
-        v = invariantize_kdv(F, z)
+        v = kdv_invariants(apply_kdv_stencil(kdv_discrete_frame(inp), z))["T"]
         expect = kdv_invariants(z)["T"]
         assert abs(v - expect) <= 1e-11 * (1.0 + abs(expect))
         count += 1
@@ -362,16 +324,21 @@ def _d2u(z):
     return float(2.0 * (du[1] - du[0]) / (h[0] + h[1]))
 
 
+def _invariantized_d2u(z):
+    """iota(D2 u)(z): D2 u of the stencil moved by the frame of its base node."""
+    return _d2u(apply_burgers_stencil(burgers_discrete_frame(_burgers_input(z)), z))
+
+
 def test_burgers_invariantized_second_difference():
     # iota(D2 u) = D2 u / [(1 + k Dx u)(Dt u + u^{n+1} Dx u)]
     rng = DeterministicRng(65)
     count = 0
     while count < 100:
         z = rand_burgers_stencil(rng)
-        inp = BurgersFrameInput.from_stencil(z)
+        inp = _burgers_input(z)
         if inp.cube_argument < 0.05:
             continue
-        v = invariantize_burgers(_d2u, z)
+        v = _invariantized_d2u(z)
         expect = _d2u(z) / inp.cube_argument
         assert abs(v - expect) <= 1e-10 * (1.0 + abs(expect))
         count += 1
@@ -382,35 +349,14 @@ def test_burgers_invariantize_orbit_constancy():
     count = 0
     while count < 100:
         z = rand_burgers_stencil(rng)
-        if BurgersFrameInput.from_stencil(z).cube_argument < 0.05:
+        if _burgers_input(z).cube_argument < 0.05:
             continue
         g = rand_burgers_element(rng)
         gz = apply_burgers_stencil(g, z)
-        if BurgersFrameInput.from_stencil(gz).cube_argument < 1e-6:
+        if _burgers_input(gz).cube_argument < 1e-6:
             continue
-        v0 = invariantize_burgers(_d2u, z)
-        v1 = invariantize_burgers(_d2u, gz)
+        v0 = _invariantized_d2u(z)
+        v1 = _invariantized_d2u(gz)
         assert abs(v1 - v0) <= 1e-9 * (1.0 + abs(v0))
         count += 1
 
-
-# ---------------------------------------------------------------------------
-# frame inputs read from two-row stencils
-# ---------------------------------------------------------------------------
-
-def test_frame_inputs_from_stencil_equal_array_reference():
-    # the same operations in the same order as on the stencil's arrays (_du),
-    # on Python floats: equal bit for bit
-    rng = DeterministicRng(67)
-    for _ in range(500):
-        z = rand_kdv_stencil(rng)
-        du = _du(z)
-        assert KdVFrameInput.from_stencil(z) == KdVFrameInput(
-            z.t0, float(z.x[0, 2]), float(z.u[0, 2]), float((du[0, 2] + du[0, 1]) / 2.0))
-        z = rand_burgers_stencil(rng)
-        du = _du(z)
-        dxu = float((du[0, 1] + du[0, 0]) / 2.0)
-        sigma = float(z.x[1, 1] - z.x[0, 1])
-        dtu = float((z.u[1, 1] - z.u[0, 1]) / z.k - (sigma / z.k) * dxu)
-        assert BurgersFrameInput.from_stencil(z) == BurgersFrameInput(
-            z.t0, float(z.x[0, 1]), float(z.u[0, 1]), float(z.u[1, 1]), dxu, dtu, z.k)

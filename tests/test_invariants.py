@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symfd.errors import DegenerateDenominator
-from symfd.frames import apply_burgers_stencil, apply_kdv_stencil
 from symfd.groups import (
     KdVGroupElement,
     Stencil,
@@ -24,12 +23,13 @@ from symfd.invariants import (
     cross_ratio,
     kdv_invariant_vector,
     kdv_invariants,
-    sl2_invariant_chain,
 )
 from symfd.rng import DeterministicRng
 
 from _helpers import (
     POWER_OF_TWO_SCALES,
+    apply_burgers_stencil,
+    apply_kdv_stencil,
     rand_admissible_window,
     rand_burgers_element,
     rand_burgers_stencil,
@@ -42,7 +42,7 @@ from _helpers import (
 
 
 # ---------------------------------------------------------------------------
-# cross-ratio and the Mobius chain
+# cross-ratio
 # ---------------------------------------------------------------------------
 
 def test_cross_ratio_values():
@@ -65,34 +65,6 @@ def test_cross_ratio_mobius_invariance_1000():
         worst = max(worst, abs(cross_ratio(*(apply_sl2(g, v) for v in u)) - r)
                     / (1.0 + abs(r)))
     assert worst <= 1e-11
-
-
-def test_chain_values_and_identity():
-    i1, i2, i3, j1, j2, r = sl2_invariant_chain(0.0, 1.0, 2.0, 3.0)
-    assert (i1, i2, i3) == (1.0, 1.0, 1.0)
-    assert (j1, j2) == (1.0, 1.0)
-    assert r == pytest.approx(0.25, abs=1e-15)
-
-
-def test_chain_ratio_equals_cross_ratio():
-    rng = DeterministicRng(32)
-    for _ in range(1000):
-        u = rand_admissible_window(rng)
-        r_chain = sl2_invariant_chain(*u)[5]
-        assert abs(r_chain - cross_ratio(*u)) <= 1e-12 * (1.0 + abs(r_chain))
-
-
-def test_chain_j_invariant_under_affine_maps():
-    rng = DeterministicRng(33)
-    for _ in range(200):
-        u = rand_admissible_window(rng)
-        lam = 0.3 + rng.uniform(0.0, 3.0)
-        b = rng.uniform(-2.0, 2.0)
-        v = [lam * x + b for x in u]
-        _, _, _, j1, j2, _ = sl2_invariant_chain(*u)
-        _, _, _, k1, k2, _ = sl2_invariant_chain(*v)
-        assert abs(j1 - k1) <= 1e-11 * (1.0 + abs(j1))
-        assert abs(j2 - k2) <= 1e-11 * (1.0 + abs(j2))
 
 
 # ---------------------------------------------------------------------------

@@ -191,16 +191,29 @@ def test_config_errors(text, fragment):
         parse_config(text)
 
 
+def test_config_repeated_key_is_an_error(tmp_path, capsys):
+    text = ("equation = burgers\nscheme = burgers_fv\ndomain_a = 0\ndomain_b = 1\n"
+            "n_points = 16\nn_points = 32\nt_final = 1\nnu = 0.01\n")
+    with pytest.raises(ConfigError, match="^line 6: duplicate key 'n_points'$"):
+        parse_config(text)
+    cfg = tmp_path / "dup.cfg"
+    cfg.write_text(text)
+    assert cli_main(["run", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "config error: line 6: duplicate key 'n_points'\n"
+
+
 _FLOAT_KEYS = sorted(k for k, (typ, _d) in _CONFIG_KEYS.items() if typ is float)
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 @pytest.mark.parametrize("key", _FLOAT_KEYS)
 def test_config_rejects_nonfinite_floats(key, value):
+    values = {"equation": "kdv", "scheme": "kdv_10pt", "mesh": "adaptive", "alpha": "1",
+              "domain_a": "-1", "domain_b": "1", "n_points": "16", "t_final": "1", key: value}
     with pytest.raises(ConfigError, match=f"{key} must be finite"):
-        parse_config("equation = kdv\nscheme = kdv_10pt\nmesh = adaptive\nalpha = 1\n"
-                     "domain_a = -1\ndomain_b = 1\nn_points = 16\nt_final = 1\n"
-                     f"{key} = {value}\n")
+        parse_config("".join(f"{k} = {v}\n" for k, v in values.items()))
 
 
 def test_cli_run_nonfinite_source_is_a_config_error(tmp_path, capsys):
@@ -608,6 +621,8 @@ def test_convergence_study_rejects_bad_input_before_any_level(monkeypatch):
     with pytest.raises(ConfigError, match="no convergence driver for scheme 'nope'"):
         convergence_study("nope", [])
     for scheme in CONVERGENCE_SCHEMES:
+        with pytest.raises(ConfigError, match="no mesh spacing given"):
+            convergence_study(scheme, [])
         for bad in (0.0, -0.1, math.nan, math.inf):
             with pytest.raises(ConfigError, match="positive and finite"):
                 convergence_study(scheme, [0.1, 0.05, bad])
@@ -877,6 +892,14 @@ def test_cli_converge_rejects_a_spacing_too_coarse_for_the_domain(capsys, scheme
     assert captured.err == f"config error: {message}\n"
 
 
+@pytest.mark.parametrize("h", [",", " ", ", ,"])
+def test_cli_converge_without_spacings_is_a_config_error(capsys, h):
+    assert cli_main(["converge", "--scheme", "burgers_fv", "--h", h]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "config error: no mesh spacing given\n"
+
+
 def test_cli_converge_numerical_failure_exits_3(monkeypatch, capsys):
     def fail(h):
         raise SchemeSingularity("cross-ratio vanished")
@@ -901,6 +924,16 @@ def _scheme_choices(command):
     parser = build_parser()
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     return tuple(next(a.choices for a in sub.choices[command]._actions if a.dest == "scheme"))
+
+
+def test_cli_exact_schwarzian_through_a_pole_exits_3(capsys):
+    # tan x: the middle sample x = pi/2 is the pole
+    argv = ["exact", "--equation", "schwarzian", "--x-min", "0",
+            "--x-max", "3.141592653589793", "--n", "3"]
+    assert cli_main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "numerical failure: denominator vanishes near x = 1.5707963267948966\n"
 
 
 def test_cli_scheme_choices_are_the_driver_tables():

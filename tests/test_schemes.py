@@ -46,6 +46,7 @@ from symfd.schemes import (
 
 from _helpers import (
     POWER_OF_TWO_SCALES,
+    apply_kdv_stencil,
     kdv_elements,
     rand_admissible_window,
     rand_burgers_element,
@@ -301,8 +302,6 @@ def test_d3u_polynomial_oracle():
 
 def test_d3u_group_invariance():
     # k h_i^2 D3u_i / 2 is a KdV invariant on either row of the stencil
-    from symfd.frames import apply_kdv_stencil
-
     rng = DeterministicRng(38)
     worst = 0.0
     for _ in range(200):
