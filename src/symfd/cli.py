@@ -16,6 +16,7 @@ standard error).
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -48,7 +49,7 @@ def _cmd_run(args) -> int:
     if out.status != "completed":
         print(f"run stopped: {out.message}", file=sys.stderr)
     if not cfg.snapshots_path:
-        sys.stdout.write(runner.format_snapshots_csv(out))
+        sys.stdout.writelines(runner.format_snapshots_csv(out))
     return 0 if out.status == "completed" else 3
 
 
@@ -78,8 +79,12 @@ def _cmd_converge(args) -> int:
 
 
 def _cmd_exact(args) -> int:
-    x = np.linspace(args.x_min, args.x_max, args.n)
     try:
+        if not (math.isfinite(args.x_min) and math.isfinite(args.x_max)):
+            raise ConfigError("--x-min and --x-max must be finite")
+        if args.n < 1:
+            raise ConfigError("--n must be at least 1")
+        x = np.linspace(args.x_min, args.x_max, args.n)
         if args.equation == "kdv":
             u = runner.exact_kdv_double_soliton(args.t, x, args.c1, args.c2,
                                                 args.a1, args.a2)

@@ -12,33 +12,35 @@ weights are unchanged under the scaling and boost symmetries of the KdV and
 Burgers dynamics.  Natural cubic spline interpolation provides the
 invariant projection step back to a reference grid.
 
-Both tridiagonal systems (equidistribution and the spline moments) are
-solved by LAPACK ``dgtsv``, which does not check its input: non-finite or
-nonpositive monitor weights raise :class:`SingularSystem` before the solve,
-and a NaN in the spline data propagates into the projected values.
-scipy's LAPACK wrappers are imported at the first linear solve, here or in
-the ten-point KdV step (``_lapack``), so a process that never solves (the
-frames, the invariant catalogs, the Schwarzian march) does not load
-``scipy.linalg``.
+The relation has a closed form: w_{i+1/2} dx_i is the same constant for
+every interval, so the spacings are proportional to 1/w_{i+1/2} and
+equidistribution is a cumulative sum (de Boor's algorithm; Huang &
+Russell, *Adaptive Moving Mesh Methods*, 2011, ch. 2), with no linear
+solve.  Non-finite or nonpositive monitor weights raise
+:class:`SingularSystem`.  The spline moments are a tridiagonal system,
+solved by LAPACK ``dgtsv``, which does not check its input: a NaN in the
+spline data propagates into the projected values.  scipy's LAPACK
+wrappers are imported at the first linear solve, here or in the ten-point
+KdV step (``_lapack``), so a process that never solves one (the frames,
+the invariant catalogs, the Schwarzian march, the Burgers march, adaptive
+six-point KdV steps) does not load ``scipy.linalg``.
 
 Batches: the Lagrangian update, the monitor and equidistribution act on the
 last axis, so node arrays of shape (n,) hold one mesh and arrays of shape
-(B, n) a batch of B meshes, each row advanced exactly as it would be alone.
-Per-row scalars of a batch are (B, 1) columns (the time step k, alpha),
-except the domain endpoints of equidistribution, which are (B,) arrays.
-A batch is equidistributed by one ``dgtsv`` call on the block-diagonal
-system (zero coupling between the rows), which gives each row bit for bit
-the solution of its own system.  The diagnostics of a batch are reduced
-over its rows: the smallest spacing, the largest normalized residual.  A
-check fails for the whole batch when it fails for one row.  Projection
-(the spline) takes a single mesh.
+(B, n) a batch of B meshes, each row advanced exactly as it would be alone
+(the cumulative sum runs along each row in order).  Per-row scalars of a
+batch are (B, 1) columns (the time step k, alpha), except the domain
+endpoints of equidistribution, which are (B,) arrays.  The diagnostics of
+a batch are reduced over its rows: the smallest spacing, the largest
+normalized residual.  A check fails for the whole batch when it fails for
+one row.  Projection (the spline) takes a single mesh.
 
 Each mesh update returns its abscissae together with their spacings
 (``MeshUpdate.dx``), so a scheme that needs them does not form them again.
 ``equidistribute_arclength`` is ``monitor_arclength`` followed by
 ``equidistribute`` for a caller that already holds the spacings and the
 value increments of the current mesh; the three share one kernel each for
-the weights and for the solve.  A spacing that is not positive, NaN
+the weights and for the mesh.  A spacing that is not positive, NaN
 included, raises :class:`MeshTangling`.
 """
 
@@ -107,7 +109,8 @@ def _checked_min_spacing(dx: np.ndarray, floor: float) -> float:
 @functools.cache
 def _lapack():
     """``scipy.linalg.lapack``, imported by the first call, so that a process
-    which never solves a linear system does not load ``scipy.linalg``."""
+    which never solves a linear system (the spline moments, the ten-point
+    KdV band) does not load ``scipy.linalg``."""
     from scipy.linalg import lapack
     return lapack
 
@@ -160,11 +163,10 @@ def monitor_arclength(state, k: float, params: MonitorParams) -> np.ndarray:
 
 
 def _equidistributed(d: np.ndarray, domain, floor: float, positive: bool) -> MeshUpdate:
-    """The equidistribution solve of :func:`equidistribute` for float weights
+    """The equidistributed mesh of :func:`equidistribute` for float weights
     d of at least three nodes; ``positive`` tells whether every weight
     compared above zero (NaN weights do not)."""
     a, b = domain
-    n = d.shape[-1]
     width = abs(b - a)
     if not _holds(width < math.inf):  # NaN or inf endpoints fail this test
         raise ValueError("domain endpoints must be finite")
@@ -172,23 +174,14 @@ def _equidistributed(d: np.ndarray, domain, floor: float, positive: bool) -> Mes
     if not (positive and _holds(d_max < math.inf)):  # a NaN weight fails d_max < inf
         raise SingularSystem("monitor weights must be positive and finite")
     w = 0.5 * (d[..., 1:] + d[..., :-1])  # w[m] = weight on interval (m, m+1)
-
-    # rows i = 1..n-2: -w[i-1] x_{i-1} + (w[i-1]+w[i]) x_i - w[i] x_{i+1} = 0
-    m = n - 2
-    # ``v.T[j]`` is entry j of one mesh (a scalar) and column j of a batch
-    rhs = np.zeros(d.shape[:-1] + (m,))
-    rhs.T[0] += w.T[0] * a
-    rhs.T[-1] += w.T[m] * b
-    # sub- and superdiagonal of the stacked rows; the last entry of a row
-    # couples it to the next row of a batch and is zero
-    off = -w[..., 1:]
-    off.T[-1] = 0.0
-    off = off.reshape(-1)[:-1]
+    # w[m] dx[m] is the same for every interval of a row, so x_i - a is
+    # (b - a) S_i / S_{n-1} with S_i = sum_{m<i} 1/w[m]
+    s = np.cumsum(1.0 / w, axis=-1)
+    a_col, b_col = np.asarray(a)[..., None], np.asarray(b)[..., None]  # (1,) or (B, 1)
     x_next = np.empty(d.shape)
-    x_next.T[0] = a
-    x_next[..., 1:-1] = _solve_tridiagonal(
-        off, (w[..., :-1] + w[..., 1:]).reshape(-1), off, rhs.reshape(-1)).reshape(rhs.shape)
-    x_next.T[-1] = b
+    x_next[..., 1:] = a_col + (b_col - a_col) * (s / s[..., -1:])
+    x_next[..., 0] = a
+    x_next[..., -1] = b
 
     dx = x_next[..., 1:] - x_next[..., :-1]
     min_spacing = _checked_min_spacing(dx, floor)
@@ -205,8 +198,9 @@ def equidistribute(delta: np.ndarray, domain: tuple[float, float],
 
     With w_{i+1/2} = (d_{i+1} + d_i)/2 the relation
     w_{i+1/2} (x_{i+1} - x_i) = w_{i-1/2} (x_i - x_{i-1}) for the interior
-    and x_0 = a, x_{N-1} = b is a symmetric tridiagonal system, solved
-    directly by LAPACK dgtsv.  Weights that are not positive and finite
+    and x_0 = a, x_{N-1} = b has the closed form
+    x_i = a + (b - a) S_i / S_{N-1} with S_i = sum_{m<i} 1/w_{m+1/2}; the
+    last node is set to b exactly.  Weights that are not positive and finite
     (NaN, inf, zero or negative) raise :class:`SingularSystem`.  The returned
     diagnostics include the normalized residual
     max_i |w_{i+1/2} dx_i - w_{i-1/2} dx_{i-1}| / (max d (b - a)).
@@ -226,7 +220,7 @@ def equidistribute_arclength(dx: np.ndarray, du: np.ndarray, k: float,
     bit for bit, from the spacings dx and the value increments du of the
     state (its x and u differenced along the last axis)."""
     # arc-length weights are at least 1 unless NaN or inf, which the
-    # solve's test of the largest weight rejects
+    # test of the largest weight rejects
     return _equidistributed(_arclength_weights(dx, du, k, params.alpha), domain, floor, True)
 
 

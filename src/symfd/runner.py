@@ -18,7 +18,7 @@ import math
 import os
 import stat
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -257,7 +257,7 @@ def validate_config(values: dict) -> ExperimentConfig:
 # run output
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(slots=True)
 class DiagnosticsRow:
     step: int
     t: float
@@ -277,26 +277,33 @@ class RunOutput:
     message: str = ""  # why a run stopped; empty when it completed
 
 
-def format_snapshots_csv(out: RunOutput) -> str:
-    lines = ["t,x,u"]
+# The CSV formatters yield their text in chunks, which joined give the
+# file, so that a writer holds one chunk at a time and not the whole text.
+_DIAGNOSTICS_CHUNK = 1000  # rows
+
+
+def format_snapshots_csv(out: RunOutput) -> Iterator[str]:
+    """The snapshots CSV: its header, then one chunk per snapshot."""
+    yield "t,x,u\n"
     for t, x, u in out.snapshots:
         prefix = f"{t:.17g},"
-        lines.extend([prefix + "%.17g,%.17g" % xu for xu in zip(x.tolist(), u.tolist())])
-    return "\n".join(lines) + "\n"
+        yield "".join([prefix + "%.17g,%.17g\n" % xu for xu in zip(x.tolist(), u.tolist())])
 
 
-def format_diagnostics_csv(out: RunOutput) -> str:
-    lines = ["step,t,min_spacing,tv,residual_inf,newton_iters,status"]
-    lines.extend([
-        "%s,%.17g,%.17g,%.17g,%.17g,%s,%s"
-        % (r.step, r.t, r.min_spacing, r.tv, r.residual_inf, r.newton_iters, r.status)
-        for r in out.diagnostics
-    ])
-    return "\n".join(lines) + "\n"
+def format_diagnostics_csv(out: RunOutput) -> Iterator[str]:
+    """The diagnostics CSV: its header, then chunks of ``_DIAGNOSTICS_CHUNK`` rows."""
+    yield "step,t,min_spacing,tv,residual_inf,newton_iters,status\n"
+    rows = out.diagnostics
+    for start in range(0, len(rows), _DIAGNOSTICS_CHUNK):
+        yield "".join([
+            "%s,%.17g,%.17g,%.17g,%.17g,%s,%s\n"
+            % (r.step, r.t, r.min_spacing, r.tv, r.residual_inf, r.newton_iters, r.status)
+            for r in rows[start:start + _DIAGNOSTICS_CHUNK]
+        ])
 
 
 def write_outputs(out: RunOutput) -> None:
-    """Write the configured CSVs, each as a new file.
+    """Write the configured CSVs, each as a new file, chunk by chunk.
 
     An existing regular file at an output path is unlinked before it is
     opened: on ext4 (``auto_da_alloc``), truncating a file whose last
@@ -317,7 +324,7 @@ def write_outputs(out: RunOutput) -> None:
         except (FileNotFoundError, PermissionError):
             pass  # nothing to replace, or write through; open reports a real fault
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(fmt(out))
+            fh.writelines(fmt(out))
 
 
 # ---------------------------------------------------------------------------
@@ -856,10 +863,13 @@ def invariance_audit(scheme: str, n_elements: int = 100, n_configs: int = 20,
     KdV scheme is audited against the Galilean boost only and is expected
     to fail with the analytic defect v (u_{i+1} - u_{i-1}) / (2h); its
     report checks that formula to 1e-10 and passes when the defect is
-    present.
+    present.  A tolerance that is not positive and finite is a
+    :class:`ConfigError`, as it would pass or fail every audit.
     """
     if n_elements < 1 or n_configs < 1:
         raise ConfigError("an audit needs at least one element and one configuration")
+    if not 0.0 < tol < math.inf:  # NaN fails this test too
+        raise ConfigError(f"audit tolerance must be positive and finite, got {tol!r}")
     if scheme not in _AUDITS:
         raise ConfigError(f"unknown audit scheme {scheme!r}; "
                           f"known: {', '.join(AUDIT_SCHEMES)}")

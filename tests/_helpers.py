@@ -8,6 +8,7 @@ strategies follow the same policy.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 from hypothesis import strategies as st
@@ -182,3 +183,28 @@ def apply_burgers_stencil(g, z):
     t_rows = z.t0 + z.k * np.array([[0.0], [1.0]])  # broadcast against z.x
     _, x, u = apply_burgers(g, (t_rows, z.x, z.u))
     return BurgersStencil(s**2 * z.k, x, u, s**2 * (z.t0 + g.eps2))
+
+
+def equidistributed_exact(delta, a, b):
+    """Exact nodes of the equidistribution system for the float weights
+    ``delta`` on [a, b], in rational arithmetic: the oracle of
+    ``mesh.equidistribute``.
+
+    The relation -w_{i-1} x_{i-1} + (w_{i-1} + w_i) x_i - w_i x_{i+1} = 0 for
+    i = 1..n-2, with w_m = (d_m + d_{m+1})/2 and x_0 = a, x_{n-1} = b, is
+    eliminated row by row as written (the Thomas algorithm, which needs no
+    pivoting in exact arithmetic).
+    """
+    d = [Fraction(v) for v in delta]
+    w = [(d[m] + d[m + 1]) / 2 for m in range(len(d) - 1)]
+    # forward sweep: x_i = c[i] x_{i+1} + e[i], starting from x_0 = a
+    c, e = [Fraction(0)], [Fraction(a)]
+    for i in range(1, len(d) - 1):
+        piv = w[i - 1] + w[i] - w[i - 1] * c[-1]
+        c.append(w[i] / piv)
+        e.append(w[i - 1] * e[-1] / piv)
+    x = [Fraction(b)]
+    for i in reversed(range(1, len(d) - 1)):
+        x.append(c[i] * x[-1] + e[i])
+    x.append(Fraction(a))
+    return x[::-1]

@@ -350,6 +350,22 @@ def test_audit_without_trials_is_a_config_error(scheme, n_elements, n_configs):
         invariance_audit(scheme, n_elements, n_configs)
 
 
+@pytest.mark.parametrize("scheme", ["kdv_naive", "burgers_fv"])
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+def test_audit_tolerance_must_be_positive_and_finite(scheme, tol):
+    # inf would pass every audit, and NaN or a nonpositive bound fail it
+    with pytest.raises(ConfigError, match="audit tolerance must be positive and finite"):
+        invariance_audit(scheme, 4, 2, tol=tol)
+
+
+@pytest.mark.parametrize("tol", ["inf", "nan", "-1", "0"])
+def test_cli_audit_with_a_meaningless_tolerance_exits_2(capsys, tol):
+    assert cli_main(["audit", "--scheme", "uxx", "--trials", "4", "--tol", tol]) == 2
+    out = capsys.readouterr()
+    assert out.err.startswith("config error: audit tolerance must be positive and finite")
+    assert "verdict" not in out.out
+
+
 @pytest.mark.parametrize("flags", [["--trials", "0", "--configs", "5"],
                                    ["--trials", "4", "--configs", "-2"]])
 def test_cli_audit_without_trials_exits_2(capsys, flags):

@@ -1,5 +1,7 @@
 """Mesh strategies, interpolation, and the spacing checks."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,7 +19,7 @@ from symfd.mesh import (
 from symfd.rng import DeterministicRng
 from symfd.schemes import GridState
 
-from _helpers import POWER_OF_TWO_SCALES, rand_kdv_element
+from _helpers import POWER_OF_TWO_SCALES, equidistributed_exact, rand_kdv_element
 
 
 def _state(x, u, t=0.0):
@@ -162,6 +164,23 @@ def test_equidistribute_property_random_weights(delta, a, width):
     assert upd.x_next[0] == a and upd.x_next[-1] == b
     assert np.all(np.diff(upd.x_next) > 0.0)
     assert upd.equi_residual <= 1e-12
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    exponents=st.lists(st.floats(0.0, 6.0), min_size=3, max_size=40),
+    a=st.floats(-5.0, 5.0),
+    width=st.floats(0.5, 10.0),
+)
+def test_equidistribute_matches_the_exact_rational_solution(exponents, a, width):
+    # weights spanning up to six decades; each node within 1e-14 (b - a) of
+    # the exact solution of the system for the same float weights
+    delta = [10.0**e for e in exponents]
+    b = a + width
+    x = equidistribute(np.array(delta), (a, b)).x_next
+    exact = equidistributed_exact(delta, a, b)
+    err = max(abs(Fraction(v) - e) for v, e in zip(x.tolist(), exact))
+    assert err <= Fraction(1e-14) * (Fraction(b) - Fraction(a))
 
 
 def test_equidistribute_idempotent_on_static_data():

@@ -6,6 +6,8 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -42,6 +44,8 @@ from symfd.runner import (
     write_outputs,
 )
 from symfd.schemes import GridState, StepInfo
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 # ---------------------------------------------------------------------------
@@ -284,24 +288,28 @@ def _small_burgers_cfg(**over):
     return validate_config(base)
 
 
+def _csv_texts(out):
+    """The snapshots and diagnostics CSVs of a run, their chunks joined."""
+    return "".join(format_snapshots_csv(out)), "".join(format_diagnostics_csv(out))
+
+
 def test_run_deterministic_byte_identical():
     o1 = run_experiment(_small_burgers_cfg())
     o2 = run_experiment(_small_burgers_cfg())
-    assert format_snapshots_csv(o1) == format_snapshots_csv(o2)
-    assert format_diagnostics_csv(o1) == format_diagnostics_csv(o2)
+    assert _csv_texts(o1) == _csv_texts(o2)
 
 
 def test_output_formats():
     out = run_experiment(_small_burgers_cfg())
-    snap = format_snapshots_csv(out)
+    snap, diag = _csv_texts(out)
     assert snap.splitlines()[0] == "t,x,u"
     assert len(snap.splitlines()) == 1 + sum(len(x) for _t, x, _u in out.snapshots)
-    diag = format_diagnostics_csv(out)
     assert diag.splitlines()[0] == "step,t,min_spacing,tv,residual_inf,newton_iters,status"
     assert len(diag.splitlines()) == 1 + len(out.diagnostics)
 
 
-def test_csv_formats_special_values_like_per_field_format():
+def test_csv_formats_special_values_like_per_field_format(monkeypatch):
+    monkeypatch.setattr(runner, "_DIAGNOSTICS_CHUNK", 3)  # chunks of 3, 3 and 2 rows
     vals = [0.0, -0.0, 1.0 / 3.0, -2.5e-300, 1e300, math.nan, math.inf, -math.inf]
     x = np.array(vals)
     u = np.array(vals[::-1])
@@ -311,11 +319,11 @@ def test_csv_formats_special_values_like_per_field_format():
                     _small_burgers_cfg())
     snap = ["t,x,u"] + [f"{t:.17g},{a:.17g},{b:.17g}"
                         for t, xs, us in out.snapshots for a, b in zip(xs, us)]
-    assert format_snapshots_csv(out) == "\n".join(snap) + "\n"
     diag = ["step,t,min_spacing,tv,residual_inf,newton_iters,status"] + [
         f"{r.step},{r.t:.17g},{r.min_spacing:.17g},{r.tv:.17g},"
         f"{r.residual_inf:.17g},{r.newton_iters},{r.status}" for r in rows]
-    assert format_diagnostics_csv(out) == "\n".join(diag) + "\n"
+    assert _csv_texts(out) == ("\n".join(snap) + "\n", "\n".join(diag) + "\n")
+    assert len(list(format_diagnostics_csv(out))) == 1 + 3
 
 
 def test_schwarzian_run_crosses_pole():
@@ -798,6 +806,52 @@ def test_write_through_when_the_unlink_is_refused(monkeypatch, tmp_path):
     assert path.stat().st_ino == ino  # truncated and rewritten in place
 
 
+# k = 2 h^3 is far beyond the explicit naive scheme's stability limit
+_NAIVE_BLOWUP = {"equation": "kdv", "scheme": "kdv_naive", "domain_a": -30.0,
+                 "domain_b": 30.0, "n_points": 128, "t_final": 40.0, "dt_constant": 2.0}
+
+
+@pytest.mark.parametrize("kind", ["completed", "stopped", "schwarzian"])
+def test_written_csvs_are_the_joined_chunks(tmp_path, kind):
+    snaps, diags = tmp_path / "s.csv", tmp_path / "d.csv"
+    paths = {"snapshots_path": str(snaps), "diagnostics_path": str(diags)}
+    cfg = {"completed": lambda: _small_burgers_cfg(**paths),
+           "stopped": lambda: validate_config({**_NAIVE_BLOWUP, **paths}),
+           "schwarzian": lambda: _schwarzian_cfg(**paths)}[kind]()
+    with np.errstate(all="ignore"):
+        out = run_experiment(cfg)
+    assert (out.status == "completed") == (kind != "stopped")
+    write_outputs(out)
+    snap, diag = _csv_texts(out)
+    assert snaps.read_bytes() == snap.encode()
+    assert diags.read_bytes() == diag.encode()
+
+
+def test_cli_run_streams_the_joined_snapshot_chunks_to_stdout(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("equation = burgers\nscheme = burgers_fv\n"
+                   "domain_a = -0.5\ndomain_b = 0.5\nn_points = 16\n"
+                   "t_final = 0.01\nnu = 0.01\nalpha = 0.5\n")
+    assert cli_main(["run", str(cfg)]) == 0
+    snap, _diag = _csv_texts(run_experiment(parse_config(cfg.read_text())))
+    assert capsys.readouterr().out == "status: completed\n" + snap
+
+
+def test_writing_the_burgers_shock_outputs_holds_one_chunk_at_a_time(tmp_path):
+    text = (ROOT / "configs" / "burgers_shock.cfg").read_text(encoding="utf-8")
+    snaps, diags = tmp_path / "s.csv", tmp_path / "d.csv"
+    out = run_experiment(validate_config(dict(
+        parse_config(text).values, snapshots_path=str(snaps), diagnostics_path=str(diags))))
+    tracemalloc.start()
+    try:
+        write_outputs(out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    written = snaps.stat().st_size + diags.stat().st_size
+    assert peak < written / 8, (peak, written)
+
+
 def _subprocess_env():
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     return dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -814,8 +868,10 @@ def test_python_m_symfd_runs_without_an_entry_point():
 
 
 # Run in a fresh interpreter with an import hook that refuses scipy: what
-# does not solve a linear system works without it, the two steps that solve
-# one raise ImportError, and scipy.linalg is loaded at the first solve.
+# does not solve a linear system (the Burgers march and adaptive six-point
+# KdV steps included) works without it, the two steps that solve one (the
+# ten-point band, the projection spline) raise ImportError, and
+# scipy.linalg is loaded at the first solve.
 _WITHOUT_SCIPY = r"""
 import contextlib, io, sys
 
@@ -832,6 +888,7 @@ sys.meta_path.insert(0, blocker)
 
 import numpy as np
 from symfd import cli, invariants, runner, schemes
+from symfd.mesh import MonitorParams
 
 with contextlib.redirect_stdout(io.StringIO()):
     for equation in ("kdv", "burgers", "schwarzian"):
@@ -843,12 +900,19 @@ cfg = runner.parse_config("equation = schwarzian\nscheme = schwarzian_invariant\
 assert runner.run_experiment(cfg).status == "completed"
 x = np.array([[0.0, 0.4, 1.0, 1.3, 2.0], [0.1, 0.5, 1.1, 1.4, 2.1]])
 assert len(invariants.kdv_invariants(invariants.KdVStencil(0.1, x, np.sin(x)))) == 18
-assert blocker.refused == [], blocker.refused
 
 x = np.linspace(-5.0, 5.0, 16)
 state = schemes.GridState(0.0, x, np.exp(-x * x))
+schemes.burgers_fv_step_detailed(state, 0.01, 0.1, 1.0)
+schemes.kdv_step_detailed(state, 0.01, "adaptive", "6pt", monitor=MonitorParams(10.0))
+cfg = runner.parse_config("equation = burgers\nscheme = burgers_fv\ndomain_a = -0.5\n"
+                          "domain_b = 0.5\nn_points = 16\nt_final = 0.01\nnu = 0.01\n"
+                          "alpha = 0.5\n")
+assert runner.run_experiment(cfg).status == "completed"
+assert blocker.refused == [], blocker.refused
+
 solves = (lambda: schemes.kdv_step_detailed(state, 0.01, "lagrangian", "10pt"),
-          lambda: schemes.burgers_fv_step_detailed(state, 0.01, 0.1, 1.0))
+          lambda: schemes.kdv_step_detailed(state, 0.01, "projection", "6pt"))
 for solve in solves:
     try:
         solve()
@@ -934,6 +998,22 @@ def test_cli_exact_schwarzian_through_a_pole_exits_3(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "numerical failure: denominator vanishes near x = 1.5707963267948966\n"
+
+
+@pytest.mark.parametrize("bound", [["--x-min", "nan"], ["--x-max", "inf"], ["--x-min=-inf"]])
+def test_cli_exact_rejects_a_nonfinite_interval(capsys, bound):
+    assert cli_main(["exact", "--equation", "burgers", *bound, "--n", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "config error: --x-min and --x-max must be finite\n"
+
+
+@pytest.mark.parametrize("n", ["0", "-4"])
+def test_cli_exact_needs_a_sample(capsys, n):
+    assert cli_main(["exact", "--equation", "burgers", "--n", n]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "config error: --n must be at least 1\n"
 
 
 def test_cli_scheme_choices_are_the_driver_tables():
