@@ -435,14 +435,13 @@ def lie_matrix(fields: Sequence[VectorFieldSpec], z: Stencil) -> np.ndarray:
     return np.array([_coefficients(f, z).ravel() for f in fields], dtype=float)
 
 
-def lie_matrix_rank(fields: Sequence[VectorFieldSpec], z: Stencil,
-                    tol: float = 1e-8) -> int:
-    """Numerical rank: singular values above tol * sigma_max."""
+def lie_matrix_rank(fields: Sequence[VectorFieldSpec], z: Stencil) -> int:
+    """Numerical rank: singular values above 1e-8 * sigma_max."""
     m = lie_matrix(fields, z)
     sv = np.linalg.svd(m, compute_uv=False)
     if sv.size == 0 or sv[0] == 0.0:
         return 0
-    return int(np.sum(sv > tol * sv[0]))
+    return int(np.sum(sv > 1e-8 * sv[0]))
 
 
 @dataclass

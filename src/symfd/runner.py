@@ -24,7 +24,6 @@ import numpy as np
 
 from . import schemes
 from .errors import (
-    DEGENERACY_TOL,
     ConfigError,
     MeshTangling,
     PoleError,
@@ -51,16 +50,13 @@ from .schemes import GridState, StepInfo
 # exact solutions
 # ---------------------------------------------------------------------------
 
-def exact_schwarzian(x: float, a: float = 1.0, b: float = 0.0,
-                     c: float = 0.0, d: float = 1.0) -> float:
-    """(a sin x + b cos x) / (c sin x + d cos x), the general Schwarzian
-    solution for constant source 2; (1, 0, 0, 1) gives tan x."""
-    if abs(a * d - b * c) < DEGENERACY_TOL:
-        raise ValueError("parameters must satisfy ad - bc != 0")
-    den = c * math.sin(x) + d * math.cos(x)
-    if abs(den) < 1e-12 * math.hypot(c, d):
+def exact_schwarzian(x: float) -> float:
+    """tan x, the Schwarzian solution for constant source 2 that every
+    Schwarzian run starts from; a PoleError within 1e-12 of its pole."""
+    den = math.cos(x)
+    if abs(den) < 1e-12:
         raise PoleError(f"denominator vanishes near x = {x}")
-    return (a * math.sin(x) + b * math.cos(x)) / den
+    return math.sin(x) / den
 
 
 def exact_kdv_double_soliton(t, x, c1: float = 1.0, c2: float = 0.5,
@@ -241,6 +237,8 @@ def validate_config(values: dict) -> ExperimentConfig:
         if not cfg["dt_constant"] > 0.0:
             raise ConfigError("dt_constant must be positive")
     if eq == "kdv":
+        if cfg["ic_c1"] < 0.0 or cfg["ic_c2"] < 0.0:
+            raise ConfigError("soliton speeds ic_c1 and ic_c2 must be nonnegative")
         if cfg["mesh"] not in ("lagrangian", "adaptive", "projection"):
             raise ConfigError(f"unknown mesh strategy {cfg['mesh']!r}")
         if cfg["mesh"] == "adaptive" and cfg["alpha"] < 0.0:
@@ -357,7 +355,7 @@ def _run_schwarzian(cfg: ExperimentConfig) -> RunOutput:
     ``numerical_failure``, and a node whose step or diagnostics raise stops
     it with ``scheme_singularity``; the output keeps the nodes before it.
     """
-    x = np.linspace(cfg.domain_a, cfg.domain_b, cfg.n_points)
+    x, _h = _grid(cfg)
     u = np.empty(cfg.n_points)
     for j, v in enumerate(x[:3]):
         try:
@@ -404,11 +402,36 @@ def _schwarzian_march(x: np.ndarray, u: np.ndarray, source: Callable[[float], fl
     return None
 
 
-def _exact_pde(cfg: ExperimentConfig, t: float, x):
-    """The exact solution a KdV or Burgers run starts from, at time t."""
+def _grid(cfg: ExperimentConfig) -> tuple[np.ndarray, float]:
+    """A run's initial nodes and spacing; ``kdv_naive``'s grid is periodic."""
+    n, a, b = cfg.n_points, cfg.domain_a, cfg.domain_b
+    if cfg.scheme == "kdv_naive":
+        return np.linspace(a, b, n, endpoint=False), float((b - a) / n)
+    x = np.linspace(a, b, n)
+    return x, float(x[1] - x[0])
+
+
+def _exact(cfg: ExperimentConfig, t: float, x):
+    """The exact solution the run of cfg starts from, at time t."""
+    if cfg.equation == "schwarzian":
+        return np.array([exact_schwarzian(v) for v in x])
     if cfg.equation == "burgers":
         return exact_burgers(t, x, cfg.nu, cfg.ic_c)
     return exact_kdv_double_soliton(t, x, cfg.ic_c1, cfg.ic_c2, cfg.ic_a1, cfg.ic_a2)
+
+
+def exact_snapshot(cfg: ExperimentConfig, t: float = 0.0) -> RunOutput:
+    """The exact solution the run of cfg starts from, at time t on the run's
+    initial nodes: at t = 0 the run's first snapshot (the Schwarzian
+    march's first three values).  A non-finite t and a Schwarzian source
+    other than 2 (tan x solves no other) are ConfigErrors."""
+    if not math.isfinite(t):
+        raise ConfigError(f"t must be finite, got {t!r}")
+    if cfg.equation == "schwarzian" and cfg.source_f != 2.0:
+        raise ConfigError(f"tan x solves the schwarzian equation only for source_f = 2, "
+                          f"got {cfg.source_f!r}")
+    x, _h = _grid(cfg)
+    return RunOutput([(t, x, _exact(cfg, t, x))], [], "completed", cfg)
 
 
 def _run_pde(cfg: ExperimentConfig) -> RunOutput:
@@ -420,14 +443,7 @@ def _run_pde(cfg: ExperimentConfig) -> RunOutput:
     row carrying its status, the minimum spacing of the state it stopped on
     and a NaN residual, plus a snapshot of that state.
     """
-    n, a, b = cfg.n_points, cfg.domain_a, cfg.domain_b
-    naive = cfg.scheme == "kdv_naive"
-    if naive:
-        x = np.linspace(a, b, n, endpoint=False)
-        h = float((b - a) / n)
-    else:
-        x = np.linspace(a, b, n)
-        h = float(x[1] - x[0])
+    x, h = _grid(cfg)
     k_raw = cfg.dt_constant * h ** (3 if cfg.equation == "kdv" else 2)
     steps = max(1, round(cfg.t_final / k_raw))
     k = cfg.t_final / steps
@@ -436,7 +452,7 @@ def _run_pde(cfg: ExperimentConfig) -> RunOutput:
     if cfg.equation == "burgers":
         step = lambda s: schemes.burgers_fv_step_detailed(
             s, k, cfg.nu, cfg.alpha, spacing_floor=floor)
-    elif naive:
+    elif cfg.scheme == "kdv_naive":
         step = lambda s: (schemes.naive_kdv_step(s, k, h), StepInfo(0, 0.0, h))
     else:
         scheme = "6pt" if cfg.scheme == "kdv_6pt" else "10pt"
@@ -444,7 +460,7 @@ def _run_pde(cfg: ExperimentConfig) -> RunOutput:
         step = lambda s: schemes.kdv_step_detailed(
             s, k, cfg.mesh, scheme, monitor=monitor, spacing_floor=floor)
 
-    state = GridState(0.0, x, _exact_pde(cfg, 0.0, x))
+    state = GridState(0.0, x, _exact(cfg, 0.0, x))
     every = max(1, math.ceil(steps / _SNAPSHOTS))
     snaps = [(0.0, state.x.copy(), state.u.copy())]
     diags: list[DiagnosticsRow] = []
@@ -590,8 +606,8 @@ def _draw_affine5(rng: DeterministicRng, direction: str):
     return (lam, alpha, a, b, beta)
 
 
-def _random_mesh(rng: DeterministicRng, n: int, start_lo=-1.0) -> np.ndarray:
-    x = [rng.uniform(start_lo, start_lo + 2.0)]
+def _random_mesh(rng: DeterministicRng, n: int) -> np.ndarray:
+    x = [rng.uniform(-1.0, 1.0)]
     for _ in range(n - 1):
         x.append(x[-1] + rng.uniform(0.1, 2.0))
     return np.array(x)
@@ -974,7 +990,7 @@ def _final_error(fields: dict) -> float:
     if out.status != "completed":
         raise SymfdError(f"{out.status}: {out.message}")
     t, x, u = out.snapshots[-1]
-    return float(np.max(np.abs(u - _exact_pde(cfg, t, x))))
+    return float(np.max(np.abs(u - _exact(cfg, t, x))))
 
 
 def _kdv_naive_soliton(h: float) -> float:

@@ -54,11 +54,8 @@ ROOT = Path(__file__).resolve().parent.parent
 
 def test_exact_schwarzian_values():
     assert exact_schwarzian(math.pi / 4.0) == pytest.approx(1.0, rel=1e-12)
-    assert exact_schwarzian(0.0, 2.0, 3.0, 0.5, 1.5) == pytest.approx(2.0)
     with pytest.raises(PoleError):
         exact_schwarzian(math.pi / 2.0)  # tan pole
-    with pytest.raises(PoleError):
-        exact_schwarzian(3 * math.pi / 4.0, 1.0, 0.0, 1.0, 1.0)  # c tan x = -d
 
 
 def test_soliton_peak_and_single_soliton_limit():
@@ -647,6 +644,11 @@ def test_convergence_order_of_a_repeated_spacing_is_nan():
 # CLI
 # ---------------------------------------------------------------------------
 
+_BURGERS_TEXT = ("equation = burgers\nscheme = burgers_fv\n"
+                 "domain_a = -0.5\ndomain_b = 0.5\nn_points = 16\n"
+                 "t_final = 0.01\nnu = 0.01\nalpha = 0.5\n")
+
+
 def test_cli_run_and_outputs(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     snaps = tmp_path / "s.csv"
@@ -859,12 +861,12 @@ def _subprocess_env():
 
 
 def test_python_m_symfd_runs_without_an_entry_point():
-    proc = subprocess.run([sys.executable, "-m", "symfd", "exact", "--equation", "burgers",
-                           "--n", "8"], capture_output=True, text=True,
-                          env=_subprocess_env(), timeout=60)
+    proc = subprocess.run([sys.executable, "-m", "symfd", "exact",
+                           str(ROOT / "configs" / "burgers_shock.cfg")], capture_output=True,
+                          text=True, env=_subprocess_env(), timeout=60)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert lines[0] == "t,x,u" and len(lines) == 9
+    assert lines[0] == "t,x,u" and len(lines) == 129
 
 
 # Run in a fresh interpreter with an import hook that refuses scipy: what
@@ -891,8 +893,8 @@ from symfd import cli, invariants, runner, schemes
 from symfd.mesh import MonitorParams
 
 with contextlib.redirect_stdout(io.StringIO()):
-    for equation in ("kdv", "burgers", "schwarzian"):
-        assert cli.main(["exact", "--equation", equation, "--n", "8"]) == 0
+    for config in sys.argv[1:]:
+        assert cli.main(["exact", config]) == 0, config
 for scheme in ("schwarzian_invariant", "kdv_6pt"):
     assert runner.invariance_audit(scheme, 4, 2).passed, scheme
 cfg = runner.parse_config("equation = schwarzian\nscheme = schwarzian_invariant\n"
@@ -930,7 +932,9 @@ assert "scipy.linalg" in sys.modules
 
 
 def test_only_a_linear_solve_loads_scipy():
-    proc = subprocess.run([sys.executable, "-c", _WITHOUT_SCIPY], capture_output=True,
+    configs = [str(ROOT / "configs" / name)
+               for name in ("kdv_projection.cfg", "burgers_shock.cfg", "schwarzian.cfg")]
+    proc = subprocess.run([sys.executable, "-c", _WITHOUT_SCIPY, *configs], capture_output=True,
                           text=True, env=_subprocess_env(), timeout=60)
     assert proc.returncode == 0, proc.stderr
 
@@ -990,30 +994,36 @@ def _scheme_choices(command):
     return tuple(next(a.choices for a in sub.choices[command]._actions if a.dest == "scheme"))
 
 
-def test_cli_exact_schwarzian_through_a_pole_exits_3(capsys):
-    # tan x: the middle sample x = pi/2 is the pole
-    argv = ["exact", "--equation", "schwarzian", "--x-min", "0",
-            "--x-max", "3.141592653589793", "--n", "3"]
-    assert cli_main(argv) == 3
+def test_cli_exact_schwarzian_through_a_pole_exits_3(tmp_path, capsys):
+    # tan x: the middle node x = pi/2 of nine is the pole
+    cfg = tmp_path / "pole.cfg"
+    cfg.write_text("equation = schwarzian\nscheme = schwarzian_invariant\n"
+                   "domain_a = 0\ndomain_b = 3.141592653589793\nn_points = 9\n")
+    assert cli_main(["exact", str(cfg)]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "numerical failure: denominator vanishes near x = 1.5707963267948966\n"
 
 
-@pytest.mark.parametrize("bound", [["--x-min", "nan"], ["--x-max", "inf"], ["--x-min=-inf"]])
-def test_cli_exact_rejects_a_nonfinite_interval(capsys, bound):
-    assert cli_main(["exact", "--equation", "burgers", *bound, "--n", "3"]) == 2
+@pytest.mark.parametrize("bound", [("domain_a", "nan"), ("domain_b", "inf"), ("domain_a", "-inf")])
+def test_cli_exact_rejects_a_nonfinite_interval(tmp_path, capsys, bound):
+    key, value = bound
+    cfg = tmp_path / "interval.cfg"
+    cfg.write_text(_BURGERS_TEXT.replace(f"{key} = ", f"{key} = {value}\n# ", 1))
+    assert cli_main(["exact", str(cfg)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "config error: --x-min and --x-max must be finite\n"
+    assert captured.err == f"config error: {key} must be finite, got {value}\n"
 
 
 @pytest.mark.parametrize("n", ["0", "-4"])
-def test_cli_exact_needs_a_sample(capsys, n):
-    assert cli_main(["exact", "--equation", "burgers", "--n", n]) == 2
+def test_cli_exact_needs_a_sample(tmp_path, capsys, n):
+    cfg = tmp_path / "few.cfg"
+    cfg.write_text(_BURGERS_TEXT.replace("n_points = 16", f"n_points = {n}"))
+    assert cli_main(["exact", str(cfg)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "config error: --n must be at least 1\n"
+    assert captured.err == "config error: n_points must be at least 8\n"
 
 
 def test_cli_scheme_choices_are_the_driver_tables():
@@ -1027,12 +1037,13 @@ def test_cli_audit_and_exact_and_converge(capsys):
     out = capsys.readouterr().out
     assert "verdict: PASS" in out
 
-    assert cli_main(["exact", "--equation", "kdv", "--t", "0", "--n", "8"]) == 0
+    kdv = str(ROOT / "configs" / "kdv_projection.cfg")
+    assert cli_main(["exact", kdv, "--t", "0"]) == 0
     out = capsys.readouterr().out
     assert out.splitlines()[0] == "t,x,u"
-    assert len(out.splitlines()) == 9
+    assert len(out.splitlines()) == 129
     # the KdV oracle is Hirota's two-soliton, exact through the collision
-    assert cli_main(["exact", "--equation", "kdv", "--t", "40", "--n", "9"]) == 0
+    assert cli_main(["exact", kdv, "--t", "40"]) == 0
     rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
     x, u = (np.array([float(r[j]) for r in rows]) for j in (1, 2))
     assert np.array_equal(u, exact_kdv_double_soliton(40.0, x))
@@ -1041,3 +1052,100 @@ def test_cli_audit_and_exact_and_converge(capsys):
                      "--h", "0.1,0.05"]) == 0
     out = capsys.readouterr().out
     assert out.splitlines()[0] == "h,error,observed_order"
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in (ROOT / "configs").glob("*.cfg")))
+def test_cli_exact_prints_the_first_snapshot_of_the_run(capsys, name):
+    path = ROOT / "configs" / name
+    assert cli_main(["exact", str(path)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    # the first snapshot is taken before the first step, so a run cut short
+    # after one step (or a few, for Burgers) holds the same first chunk
+    cfg = parse_config(path.read_text(encoding="utf-8"))
+    out = run_experiment(validate_config({**cfg.values, "t_final": 1e-4}))
+    header, first = list(format_snapshots_csv(out))[:2]
+    if cfg.equation == "schwarzian":
+        # tan x is the solution on every node; the march keeps only its seeds
+        lines = captured.out.splitlines(keepends=True)
+        assert len(lines) == 1 + cfg.n_points
+        assert "".join(lines[:4]) == header + "".join(first.splitlines(keepends=True)[:3])
+    else:
+        assert captured.out == header + first
+
+
+@pytest.mark.parametrize("scheme,mesh", [("kdv_naive", "lagrangian"), ("kdv_10pt", "projection")])
+def test_cli_exact_at_t_final_is_on_the_final_nodes_of_a_fixed_node_run(tmp_path, capsys,
+                                                                        scheme, mesh):
+    cfg = tmp_path / "fixed.cfg"
+    cfg.write_text(f"equation = kdv\nscheme = {scheme}\nmesh = {mesh}\n"
+                   "domain_a = -30\ndomain_b = 30\nn_points = 64\nt_final = 0.5\n")
+    _t, x, _u = run_experiment(parse_config(cfg.read_text())).snapshots[-1]
+    assert cli_main(["exact", str(cfg), "--t", "0.5"]) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+    assert [r[0] for r in rows] == ["0.5"] * x.size
+    assert np.array_equal([float(r[1]) for r in rows], x)
+    assert np.array_equal([float(r[2]) for r in rows], exact_kdv_double_soliton(0.5, x))
+
+
+@pytest.mark.parametrize("t", ["nan", "inf", "-inf"])
+def test_cli_exact_at_a_nonfinite_time_is_a_config_error(capsys, t):
+    assert cli_main(["exact", str(ROOT / "configs" / "burgers_shock.cfg"), f"--t={t}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"config error: t must be finite, got {t}\n"
+
+
+def test_cli_exact_schwarzian_needs_the_source_of_tan(tmp_path, capsys):
+    cfg = tmp_path / "source.cfg"
+    cfg.write_text((ROOT / "configs" / "schwarzian.cfg").read_text().replace(
+        "source_f  = 2", "source_f  = 3"))
+    assert cli_main(["exact", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("config error: tan x solves the schwarzian equation only "
+                            "for source_f = 2, got 3.0\n")
+
+
+@pytest.mark.parametrize("command", ["run", "exact"])
+@pytest.mark.parametrize("key", ["ic_c1", "ic_c2"])
+def test_cli_negative_soliton_speed_is_a_config_error(tmp_path, capsys, command, key):
+    cfg = tmp_path / "speed.cfg"
+    cfg.write_text("equation = kdv\nscheme = kdv_6pt\ndomain_a = -30\ndomain_b = 30\n"
+                   f"n_points = 64\nt_final = 0.1\n{key} = -1\n")
+    assert cli_main([command, str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "config error: soliton speeds ic_c1 and ic_c2 must be nonnegative\n"
+
+
+def test_cli_config_that_is_not_utf8_is_a_config_error(tmp_path, capsys):
+    cfg = tmp_path / "latin1.cfg"
+    cfg.write_bytes(_BURGERS_TEXT.encode() + "# caf\u00e9\n".encode("latin-1"))
+    for command in ("run", "exact"):
+        assert cli_main([command, str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("config error: 'utf-8' codec can't decode byte 0xe9")
+
+
+def test_cli_converge_rejects_a_token_that_is_not_a_number(capsys):
+    assert cli_main(["converge", "--scheme", "burgers_fv", "--h", "0.1,abc"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "config error: could not convert string to float: 'abc'\n"
+
+
+def test_readme_cli_block_names_exactly_the_parser_commands_and_options():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## CLI\n\n```sh\n", 1)[1].split("\n```", 1)[0]
+    listed = {}
+    for line in block.splitlines():
+        command = line.split()[1]
+        listed[command] = sorted(re.findall(r"(?<!\S)--[a-z][\w-]*", line.split("#", 1)[0]))
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    options = {command: sorted(opt for action in p._actions for opt in action.option_strings
+                               if opt.startswith("--") and opt != "--help")
+               for command, p in sub.choices.items()}
+    assert listed == options
