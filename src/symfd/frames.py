@@ -40,7 +40,7 @@ from .groups import (
 # frame inputs
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SL2DiscreteFrameInput:
     """Four consecutive u values on a uniform mesh of spacing h."""
 
@@ -68,7 +68,7 @@ class SL2DiscreteFrameInput:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class KdVFrameInput:
     """Base point (t, x, u) with the centered slope (Du_i + Du_{i-1})/2."""
 
@@ -78,7 +78,7 @@ class KdVFrameInput:
     dxu: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BurgersFrameInput:
     """Base point data for the Burgers frame.
 

@@ -45,7 +45,7 @@ def sign_pos(x: float) -> float:
 # group elements
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SL2Element:
     """Unimodular 2x2 matrix acting on u by fractional linear maps.
 
@@ -92,7 +92,7 @@ def apply_sl2(g: SL2Element, u: float) -> float:
     return (g.a * u + g.b) / den
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class KdVGroupElement:
     """Element (lam, v, a, b): scaling, boost velocity, space and time shift."""
 
@@ -145,7 +145,7 @@ def _kdv_image(f, t, x, u) -> Node:
     return lam3 * t + b, lam * x + lam3 * v * t + a, u / lam2 + v
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BurgersGroupElement:
     """Element (e1, e2, e3, e4): shift-x, shift-t, boost, log-scale."""
 

@@ -19,11 +19,12 @@ Russell, *Adaptive Moving Mesh Methods*, 2011, ch. 2), with no linear
 solve.  Non-finite or nonpositive monitor weights raise
 :class:`SingularSystem`.  The spline moments are a tridiagonal system,
 solved by LAPACK ``dgtsv``, which does not check its input: a NaN in the
-spline data propagates into the projected values.  scipy's LAPACK
-wrappers are imported at the first linear solve, here or in the ten-point
-KdV step (``_lapack``), so a process that never solves one (the frames,
-the invariant catalogs, the Schwarzian march, the Burgers march, adaptive
-six-point KdV steps) does not load ``scipy.linalg``.
+spline data propagates into the projected values.  The first linear solve,
+here or in the ten-point KdV step, loads scipy's compiled LAPACK wrappers
+alone (``_lapack``), not the ``scipy.linalg`` package, which would add some
+300 modules, about 22 MiB and 0.3 s.  A process that never solves one (the
+frames, the invariant catalogs, the Schwarzian march, the Burgers march,
+adaptive six-point KdV steps) loads no LAPACK at all.
 
 Batches: the Lagrangian update, the monitor and equidistribution act on the
 last axis, so node arrays of shape (n,) hold one mesh and arrays of shape
@@ -46,8 +47,11 @@ included, raises :class:`MeshTangling`.
 
 from __future__ import annotations
 
-import functools
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,13 +110,31 @@ def _checked_min_spacing(dx: np.ndarray, floor: float) -> float:
     return m
 
 
-@functools.cache
 def _lapack():
-    """``scipy.linalg.lapack``, imported by the first call, so that a process
-    which never solves a linear system (the spline moments, the ten-point
-    KdV band) does not load ``scipy.linalg``."""
-    from scipy.linalg import lapack
-    return lapack
+    """scipy's compiled LAPACK wrappers, the extension module
+    ``scipy.linalg._flapack``, loaded on its own by the first call and
+    taken from ``sys.modules`` by every later one.
+
+    ``scipy.linalg`` is not imported: its package ``__init__`` loads some
+    300 more modules (about 22 MiB and 0.3 s) for the two routines used
+    here, ``dgtsv`` (the spline moments) and ``dgbsv`` (the ten-point KdV
+    band).  The module is registered in ``sys.modules``, so a later
+    ``import scipy.linalg`` re-exports these very wrappers from
+    ``scipy.linalg.lapack``, and one that came first is reused.  A process
+    which never solves a linear system does not load scipy's LAPACK at all.
+    """
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    import scipy
+    spec = importlib.machinery.PathFinder.find_spec(
+        name, [os.path.join(scipy.__path__[0], "linalg")])
+    if spec is None:
+        raise ModuleNotFoundError(f"No module named {name!r}", name=name)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    sys.modules[name] = module
+    return module
 
 
 def _solve_tridiagonal(sub: np.ndarray, diag: np.ndarray, sup: np.ndarray,

