@@ -8,8 +8,10 @@ configuration produces byte-identical output.
 The Schwarzian run marches in space.  All KdV and Burgers runs
 (Lagrangian, adaptive and projected meshes, the naive baseline, the
 Burgers shock) share one time loop around a step callable that returns
-``(GridState, StepInfo)``; the loop owns the guards, the diagnostics rows,
-the snapshot cadence and the stop statuses.
+``(GridState, StepInfo)``; the loop owns the guards, the diagnostics, the
+snapshot cadence and the stop statuses.  Both kinds of run append their
+per-step diagnostics to one ``diagnostics.Diagnostics`` store, which holds
+them as columns and builds a ``DiagnosticsRow`` only when one is read.
 """
 
 from __future__ import annotations
@@ -17,12 +19,15 @@ from __future__ import annotations
 import math
 import os
 import stat
+from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import islice
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
 from . import schemes
+from .diagnostics import Diagnostics, DiagnosticsRow
 from .errors import (
     ConfigError,
     MeshTangling,
@@ -255,21 +260,14 @@ def validate_config(values: dict) -> ExperimentConfig:
 # run output
 # ---------------------------------------------------------------------------
 
-@dataclass(slots=True)
-class DiagnosticsRow:
-    step: int
-    t: float
-    min_spacing: float
-    tv: float
-    residual_inf: float
-    newton_iters: int
-    status: str
-
-
 @dataclass
 class RunOutput:
+    """What a run produced.  ``diagnostics`` is read only by iteration,
+    ``len`` and indexing: a run fills a ``Diagnostics`` store, which builds
+    each row as it is read; a plain list of rows reads the same."""
+
     snapshots: list[tuple[float, np.ndarray, np.ndarray]]
-    diagnostics: list[DiagnosticsRow]
+    diagnostics: Sequence[DiagnosticsRow]
     status: str
     config: ExperimentConfig
     message: str = ""  # why a run stopped; empty when it completed
@@ -291,13 +289,12 @@ def format_snapshots_csv(out: RunOutput) -> Iterator[str]:
 def format_diagnostics_csv(out: RunOutput) -> Iterator[str]:
     """The diagnostics CSV: its header, then chunks of ``_DIAGNOSTICS_CHUNK`` rows."""
     yield "step,t,min_spacing,tv,residual_inf,newton_iters,status\n"
-    rows = out.diagnostics
-    for start in range(0, len(rows), _DIAGNOSTICS_CHUNK):
-        yield "".join([
-            "%s,%.17g,%.17g,%.17g,%.17g,%s,%s\n"
-            % (r.step, r.t, r.min_spacing, r.tv, r.residual_inf, r.newton_iters, r.status)
-            for r in rows[start:start + _DIAGNOSTICS_CHUNK]
-        ])
+    # rows are read one at a time (a run's store builds each as it is read),
+    # and nothing of a chunk is held across its yield
+    rows = iter(out.diagnostics)
+    for _ in range(0, len(out.diagnostics), _DIAGNOSTICS_CHUNK):
+        yield "".join(["%s,%.17g,%.17g,%.17g,%.17g,%s,%s\n" % r
+                       for r in islice(rows, _DIAGNOSTICS_CHUNK)])
 
 
 def write_outputs(out: RunOutput) -> None:
@@ -363,7 +360,7 @@ def _run_schwarzian(cfg: ExperimentConfig) -> RunOutput:
         except SymfdError as exc:
             return RunOutput([(0.0, x[:j], u[:j])], [], "numerical_failure", cfg,
                              f"seed node {j}: {type(exc).__name__}: {exc}")
-    diags: list[DiagnosticsRow] = []
+    diags = Diagnostics()
     status, message = "completed", ""
     stop = _schwarzian_march(x, u, lambda _x: cfg.source_f, diags)
     if stop is not None:
@@ -374,7 +371,7 @@ def _run_schwarzian(cfg: ExperimentConfig) -> RunOutput:
 
 
 def _schwarzian_march(x: np.ndarray, u: np.ndarray, source: Callable[[float], float],
-                      diags: list[DiagnosticsRow] | None = None
+                      diags: Diagnostics | None = None
                       ) -> tuple[int, SymfdError] | None:
     """Fill u[3:] by the invariant recurrence from the seed u[:3].
 
@@ -395,8 +392,7 @@ def _schwarzian_march(x: np.ndarray, u: np.ndarray, source: Callable[[float], fl
                 res = schemes.schwarzian_invariant_residual(
                     u[i - 1], u[i], u[i + 1], u[i + 2], h, f_i)
                 tv += float(abs(u[i + 2] - u[i + 1]))
-                diags.append(DiagnosticsRow(i, float(x[i]), h, tv,
-                                            abs(res), 0, "pole" if flag else "ok"))
+                diags.append(i, float(x[i]), h, tv, abs(res), 0, "pole" if flag else "ok")
         except SymfdError as exc:
             return i, exc
     return None
@@ -463,7 +459,7 @@ def _run_pde(cfg: ExperimentConfig) -> RunOutput:
     state = GridState(0.0, x, _exact(cfg, 0.0, x))
     every = max(1, math.ceil(steps / _SNAPSHOTS))
     snaps = [(0.0, state.x.copy(), state.u.copy())]
-    diags: list[DiagnosticsRow] = []
+    diags = Diagnostics()
     status, message = "completed", ""
     for i in range(1, steps + 1):
         try:
@@ -484,14 +480,11 @@ def _run_pde(cfg: ExperimentConfig) -> RunOutput:
                            f"({bad.size} of {state.u.size} nodes)")
         if status != "completed":
             min_spacing = float((state.x[1:] - state.x[:-1]).min())
-            diags.append(DiagnosticsRow(i, state.t, min_spacing, total_variation(state.u),
-                                        math.nan, 0, status))
+            diags.append(i, state.t, min_spacing, total_variation(state.u), math.nan, 0, status)
             snaps.append((state.t, state.x.copy(), state.u.copy()))
             break
-        diags.append(
-            DiagnosticsRow(i, state.t, info.min_spacing, tv, info.residual_inf, info.newton_iters,
-                           "ok" if info.equi_residual <= 1e-10 else "equi_loose")
-        )
+        diags.append(i, state.t, info.min_spacing, tv, info.residual_inf, info.newton_iters,
+                     "ok" if info.equi_residual <= 1e-10 else "equi_loose")
         if i % every == 0 or i == steps:
             snaps.append((state.t, state.x.copy(), state.u.copy()))
     return RunOutput(snaps, diags, status, cfg, message)

@@ -1,6 +1,7 @@
 """Experiment driver: oracles, configs, runs, audits, CSV, CLI."""
 
 import argparse
+import collections
 import math
 import os
 import re
@@ -321,6 +322,103 @@ def test_csv_formats_special_values_like_per_field_format(monkeypatch):
         f"{r.residual_inf:.17g},{r.newton_iters},{r.status}" for r in rows]
     assert _csv_texts(out) == ("\n".join(snap) + "\n", "\n".join(diag) + "\n")
     assert len(list(format_diagnostics_csv(out))) == 1 + 3
+
+
+def _bits(row):
+    """A diagnostics row with each float as its exact bits (-0.0 and NaN too)."""
+    return (row.step, float(row.t).hex(), float(row.min_spacing).hex(), float(row.tv).hex(),
+            float(row.residual_inf).hex(), row.newton_iters, row.status)
+
+
+def _recording(fn, log):
+    """fn, appending each of its results to log."""
+    def wrapper(*args, **kwargs):
+        log.append(fn(*args, **kwargs))
+        return log[-1]
+    return wrapper
+
+
+def _recorded_burgers_run(monkeypatch):
+    """A small Burgers run, and the diagnostics row each of its steps produced."""
+    steps = []
+    monkeypatch.setattr(schemes, "burgers_fv_step_detailed",
+                        _recording(schemes.burgers_fv_step_detailed, steps))
+    out = run_experiment(_small_burgers_cfg(t_final=0.05))
+    return out, [(i, state.t, info.min_spacing, total_variation(state.u), info.residual_inf,
+                  info.newton_iters, "ok" if info.equi_residual <= 1e-10 else "equi_loose")
+                 for i, (state, info) in enumerate(steps, start=1)]
+
+
+def _recorded_schwarzian_run(monkeypatch):
+    """A Schwarzian run through a pole, and the diagnostics row each node produced."""
+    residuals, flags = [], []
+    monkeypatch.setattr(schemes, "schwarzian_invariant_residual",
+                        _recording(schemes.schwarzian_invariant_residual, residuals))
+    monkeypatch.setattr(schemes, "schwarzian_step_through_pole",
+                        _recording(schemes.schwarzian_step_through_pole, flags))
+    out = run_experiment(_schwarzian_cfg(domain_b=2.5, n_points=251))
+    _t, x, u = out.snapshots[-1]
+    h, tv, want = float(x[1] - x[0]), total_variation(u[:3]), []
+    for i, (res, flag) in enumerate(zip(residuals, flags), start=1):
+        tv += float(abs(u[i + 2] - u[i + 1]))  # the march's running sum
+        want.append((i, float(x[i]), h, tv, abs(res), 0, "pole" if flag else "ok"))
+    return out, want
+
+
+@pytest.mark.parametrize("recorded", [_recorded_burgers_run, _recorded_schwarzian_run],
+                         ids=["burgers", "schwarzian"])
+def test_run_diagnostics_read_back_what_each_step_produced(monkeypatch, recorded):
+    out, want = recorded(monkeypatch)
+    store, want = out.diagnostics, [_bits(DiagnosticsRow(*w)) for w in want]
+    rows = list(store)
+    assert len(store) == len(rows) == len(want) > 2
+    assert [_bits(r) for r in rows] == want
+    assert _bits(store[0]) == want[0] and _bits(store[-1]) == want[-1]
+    assert [_bits(store[i]) for i in range(-len(store), len(store))] == want + want
+    assert [_bits(r) for r in store[-3:]] == want[-3:]
+    with pytest.raises(IndexError):
+        store[len(store)]
+    as_list = RunOutput(out.snapshots, rows, out.status, out.config, out.message)
+    assert "".join(format_diagnostics_csv(out)) == "".join(format_diagnostics_csv(as_list))
+
+
+@pytest.mark.parametrize("cfg", [
+    pytest.param(_small_burgers_cfg(t_final=1.0), id="burgers"),
+    pytest.param(validate_config({"equation": "schwarzian", "scheme": "schwarzian_invariant",
+                                  "domain_a": 0.0, "domain_b": 2.5, "n_points": 5_001}),
+                 id="schwarzian"),
+])
+def test_a_runs_diagnostics_hold_at_most_64_bytes_a_step(cfg):
+    # a list of row objects, with their boxed numbers, holds 224 bytes a step
+    tracemalloc.start()
+    try:
+        out = run_experiment(cfg)
+        steps, held = len(out.diagnostics), tracemalloc.get_traced_memory()[0]
+        out.diagnostics = []
+        freed = held - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert out.status == "completed" and steps > 500
+    assert freed <= 64 * steps, freed / steps
+
+
+def _csv_peak(out):
+    """Traced peak of formatting out's diagnostics CSV, each chunk dropped as read."""
+    tracemalloc.start()
+    try:
+        collections.deque(format_diagnostics_csv(out), maxlen=0)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_the_diagnostics_csv_of_a_store_builds_no_chunk_of_rows():
+    # a list's rows exist already; a store's are built one at a time, so
+    # formatting it holds little more than formatting the list does
+    out = run_experiment(_schwarzian_cfg(domain_b=2.5, n_points=5_001))  # 5 chunks
+    as_list = RunOutput(out.snapshots, list(out.diagnostics), out.status, out.config)
+    store_peak, list_peak = _csv_peak(out), _csv_peak(as_list)
+    assert store_peak < 1.1 * list_peak, (store_peak, list_peak)
 
 
 def test_schwarzian_run_crosses_pole():
