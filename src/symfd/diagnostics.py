@@ -30,8 +30,8 @@ class DiagnosticsRow(NamedTuple):
 
 
 # every status a diagnostics row can carry: per step, then the stop statuses
-_STATUSES = ("ok", "equi_loose", "pole", "mesh_tangling", "scheme_singularity",
-             "numerical_failure", "nonfinite")
+_STATUSES = ("ok", "pole", "mesh_tangling", "scheme_singularity", "numerical_failure",
+             "nonfinite")
 
 
 class Diagnostics(Sequence):

@@ -16,10 +16,11 @@ The relation has a closed form: w_{i+1/2} dx_i is the same constant for
 every interval, so the spacings are proportional to 1/w_{i+1/2} and
 equidistribution is a cumulative sum (de Boor's algorithm; Huang &
 Russell, *Adaptive Moving Mesh Methods*, 2011, ch. 2), with no linear
-solve.  Non-finite or nonpositive monitor weights raise
-:class:`SingularSystem`.  The spline moments are a tridiagonal system,
-solved by LAPACK ``dgtsv``, which does not check its input: a NaN in the
-spline data propagates into the projected values.  The first linear solve,
+solve.  The closed form meets the relation to rounding, so no residual is
+computed at run time; the tests measure it.  Non-finite or nonpositive
+monitor weights raise :class:`SingularSystem`.  The spline moments are a
+tridiagonal system, solved by LAPACK ``dgtsv``, which does not check its
+input: a NaN in the spline data propagates into the projected values.  The first linear solve,
 here or in the ten-point KdV step, loads scipy's compiled LAPACK wrappers
 alone (``_lapack``), not the ``scipy.linalg`` package, which would add some
 300 modules, about 22 MiB and 0.3 s.  A process that never solves one (the
@@ -31,10 +32,10 @@ last axis, so node arrays of shape (n,) hold one mesh and arrays of shape
 (B, n) a batch of B meshes, each row advanced exactly as it would be alone
 (the cumulative sum runs along each row in order).  Per-row scalars of a
 batch are (B, 1) columns (the time step k, alpha), except the domain
-endpoints of equidistribution, which are (B,) arrays.  The diagnostics of
-a batch are reduced over its rows: the smallest spacing, the largest
-normalized residual.  A check fails for the whole batch when it fails for
-one row.  Projection (the spline) takes a single mesh.
+endpoints of equidistribution, which are (B,) arrays.  The minimum
+spacing of a batch is the smallest over its rows, and a check fails for
+the whole batch when it fails for one row.  Projection (the spline) takes
+a single mesh.
 
 Each mesh update returns its abscissae together with their spacings
 (``MeshUpdate.dx``), so a scheme that needs them does not form them again.
@@ -88,13 +89,11 @@ class MonitorParams:
 @dataclass(frozen=True)
 class MeshUpdate:
     """Next-level abscissae, their spacings dx (x_next differenced along the
-    last axis), plus diagnostics of the proposed mesh (of all rows of a
-    batch: its smallest spacing and largest residual)."""
+    last axis) and the smallest spacing (over all rows of a batch)."""
 
     x_next: np.ndarray
     dx: np.ndarray
     min_spacing: float
-    equi_residual: float = 0.0
 
 
 def _checked_min_spacing(dx: np.ndarray, floor: float) -> float:
@@ -189,11 +188,9 @@ def _equidistributed(d: np.ndarray, domain, floor: float, positive: bool) -> Mes
     d of at least three nodes; ``positive`` tells whether every weight
     compared above zero (NaN weights do not)."""
     a, b = domain
-    width = abs(b - a)
-    if not _holds(width < math.inf):  # NaN or inf endpoints fail this test
+    if not _holds(abs(b - a) < math.inf):  # NaN or inf endpoints fail this test
         raise ValueError("domain endpoints must be finite")
-    d_max = d.max(axis=-1)
-    if not (positive and _holds(d_max < math.inf)):  # a NaN weight fails d_max < inf
+    if not (positive and d.max() < math.inf):  # a NaN weight fails the second test
         raise SingularSystem("monitor weights must be positive and finite")
     w = 0.5 * (d[..., 1:] + d[..., :-1])  # w[m] = weight on interval (m, m+1)
     # w[m] dx[m] is the same for every interval of a row, so x_i - a is
@@ -206,12 +203,7 @@ def _equidistributed(d: np.ndarray, domain, floor: float, positive: bool) -> Mes
     x_next[..., -1] = b
 
     dx = x_next[..., 1:] - x_next[..., :-1]
-    min_spacing = _checked_min_spacing(dx, floor)
-    # dividing by the positive row scale is monotone, so the row maximum of
-    # the quotients is the quotient of the row maximum
-    p = w * dx
-    res = np.abs(p[..., 1:] - p[..., :-1]).max(axis=-1) / (d_max * width)
-    return MeshUpdate(x_next, dx, min_spacing, float(res.max()))
+    return MeshUpdate(x_next, dx, _checked_min_spacing(dx, floor))
 
 
 def equidistribute(delta: np.ndarray, domain: tuple[float, float],
@@ -222,10 +214,11 @@ def equidistribute(delta: np.ndarray, domain: tuple[float, float],
     w_{i+1/2} (x_{i+1} - x_i) = w_{i-1/2} (x_i - x_{i-1}) for the interior
     and x_0 = a, x_{N-1} = b has the closed form
     x_i = a + (b - a) S_i / S_{N-1} with S_i = sum_{m<i} 1/w_{m+1/2}; the
-    last node is set to b exactly.  Weights that are not positive and finite
-    (NaN, inf, zero or negative) raise :class:`SingularSystem`.  The returned
-    diagnostics include the normalized residual
-    max_i |w_{i+1/2} dx_i - w_{i-1/2} dx_{i-1}| / (max d (b - a)).
+    last node is set to b exactly.  This meets the relation to rounding:
+    the normalized residual
+    max_i |w_{i+1/2} dx_i - w_{i-1/2} dx_{i-1}| / (max d (b - a)) stays at
+    a few ulps, so it is not computed here.  Weights that are not positive
+    and finite (NaN, inf, zero or negative) raise :class:`SingularSystem`.
     For a (B, n) batch of weights, a and b are floats or (B,) arrays of
     per-row endpoints.
     """

@@ -131,15 +131,17 @@ class StepInfo:
     """Diagnostics of one scheme step.
 
     ``newton_iters`` counts linear solves: 1 for the ten-point KdV step,
-    0 for the explicit and diagonal updates.  ``min_spacing`` is the
-    minimum spacing of the mesh the returned state lives on (for a
+    0 for the explicit and diagonal updates.  ``residual_inf`` is the
+    max-norm residual of the linear system a step solves (the ten-point
+    band), evaluated after the solve; an explicit or diagonal update
+    solves its equation in closed form and reports 0.  ``min_spacing`` is
+    the minimum spacing of the mesh the returned state lives on (for a
     projected step, the grid it is projected onto).
     """
 
     newton_iters: int
     residual_inf: float
     min_spacing: float
-    equi_residual: float = 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -401,22 +403,20 @@ def kdv_step_detailed(
 
     u1 = prev.u.copy()
     if scheme == "6pt":
-        residual = kdv_residual_6pt
-        r0 = residual(prev, GridState(prev.t + k, x1, u1), k)
+        r0 = kdv_residual_6pt(prev, GridState(prev.t + k, x1, u1), k)
         u1[..., 2:-2] = prev.u[..., 2:-2] - k * r0  # first term vanished at the guess u1 = u0
         iters = 0
     else:
-        residual = kdv_residual_10pt
-
         def res_fn(v: np.ndarray) -> np.ndarray:
             uu = prev.u.copy()
             uu[..., 2:-2] = v
-            return residual(prev, GridState(prev.t + k, x1, uu), k)
+            return kdv_residual_10pt(prev, GridState(prev.t + k, x1, uu), k)
 
         u1[..., 2:-2] = _solve_affine_banded(res_fn, prev.u[..., 2:-2])
         iters = 1
     nxt = GridState(prev.t + k, x1, u1)
-    rfin = float(np.abs(residual(prev, nxt, k)).max())
+    # the explicit update is exact by construction; the banded solve is checked
+    rfin = float(np.abs(kdv_residual_10pt(prev, nxt, k)).max()) if iters else 0.0
 
     min_spacing = upd.min_spacing
     if mesh_strategy == "projection":
@@ -425,7 +425,7 @@ def kdv_step_detailed(
         nxt = GridState(prev.t + k, prev.x, u_proj)
         min_spacing = float((prev.x[1:] - prev.x[:-1]).min())
 
-    return nxt, StepInfo(iters, rfin, min_spacing, upd.equi_residual)
+    return nxt, StepInfo(iters, rfin, min_spacing)
 
 
 def kdv_step(prev: GridState, k: float, mesh_strategy: str = "lagrangian",
@@ -584,13 +584,10 @@ def burgers_fv_step_detailed(
     coef, const, dsf = _burgers_parts(x0, u0, x1, h0, dlt, upd.dx, k, nu)
     if not coef.min() > 0.0 and (coef <= 0.0).any():  # NaN coefficients do not raise
         raise SchemeSingularity("nonpositive volume coefficient")
-    k_dsf = k * dsf
     u1 = u0.copy()
-    u1[..., 1:-1] = -(const + k_dsf) / coef
+    u1[..., 1:-1] = -(const + k * dsf) / coef
     # equidistribute_arclength has checked that x1 increases
-    nxt = GridState._unchecked(prev.t + k, x1, u1)
-    rfin = float(np.abs(coef * u1[..., 1:-1] + const + k_dsf).max())
-    return nxt, StepInfo(0, rfin, upd.min_spacing, upd.equi_residual)
+    return GridState._unchecked(prev.t + k, x1, u1), StepInfo(0, 0.0, upd.min_spacing)
 
 
 def burgers_fv_step(prev: GridState, k: float, nu: float, alpha: float,

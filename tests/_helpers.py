@@ -208,3 +208,14 @@ def equidistributed_exact(delta, a, b):
         x.append(c[i] * x[-1] + e[i])
     x.append(Fraction(a))
     return x[::-1]
+
+
+def equidistribution_residual(delta, x_next) -> float:
+    """max_i |w_{i+1/2} dx_i - w_{i-1/2} dx_{i-1}| / (max d (b - a)), with
+    w_{i+1/2} = (d_i + d_{i+1})/2, over every row of a (B, n) batch: how
+    far the nodes x_next are from equidistributing the weights ``delta``,
+    the oracle of ``mesh.equidistribute``'s accuracy."""
+    d, x = np.asarray(delta, dtype=float), np.asarray(x_next, dtype=float)
+    p = 0.5 * (d[..., 1:] + d[..., :-1]) * np.diff(x, axis=-1)
+    scale = d.max(axis=-1) * (x[..., -1] - x[..., 0])
+    return float((np.abs(np.diff(p, axis=-1)).max(axis=-1) / scale).max())

@@ -19,7 +19,12 @@ from symfd.mesh import (
 from symfd.rng import DeterministicRng
 from symfd.schemes import GridState
 
-from _helpers import POWER_OF_TWO_SCALES, equidistributed_exact, rand_kdv_element
+from _helpers import (
+    POWER_OF_TWO_SCALES,
+    equidistributed_exact,
+    equidistribution_residual,
+    rand_kdv_element,
+)
 
 
 def _state(x, u, t=0.0):
@@ -107,7 +112,7 @@ def test_monitor_group_invariance():
 def test_equidistribute_uniform_for_unit_weights():
     upd = equidistribute(np.ones(11), (0.0, 2.0))
     assert np.allclose(upd.x_next, np.linspace(0, 2, 11), atol=1e-13)
-    assert upd.equi_residual <= 1e-12
+    assert equidistribution_residual(np.ones(11), upd.x_next) <= 1e-14
 
 
 def test_equidistribute_two_region_oracle():
@@ -136,12 +141,12 @@ def test_equidistribute_assembled_residual():
     rng = DeterministicRng(71)
     delta = np.array([0.5 + rng.uniform(0.0, 3.0) for _ in range(17)])
     upd = equidistribute(delta, (-2.0, 5.0))
-    assert upd.equi_residual <= 1e-12
-    # the documented normalized residual, entry by entry
+    # the documented normalized residual, entry by entry, and the oracle's
     w = 0.5 * (delta[1:] + delta[:-1])
     dx = np.diff(upd.x_next)
     want = max(abs(w[i] * dx[i] - w[i - 1] * dx[i - 1]) / (delta.max() * 7.0) for i in range(1, 16))
-    assert upd.equi_residual == want
+    assert want <= 1e-14
+    assert equidistribution_residual(delta, upd.x_next) == want
     assert upd.dx.tobytes() == dx.tobytes()
 
 
@@ -154,16 +159,23 @@ def test_equidistribute_rejects_nonfinite_or_nonpositive_weights(bad):
 
 @settings(max_examples=50, deadline=None)
 @given(
-    delta=st.lists(st.floats(0.05, 20.0), min_size=3, max_size=40),
+    n=st.integers(3, 4096),
+    rows=st.sampled_from([None, 1, 4]),
+    contrast=st.floats(0.0, 6.0),
+    seed=st.integers(0, 2**32 - 1),
     a=st.floats(-5.0, 5.0),
     width=st.floats(0.5, 10.0),
 )
-def test_equidistribute_property_random_weights(delta, a, width):
-    b = a + width
-    upd = equidistribute(np.array(delta), (a, b))
-    assert upd.x_next[0] == a and upd.x_next[-1] == b
+def test_equidistribute_property_random_weights(n, rows, contrast, seed, a, width):
+    # weights log-uniform over [1, 10^contrast]: a contrast up to 1e6
+    rng = np.random.default_rng(seed)
+    shape = (n,) if rows is None else (rows, n)
+    delta = 10.0 ** rng.uniform(0.0, contrast, shape)
+    ends = (a, a + width) if rows is None else (np.full(rows, a), np.full(rows, a + width))
+    upd = equidistribute(delta, ends)
+    assert (upd.x_next[..., 0] == a).all() and (upd.x_next[..., -1] == a + width).all()
     assert np.all(np.diff(upd.x_next) > 0.0)
-    assert upd.equi_residual <= 1e-12
+    assert equidistribution_residual(delta, upd.x_next) <= 1e-14
 
 
 @settings(max_examples=100, deadline=None)
@@ -318,7 +330,7 @@ def test_equidistribute_batch_rows_equal_single_solves(n):
     for i, one in enumerate(singles):
         assert upd.x_next[i].tobytes() == one.x_next.tobytes(), i
     assert upd.min_spacing == min(s.min_spacing for s in singles)
-    assert upd.equi_residual == max(s.equi_residual for s in singles)
+    assert equidistribution_residual(delta, upd.x_next) <= 1e-14
 
 
 def test_equidistribute_batch_checks_every_row():

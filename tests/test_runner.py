@@ -2,20 +2,27 @@
 
 import argparse
 import collections
+import contextlib
+import io
 import math
 import os
 import re
 import subprocess
 import sys
+import tempfile
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symfd import runner, schemes
 from symfd.cli import build_parser
 from symfd.cli import main as cli_main
+from symfd.diagnostics import _STATUSES
 from symfd.errors import (
     ConfigError,
     DegenerateDenominator,
@@ -23,6 +30,7 @@ from symfd.errors import (
     PoleError,
     SchemeSingularity,
 )
+from symfd.mesh import MonitorParams, monitor_arclength
 from symfd.runner import (
     _CONFIG_KEYS,
     _SCHEMES_BY_EQUATION,
@@ -45,6 +53,8 @@ from symfd.runner import (
     write_outputs,
 )
 from symfd.schemes import GridState, StepInfo
+
+from _helpers import equidistribution_residual
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -339,14 +349,20 @@ def _recording(fn, log):
 
 
 def _recorded_burgers_run(monkeypatch):
-    """A small Burgers run, and the diagnostics row each of its steps produced."""
+    """A small Burgers run, and the diagnostics row each of its steps
+    produced; checks that each step's mesh equidistributes its weights."""
     steps = []
     monkeypatch.setattr(schemes, "burgers_fv_step_detailed",
                         _recording(schemes.burgers_fv_step_detailed, steps))
-    out = run_experiment(_small_burgers_cfg(t_final=0.05))
+    cfg = _small_burgers_cfg(t_final=0.05)
+    out = run_experiment(cfg)
+    k, prev = cfg.t_final / len(steps), GridState(0.0, *out.snapshots[0][1:])
+    for state, _info in steps:
+        weights = monitor_arclength(prev, k, MonitorParams(cfg.alpha))
+        assert equidistribution_residual(weights, state.x) <= 1e-14
+        prev = state
     return out, [(i, state.t, info.min_spacing, total_variation(state.u), info.residual_inf,
-                  info.newton_iters, "ok" if info.equi_residual <= 1e-10 else "equi_loose")
-                 for i, (state, info) in enumerate(steps, start=1)]
+                  info.newton_iters, "ok") for i, (state, info) in enumerate(steps, start=1)]
 
 
 def _recorded_schwarzian_run(monkeypatch):
@@ -822,8 +838,7 @@ def test_cli_run_nonfinite_exit_code(tmp_path, capsys):
         "equation = kdv\nscheme = kdv_naive\n"
         "domain_a = -30\ndomain_b = 30\nn_points = 128\nt_final = 40\n"
         f"dt_constant = 2\nsnapshots_path = {snaps}\ndiagnostics_path = {diags}\n")
-    with np.errstate(all="ignore"):
-        assert cli_main(["run", str(cfg)]) == 3
+    assert cli_main(["run", str(cfg)]) == 3
     captured = capsys.readouterr()
     assert captured.out.splitlines()[0] == "status: nonfinite"
     assert captured.err.startswith("run stopped: step ")
@@ -918,13 +933,92 @@ def test_written_csvs_are_the_joined_chunks(tmp_path, kind):
     cfg = {"completed": lambda: _small_burgers_cfg(**paths),
            "stopped": lambda: validate_config({**_NAIVE_BLOWUP, **paths}),
            "schwarzian": lambda: _schwarzian_cfg(**paths)}[kind]()
-    with np.errstate(all="ignore"):
-        out = run_experiment(cfg)
+    out = run_experiment(cfg)
     assert (out.status == "completed") == (kind != "stopped")
     write_outputs(out)
     snap, diag = _csv_texts(out)
     assert snaps.read_bytes() == snap.encode()
     assert diags.read_bytes() == diag.encode()
+
+
+def test_cli_run_that_blows_up_warns_nothing_and_names_the_stop(tmp_path, capsys):
+    cfg = tmp_path / "blowup.cfg"
+    cfg.write_text("".join(f"{key} = {val}\n" for key, val in _NAIVE_BLOWUP.items()))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a warning would raise out of the run
+        assert cli_main(["run", str(cfg)]) == 3
+    assert capsys.readouterr().err == (
+        "run stopped: step 17: u is not finite at node 0 (29 of 128 nodes)\n")
+
+
+# every runnable (equation, scheme, mesh); the naive scheme has no moving mesh
+_RUNNABLE = [(eq, scheme, mesh) for eq, schemes_ in sorted(_SCHEMES_BY_EQUATION.items())
+             for scheme in sorted(schemes_)
+             for mesh in (("lagrangian", "adaptive", "projection")
+                          if scheme in ("kdv_6pt", "kdv_10pt") else (None,))]
+
+
+@st.composite
+def _runnable_configs(draw):
+    """The values of a valid config for each runnable scheme and mesh: 8-48
+    nodes and at most 300 steps (KdV and Burgers) or nodes (Schwarzian)."""
+    eq, scheme, mesh = draw(st.sampled_from(_RUNNABLE))
+    n = draw(st.integers(8, 48))
+    values = {"equation": eq, "scheme": scheme, "n_points": n}
+    if mesh is not None:
+        values["mesh"] = mesh
+    if eq == "schwarzian":
+        a = draw(st.floats(-3.0, 3.0))
+        values.update(domain_a=a, domain_b=a + draw(st.floats(0.1, 4.0)),
+                      source_f=draw(st.floats(-5.0, 5.0)))
+        return values
+    if eq == "kdv":
+        a = draw(st.floats(-40.0, 10.0))
+        values.update(domain_a=a, domain_b=a + draw(st.floats(10.0, 70.0)),
+                      alpha=draw(st.floats(0.0, 100.0)), ic_c1=draw(st.floats(0.0, 2.0)),
+                      ic_c2=draw(st.floats(0.0, 2.0)))
+    else:
+        values.update(domain_a=-0.5, domain_b=0.5, nu=draw(st.floats(1e-3, 0.1)),
+                      alpha=draw(st.floats(0.0, 100.0)))
+    values["dt_constant"] = draw(st.floats(0.01, 2.0))
+    # t_final of about the drawn number of steps of k = dt_constant h^p
+    h = (values["domain_b"] - values["domain_a"]) / (n - 1)
+    k = values["dt_constant"] * h ** (3 if eq == "kdv" else 2)
+    values["t_final"] = draw(st.integers(1, 300)) * k
+    return values
+
+
+@settings(max_examples=60, deadline=None)
+@given(values=_runnable_configs())
+def test_every_runnable_config_completes_cleanly_or_stops_with_its_state(values):
+    with tempfile.TemporaryDirectory() as tmp:
+        snaps, diags, cfg = (os.path.join(tmp, name) for name in ("s.csv", "d.csv", "run.cfg"))
+        with open(cfg, "w", encoding="utf-8") as fh:
+            fh.writelines(f"{key} = {val}\n" for key, val in values.items())
+            fh.write(f"snapshots_path = {snaps}\ndiagnostics_path = {diags}\n")
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = cli_main(["run", cfg])
+        snap_rows = [[float(v) for v in line.split(",")]
+                     for line in Path(snaps).read_text().splitlines()[1:]]
+        diag_rows = [line.split(",") for line in Path(diags).read_text().splitlines()[1:]]
+    status = stdout.getvalue().removeprefix("status: ").rstrip("\n")
+    assert code == (0 if status == "completed" else 3), stderr.getvalue()
+    assert (stderr.getvalue() == "") == (status == "completed")
+    if status == "completed" or values["equation"] == "schwarzian":
+        # a Schwarzian march keeps the rows of the nodes before its stop
+        assert np.isfinite(snap_rows).all()
+        assert {row[-1] for row in diag_rows} <= {"ok", "pole"}
+        return
+    # a stopped time loop: every row but the last is a step's, and the last
+    # carries the stop status, a NaN residual and the state of the last snapshot
+    *steps, stop = diag_rows
+    assert {row[-1] for row in steps} <= {"ok"} and stop[-1] == status
+    assert stop[4] == "nan"
+    t_last = snap_rows[-1][0]
+    x_last = np.array([row[1] for row in snap_rows if row[0] == t_last][-values["n_points"]:])
+    assert float(stop[1]) == t_last
+    assert float(stop[2]) == float((x_last[1:] - x_last[:-1]).min())
 
 
 def test_cli_run_streams_the_joined_snapshot_chunks_to_stdout(tmp_path, capsys):
@@ -1272,6 +1366,13 @@ def test_cli_converge_rejects_a_token_that_is_not_a_number(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "config error: could not convert string to float: 'abc'\n"
+
+
+def test_readme_status_list_is_exactly_the_status_vocabulary():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"take\s+these values:\n\n((?:- .*\n(?: .*\n)*)+)", readme)[1]
+    listed = re.findall(r"^- `(\w+)`", block, re.MULTILINE)
+    assert sorted(listed) == sorted(_STATUSES + ("completed",))
 
 
 def test_readme_cli_block_names_exactly_the_parser_commands_and_options():

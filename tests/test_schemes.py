@@ -47,6 +47,7 @@ from symfd.schemes import (
 from _helpers import (
     POWER_OF_TWO_SCALES,
     apply_kdv_stencil,
+    equidistribution_residual,
     kdv_elements,
     rand_admissible_window,
     rand_burgers_element,
@@ -417,7 +418,8 @@ def test_kdv_step_6pt_solves_residual():
     h = 0.25
     prev, _ = _soliton_pair(h, 0.01)
     nxt, info = kdv_step_detailed(prev, 0.01, "lagrangian", "6pt")
-    assert info.residual_inf <= 1e-12
+    # an explicit update: nothing is solved, so no residual is reported
+    assert (info.residual_inf, info.newton_iters) == (0.0, 0)
     assert np.max(np.abs(kdv_residual_6pt(prev, nxt, 0.01))) <= 1e-12
 
 
@@ -482,7 +484,8 @@ def test_kdv_adaptive_step_equidistributes():
     prev, _ = _soliton_pair(h, 0.01)
     nxt, info = kdv_step_detailed(prev, 0.01, "adaptive", "6pt",
                                   monitor=MonitorParams(10.0))
-    assert info.equi_residual <= 1e-10
+    weights = monitor_arclength(prev, 0.01, MonitorParams(10.0))
+    assert equidistribution_residual(weights, nxt.x) <= 1e-14
     assert nxt.x[0] == pytest.approx(prev.x[0])
     assert nxt.x[-1] == pytest.approx(prev.x[-1])
 
@@ -737,16 +740,17 @@ def _per_row(draw, strategy, rows):
 
 def _burgers_step_reference(prev, k, nu, alpha, drift):
     """monitor_arclength, equidistribute and the diagonal solve of the
-    _burgers_parts terms, each forming its own spacings and differences."""
+    _burgers_parts terms, each forming its own spacings and differences;
+    also the weights the mesh equidistributes."""
     a, b = (prev.x[..., ::prev.n - 1] + k * drift).T
-    upd = equidistribute(monitor_arclength(prev, k, MonitorParams(alpha)), (a, b))
+    weights = monitor_arclength(prev, k, MonitorParams(alpha))
+    upd = equidistribute(weights, (a, b))
     coef, const, dsf = _parts(prev.x, prev.u, upd.x_next, k, nu)
     if (coef <= 0.0).any():
         raise SchemeSingularity("nonpositive volume coefficient")
     u1 = prev.u.copy()
     u1[..., 1:-1] = -(const + k * dsf) / coef
-    rfin = float(np.abs(coef * u1[..., 1:-1] + const + k * dsf).max())
-    return upd.x_next, u1, rfin, upd.min_spacing, upd.equi_residual
+    return upd.x_next, u1, upd.min_spacing, weights
 
 
 @settings(max_examples=80, deadline=None)
@@ -764,11 +768,12 @@ def test_burgers_step_equals_public_composition(data, n, rows):
             burgers_fv_step_detailed(prev, k, nu, alpha, drift=drift)
         return
     nxt, info = burgers_fv_step_detailed(prev, k, nu, alpha, drift=drift)
-    x1, u1, rfin, min_spacing, equi_residual = want
+    x1, u1, min_spacing, weights = want
     assert nxt.x.tobytes() == x1.tobytes()
     assert nxt.u.tobytes() == u1.tobytes()
-    assert (info.residual_inf, info.min_spacing, info.equi_residual) == (
-        rfin, min_spacing, equi_residual)
+    # a diagonal solve: no residual is reported
+    assert (info.residual_inf, info.min_spacing) == (0.0, min_spacing)
+    assert equidistribution_residual(weights, nxt.x) <= 1e-14
 
 
 @settings(max_examples=60, deadline=None)
@@ -808,7 +813,7 @@ def test_burgers_step_solves_residual():
     u = np.tanh(-3.0 * x)
     prev = GridState(0.0, x, u)
     nxt, info = burgers_fv_step_detailed(prev, 0.002, 0.05, 0.5)
-    assert info.residual_inf <= 1e-10 * (1.0 + float(np.max(np.abs(nxt.u))))
+    assert (info.residual_inf, info.newton_iters) == (0.0, 0)
     r = burgers_fv_residual(prev, nxt, 0.002, 0.05)
     assert np.max(np.abs(r)) <= 1e-12
 
@@ -1030,7 +1035,8 @@ def _batch(rng, rows, n, u_scale):
 
 
 def _assert_rows_are_single_steps(step, prev, per_row, shared):
-    """step(batch) against step(row i) with row i of every (B, 1) column."""
+    """step(batch) against step(row i) with row i of every (B, 1) column;
+    returns the batch's next state."""
     nxt, info = step(prev, **per_row, **shared)
     singles = [step(GridState(float(prev.t[i, 0]), prev.x[i], prev.u[i]),
                     **{key: float(v[i, 0]) for key, v in per_row.items()}, **shared)
@@ -1040,8 +1046,8 @@ def _assert_rows_are_single_steps(step, prev, per_row, shared):
         assert _same_bits(nxt.t[i, 0], one.t), i
     assert info.residual_inf == max(s[1].residual_inf for s in singles)
     assert info.min_spacing == min(s[1].min_spacing for s in singles)
-    assert info.equi_residual == max(s[1].equi_residual for s in singles)
     assert info.newton_iters == singles[0][1].newton_iters
+    return nxt
 
 
 @pytest.mark.parametrize("scheme", ["6pt", "10pt"])
@@ -1062,7 +1068,10 @@ def test_kdv_step_batch_rows_equal_single_steps(scheme, strategy):
             return kdv_step_detailed(p, k, monitor=MonitorParams(alpha), **kw)
     else:
         step = kdv_step_detailed
-    _assert_rows_are_single_steps(step, prev, per_row, shared)
+    nxt = _assert_rows_are_single_steps(step, prev, per_row, shared)
+    if strategy == "adaptive":
+        weights = monitor_arclength(prev, per_row["k"], MonitorParams(per_row["alpha"]))
+        assert equidistribution_residual(weights, nxt.x) <= 1e-14
 
 
 def test_burgers_step_batch_rows_equal_single_steps():
@@ -1075,7 +1084,9 @@ def test_burgers_step_batch_rows_equal_single_steps():
     def step(p, k, nu, alpha, drift):
         return burgers_fv_step_detailed(p, k, nu, alpha, drift=drift)
 
-    _assert_rows_are_single_steps(step, prev, per_row, {})
+    nxt = _assert_rows_are_single_steps(step, prev, per_row, {})
+    weights = monitor_arclength(prev, per_row["k"], MonitorParams(per_row["alpha"]))
+    assert equidistribution_residual(weights, nxt.x) <= 1e-14
 
 
 def test_kdv_step_batch_rejects_projection():
