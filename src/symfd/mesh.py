@@ -37,13 +37,13 @@ spacing of a batch is the smallest over its rows, and a check fails for
 the whole batch when it fails for one row.  Projection (the spline) takes
 a single mesh.
 
-Each mesh update returns its abscissae together with their spacings
-(``MeshUpdate.dx``), so a scheme that needs them does not form them again.
-``equidistribute_arclength`` is ``monitor_arclength`` followed by
-``equidistribute`` for a caller that already holds the spacings and the
-value increments of the current mesh; the three share one kernel each for
-the weights and for the mesh.  A spacing that is not positive, NaN
-included, raises :class:`MeshTangling`.
+The monitor reads the spacings and value increments a grid state carries
+(``state.dx``, ``state.du``) rather than forming them again, and each mesh
+update returns its abscissae together with their spacings
+(``MeshUpdate.dx``), from which the next state is built.  The KdV and
+Burgers steps both take an adaptive mesh as
+``equidistribute(monitor_arclength(state, k, params), domain, floor)``.
+A spacing that is not positive, NaN included, raises :class:`MeshTangling`.
 """
 
 from __future__ import annotations
@@ -63,13 +63,6 @@ from .errors import MeshTangling, OutOfDomain, SingularSystem
 def _holds(cond) -> bool:
     """A comparison of a float (a bool) or of an array (all its entries)."""
     return cond.all() if isinstance(cond, np.ndarray) else cond
-
-
-def _finite_increasing(x: np.ndarray) -> bool:
-    """Whether each row of x, one state or a batch of them, is finite and strictly increasing."""
-    # NaN fails the first test; increasing x is finite when its span is
-    # (``x.T[j]`` is node j of one row and column j of several)
-    return (x[..., 1:] > x[..., :-1]).all() and _holds(x.T[-1] - x.T[0] < math.inf)
 
 
 @dataclass(frozen=True)
@@ -163,47 +156,17 @@ def lagrangian_update(state, k: float, floor: float = 0.0) -> MeshUpdate:
     return MeshUpdate(x_next, dx, _checked_min_spacing(dx, floor))
 
 
-def _arclength_weights(dx: np.ndarray, du: np.ndarray, k: float, alpha) -> np.ndarray:
-    """Arc-length weights from the spacings dx and value increments du."""
-    slopes = k * du / dx
-    d = np.empty(dx.shape[:-1] + (dx.shape[-1] + 1,))
-    np.sqrt(1.0 + alpha * slopes**2, out=d[..., :-1])
-    d[..., -1] = d[..., -2]
-    return d
-
-
 def monitor_arclength(state, k: float, params: MonitorParams) -> np.ndarray:
     """Arc-length weights d_i = sqrt(1 + alpha (k Du_i)^2), last entry replicated.
 
     Returns one weight per node; the final node has no forward difference, so
     the last interior value is repeated there.
     """
-    x, u = state.x, state.u
-    return _arclength_weights(x[..., 1:] - x[..., :-1], u[..., 1:] - u[..., :-1],
-                              k, params.alpha)
-
-
-def _equidistributed(d: np.ndarray, domain, floor: float, positive: bool) -> MeshUpdate:
-    """The equidistributed mesh of :func:`equidistribute` for float weights
-    d of at least three nodes; ``positive`` tells whether every weight
-    compared above zero (NaN weights do not)."""
-    a, b = domain
-    if not _holds(abs(b - a) < math.inf):  # NaN or inf endpoints fail this test
-        raise ValueError("domain endpoints must be finite")
-    if not (positive and d.max() < math.inf):  # a NaN weight fails the second test
-        raise SingularSystem("monitor weights must be positive and finite")
-    w = 0.5 * (d[..., 1:] + d[..., :-1])  # w[m] = weight on interval (m, m+1)
-    # w[m] dx[m] is the same for every interval of a row, so x_i - a is
-    # (b - a) S_i / S_{n-1} with S_i = sum_{m<i} 1/w[m]
-    s = np.cumsum(1.0 / w, axis=-1)
-    a_col, b_col = np.asarray(a)[..., None], np.asarray(b)[..., None]  # (1,) or (B, 1)
-    x_next = np.empty(d.shape)
-    x_next[..., 1:] = a_col + (b_col - a_col) * (s / s[..., -1:])
-    x_next[..., 0] = a
-    x_next[..., -1] = b
-
-    dx = x_next[..., 1:] - x_next[..., :-1]
-    return MeshUpdate(x_next, dx, _checked_min_spacing(dx, floor))
+    slopes = k * state.du / state.dx
+    d = np.empty(state.x.shape)
+    np.sqrt(1.0 + params.alpha * slopes**2, out=d[..., :-1])
+    d[..., -1] = d[..., -2]
+    return d
 
 
 def equidistribute(delta: np.ndarray, domain: tuple[float, float],
@@ -225,18 +188,23 @@ def equidistribute(delta: np.ndarray, domain: tuple[float, float],
     d = np.asarray(delta, dtype=float)
     if d.shape[-1] < 3:
         raise ValueError("need at least three nodes")
-    return _equidistributed(d, domain, floor, d.min() > 0.0)
+    a, b = domain
+    if not _holds(abs(b - a) < math.inf):  # NaN or inf endpoints fail this test
+        raise ValueError("domain endpoints must be finite")
+    if not (d.min() > 0.0 and d.max() < math.inf):  # NaN weights fail both tests
+        raise SingularSystem("monitor weights must be positive and finite")
+    w = 0.5 * (d[..., 1:] + d[..., :-1])  # w[m] = weight on interval (m, m+1)
+    # w[m] dx[m] is the same for every interval of a row, so x_i - a is
+    # (b - a) S_i / S_{n-1} with S_i = sum_{m<i} 1/w[m]
+    s = np.cumsum(1.0 / w, axis=-1)
+    a_col, b_col = np.asarray(a)[..., None], np.asarray(b)[..., None]  # (1,) or (B, 1)
+    x_next = np.empty(d.shape)
+    x_next[..., 1:] = a_col + (b_col - a_col) * (s / s[..., -1:])
+    x_next[..., 0] = a
+    x_next[..., -1] = b
 
-
-def equidistribute_arclength(dx: np.ndarray, du: np.ndarray, k: float,
-                             params: MonitorParams, domain: tuple[float, float],
-                             floor: float = 0.0) -> MeshUpdate:
-    """``equidistribute(monitor_arclength(state, k, params), domain, floor)``,
-    bit for bit, from the spacings dx and the value increments du of the
-    state (its x and u differenced along the last axis)."""
-    # arc-length weights are at least 1 unless NaN or inf, which the
-    # test of the largest weight rejects
-    return _equidistributed(_arclength_weights(dx, du, k, params.alpha), domain, floor, True)
+    dx = x_next[..., 1:] - x_next[..., :-1]
+    return MeshUpdate(x_next, dx, _checked_min_spacing(dx, floor))
 
 
 def _natural_spline_moments(x: np.ndarray, u: np.ndarray) -> np.ndarray:

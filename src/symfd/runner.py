@@ -121,10 +121,10 @@ def exact_burgers(t, x, nu: float, c: float = 0.25):
     return -num / den
 
 
-def total_variation(u) -> float:
-    """Sum of absolute increments; non-growth signals no spurious wiggles."""
-    u = np.asarray(u, dtype=float)
-    return float(np.abs(u[1:] - u[:-1]).sum())
+def total_variation(du) -> float:
+    """Sum of the absolute increments du of a profile (u differenced, as
+    ``GridState.du`` carries it); non-growth signals no spurious wiggles."""
+    return float(np.abs(du).sum())
 
 
 def schwarzian_rhs(source: Callable[[float], float]):
@@ -384,7 +384,7 @@ def _schwarzian_march(x: np.ndarray, u: np.ndarray, source: Callable[[float], fl
     (i, exc) for the first node whose step or row raised the SymfdError exc.
     """
     h = float(x[1] - x[0])
-    tv = total_variation(u[:3])
+    tv = total_variation(np.diff(u[:3]))
     for i in range(1, x.size - 2):
         try:
             f_i = source(float(x[i]))
@@ -473,7 +473,7 @@ def _run_pde(cfg: ExperimentConfig) -> RunOutput:
         except SymfdError as exc:
             status, message = "numerical_failure", _stop_message(i, exc)
         else:
-            tv = total_variation(state.u)
+            tv = total_variation(state.du)
             # finite u can overflow to a non-finite tv, never the reverse
             if not math.isfinite(tv) and not np.isfinite(state.u).all():
                 status = "nonfinite"
@@ -481,8 +481,8 @@ def _run_pde(cfg: ExperimentConfig) -> RunOutput:
                 message = (f"step {i}: u is not finite at node {bad[0]} "
                            f"({bad.size} of {state.u.size} nodes)")
         if status != "completed":
-            min_spacing = float((state.x[1:] - state.x[:-1]).min())
-            diags.append(i, state.t, min_spacing, total_variation(state.u), math.nan, 0, status)
+            diags.append(i, state.t, float(state.dx.min()), total_variation(state.du),
+                         math.nan, 0, status)
             snaps.append((state.t, state.x.copy(), state.u.copy()))
             break
         diags.append(i, state.t, info.min_spacing, tv, info.residual_inf, info.newton_iters, "ok")
@@ -710,7 +710,7 @@ class _KdVAudit:
         # keep the Lagrangian mesh of the weak audit untangled: the safe k
         # bound scales exactly like the group action, so it holds on both
         # sides of the commutation check
-        slack = float(np.min(np.diff(prev.x) / np.maximum(np.abs(np.diff(prev.u)), 1e-9)))
+        slack = float(np.min(prev.dx / np.maximum(np.abs(prev.du), 1e-9)))
         k = min(rng.uniform(0.1, 0.5), 0.4 * slack)
         nxt = GridState(k, _random_mesh(rng, n), _random_u(rng, n))
         return (prev, nxt, k)
@@ -757,7 +757,7 @@ class _BurgersAudit:
             speed = prev.u[1:-1] - (nxt.x - prev.x)[1:-1] / k
             if np.min(np.abs(speed)) < 1e-3:
                 continue
-            if np.min(np.abs(np.diff(prev.u))) < 1e-6:
+            if np.min(np.abs(prev.du)) < 1e-6:
                 continue
             return (prev, nxt, k, nu, alpha)
 

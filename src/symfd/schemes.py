@@ -49,7 +49,7 @@ pentadiagonal systems into one block-diagonal ``dgbsv`` call with zero
 coupling between blocks (LAPACK: at the first solve ``mesh._lapack`` loads
 scipy's compiled wrappers alone, not ``scipy.linalg``, about 22 MiB and
 0.3 s less).  A step of a batch raises when one of its rows would
-(tangling, a singular block, a nonpositive volume), and its
+(tangling, a singular block or monitor weight), and its
 :class:`StepInfo` is reduced over the rows (largest residual, smallest
 spacing).  The projection strategy and the naive scheme take single
 states; the Schwarzian and u_xx steps take scalars.
@@ -60,7 +60,7 @@ from __future__ import annotations
 import functools
 import math
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -70,11 +70,9 @@ from .invariants import cross_ratio
 from .mesh import (
     MeshUpdate,
     MonitorParams,
-    _finite_increasing,
     _holds,
     _lapack,
     equidistribute,
-    equidistribute_arclength,
     lagrangian_update,
     monitor_arclength,
     spline_project,
@@ -92,11 +90,19 @@ class GridState:
     x and u have shape (n,) for one state, or (B, n) for a batch of B
     states with one state per row; x increases along the last axis.  t is a
     float, or for a batch a (B, 1) column of per-row times.
+
+    The state carries its spacings ``dx`` and value increments ``du`` (x
+    and u differenced along the last axis), formed once where it is built;
+    the monitor, the scheme residuals and the run loop read them instead of
+    differencing again.  The arrays of a state are not modified after it is
+    built, and a step never writes into the state it advances.
     """
 
     t: float
     x: np.ndarray
     u: np.ndarray
+    dx: np.ndarray = field(init=False, compare=False, repr=False)
+    du: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         x = np.asarray(self.x, dtype=float)
@@ -105,10 +111,16 @@ class GridState:
             raise ValueError("x and u must be arrays of equal shape")
         if x.shape[-1] < 3:
             raise ValueError("need at least three nodes")
-        if not _finite_increasing(x):
+        with np.errstate(invalid="ignore"):  # equal infinities differ by NaN
+            dx = x[..., 1:] - x[..., :-1]
+            du = u[..., 1:] - u[..., :-1]
+        # a NaN or infinite x gives a NaN or infinite spacing next to it
+        if not (dx.min() > 0.0 and dx.max() < math.inf):
             raise ValueError("x must be finite and strictly increasing")
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "u", u)
+        object.__setattr__(self, "dx", dx)
+        object.__setattr__(self, "du", du)
 
     @property
     def n(self) -> int:
@@ -116,13 +128,16 @@ class GridState:
         return int(self.x.shape[-1])
 
     @classmethod
-    def _unchecked(cls, t, x: np.ndarray, u: np.ndarray) -> "GridState":
-        """A state from float arrays of equal shape whose x the caller has
-        already checked to increase; skips the constructor's checks."""
+    def _unchecked(cls, t, x: np.ndarray, u: np.ndarray, dx: np.ndarray) -> "GridState":
+        """A state from float arrays of equal shape and the spacings dx of
+        x, which the caller has already checked to be positive; skips the
+        constructor's checks."""
         st = object.__new__(cls)
         object.__setattr__(st, "t", t)
         object.__setattr__(st, "x", x)
         object.__setattr__(st, "u", u)
+        object.__setattr__(st, "dx", dx)
+        object.__setattr__(st, "du", u[..., 1:] - u[..., :-1])
         return st
 
 
@@ -264,10 +279,9 @@ def _check_kdv_pair(prev: GridState, nxt: GridState, k: float):
 def kdv_residual_6pt(prev: GridState, nxt: GridState, k: float) -> np.ndarray:
     """Per-node residual of the six-point invariant scheme, nodes 2..N-3."""
     _check_kdv_pair(prev, nxt, k)
-    x0, u0, u1 = prev.x, prev.u, nxt.u
-    h0 = x0[..., 1:] - x0[..., :-1]
-    du0 = (u0[..., 1:] - u0[..., :-1]) / h0
-    d30 = _d3u(h0, du0)
+    u0, u1 = prev.u, nxt.u
+    du0 = prev.du / prev.dx
+    d30 = _d3u(prev.dx, du0)
     sig = nxt.x - prev.x
     return (
         (u1[..., 2:-2] - u0[..., 2:-2]) / k
@@ -279,13 +293,12 @@ def kdv_residual_6pt(prev: GridState, nxt: GridState, k: float) -> np.ndarray:
 def kdv_residual_10pt(prev: GridState, nxt: GridState, k: float) -> np.ndarray:
     """Per-node residual of the ten-point invariant scheme, nodes 2..N-3."""
     _check_kdv_pair(prev, nxt, k)
-    x0, u0, x1, u1 = prev.x, prev.u, nxt.x, nxt.u
-    h0, h1 = x0[..., 1:] - x0[..., :-1], x1[..., 1:] - x1[..., :-1]
-    du0 = (u0[..., 1:] - u0[..., :-1]) / h0
-    du1 = (u1[..., 1:] - u1[..., :-1]) / h1
-    d30 = _d3u(h0, du0)
-    d31 = _d3u(h1, du1)
-    sig = x1 - x0
+    u0, u1 = prev.u, nxt.u
+    du0 = prev.du / prev.dx
+    du1 = nxt.du / nxt.dx
+    d30 = _d3u(prev.dx, du0)
+    d31 = _d3u(nxt.dx, du1)
+    sig = nxt.x - prev.x
     return (
         (u1[..., 2:-2] - u0[..., 2:-2]) / k
         + (u0[..., 2:-2] - sig[..., 2:-2] / k)
@@ -301,8 +314,7 @@ def kdv_invariant_normalizer(prev: GridState, k: float) -> np.ndarray:
     multiplying by k h_i^2 (weight lam^5) gives the value-level invariant
     combination that audits compare.
     """
-    x = prev.x
-    return k * (x[..., 3:-1] - x[..., 2:-2]) ** 2
+    return k * prev.dx[..., 2:-1] ** 2
 
 
 @functools.lru_cache(maxsize=16)
@@ -403,7 +415,7 @@ def kdv_step_detailed(
 
     u1 = prev.u.copy()
     if scheme == "6pt":
-        r0 = kdv_residual_6pt(prev, GridState(prev.t + k, x1, u1), k)
+        r0 = kdv_residual_6pt(prev, GridState(prev.t + k, x1, prev.u), k)
         u1[..., 2:-2] = prev.u[..., 2:-2] - k * r0  # first term vanished at the guess u1 = u0
         iters = 0
     else:
@@ -422,8 +434,8 @@ def kdv_step_detailed(
     if mesh_strategy == "projection":
         target = np.clip(prev.x, x1[0], x1[-1])
         u_proj = spline_project(x1, u1, target)
-        nxt = GridState(prev.t + k, prev.x, u_proj)
-        min_spacing = float((prev.x[1:] - prev.x[:-1]).min())
+        nxt = GridState._unchecked(prev.t + k, prev.x, u_proj, prev.dx)
+        min_spacing = float(prev.dx.min())
 
     return nxt, StepInfo(iters, rfin, min_spacing)
 
@@ -534,11 +546,6 @@ def _burgers_parts(x0: np.ndarray, u0: np.ndarray, x1: np.ndarray,
     return coef, const, dsf
 
 
-def _diff(a: np.ndarray) -> np.ndarray:
-    """a differenced along its last axis."""
-    return a[..., 1:] - a[..., :-1]
-
-
 def burgers_fv_residual(prev: GridState, nxt: GridState, k: float, nu: float) -> np.ndarray:
     """Blended Delta_tau(x_s u) + k Delta_s f on the interior nodes 1..N-2.
 
@@ -549,9 +556,7 @@ def burgers_fv_residual(prev: GridState, nxt: GridState, k: float, nu: float) ->
         raise ValueError("states must share their shape")
     if not _holds(k > 0.0):
         raise ValueError("time step must be positive")
-    x0, u0, x1 = prev.x, prev.u, nxt.x
-    coef, const, dsf = _burgers_parts(x0, u0, x1, _diff(x0), _diff(u0), _diff(x1),
-                                      k, nu)
+    coef, const, dsf = _burgers_parts(prev.x, prev.u, nxt.x, prev.dx, prev.du, nxt.dx, k, nu)
     return coef * nxt.u[..., 1:-1] + const + k * dsf
 
 
@@ -566,28 +571,25 @@ def burgers_fv_step_detailed(
 ) -> tuple[GridState, StepInfo]:
     """One finite-volume step: equidistributed mesh, then per-node solve.
 
-    The blended Delta_tau term is linear in u^{n+1}_i with a positive
-    spacing coefficient, so the update is a diagonal solve.  Boundary
-    values are held (Dirichlet).  ``drift`` moves both ends of the mesh by
-    k drift, as a Galilean boost of the domain does.
+    The blended Delta_tau term is linear in u^{n+1}_i with a coefficient
+    no smaller than the lesser new spacing beside node i, which the mesh
+    update has checked to be positive, so the update is a diagonal solve.
+    Boundary values are held (Dirichlet).  ``drift`` moves both ends of the
+    mesh by k drift, as a Galilean boost of the domain does.
     """
     if not _holds(nu >= 0.0):
         raise ValueError("viscosity must be nonnegative")
     if not _holds(k > 0.0):
         raise ValueError("time step must be positive")
-    x0, u0 = prev.x, prev.u
-    a, b = (x0[..., ::prev.n - 1] + k * drift).T  # floats, or (B,) arrays
-    h0, dlt = _diff(x0), _diff(u0)
-    upd = equidistribute_arclength(h0, dlt, k, MonitorParams(alpha), (a, b),
-                                   floor=spacing_floor)
+    a, b = (prev.x[..., ::prev.n - 1] + k * drift).T  # floats, or (B,) arrays
+    upd = equidistribute(monitor_arclength(prev, k, MonitorParams(alpha)), (a, b),
+                         floor=spacing_floor)
     x1 = upd.x_next
-    coef, const, dsf = _burgers_parts(x0, u0, x1, h0, dlt, upd.dx, k, nu)
-    if not coef.min() > 0.0 and (coef <= 0.0).any():  # NaN coefficients do not raise
-        raise SchemeSingularity("nonpositive volume coefficient")
-    u1 = u0.copy()
+    coef, const, dsf = _burgers_parts(prev.x, prev.u, x1, prev.dx, prev.du, upd.dx, k, nu)
+    u1 = prev.u.copy()
     u1[..., 1:-1] = -(const + k * dsf) / coef
-    # equidistribute_arclength has checked that x1 increases
-    return GridState._unchecked(prev.t + k, x1, u1), StepInfo(0, 0.0, upd.min_spacing)
+    # equidistribute has checked the spacings of x1
+    return GridState._unchecked(prev.t + k, x1, u1, upd.dx), StepInfo(0, 0.0, upd.min_spacing)
 
 
 def burgers_fv_step(prev: GridState, k: float, nu: float, alpha: float,

@@ -385,7 +385,7 @@ def test_c08_burgers_experiment():
     })
     out = run_experiment(cfg)
     completes = out.status == "completed"
-    tv0 = total_variation(out.snapshots[0][2])
+    tv0 = total_variation(np.diff(out.snapshots[0][2]))
     tv_excess = max(r.tv for r in out.diagnostics) - tv0
     t, x, u = out.snapshots[-1]
     ue = np.asarray(exact_burgers(t, x, 0.001, 0.25))

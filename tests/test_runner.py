@@ -159,9 +159,10 @@ def test_exact_burgers_shape_and_residual():
 
 
 def test_total_variation_examples():
-    assert total_variation([0.0, 1.0, 2.0, 3.0]) == pytest.approx(3.0)
-    assert total_variation([5.0, 5.0, 5.0]) == 0.0
-    assert total_variation([0.0, 1.0, 0.0, 1.0]) == pytest.approx(3.0)
+    # total_variation takes the increments of a profile
+    assert total_variation(np.diff([0.0, 1.0, 2.0, 3.0])) == pytest.approx(3.0)
+    assert total_variation(np.diff([5.0, 5.0, 5.0])) == 0.0
+    assert total_variation(np.diff([0.0, 1.0, 0.0, 1.0])) == pytest.approx(3.0)
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +362,7 @@ def _recorded_burgers_run(monkeypatch):
         weights = monitor_arclength(prev, k, MonitorParams(cfg.alpha))
         assert equidistribution_residual(weights, state.x) <= 1e-14
         prev = state
-    return out, [(i, state.t, info.min_spacing, total_variation(state.u), info.residual_inf,
+    return out, [(i, state.t, info.min_spacing, total_variation(state.du), info.residual_inf,
                   info.newton_iters, "ok") for i, (state, info) in enumerate(steps, start=1)]
 
 
@@ -374,7 +375,7 @@ def _recorded_schwarzian_run(monkeypatch):
                         _recording(schemes.schwarzian_step_through_pole, flags))
     out = run_experiment(_schwarzian_cfg(domain_b=2.5, n_points=251))
     _t, x, u = out.snapshots[-1]
-    h, tv, want = float(x[1] - x[0]), total_variation(u[:3]), []
+    h, tv, want = float(x[1] - x[0]), total_variation(np.diff(u[:3])), []
     for i, (res, flag) in enumerate(zip(residuals, flags), start=1):
         tv += float(abs(u[i + 2] - u[i + 1]))  # the march's running sum
         want.append((i, float(x[i]), h, tv, abs(res), 0, "pole" if flag else "ok"))
@@ -459,7 +460,7 @@ def test_schwarzian_tv_column_is_the_total_variation_of_the_prefix():
     }))
     u = out.snapshots[-1][2]
     for r in out.diagnostics:
-        want = total_variation(u[: r.step + 3])
+        want = total_variation(np.diff(u[: r.step + 3]))
         assert abs(r.tv - want) <= 1e-13 * want
 
 

@@ -1,7 +1,9 @@
 """Scheme residuals, steps, invariance, consistency, and baselines."""
 
+import collections
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from symfd.groups import BurgersGroupElement, KdVGroupElement, apply_burgers, ap
 from symfd.invariants import cross_ratio
 from symfd.mesh import MonitorParams, equidistribute, monitor_arclength
 from symfd.runner import exact_burgers, exact_kdv_double_soliton
+from symfd import schemes
 from symfd.rng import DeterministicRng
 from symfd.schemes import (
     GridState,
@@ -85,12 +88,16 @@ def test_gridstate_rejects_nonfinite_abscissae(data, n, rows):
     x = _mesh(data.draw, n, rows)
     # NaN in u is allowed: the run loop's nonfinite guard reports it
     u = _values(data.draw, n, rows, [math.nan, math.inf])
-    GridState(0.0, x, u)
     cells = data.draw(st.lists(st.integers(0, x.size - 1), min_size=1, max_size=3, unique=True))
-    for c in cells:
-        x.flat[c] = data.draw(st.sampled_from([math.nan, math.inf, -math.inf]))
-    with pytest.raises(ValueError, match="finite and strictly increasing"):
+    values = [data.draw(st.sampled_from([math.nan, math.inf, -math.inf])) for _ in cells]
+    # forming the carried differences of infinite x or u warns of nothing
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         GridState(0.0, x, u)
+        x = x.copy()
+        x.flat[cells] = values
+        with pytest.raises(ValueError, match="finite and strictly increasing"):
+            GridState(0.0, x, u)
 
 
 # ---------------------------------------------------------------------------
@@ -687,6 +694,23 @@ def test_burgers_parts_with_a_subnormal_value():
     _assert_burgers_parts_match(x0, u0, x1, 1.0, 0.0, None)
 
 
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), n=st.integers(4, 12), rows=st.sampled_from([None, 1, 4]),
+       phi_override=st.sampled_from([None, 0.0, 1.0]))
+def test_burgers_volume_coefficient_is_at_least_the_smaller_new_spacing(
+        data, n, rows, phi_override):
+    # the coefficient lo - phi (lo - hi) blends one new spacing lo with the
+    # sum hi of two by phi in [0, 1], so it is positive wherever the mesh
+    # update has found the new spacings positive
+    x0, x1 = _mesh(data.draw, n, rows), _mesh(data.draw, n, rows)
+    u0 = _values(data.draw, n, rows, _FLAT_U)
+    k = _per_row(data.draw, st.floats(1e-3, 1.0), rows)
+    nu = _per_row(data.draw, st.floats(0.0, 0.5), rows)
+    coef = _parts(x0, u0, x1, k, nu, phi_override)[0]
+    h1 = np.diff(x1)
+    assert (coef >= np.minimum(h1[..., :-1], h1[..., 1:])).all()
+
+
 def test_burgers_constant_state_fixed_point():
     x = np.linspace(0, 1, 12)
     for c in (0.8, -0.8):
@@ -746,8 +770,6 @@ def _burgers_step_reference(prev, k, nu, alpha, drift):
     weights = monitor_arclength(prev, k, MonitorParams(alpha))
     upd = equidistribute(weights, (a, b))
     coef, const, dsf = _parts(prev.x, prev.u, upd.x_next, k, nu)
-    if (coef <= 0.0).any():
-        raise SchemeSingularity("nonpositive volume coefficient")
     u1 = prev.u.copy()
     u1[..., 1:-1] = -(const + k * dsf) / coef
     return upd.x_next, u1, upd.min_spacing, weights
@@ -871,11 +893,11 @@ def test_burgers_shock_total_variation_bound():
     h = x[1] - x[0]
     nu = 0.001
     st = GridState(0.0, x, np.asarray(exact_burgers(0.0, x, nu, 0.25)))
-    tv0 = total_variation(st.u)
+    tv0 = total_variation(st.du)
     k = 0.4 * h * h
     for _ in range(400):
         st = burgers_fv_step(st, k, nu, 0.5)
-        assert total_variation(st.u) <= tv0 + 1e-8
+        assert total_variation(st.du) <= tv0 + 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -1161,3 +1183,55 @@ def test_solve_affine_banded_batch_with_a_singular_block_is_singular():
         _solve_affine_banded(_pentadiagonal_map(diags, rhs), v0)
     for i in (0, 2, 3):  # the other blocks solve on their own
         _solve_affine_banded(_pentadiagonal_map(diags[i], rhs[i]), v0[i])
+
+
+# ---------------------------------------------------------------------------
+# carried differences and the one mesh path
+# ---------------------------------------------------------------------------
+
+def _state(rng, rows, n=11):
+    """A random state of n nodes, or a batch of rows of them."""
+    if rows is not None:
+        return _batch(rng, rows, n, 1.0)
+    return GridState(0.0, rand_mesh_row(rng, n), np.array([rng.uniform(-1.0, 1.0)
+                                                           for _ in range(n)]))
+
+
+@pytest.mark.parametrize("rows", [None, 3])
+@pytest.mark.parametrize("equation", ["burgers", "kdv"])
+def test_burgers_and_adaptive_kdv_steps_take_one_mesh_path(monkeypatch, equation, rows):
+    counts = collections.Counter()
+    for name in ("monitor_arclength", "equidistribute"):
+        def counted(*args, _fn=getattr(schemes, name), _name=name, **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(schemes, name, counted)
+    prev = _state(DeterministicRng(31), rows)
+    if equation == "burgers":
+        burgers_fv_step_detailed(prev, 0.05, 0.1, 1.0)
+    else:
+        kdv_step_detailed(prev, 0.01, "adaptive", "10pt", monitor=MonitorParams(1.0))
+    assert counts == {"monitor_arclength": 1, "equidistribute": 1}
+
+
+_STEPS = {
+    **{f"kdv_{scheme}_{strategy}": (
+        lambda p, scheme=scheme, strategy=strategy: kdv_step(
+            p, 0.01, strategy, scheme, monitor=MonitorParams(2.0)),
+        strategy != "projection")
+       for scheme in ("6pt", "10pt") for strategy in ("lagrangian", "adaptive", "projection")},
+    "kdv_naive": (lambda p: naive_kdv_step(p, 1e-3, 0.5), False),
+    "burgers": (lambda p: burgers_fv_step(p, 0.05, 0.1, 1.0), True),
+}
+
+
+@pytest.mark.parametrize("name, rows", [(name, rows) for name, (_step, batches) in _STEPS.items()
+                                        for rows in ([None, 3] if batches else [None])])
+def test_steps_carry_exact_differences_and_leave_their_input_alone(name, rows):
+    step = _STEPS[name][0]
+    for seed in (5, 6, 7):
+        prev = _state(DeterministicRng(seed), rows)
+        before = [a.tobytes() for a in (prev.x, prev.u, prev.dx, prev.du)]
+        nxt = step(prev)
+        assert _same_bits(nxt.dx, np.diff(nxt.x)) and _same_bits(nxt.du, np.diff(nxt.u))
+        assert [a.tobytes() for a in (prev.x, prev.u, prev.dx, prev.du)] == before
