@@ -37,9 +37,9 @@ spacing of a batch is the smallest over its rows, and a check fails for
 the whole batch when it fails for one row.  Projection (the spline) takes
 a single mesh.
 
-The monitor reads the spacings and value increments a grid state carries
-(``state.dx``, ``state.du``) rather than forming them again, and each mesh
-update returns its abscissae together with their spacings
+The monitor forms k Du from the spacings and increments a grid state
+carries, as (k du)/dx: k times ``state.slopes`` rounds differently.
+Each mesh update returns its abscissae with their spacings
 (``MeshUpdate.dx``), from which the next state is built.  The KdV and
 Burgers steps both take an adaptive mesh as
 ``equidistribute(monitor_arclength(state, k, params), domain, floor)``.
@@ -162,6 +162,7 @@ def monitor_arclength(state, k: float, params: MonitorParams) -> np.ndarray:
     Returns one weight per node; the final node has no forward difference, so
     the last interior value is repeated there.
     """
+    # not k * state.slopes, which rounds differently and would move the meshes
     slopes = k * state.du / state.dx
     d = np.empty(state.x.shape)
     np.sqrt(1.0 + params.alpha * slopes**2, out=d[..., :-1])
@@ -207,12 +208,11 @@ def equidistribute(delta: np.ndarray, domain: tuple[float, float],
     return MeshUpdate(x_next, dx, _checked_min_spacing(dx, floor))
 
 
-def _natural_spline_moments(x: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Second derivatives of the natural cubic spline at the knots."""
-    n = x.size
+def _natural_spline_moments(h: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Natural cubic spline second derivatives at the knots from spacings h, values u."""
+    n = u.size
     if n < 3:
         return np.zeros(n)
-    h = x[1:] - x[:-1]
     off = h[1:-1]
     rhs = 6.0 * ((u[2:] - u[1:-1]) / h[1:] - (u[1:-1] - u[:-2]) / h[:-1])
     mom = np.zeros(n)
@@ -236,8 +236,8 @@ def spline_project(x_src: np.ndarray, u_src: np.ndarray,
         raise OutOfDomain("projection target outside the source hull")
     xq = np.clip(xq, lo, hi)
 
-    mom = _natural_spline_moments(x_src, u_src)
-    h = np.diff(x_src)
+    h = x_src[1:] - x_src[:-1]
+    mom = _natural_spline_moments(h, u_src)
     j = np.clip(np.searchsorted(x_src, xq, side="right") - 1, 0, x_src.size - 2)
     dl = xq - x_src[j]
     dr = x_src[j + 1] - xq

@@ -23,8 +23,9 @@ KdV equation u_t + u u_x + u_xxx = 0
     with a pentadiagonal matrix, solved by one banded linear solve.  Both
     residuals are relative invariants of weight lam^-5; k h_i^2 times the
     residual is the exact invariant combination, which is what invariance
-    audits compare.  They divide by spacings that GridState checked where
-    it was built; no absolute threshold of their own breaks the scaling.
+    audits compare.  They read Du and D3u from the GridState (D3u formed
+    once, on first use, by ``GridState.d3u``) and divide by spacings it
+    checked; no absolute threshold of their own breaks the scaling.
 
 Burgers equation u_t + u u_x = nu u_xx
     Finite-volume step in conservative computational-variable form
@@ -91,11 +92,11 @@ class GridState:
     states with one state per row; x increases along the last axis.  t is a
     float, or for a batch a (B, 1) column of per-row times.
 
-    The state carries its spacings ``dx`` and value increments ``du`` (x
-    and u differenced along the last axis), formed once where it is built;
-    the monitor, the scheme residuals and the run loop read them instead of
-    differencing again.  The arrays of a state are not modified after it is
-    built, and a step never writes into the state it advances.
+    The state carries its spacings ``dx``, increments ``du`` and slopes
+    ``slopes = du / dx`` along the last axis, formed where it is built, and
+    its third differences ``d3u``, formed once on first use; the monitor,
+    the residuals, the Burgers fluxes and the run loop read them.  Its
+    arrays are never modified after it is built, not even by a step.
     """
 
     t: float
@@ -103,6 +104,7 @@ class GridState:
     u: np.ndarray
     dx: np.ndarray = field(init=False, compare=False, repr=False)
     du: np.ndarray = field(init=False, compare=False, repr=False)
+    slopes: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         x = np.asarray(self.x, dtype=float)
@@ -121,11 +123,19 @@ class GridState:
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "dx", dx)
         object.__setattr__(self, "du", du)
+        object.__setattr__(self, "slopes", du / dx)
 
     @property
     def n(self) -> int:
         """Nodes per state."""
         return int(self.x.shape[-1])
+
+    @functools.cached_property
+    def d3u(self) -> np.ndarray:
+        """Third differences D3u_1 .. D3u_{N-3} (module docstring); entry j is D3u_{j+1}."""
+        h, s = self.dx, self.slopes
+        q = (s[..., 1:] - s[..., :-1]) / (h[..., 1:] + h[..., :-1])
+        return (2.0 / h[..., 1:-1]) * (q[..., 1:] - q[..., :-1])
 
     @classmethod
     def _unchecked(cls, t, x: np.ndarray, u: np.ndarray, dx: np.ndarray) -> "GridState":
@@ -138,6 +148,7 @@ class GridState:
         object.__setattr__(st, "u", u)
         object.__setattr__(st, "dx", dx)
         object.__setattr__(st, "du", u[..., 1:] - u[..., :-1])
+        object.__setattr__(st, "slopes", st.du / dx)
         return st
 
 
@@ -258,15 +269,6 @@ def uxx_step(x_im1: float, x_i: float, u_im1: float, u_i: float,
 # KdV schemes
 # ---------------------------------------------------------------------------
 
-def _d3u(h: np.ndarray, du: np.ndarray) -> np.ndarray:
-    """Nonuniform third differences D3u_1 .. D3u_{N-3} from spacings and slopes.
-
-    ``h[m] = x_{m+1} - x_m`` and ``du[m] = Du_m``; entry j is D3u_{j+1}.
-    """
-    q = (du[..., 1:] - du[..., :-1]) / (h[..., 1:] + h[..., :-1])
-    return (2.0 / h[..., 1:-1]) * (q[..., 1:] - q[..., :-1])
-
-
 def _check_kdv_pair(prev: GridState, nxt: GridState, k: float):
     if prev.x.shape != nxt.x.shape:
         raise ValueError("states must share their shape")
@@ -280,8 +282,7 @@ def kdv_residual_6pt(prev: GridState, nxt: GridState, k: float) -> np.ndarray:
     """Per-node residual of the six-point invariant scheme, nodes 2..N-3."""
     _check_kdv_pair(prev, nxt, k)
     u0, u1 = prev.u, nxt.u
-    du0 = prev.du / prev.dx
-    d30 = _d3u(prev.dx, du0)
+    du0, d30 = prev.slopes, prev.d3u
     sig = nxt.x - prev.x
     return (
         (u1[..., 2:-2] - u0[..., 2:-2]) / k
@@ -294,10 +295,8 @@ def kdv_residual_10pt(prev: GridState, nxt: GridState, k: float) -> np.ndarray:
     """Per-node residual of the ten-point invariant scheme, nodes 2..N-3."""
     _check_kdv_pair(prev, nxt, k)
     u0, u1 = prev.u, nxt.u
-    du0 = prev.du / prev.dx
-    du1 = nxt.du / nxt.dx
-    d30 = _d3u(prev.dx, du0)
-    d31 = _d3u(nxt.dx, du1)
+    du0, d30 = prev.slopes, prev.d3u
+    du1, d31 = nxt.slopes, nxt.d3u
     sig = nxt.x - prev.x
     return (
         (u1[..., 2:-2] - u0[..., 2:-2]) / k
@@ -474,13 +473,13 @@ def naive_kdv_step(prev: GridState, k: float, h: float) -> GridState:
 # Burgers finite-volume scheme
 # ---------------------------------------------------------------------------
 
-def _burgers_parts(x0: np.ndarray, u0: np.ndarray, x1: np.ndarray,
-                   h0: np.ndarray, dlt: np.ndarray, h1: np.ndarray,
+def _burgers_parts(prev: GridState, x1: np.ndarray, h1: np.ndarray,
                    k: float, nu: float, phi_override: float | None = None):
     """Blended coefficient of u^{n+1}_i, constant part, and flux difference.
 
-    ``h0``, ``dlt`` and ``h1`` are x0, u0 and x1 differenced along the last
-    axis.  Valid on the interior i = 1..N-2.  Slopes and differences that
+    ``prev`` is the state advanced onto the abscissae ``x1`` with spacings
+    ``h1``; its carried ``dx``, ``du`` and ``slopes`` are read, not formed
+    again.  Valid on the interior i = 1..N-2.  Slopes and differences that
     the low-order stencil needs beyond the mesh are constant-extrapolated
     from the boundary.  Stencil neighbours are slices of the last axis:
     ``a[2:]``, ``a[1:-1]`` and ``a[:-2]`` hold a_{i+1}, a_i and a_{i-1} of
@@ -488,8 +487,9 @@ def _burgers_parts(x0: np.ndarray, u0: np.ndarray, x1: np.ndarray,
     interval-based ones.  ``phi_override`` pins the limiter weight (0 =
     pure low order, 1 = pure high order) for conservation probes.
     """
+    u0, h0, dlt = prev.u, prev.dx, prev.du
     lead, n = u0.shape[:-1], u0.shape[-1]
-    sig = x1 - x0
+    sig = x1 - prev.x
     u_c = u0[..., 1:-1]
     # dlt_e[m+1] = Delta u_m = u_{m+1} - u_m, with the ghost dlt_e[0] = Delta u_0
     dlt_e = np.empty(lead + (n,))
@@ -498,7 +498,7 @@ def _burgers_parts(x0: np.ndarray, u0: np.ndarray, x1: np.ndarray,
     # du_e[m+1] = Du_m with ghosts du_e[0] = Du_0 and du_e[n] = Du_{n-2}, so
     # the differences du_e[m+1] - du_e[m] vanish at both ends
     du_e = np.empty(lead + (n + 1,))
-    np.divide(dlt, h0, out=du_e[..., 1:-1])
+    du_e[..., 1:-1] = prev.slopes
     du_e[..., 0] = du_e[..., 1]
     du_e[..., -1] = du_e[..., -2]
     nu_ddu = nu * (du_e[..., 1:] - du_e[..., :-1])
@@ -556,7 +556,7 @@ def burgers_fv_residual(prev: GridState, nxt: GridState, k: float, nu: float) ->
         raise ValueError("states must share their shape")
     if not _holds(k > 0.0):
         raise ValueError("time step must be positive")
-    coef, const, dsf = _burgers_parts(prev.x, prev.u, nxt.x, prev.dx, prev.du, nxt.dx, k, nu)
+    coef, const, dsf = _burgers_parts(prev, nxt.x, nxt.dx, k, nu)
     return coef * nxt.u[..., 1:-1] + const + k * dsf
 
 
@@ -585,7 +585,7 @@ def burgers_fv_step_detailed(
     upd = equidistribute(monitor_arclength(prev, k, MonitorParams(alpha)), (a, b),
                          floor=spacing_floor)
     x1 = upd.x_next
-    coef, const, dsf = _burgers_parts(prev.x, prev.u, x1, prev.dx, prev.du, upd.dx, k, nu)
+    coef, const, dsf = _burgers_parts(prev, x1, upd.dx, k, nu)
     u1 = prev.u.copy()
     u1[..., 1:-1] = -(const + k * dsf) / coef
     # equidistribute has checked the spacings of x1

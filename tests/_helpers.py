@@ -219,3 +219,20 @@ def equidistribution_residual(delta, x_next) -> float:
     p = 0.5 * (d[..., 1:] + d[..., :-1]) * np.diff(x, axis=-1)
     scale = d.max(axis=-1) * (x[..., -1] - x[..., 0])
     return float((np.abs(np.diff(p, axis=-1)).max(axis=-1) / scale).max())
+
+
+def third_differences(x, u) -> np.ndarray:
+    """Nonuniform third differences D3u_1 .. D3u_{n-3} of each row, node by
+    node on Python floats from the definition
+    D3u_i = (2/h_i) [(Du_{i+1}-Du_i)/(h_{i+1}+h_i) - (Du_i-Du_{i-1})/(h_i+h_{i-1})]
+    with h_i = x_{i+1} - x_i and Du_i = (u_{i+1} - u_i)/h_i: the oracle of
+    ``GridState.d3u``, with the same operations in the same order."""
+    x, u = np.asarray(x, dtype=float), np.asarray(u, dtype=float)
+    if x.ndim > 1:
+        return np.array([third_differences(xr, ur) for xr, ur in zip(x, u)])
+    xs, us = x.tolist(), u.tolist()
+    h = [b - a for a, b in zip(xs, xs[1:])]
+    du = [(b - a) / hm for a, b, hm in zip(us, us[1:], h)]
+    return np.array([2.0 / h[i] * ((du[i + 1] - du[i]) / (h[i + 1] + h[i])
+                                   - (du[i] - du[i - 1]) / (h[i] + h[i - 1]))
+                     for i in range(1, len(xs) - 2)])

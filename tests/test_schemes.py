@@ -26,7 +26,6 @@ from symfd.schemes import (
     _RKF_ERR,
     _burgers_parts,
     _band_layout,
-    _d3u,
     _solve_affine_banded,
     burgers_fv_residual,
     burgers_fv_step,
@@ -59,6 +58,7 @@ from _helpers import (
     rand_mesh_row,
     rand_sl2_safe,
     rel_err,
+    third_differences,
 )
 
 
@@ -288,8 +288,7 @@ def test_uxx_w_zero_set_preserved():
 # ---------------------------------------------------------------------------
 
 def _row_d3u(x, u):
-    h = np.diff(x)
-    return _d3u(h, np.diff(u) / h)
+    return GridState(0.0, x, u).d3u
 
 
 def test_d3u_polynomial_oracle():
@@ -300,12 +299,7 @@ def test_d3u_polynomial_oracle():
         assert np.allclose(_row_d3u(xr, xr**exponent), expected, rtol=0.0, atol=1e-11)
     x = np.array([-1.0, -0.6, 0.1, 0.3, 1.2, 1.5, 2.6])
     u = np.sin(2.0 * x)
-    h = np.diff(x)
-    du = np.diff(u) / h
-    oracle = [2.0 / h[i] * ((du[i + 1] - du[i]) / (h[i + 1] + h[i])
-                            - (du[i] - du[i - 1]) / (h[i] + h[i - 1]))
-              for i in range(1, x.size - 2)]
-    assert np.allclose(_row_d3u(x, u), oracle, rtol=1e-14, atol=1e-14)
+    assert np.allclose(_row_d3u(x, u), third_differences(x, u), rtol=1e-14, atol=1e-14)
 
 
 def test_d3u_group_invariance():
@@ -538,8 +532,8 @@ def test_naive_kdv_short_soliton_accuracy():
 # ---------------------------------------------------------------------------
 
 def _parts(x0, u0, x1, k, nu, phi_override=None):
-    """_burgers_parts with the spacings and increments it is handed formed here."""
-    return _burgers_parts(x0, u0, x1, np.diff(x0), np.diff(u0), np.diff(x1), k, nu, phi_override)
+    """_burgers_parts of the state (x0, u0) advanced onto x1."""
+    return _burgers_parts(GridState(0.0, x0, u0), x1, np.diff(x1), k, nu, phi_override)
 
 
 def _limiter_phi(x0, u0, x1, k):
@@ -1225,13 +1219,57 @@ _STEPS = {
 }
 
 
+def _carried(state):
+    """The bytes of a state's arrays and of the differences it carries from its build."""
+    return [a.tobytes() for a in (state.x, state.u, state.dx, state.du, state.slopes)]
+
+
 @pytest.mark.parametrize("name, rows", [(name, rows) for name, (_step, batches) in _STEPS.items()
                                         for rows in ([None, 3] if batches else [None])])
 def test_steps_carry_exact_differences_and_leave_their_input_alone(name, rows):
     step = _STEPS[name][0]
     for seed in (5, 6, 7):
         prev = _state(DeterministicRng(seed), rows)
-        before = [a.tobytes() for a in (prev.x, prev.u, prev.dx, prev.du)]
+        before = _carried(prev)
         nxt = step(prev)
         assert _same_bits(nxt.dx, np.diff(nxt.x)) and _same_bits(nxt.du, np.diff(nxt.u))
-        assert [a.tobytes() for a in (prev.x, prev.u, prev.dx, prev.du)] == before
+        assert _same_bits(nxt.slopes, np.diff(nxt.u) / np.diff(nxt.x))
+        assert _same_bits(nxt.d3u, third_differences(nxt.x, nxt.u))
+        assert _carried(prev) == before
+        # with prev's third differences formed, a second step gives the same
+        # state and leaves them as they were
+        assert _same_bits(prev.d3u, third_differences(prev.x, prev.u))
+        d3u = prev.d3u.tobytes()
+        again = step(prev)
+        assert _same_bits(again.x, nxt.x) and _same_bits(again.u, nxt.u)
+        assert _carried(prev) == before and prev.d3u.tobytes() == d3u
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), n=st.integers(3, 10), rows=st.sampled_from([None, 1, 4]))
+def test_checked_and_unchecked_states_carry_the_same_differences(data, n, rows):
+    x = _mesh(data.draw, n, rows)
+    u = _values(data.draw, n, rows, _FLAT_U)
+    t = _per_row(data.draw, st.floats(-1.0, 1.0), rows)
+    checked = GridState(t, x, u)
+    unchecked = GridState._unchecked(t, x, u, np.diff(x))
+    for name in ("dx", "du", "slopes", "d3u"):
+        assert _same_bits(getattr(checked, name), getattr(unchecked, name)), name
+    assert _same_bits(checked.d3u, third_differences(x, u))
+
+
+@pytest.mark.parametrize("rows", [None, 3])
+def test_ten_point_residual_on_formed_third_differences_matches_fresh_states(rows):
+    # one previous level against several next levels: the differences it
+    # formed for the first residual must not stand in for another level's
+    rng = DeterministicRng(41)
+    prev = _state(rng, rows)
+    nexts = [_state(rng, rows) for _ in range(3)]
+    k = 0.01
+    first = [kdv_residual_10pt(prev, nxt, k) for nxt in nexts]
+    for state in (prev, *nexts):
+        assert _same_bits(state.d3u, third_differences(state.x, state.u))
+    for nxt, res in zip(nexts, first):
+        fresh = kdv_residual_10pt(GridState(prev.t, prev.x, prev.u),
+                                  GridState(nxt.t, nxt.x, nxt.u), k)
+        assert _same_bits(kdv_residual_10pt(prev, nxt, k), fresh) and _same_bits(res, fresh)
