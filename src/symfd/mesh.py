@@ -35,7 +35,7 @@ batch are (B, 1) columns (the time step k, alpha), except the domain
 endpoints of equidistribution, which are (B,) arrays.  The minimum
 spacing of a batch is the smallest over its rows, and a check fails for
 the whole batch when it fails for one row.  Projection (the spline) takes
-a single mesh.
+a single grid state and reads its spacings and slopes.
 
 The monitor forms k Du from the spacings and increments a grid state
 carries, as (k du)/dx: k times ``state.slopes`` rounds differently.
@@ -208,27 +208,24 @@ def equidistribute(delta: np.ndarray, domain: tuple[float, float],
     return MeshUpdate(x_next, dx, _checked_min_spacing(dx, floor))
 
 
-def _natural_spline_moments(h: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Natural cubic spline second derivatives at the knots from spacings h, values u."""
-    n = u.size
-    if n < 3:
-        return np.zeros(n)
+def _natural_spline_moments(h: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Natural cubic spline second derivatives at the knots from the knot
+    spacings h and the slopes s of the data over them."""
     off = h[1:-1]
-    rhs = 6.0 * ((u[2:] - u[1:-1]) / h[1:] - (u[1:-1] - u[:-2]) / h[:-1])
-    mom = np.zeros(n)
+    rhs = 6.0 * (s[1:] - s[:-1])
+    mom = np.zeros(h.size + 1)
     mom[1:-1] = _solve_tridiagonal(off, 2.0 * (h[:-1] + h[1:]), off, rhs)
     return mom
 
 
-def spline_project(x_src: np.ndarray, u_src: np.ndarray,
-                   x_target: np.ndarray) -> np.ndarray:
-    """Natural cubic spline built on (x_src, u_src), evaluated at x_target.
+def spline_project(src, x_target: np.ndarray) -> np.ndarray:
+    """Natural cubic spline through the grid state ``src``, built from its
+    ``dx`` and ``slopes``, evaluated at x_target.
 
     Targets must lie inside the source hull; targets beyond an endpoint by at
     most 1e-12 (relative to the hull width) take the boundary data.
     """
-    x_src = np.asarray(x_src, dtype=float)
-    u_src = np.asarray(u_src, dtype=float)
+    x_src, u_src, h = src.x, src.u, src.dx
     xq = np.asarray(x_target, dtype=float)
     lo, hi = x_src[0], x_src[-1]
     slack = 1e-12 * (hi - lo)
@@ -236,8 +233,7 @@ def spline_project(x_src: np.ndarray, u_src: np.ndarray,
         raise OutOfDomain("projection target outside the source hull")
     xq = np.clip(xq, lo, hi)
 
-    h = x_src[1:] - x_src[:-1]
-    mom = _natural_spline_moments(h, u_src)
+    mom = _natural_spline_moments(h, src.slopes)
     j = np.clip(np.searchsorted(x_src, xq, side="right") - 1, 0, x_src.size - 2)
     dl = xq - x_src[j]
     dr = x_src[j + 1] - xq

@@ -551,53 +551,21 @@ def _draw_sl2(rng: DeterministicRng, direction: str) -> SL2Element:
     return g.compose(_draw_sl2(rng, "special_u"))
 
 
-def _draw_kdv(rng: DeterministicRng, direction: str) -> KdVGroupElement:
-    if direction == "shift_x":
-        return KdVGroupElement(1.0, 0.0, rng.uniform(-1.0, 1.0), 0.0)
-    if direction == "shift_t":
-        return KdVGroupElement(1.0, 0.0, 0.0, rng.uniform(-1.0, 1.0))
-    if direction == "boost":
-        return KdVGroupElement(1.0, rng.uniform(-1.0, 1.0), 0.0, 0.0)
-    if direction == "scale":
-        return KdVGroupElement(math.exp(rng.uniform(-0.6, 0.6)), 0.0, 0.0, 0.0)
-    return KdVGroupElement(
-        math.exp(rng.uniform(-0.6, 0.6)),
-        rng.uniform(-1.0, 1.0),
-        rng.uniform(-1.0, 1.0),
-        rng.uniform(-1.0, 1.0),
-    )
+def _uniform(lim: float):
+    return lambda rng: rng.uniform(-lim, lim)
 
 
-def _draw_burgers(rng: DeterministicRng, direction: str) -> BurgersGroupElement:
-    if direction == "shift_x":
-        return BurgersGroupElement(eps1=rng.uniform(-1.0, 1.0))
-    if direction == "shift_t":
-        return BurgersGroupElement(eps2=rng.uniform(-1.0, 1.0))
-    if direction == "boost":
-        return BurgersGroupElement(eps3=rng.uniform(-1.0, 1.0))
-    if direction == "scale":
-        return BurgersGroupElement(eps4=rng.uniform(-0.6, 0.6))
-    return BurgersGroupElement(
-        rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0),
-        rng.uniform(-1.0, 1.0), rng.uniform(-0.6, 0.6),
-    )
+def _exp_uniform(lim: float):
+    return lambda rng: math.exp(rng.uniform(-lim, lim))
 
 
-def _draw_affine5(rng: DeterministicRng, direction: str):
-    """(lam, alpha, a, b, beta) for X = lam x + a, U = alpha u + beta x + b."""
-    lam = alpha = 1.0
-    a = b = beta = 0.0
-    if direction in ("shift_x", "mixed"):
-        a = rng.uniform(-1.0, 1.0)
-    if direction in ("shift_u", "mixed"):
-        b = rng.uniform(-1.0, 1.0)
-    if direction in ("scale_x", "mixed"):
-        lam = math.exp(rng.uniform(-0.7, 0.7))
-    if direction in ("shear", "mixed"):
-        beta = rng.uniform(-1.0, 1.0)
-    if direction in ("scale_u", "mixed"):
-        alpha = math.exp(rng.uniform(-0.7, 0.7))
-    return (lam, alpha, a, b, beta)
+def _draw(rng: DeterministicRng, direction: str, coords) -> list[float]:
+    """An element's coordinates from its table ``coords`` of (direction,
+    identity, draw) entries, in table order: a coordinate is drawn when
+    ``direction`` names it or is ``"mixed"`` and is its identity otherwise."""
+    mixed = direction == "mixed"
+    return [draw(rng) if mixed or direction == name else identity
+            for name, identity, draw in coords]
 
 
 def _random_mesh(rng: DeterministicRng, n: int) -> np.ndarray:
@@ -621,10 +589,13 @@ def _stack(states: list[GridState]) -> tuple[np.ndarray, np.ndarray]:
 # (``draw_element``, raising _Resample for a draw it rejects from the
 # element and config alone; only these redraws count as resampled) and
 # evaluates a row of trials, trial c on config c, as one batch
-# (``deviations``, returning the strong and weak deviations).  In the KdV
-# and Burgers audits a step of the transformed configurations that fails is
-# an infinite weak deviation of every trial in the batch (``_weak_dev``),
-# which fails the audit.
+# (``deviations``, returning the strong and weak deviations).  The KdV and
+# Burgers audits share these steps (``_PDEAudit``) and differ in their
+# element type, its coordinate table for ``_draw``, its factors and image,
+# the residual and the step; a configuration's own step is the step under
+# the identity's factors, which is the plain step bit for bit.  A step of
+# the transformed configurations that fails is an infinite weak deviation
+# of every trial in the batch (``_weak_dev``), which fails the audit.
 
 
 def _config_step(step):
@@ -696,13 +667,43 @@ class _SchwarzianAudit:
                 _rel_dev(np.array(iw)[:, None], np.array(gw)[:, None]))
 
 
-class _KdVAudit:
+class _PDEAudit:
+    """A KdV or Burgers audit of configurations (prev, nxt, k, *coefs)."""
+
     directions = ("shift_x", "shift_t", "boost", "scale", "mixed")
+
+    def prepare(self, configs):
+        self.x0, self.u0 = _stack([c[0] for c in configs])
+        self.x1, self.u1 = _stack([c[1] for c in configs])
+        self.k, *self.coefs = np.array([c[2:] for c in configs]).T[..., None]
+        prev = GridState(0.0, self.x0, self.u0)
+        self.base = self.residual(prev, GridState(self.k, self.x1, self.u1), self.k)
+        identity = self.factors(self.element(*(e for _name, e, _f in self.coords)))
+        self.stepped = _config_step(lambda: self.step(prev, self.k, identity))
+
+    def draw_element(self, rng, direction, c):
+        return self.element(*_draw(rng, direction, self.coords))
+
+    def deviations(self, gs):
+        f = _batch_factors(self.factors, gs)
+        gp = GridState(*self.image(f, 0.0, self.x0, self.u0))
+        gn = GridState(*self.image(f, self.k, self.x1, self.u1))
+        img = self.residual(gp, gn, gn.t - gp.t)
+        _t, ix, iu = self.image(f, self.stepped.t, self.stepped.x, self.stepped.u)
+        return _rel_dev(self.base, img), _weak_dev(lambda: self.step(gp, self.k, f), ix, iu)
+
+
+class _KdVAudit(_PDEAudit):
+    coords = (("scale", 1.0, _exp_uniform(0.6)), ("boost", 0.0, _uniform(1.0)),
+              ("shift_x", 0.0, _uniform(1.0)), ("shift_t", 0.0, _uniform(1.0)))
+    element = KdVGroupElement
+    factors = staticmethod(_kdv_factors)
+    image = staticmethod(_kdv_image)
 
     def __init__(self, scheme: str):
         self.scheme = scheme
-        self.residual = (schemes.kdv_residual_6pt if scheme == "6pt"
-                         else schemes.kdv_residual_10pt)
+        self._residual = (schemes.kdv_residual_6pt if scheme == "6pt"
+                          else schemes.kdv_residual_10pt)
 
     def draw_config(self, rng: DeterministicRng):
         n = 9
@@ -715,33 +716,19 @@ class _KdVAudit:
         nxt = GridState(k, _random_mesh(rng, n), _random_u(rng, n))
         return (prev, nxt, k)
 
-    def prepare(self, configs):
-        self.x0, self.u0 = _stack([c[0] for c in configs])
-        self.x1, self.u1 = _stack([c[1] for c in configs])
-        self.k = np.array([[c[2]] for c in configs])
-        prev = GridState(0.0, self.x0, self.u0)
-        self.base = (self.residual(prev, GridState(self.k, self.x1, self.u1), self.k)
-                     * schemes.kdv_invariant_normalizer(prev, self.k))
-        self.stepped = _config_step(
-            lambda: schemes.kdv_step(prev, self.k, "lagrangian", self.scheme))
+    def residual(self, prev, nxt, k):
+        return self._residual(prev, nxt, k) * schemes.kdv_invariant_normalizer(prev, k)
 
-    def draw_element(self, rng, direction, c):
-        return _draw_kdv(rng, direction)
-
-    def deviations(self, gs):
-        f = _batch_factors(_kdv_factors, gs)
-        k, st = self.k, self.stepped
-        gp = GridState(*_kdv_image(f, 0.0, self.x0, self.u0))
-        gn = GridState(*_kdv_image(f, k, self.x1, self.u1))
-        gk = gn.t - gp.t
-        img = self.residual(gp, gn, gk) * schemes.kdv_invariant_normalizer(gp, gk)
-        _t, ix, iu = _kdv_image(f, st.t, st.x, st.u)
-        return _rel_dev(self.base, img), _weak_dev(
-            lambda: schemes.kdv_step(gp, f[2] * k, "lagrangian", self.scheme), ix, iu)
+    def step(self, prev, k, f):
+        return schemes.kdv_step(prev, f[2] * k, "lagrangian", self.scheme)
 
 
-class _BurgersAudit:
-    directions = ("shift_x", "shift_t", "boost", "scale", "mixed")
+class _BurgersAudit(_PDEAudit):
+    coords = (("shift_x", 0.0, _uniform(1.0)), ("shift_t", 0.0, _uniform(1.0)),
+              ("boost", 0.0, _uniform(1.0)), ("scale", 0.0, _uniform(0.6)))
+    element = BurgersGroupElement
+    factors = staticmethod(_burgers_factors)
+    image = staticmethod(_burgers_image)
 
     def draw_config(self, rng: DeterministicRng):
         n = 8
@@ -761,33 +748,21 @@ class _BurgersAudit:
                 continue
             return (prev, nxt, k, nu, alpha)
 
-    def prepare(self, configs):
-        self.x0, self.u0 = _stack([c[0] for c in configs])
-        self.x1, self.u1 = _stack([c[1] for c in configs])
-        self.k, self.nu, self.alpha = np.array([c[2:] for c in configs]).T[..., None]
-        prev = GridState(0.0, self.x0, self.u0)
-        self.base = schemes.burgers_fv_residual(
-            prev, GridState(self.k, self.x1, self.u1), self.k, self.nu)
-        self.stepped = _config_step(
-            lambda: schemes.burgers_fv_step(prev, self.k, self.nu, self.alpha))
+    def residual(self, prev, nxt, k):
+        return schemes.burgers_fv_residual(prev, nxt, k, self.coefs[0])
 
-    def draw_element(self, rng, direction, c):
-        return _draw_burgers(rng, direction)
-
-    def deviations(self, gs):
-        f = _batch_factors(_burgers_factors, gs)
+    def step(self, prev, k, f):
         s, s2, _e1, _e2, e3 = f
-        k, nu, st = self.k, self.nu, self.stepped
-        gp = GridState(*_burgers_image(f, 0.0, self.x0, self.u0))
-        gn = GridState(*_burgers_image(f, k, self.x1, self.u1))
-        img = schemes.burgers_fv_residual(gp, gn, gn.t - gp.t, nu)
-        _t, ix, iu = _burgers_image(f, st.t, st.x, st.u)
-        return _rel_dev(self.base, img), _weak_dev(
-            lambda: schemes.burgers_fv_step(gp, s2 * k, nu, self.alpha, drift=e3 / s), ix, iu)
+        nu, alpha = self.coefs
+        return schemes.burgers_fv_step(prev, s2 * k, nu, alpha, drift=e3 / s)
 
 
 class _UxxAudit:
     directions = ("shift_x", "shift_u", "scale_x", "shear", "scale_u", "mixed")
+    # (a, b, lam, beta, alpha) for X = lam x + a, U = alpha u + beta x + b
+    coords = (("shift_x", 0.0, _uniform(1.0)), ("shift_u", 0.0, _uniform(1.0)),
+              ("scale_x", 1.0, _exp_uniform(0.7)), ("shear", 0.0, _uniform(1.0)),
+              ("scale_u", 1.0, _exp_uniform(0.7)))
 
     def draw_config(self, rng: DeterministicRng):
         x = _random_mesh(rng, 3)
@@ -803,11 +778,11 @@ class _UxxAudit:
         self.stepped = [schemes.uxx_step(x[0], x[1], u[0], u[1], f) for x, u, f in configs]
 
     def draw_element(self, rng, direction, c):
-        return _draw_affine5(rng, direction)
+        return _draw(rng, direction, self.coords)
 
     @staticmethod
     def _apply(g, x, u):
-        lam, alpha, a, b, beta = g
+        a, b, lam, beta, alpha = g
         return lam * x + a, alpha * u + beta * x + b
 
     def deviations(self, gs):

@@ -414,7 +414,7 @@ def kdv_step_detailed(
 
     u1 = prev.u.copy()
     if scheme == "6pt":
-        r0 = kdv_residual_6pt(prev, GridState(prev.t + k, x1, prev.u), k)
+        r0 = kdv_residual_6pt(prev, GridState._unchecked(prev.t + k, x1, prev.u, upd.dx), k)
         u1[..., 2:-2] = prev.u[..., 2:-2] - k * r0  # first term vanished at the guess u1 = u0
         iters = 0
     else:
@@ -432,7 +432,7 @@ def kdv_step_detailed(
     min_spacing = upd.min_spacing
     if mesh_strategy == "projection":
         target = np.clip(prev.x, x1[0], x1[-1])
-        u_proj = spline_project(x1, u1, target)
+        u_proj = spline_project(nxt, target)
         nxt = GridState._unchecked(prev.t + k, prev.x, u_proj, prev.dx)
         min_spacing = float(prev.dx.min())
 

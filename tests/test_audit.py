@@ -20,7 +20,14 @@ from hypothesis import strategies as st
 from symfd import runner, schemes
 from symfd.cli import main as cli_main
 from symfd.errors import ConfigError, MeshTangling, SchemeSingularity, SymfdError
-from symfd.groups import SL2Element, apply_burgers, apply_kdv, apply_sl2
+from symfd.groups import (
+    BurgersGroupElement,
+    KdVGroupElement,
+    SL2Element,
+    apply_burgers,
+    apply_kdv,
+    apply_sl2,
+)
 from symfd.rng import DeterministicRng
 from symfd.runner import AUDIT_SCHEMES, AuditReport, invariance_audit
 from symfd.schemes import GridState
@@ -39,6 +46,58 @@ def _rel(a, b) -> float:
     b = np.atleast_1d(np.asarray(b, dtype=float))
     scale = max(1.0, float(np.max(np.abs(a))), float(np.max(np.abs(b))))
     return float(np.max(np.abs(a - b))) / scale
+
+
+# The reference draws its KdV, Burgers and affine elements on its own, so
+# that it checks the audit's coordinate tables for ``runner._draw``.
+
+def _draw_kdv(rng: DeterministicRng, direction: str) -> KdVGroupElement:
+    if direction == "shift_x":
+        return KdVGroupElement(1.0, 0.0, rng.uniform(-1.0, 1.0), 0.0)
+    if direction == "shift_t":
+        return KdVGroupElement(1.0, 0.0, 0.0, rng.uniform(-1.0, 1.0))
+    if direction == "boost":
+        return KdVGroupElement(1.0, rng.uniform(-1.0, 1.0), 0.0, 0.0)
+    if direction == "scale":
+        return KdVGroupElement(math.exp(rng.uniform(-0.6, 0.6)), 0.0, 0.0, 0.0)
+    return KdVGroupElement(
+        math.exp(rng.uniform(-0.6, 0.6)),
+        rng.uniform(-1.0, 1.0),
+        rng.uniform(-1.0, 1.0),
+        rng.uniform(-1.0, 1.0),
+    )
+
+
+def _draw_burgers(rng: DeterministicRng, direction: str) -> BurgersGroupElement:
+    if direction == "shift_x":
+        return BurgersGroupElement(eps1=rng.uniform(-1.0, 1.0))
+    if direction == "shift_t":
+        return BurgersGroupElement(eps2=rng.uniform(-1.0, 1.0))
+    if direction == "boost":
+        return BurgersGroupElement(eps3=rng.uniform(-1.0, 1.0))
+    if direction == "scale":
+        return BurgersGroupElement(eps4=rng.uniform(-0.6, 0.6))
+    return BurgersGroupElement(
+        rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0),
+        rng.uniform(-1.0, 1.0), rng.uniform(-0.6, 0.6),
+    )
+
+
+def _draw_affine5(rng: DeterministicRng, direction: str):
+    """(lam, alpha, a, b, beta) for X = lam x + a, U = alpha u + beta x + b."""
+    lam = alpha = 1.0
+    a = b = beta = 0.0
+    if direction in ("shift_x", "mixed"):
+        a = rng.uniform(-1.0, 1.0)
+    if direction in ("shift_u", "mixed"):
+        b = rng.uniform(-1.0, 1.0)
+    if direction in ("scale_x", "mixed"):
+        lam = math.exp(rng.uniform(-0.7, 0.7))
+    if direction in ("shear", "mixed"):
+        beta = rng.uniform(-1.0, 1.0)
+    if direction in ("scale_u", "mixed"):
+        alpha = math.exp(rng.uniform(-0.7, 0.7))
+    return (lam, alpha, a, b, beta)
 
 
 def _kdv_state(g, s):
@@ -127,10 +186,10 @@ _ORACLES = {
                              _schwarzian_trial(False)),
     "schwarzian_invariantized": (lambda: runner._SchwarzianAudit(True), runner._draw_sl2,
                                  _schwarzian_trial(True)),
-    "kdv_6pt": (lambda: runner._KdVAudit("6pt"), runner._draw_kdv, _kdv_trial("6pt")),
-    "kdv_10pt": (lambda: runner._KdVAudit("10pt"), runner._draw_kdv, _kdv_trial("10pt")),
-    "burgers_fv": (runner._BurgersAudit, runner._draw_burgers, _burgers_trial),
-    "uxx": (runner._UxxAudit, runner._draw_affine5, _uxx_trial),
+    "kdv_6pt": (lambda: runner._KdVAudit("6pt"), _draw_kdv, _kdv_trial("6pt")),
+    "kdv_10pt": (lambda: runner._KdVAudit("10pt"), _draw_kdv, _kdv_trial("10pt")),
+    "burgers_fv": (runner._BurgersAudit, _draw_burgers, _burgers_trial),
+    "uxx": (runner._UxxAudit, _draw_affine5, _uxx_trial),
 }
 
 

@@ -221,7 +221,8 @@ def test_spline_reproduces_cubics_midspan():
     y = x**3 - 2.0 * x**2 + 0.5
     xq = np.linspace(3.5, 6.5, 41)
     exact = xq**3 - 2.0 * xq**2 + 0.5
-    assert np.max(np.abs(spline_project(x, y, xq) - exact)) <= 1e-10 * np.max(np.abs(exact))
+    got = spline_project(_state(x, y), xq)
+    assert np.max(np.abs(got - exact)) <= 1e-10 * np.max(np.abs(exact))
 
 
 def test_spline_equivariance():
@@ -230,7 +231,7 @@ def test_spline_equivariance():
     u = np.array([0.3, -1.0, 0.8, 1.4, -0.2, 0.5, 0.1])
     t = -0.3
     xq = np.linspace(float(x[0]), float(x[-1]), 23)
-    v = spline_project(x, u, xq)
+    v = spline_project(_state(x, u), xq)
     for _ in range(50):
         g = rand_kdv_element(rng)
         pts = [apply_kdv(g, (t, float(a), float(b))) for a, b in zip(x, u)]
@@ -238,7 +239,7 @@ def test_spline_equivariance():
         gu = np.array([p[2] for p in pts])
         img = np.array([apply_kdv(g, (t, float(a), float(b)))[2] for a, b in zip(xq, v)])
         gxq = np.array([apply_kdv(g, (t, float(a), 0.0))[1] for a in xq])
-        got = spline_project(gx, gu, gxq)
+        got = spline_project(_state(gx, gu), gxq)
         assert np.max(np.abs(got - img)) <= 1e-10 * (1.0 + np.max(np.abs(img)))
 
 
@@ -254,7 +255,7 @@ def test_spline_refinement_rate_on_soliton():
         src = exact_kdv_double_soliton(0.0, drift, 1.0, 0.0, 0.0, 0.0)
         xq = np.clip(x, drift[0], drift[-1])
         errs.append(float(np.max(np.abs(
-            spline_project(drift, src, xq) - u))))
+            spline_project(_state(drift, src), xq) - u))))
     rate1 = np.log2(errs[0] / errs[1])
     rate2 = np.log2(errs[1] / errs[2])
     assert 3.0 <= rate1 <= 5.0
@@ -264,16 +265,16 @@ def test_spline_refinement_rate_on_soliton():
 def test_spline_out_of_domain_and_clamp():
     x = np.linspace(0, 1, 11)
     u = x.copy()
-    got = spline_project(x, u, np.array([0.0 - 1e-13, 1.0]))
+    got = spline_project(_state(x, u), np.array([0.0 - 1e-13, 1.0]))
     assert got[0] == pytest.approx(0.0, abs=1e-12)
     with pytest.raises(OutOfDomain):
-        spline_project(x, u, np.array([1.1]))
+        spline_project(_state(x, u), np.array([1.1]))
     # the slack is relative to the hull width, also on a hull 2^-60 wide
     lam = 2.0**-60
-    got = spline_project(lam * x, u, lam * np.array([0.0 - 1e-13, 1.0]))
+    got = spline_project(_state(lam * x, u), lam * np.array([0.0 - 1e-13, 1.0]))
     assert got[0] == pytest.approx(0.0, abs=1e-12)
     with pytest.raises(OutOfDomain):
-        spline_project(lam * x, u, np.array([2.0 * lam]))
+        spline_project(_state(lam * x, u), np.array([2.0 * lam]))
 
 
 def test_spline_commutes_with_power_of_two_scaling():
@@ -285,10 +286,11 @@ def test_spline_commutes_with_power_of_two_scaling():
         x = np.cumsum(rng.uniform(0.1, 2.0, 40))
         u = rng.uniform(-2.0, 2.0, 40)
         xq = rng.uniform(x[0], x[-1], 1000)
-        v = spline_project(x, u, xq)
+        v = spline_project(_state(x, u), xq)
         for j in mismatches:
             lam = 2.0**j
-            mismatches[j] += int(np.count_nonzero(spline_project(lam * x, u, lam * xq) != v))
+            got = spline_project(_state(lam * x, u), lam * xq)
+            mismatches[j] += int(np.count_nonzero(got != v))
     assert mismatches == dict.fromkeys(mismatches, 0)
 
 
@@ -301,7 +303,7 @@ def test_spline_nan_data_gives_nonfinite_values():
     # reports the projected state instead
     x = np.linspace(0.0, 1.0, 6)
     u = np.array([0.0, 1.0, np.nan, 1.0, 0.0, 1.0])
-    out = spline_project(x, u, np.linspace(0.0, 1.0, 9))
+    out = spline_project(_state(x, u), np.linspace(0.0, 1.0, 9))
     assert out.shape == (9,)
     assert not np.all(np.isfinite(out))
 
