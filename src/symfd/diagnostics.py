@@ -6,19 +6,21 @@ for an N = 512 KdV run.  Held as a list of row objects, a row costs 224
 bytes or more: the object, a boxed step and four boxed floats.
 ``Diagnostics`` holds the same fields in typed arrays, about 51 bytes a
 row with the arrays' spare room, and builds a row object only when one is
-read.
+read.  ``DiagnosticsRow`` is the one declaration of the record: the store's
+columns, the CSV header and the CSV row format are all derived from its
+fields and their types, so a new per-step field is one annotated line.
 """
 
 from __future__ import annotations
 
 from array import array
 from collections.abc import Iterator, Sequence
-from typing import NamedTuple
+from typing import NamedTuple, get_type_hints
 
 
 class DiagnosticsRow(NamedTuple):
     """One step's diagnostics, in the column order of the diagnostics CSV,
-    which formats a row as it is."""
+    each field annotated with its column's type: ``int``, ``float`` or ``str``."""
 
     step: int
     t: float
@@ -33,50 +35,43 @@ class DiagnosticsRow(NamedTuple):
 _STATUSES = ("ok", "pole", "mesh_tangling", "scheme_singularity", "numerical_failure",
              "nonfinite")
 
+_TYPES = tuple(get_type_hints(DiagnosticsRow)[name] for name in DiagnosticsRow._fields)
+# the diagnostics CSV's header line, and the %-format of a row's line
+_CSV_HEADER = ",".join(DiagnosticsRow._fields) + "\n"
+_CSV_ROW = ",".join("%.17g" if typ is float else "%s" for typ in _TYPES) + "\n"
+
 
 class Diagnostics(Sequence):
     """A run's per-step diagnostics, held as columns and read as rows.
 
-    Each row appends its fields to typed arrays, 8 bytes a field, and its
-    status as a one-byte code into ``_STATUSES``.  Readers see a read-only
+    ``append`` takes a row's fields in ``DiagnosticsRow`` order: an
+    ``int`` or ``float`` goes to an 8-byte typed array, a ``str`` (the
+    status) as a one-byte code into ``_STATUSES``.  Readers see a read-only
     sequence: ``len``, indexing (negative indices and slices too) and
     iteration build each row when it is read, with the values appended,
     bit for bit.
     """
 
-    __slots__ = ("_step", "_t", "_min_spacing", "_tv", "_residual_inf", "_newton_iters",
-                 "_status")
+    __slots__ = ("_columns",)
 
     def __init__(self):
-        self._step = array("q")
-        self._t = array("d")
-        self._min_spacing = array("d")
-        self._tv = array("d")
-        self._residual_inf = array("d")
-        self._newton_iters = array("q")
-        self._status = bytearray()
+        self._columns = tuple(bytearray() if typ is str else array("q" if typ is int else "d")
+                              for typ in _TYPES)
 
-    def append(self, step: int, t: float, min_spacing: float, tv: float,
-               residual_inf: float, newton_iters: int, status: str) -> None:
-        self._step.append(step)
-        self._t.append(t)
-        self._min_spacing.append(min_spacing)
-        self._tv.append(tv)
-        self._residual_inf.append(residual_inf)
-        self._newton_iters.append(newton_iters)
-        self._status.append(_STATUSES.index(status))
+    def append(self, *row) -> None:
+        for column, typ, value in zip(self._columns, _TYPES, row, strict=True):
+            column.append(_STATUSES.index(value) if typ is str else value)
 
     def __len__(self) -> int:
-        return len(self._step)
+        return len(self._columns[0])
 
     def __getitem__(self, i):
         if isinstance(i, slice):
             return [self[j] for j in range(*i.indices(len(self)))]
-        return DiagnosticsRow(self._step[i], self._t[i], self._min_spacing[i], self._tv[i],
-                              self._residual_inf[i], self._newton_iters[i],
-                              _STATUSES[self._status[i]])
+        return DiagnosticsRow._make([_STATUSES[column[i]] if typ is str else column[i]
+                                     for column, typ in zip(self._columns, _TYPES)])
 
     def __iter__(self) -> Iterator[DiagnosticsRow]:
         return map(DiagnosticsRow._make,
-                   zip(self._step, self._t, self._min_spacing, self._tv, self._residual_inf,
-                       self._newton_iters, map(_STATUSES.__getitem__, self._status)))
+                   zip(*[map(_STATUSES.__getitem__, column) if typ is str else column
+                         for column, typ in zip(self._columns, _TYPES)]))

@@ -27,7 +27,7 @@ from typing import Callable, Iterable, Iterator
 import numpy as np
 
 from . import schemes
-from .diagnostics import Diagnostics, DiagnosticsRow
+from .diagnostics import _CSV_HEADER, _CSV_ROW, Diagnostics, DiagnosticsRow
 from .errors import (
     ConfigError,
     MeshTangling,
@@ -175,6 +175,7 @@ _DT_DEFAULT = {"kdv": 0.5, "burgers": 0.4}
 _SPACING_FLOOR_REL = 1e-3
 # a time loop snapshots every ceil(steps / _SNAPSHOTS) steps and at the end
 _SNAPSHOTS = 200
+_MAX_NODES = np.iinfo(np.intp).max // 8  # the most float64 values a numpy array holds
 
 
 @dataclass(frozen=True)
@@ -232,8 +233,10 @@ def validate_config(values: dict) -> ExperimentConfig:
         raise ConfigError(f"scheme {cfg['scheme']!r} does not solve {eq!r}")
     if cfg["n_points"] < 8:
         raise ConfigError("n_points must be at least 8")
-    if not cfg["domain_a"] < cfg["domain_b"]:
-        raise ConfigError("domain_a must be below domain_b")
+    if cfg["n_points"] > _MAX_NODES:
+        raise ConfigError(f"n_points must be at most {_MAX_NODES}, got {cfg['n_points']}")
+    if not 0.0 < cfg["domain_b"] - cfg["domain_a"] < math.inf:
+        raise ConfigError("domain_a must be below domain_b by a finite width")
     if eq in ("kdv", "burgers"):
         if not cfg["t_final"] > 0.0:
             raise ConfigError(f"{eq} runs need t_final > 0")
@@ -288,13 +291,12 @@ def format_snapshots_csv(out: RunOutput) -> Iterator[str]:
 
 def format_diagnostics_csv(out: RunOutput) -> Iterator[str]:
     """The diagnostics CSV: its header, then chunks of ``_DIAGNOSTICS_CHUNK`` rows."""
-    yield "step,t,min_spacing,tv,residual_inf,newton_iters,status\n"
+    yield _CSV_HEADER
     # rows are read one at a time (a run's store builds each as it is read),
     # and nothing of a chunk is held across its yield
     rows = iter(out.diagnostics)
     for _ in range(0, len(out.diagnostics), _DIAGNOSTICS_CHUNK):
-        yield "".join(["%s,%.17g,%.17g,%.17g,%.17g,%s,%s\n" % r
-                       for r in islice(rows, _DIAGNOSTICS_CHUNK)])
+        yield "".join([_CSV_ROW % r for r in islice(rows, _DIAGNOSTICS_CHUNK)])
 
 
 def write_outputs(out: RunOutput) -> None:
@@ -354,7 +356,7 @@ def _run_schwarzian(cfg: ExperimentConfig) -> RunOutput:
     ``numerical_failure``, and a node whose step or diagnostics raise stops
     it with ``scheme_singularity``; the output keeps the nodes before it.
     """
-    x, _h = _grid(cfg)
+    x = _grid(cfg)[0]
     u = np.empty(cfg.n_points)
     for j, v in enumerate(x[:3]):
         try:
@@ -400,13 +402,22 @@ def _schwarzian_march(x: np.ndarray, u: np.ndarray, source: Callable[[float], fl
     return None
 
 
-def _grid(cfg: ExperimentConfig) -> tuple[np.ndarray, float]:
-    """A run's initial nodes and spacing; ``kdv_naive``'s grid is periodic."""
-    n, a, b = cfg.n_points, cfg.domain_a, cfg.domain_b
-    if cfg.scheme == "kdv_naive":
-        return np.linspace(a, b, n, endpoint=False), float((b - a) / n)
-    x = np.linspace(a, b, n)
-    return x, float(x[1] - x[0])
+def _grid(cfg: ExperimentConfig) -> tuple[np.ndarray, float, int]:
+    """A run's initial nodes x and spacing h (``kdv_naive``'s grid is
+    periodic) and, for KdV or Burgers, its number of steps of k ~ dt_constant
+    h^3 or h^2; a ConfigError when k or that number cannot be represented."""
+    n, a, b, periodic = cfg.n_points, cfg.domain_a, cfg.domain_b, cfg.scheme == "kdv_naive"
+    x = np.linspace(a, b, n, endpoint=not periodic)
+    h = float((b - a) / n) if periodic else float(x[1] - x[0])
+    if cfg.equation == "schwarzian":
+        return x, h, 0
+    p = 3 if cfg.equation == "kdv" else 2
+    try:  # k underflows to 0 or overflows, or t_final / k overflows
+        return x, h, max(1, round(cfg.t_final / (cfg.dt_constant * h ** p)))
+    except (ZeroDivisionError, OverflowError):
+        raise ConfigError(f"dt_constant = {cfg.dt_constant!r} on spacing {h!r} gives no "
+                          f"countable steps of k = dt_constant h^{p} in t_final = "
+                          f"{cfg.t_final!r}") from None
 
 
 def _exact(cfg: ExperimentConfig, t: float, x):
@@ -428,22 +439,20 @@ def exact_snapshot(cfg: ExperimentConfig, t: float = 0.0) -> RunOutput:
     if cfg.equation == "schwarzian" and cfg.source_f != 2.0:
         raise ConfigError(f"tan x solves the schwarzian equation only for source_f = 2, "
                           f"got {cfg.source_f!r}")
-    x, _h = _grid(cfg)
+    x = _grid(cfg)[0]
     return RunOutput([(t, x, _exact(cfg, t, x))], [], "completed", cfg)
 
 
 def _run_pde(cfg: ExperimentConfig) -> RunOutput:
     """The KdV and Burgers time loop: step, check, record, snapshot.
 
-    k = t_final / steps with k ~ dt_constant h^3 (KdV) or h^2 (Burgers).
+    ``_grid`` gives the number of steps, each k = t_final / steps long.
     Snapshots are taken every ceil(steps / 200) steps, about 200 over the
     run, and at the final step.  A run that stops early ends with a
     row carrying its status, the minimum spacing of the state it stopped on
     and a NaN residual, plus a snapshot of that state.
     """
-    x, h = _grid(cfg)
-    k_raw = cfg.dt_constant * h ** (3 if cfg.equation == "kdv" else 2)
-    steps = max(1, round(cfg.t_final / k_raw))
+    x, h, steps = _grid(cfg)
     k = cfg.t_final / steps
     floor = _SPACING_FLOOR_REL * h
 
@@ -873,8 +882,8 @@ def _sampled(make):
         resampled = sum(_audit_row(audit, rng, audit.directions[e % n_dir], strong[e], weak[e])
                         for e in range(n_elements))
         dev = np.maximum(strong, weak)
-        per_direction = {d: float(dev[i::n_dir].max(initial=0.0))
-                         for i, d in enumerate(audit.directions)}
+        per_direction = {d: float(dev[i::n_dir].max())
+                         for i, d in enumerate(audit.directions[:n_elements])}
         strong_max, weak_max = float(strong.max()), float(weak.max())
         return AuditReport(scheme, tol, n_elements, n_configs, strong_max, weak_max,
                            per_direction, resampled, strong_max <= tol and weak_max <= tol)
@@ -940,15 +949,23 @@ def _schwarzian_manufactured(h: float) -> float:
     """
     u_ex = lambda xx: xx + xx**3
     src = lambda xx: (6.0 - 36.0 * xx**2) / (1.0 + 3.0 * xx**2) ** 2
-    x = np.arange(round(1.0 / h) + 1) * h
-    if x.size < 4:  # three seed nodes and at least one step
+    n = _intervals(1.0, h) + 1
+    if n < 4:  # three seed nodes and at least one step
         raise ConfigError(f"spacing {h!r} leaves fewer than 4 nodes on [0, 1]")
+    x = np.arange(n) * h
     u = np.empty(x.size)
     u[:3] = u_ex(x[:3])
     stop = _schwarzian_march(x, u, src)
     if stop is not None:
         raise stop[1]
     return float(np.max(np.abs(u - u_ex(x))))
+
+
+def _intervals(width: float, h: float) -> int:
+    """round(width / h) intervals; a ConfigError when no array could hold their nodes."""
+    if not width / h < _MAX_NODES:
+        raise ConfigError(f"spacing {h!r} needs more than {_MAX_NODES} nodes")
+    return round(width / h)
 
 
 def _final_error(fields: dict) -> float:
@@ -968,7 +985,7 @@ def _kdv_naive_soliton(h: float) -> float:
     high-wavenumber noise of the explicit update far below truncation."""
     return _final_error({
         "equation": "kdv", "scheme": "kdv_naive",
-        "domain_a": -20.0, "domain_b": 20.0, "n_points": round(40.0 / h),
+        "domain_a": -20.0, "domain_b": 20.0, "n_points": _intervals(40.0, h),
         "t_final": 0.1, "dt_constant": 0.05,
         "ic_c1": 1.0, "ic_c2": 0.0, "ic_a1": 0.0, "ic_a2": 0.0,
     })
@@ -980,7 +997,7 @@ def _burgers_viscous_shock(h: float) -> float:
     shock is wide enough to be resolved, so the smooth-region order shows."""
     return _final_error({
         "equation": "burgers", "scheme": "burgers_fv",
-        "domain_a": -0.5, "domain_b": 0.5, "n_points": round(1.0 / h) + 1,
+        "domain_a": -0.5, "domain_b": 0.5, "n_points": _intervals(1.0, h) + 1,
         "t_final": 0.5, "dt_constant": 0.4, "nu": 0.02, "alpha": 0.5,
     })
 

@@ -1193,6 +1193,42 @@ def test_cli_converge_rejects_a_spacing_too_coarse_for_the_domain(capsys, scheme
     assert captured.err == f"config error: {message}\n"
 
 
+def _kdv_text(a="-1", b="1", n="16", t_final="0.1", dt="0.5"):
+    return (f"equation = kdv\nscheme = kdv_6pt\ndomain_a = {a}\ndomain_b = {b}\n"
+            f"n_points = {n}\nt_final = {t_final}\ndt_constant = {dt}\n")
+
+
+# configurations the parser accepts whose grid or time step cannot be
+# represented; n_points is rejected before numpy could try to allocate it
+_UNREPRESENTABLE = {
+    "n_points": _kdv_text(n=str(10**30)),
+    "k_underflows": _kdv_text(dt="5e-324"),
+    "burgers_k_underflows": _BURGERS_TEXT.replace("domain_a = -0.5\ndomain_b = 0.5",
+                                                  "domain_a = 0\ndomain_b = 1e-320"),
+    "steps_overflow": _kdv_text(t_final="1e300", dt="1e-300"),
+    "kdv_width": _kdv_text(a="-1e308", b="1e308"),
+    "schwarzian_width": "equation = schwarzian\nscheme = schwarzian_invariant\n"
+                        "domain_a = -1e308\ndomain_b = 1e308\nn_points = 16\n",
+}
+
+
+@pytest.mark.parametrize("argv", [
+    *[pytest.param([command, text], id=f"{command}-{name}")
+      for command in ("run", "exact") for name, text in _UNREPRESENTABLE.items()],
+    *[pytest.param(["converge", "--scheme", scheme, "--h", h], id=f"converge-{scheme}-{h}")
+      for scheme in CONVERGENCE_SCHEMES for h in ("1e-300", "5e-324")],
+])
+def test_cli_unrepresentable_grid_or_time_step_is_a_config_error(tmp_path, capsys, argv):
+    if argv[0] != "converge":
+        cfg = tmp_path / "unrepresentable.cfg"
+        cfg.write_text(argv[1])
+        argv = [argv[0], str(cfg)]
+    assert cli_main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: ")
+
+
 @pytest.mark.parametrize("h", [",", " ", ", ,"])
 def test_cli_converge_without_spacings_is_a_config_error(capsys, h):
     assert cli_main(["converge", "--scheme", "burgers_fv", "--h", h]) == 2
@@ -1374,6 +1410,12 @@ def test_readme_status_list_is_exactly_the_status_vocabulary():
     block = re.search(r"take\s+these values:\n\n((?:- .*\n(?: .*\n)*)+)", readme)[1]
     listed = re.findall(r"^- `(\w+)`", block, re.MULTILINE)
     assert sorted(listed) == sorted(_STATUSES + ("completed",))
+
+
+def test_readme_diagnostics_header_is_the_row_type_fields():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    header = re.search(r"diagnostics CSV has one row per step with header\s+`([^`]*)`", readme)[1]
+    assert header == ",".join(DiagnosticsRow._fields)
 
 
 def test_readme_cli_block_names_exactly_the_parser_commands_and_options():
