@@ -20,9 +20,9 @@ import math
 import os
 import stat
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import MISSING, asdict, dataclass, fields
 from itertools import islice
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, get_args, get_type_hints
 
 import numpy as np
 
@@ -141,35 +141,11 @@ def schwarzian_rhs(source: Callable[[float], float]):
 # configuration
 # ---------------------------------------------------------------------------
 
-_CONFIG_KEYS: dict[str, tuple[type, object]] = {
-    # key: (type, default); None default means required when relevant
-    "equation": (str, None),
-    "scheme": (str, None),
-    "domain_a": (float, None),
-    "domain_b": (float, None),
-    "n_points": (int, None),
-    "t_final": (float, 0.0),
-    "dt_constant": (float, None),
-    "mesh": (str, "lagrangian"),
-    "alpha": (float, -1.0),
-    "nu": (float, 0.0),
-    "ic_c1": (float, 1.0),
-    "ic_c2": (float, 0.5),
-    "ic_a1": (float, 20.0),
-    "ic_a2": (float, 5.0),
-    "ic_c": (float, 0.25),
-    "source_f": (float, 2.0),
-    "snapshots_path": (str, ""),
-    "diagnostics_path": (str, ""),
-}
-
 _SCHEMES_BY_EQUATION = {
     "schwarzian": {"schwarzian_invariant"},
     "kdv": {"kdv_6pt", "kdv_10pt", "kdv_naive"},
     "burgers": {"burgers_fv"},
 }
-
-_DT_DEFAULT = {"kdv": 0.5, "burgers": 0.4}
 
 # the tangling floor of a moving mesh, as a fraction of the initial spacing
 _SPACING_FLOOR_REL = 1e-3
@@ -178,15 +154,76 @@ _SNAPSHOTS = 200
 _MAX_NODES = np.iinfo(np.intp).max // 8  # the most float64 values a numpy array holds
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExperimentConfig:
-    values: dict
+    """A run's config, validated as it is built: one field per key, required
+    when it has no default, read by the parser as its annotated type.  A KdV
+    or Burgers run's ``dt_constant`` defaults by equation; ``alpha = -1`` and
+    ``nu = t_final = 0`` stand for a key left out where a run needs it."""
 
-    def __getattr__(self, key):
-        try:
-            return self.values[key]
-        except KeyError as exc:
-            raise AttributeError(key) from exc
+    equation: str
+    scheme: str
+    domain_a: float
+    domain_b: float
+    n_points: int
+    t_final: float = 0.0
+    dt_constant: float | None = None
+    mesh: str = "lagrangian"
+    alpha: float = -1.0
+    nu: float = 0.0
+    ic_c1: float = 1.0
+    ic_c2: float = 0.5
+    ic_a1: float = 20.0
+    ic_a2: float = 5.0
+    ic_c: float = 0.25
+    source_f: float = 2.0
+    snapshots_path: str = ""
+    diagnostics_path: str = ""
+
+    def __post_init__(self):
+        for key, typ in _TYPES.items():
+            val = getattr(self, key)
+            if typ is float and val is not None and not math.isfinite(val):
+                raise ConfigError(f"{key} must be finite, got {val!r}")
+        eq = self.equation
+        if eq not in _SCHEMES_BY_EQUATION:
+            raise ConfigError(f"unknown equation {eq!r}")
+        if self.scheme not in _SCHEMES_BY_EQUATION[eq]:
+            raise ConfigError(f"scheme {self.scheme!r} does not solve {eq!r}")
+        if self.n_points < 8:
+            raise ConfigError("n_points must be at least 8")
+        if self.n_points > _MAX_NODES:
+            raise ConfigError(f"n_points must be at most {_MAX_NODES}, got {self.n_points}")
+        if not 0.0 < self.domain_b - self.domain_a < math.inf:
+            raise ConfigError("domain_a must be below domain_b by a finite width")
+        if eq in ("kdv", "burgers"):
+            if not self.t_final > 0.0:
+                raise ConfigError(f"{eq} runs need t_final > 0")
+            if self.dt_constant is None:
+                object.__setattr__(self, "dt_constant", 0.5 if eq == "kdv" else 0.4)
+            if not self.dt_constant > 0.0:
+                raise ConfigError("dt_constant must be positive")
+        if eq == "kdv":
+            if self.ic_c1 < 0.0 or self.ic_c2 < 0.0:
+                raise ConfigError("soliton speeds ic_c1 and ic_c2 must be nonnegative")
+            if self.mesh not in ("lagrangian", "adaptive", "projection"):
+                raise ConfigError(f"unknown mesh strategy {self.mesh!r}")
+            if self.mesh == "adaptive" and self.alpha < 0.0:
+                raise ConfigError("adaptive strategy needs alpha >= 0")
+        if eq == "burgers":
+            if not self.nu > 0.0:
+                raise ConfigError("burgers runs start from the viscous shock, which needs nu > 0")
+            if self.alpha < 0.0:
+                raise ConfigError("burgers_fv needs alpha >= 0")
+
+    @property
+    def values(self) -> dict:
+        """The fields by key, as ``validate_config`` takes them."""
+        return asdict(self)
+
+
+# each key's type, as the parser reads its values: float for ``float | None``
+_TYPES = {key: (get_args(t) or (t,))[0] for key, t in get_type_hints(ExperimentConfig).items()}
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -198,65 +235,27 @@ def parse_config(text: str) -> ExperimentConfig:
             continue
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value'")
-        key, _, val = line.partition("=")
-        key = key.strip()
-        val = val.strip()
-        if key not in _CONFIG_KEYS:
+        key, _, val = map(str.strip, line.partition("="))
+        if key not in _TYPES:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in values:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        typ, _default = _CONFIG_KEYS[key]
         try:
-            values[key] = typ(val) if typ is not str else val
+            values[key] = _TYPES[key](val)
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for {key!r}: {val!r}") from exc
     return validate_config(values)
 
 
 def validate_config(values: dict) -> ExperimentConfig:
-    cfg = dict(values)
-    unknown = cfg.keys() - _CONFIG_KEYS.keys()
+    """The config of ``values`` by key; a left-out optional key takes its default."""
+    unknown = values.keys() - _TYPES.keys()
     if unknown:
         raise ConfigError(f"unknown key {min(unknown)!r}")
-    for key, (_typ, default) in _CONFIG_KEYS.items():
-        cfg.setdefault(key, default)
-    for key in ("equation", "scheme", "domain_a", "domain_b", "n_points"):
-        if cfg[key] is None:
-            raise ConfigError(f"missing required key {key!r}")
-    for key, (typ, _default) in _CONFIG_KEYS.items():
-        if typ is float and cfg[key] is not None and not math.isfinite(cfg[key]):
-            raise ConfigError(f"{key} must be finite, got {cfg[key]!r}")
-    eq = cfg["equation"]
-    if eq not in _SCHEMES_BY_EQUATION:
-        raise ConfigError(f"unknown equation {eq!r}")
-    if cfg["scheme"] not in _SCHEMES_BY_EQUATION[eq]:
-        raise ConfigError(f"scheme {cfg['scheme']!r} does not solve {eq!r}")
-    if cfg["n_points"] < 8:
-        raise ConfigError("n_points must be at least 8")
-    if cfg["n_points"] > _MAX_NODES:
-        raise ConfigError(f"n_points must be at most {_MAX_NODES}, got {cfg['n_points']}")
-    if not 0.0 < cfg["domain_b"] - cfg["domain_a"] < math.inf:
-        raise ConfigError("domain_a must be below domain_b by a finite width")
-    if eq in ("kdv", "burgers"):
-        if not cfg["t_final"] > 0.0:
-            raise ConfigError(f"{eq} runs need t_final > 0")
-        if cfg["dt_constant"] is None:
-            cfg["dt_constant"] = _DT_DEFAULT[eq]
-        if not cfg["dt_constant"] > 0.0:
-            raise ConfigError("dt_constant must be positive")
-    if eq == "kdv":
-        if cfg["ic_c1"] < 0.0 or cfg["ic_c2"] < 0.0:
-            raise ConfigError("soliton speeds ic_c1 and ic_c2 must be nonnegative")
-        if cfg["mesh"] not in ("lagrangian", "adaptive", "projection"):
-            raise ConfigError(f"unknown mesh strategy {cfg['mesh']!r}")
-        if cfg["mesh"] == "adaptive" and cfg["alpha"] < 0.0:
-            raise ConfigError("adaptive strategy needs alpha >= 0")
-    if eq == "burgers":
-        if not cfg["nu"] > 0.0:
-            raise ConfigError("burgers runs start from the viscous shock, which needs nu > 0")
-        if cfg["alpha"] < 0.0:
-            raise ConfigError("burgers_fv needs alpha >= 0")
-    return ExperimentConfig(cfg)
+    for field in fields(ExperimentConfig):
+        if field.default is MISSING and values.get(field.name) is None:
+            raise ConfigError(f"missing required key {field.name!r}")
+    return ExperimentConfig(**values)
 
 
 # ---------------------------------------------------------------------------
@@ -342,11 +341,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunOutput:
     whole run: the stop statuses and messages name the cause instead.
     """
     with np.errstate(all="ignore"):
-        if cfg.equation == "schwarzian":
-            return _run_schwarzian(cfg)
-        if cfg.equation in ("kdv", "burgers"):
-            return _run_pde(cfg)
-    raise ConfigError(f"unknown equation {cfg.equation!r}")
+        return (_run_schwarzian if cfg.equation == "schwarzian" else _run_pde)(cfg)
 
 
 def _run_schwarzian(cfg: ExperimentConfig) -> RunOutput:
@@ -403,13 +398,18 @@ def _schwarzian_march(x: np.ndarray, u: np.ndarray, source: Callable[[float], fl
 
 
 def _grid(cfg: ExperimentConfig) -> tuple[np.ndarray, float, int]:
-    """A run's initial nodes x and spacing h (``kdv_naive``'s grid is
-    periodic) and, for KdV or Burgers, its number of steps of k ~ dt_constant
-    h^3 or h^2; a ConfigError when k or that number cannot be represented."""
+    """A run's initial nodes x and spacing h (``kdv_naive``'s grid is periodic)
+    and, for KdV or Burgers, its number of steps of k ~ dt_constant h^3 or h^2;
+    a ConfigError when x does not increase strictly, or when a Schwarzian h^2,
+    k or that number cannot be represented."""
     n, a, b, periodic = cfg.n_points, cfg.domain_a, cfg.domain_b, cfg.scheme == "kdv_naive"
     x = np.linspace(a, b, n, endpoint=not periodic)
     h = float((b - a) / n) if periodic else float(x[1] - x[0])
+    if not (x[1:] > x[:-1]).all():
+        raise ConfigError(f"{n} nodes on [{a!r}, {b!r}] do not increase strictly")
     if cfg.equation == "schwarzian":
+        if math.isinf(h * h):
+            raise ConfigError(f"spacing {h!r} overflows h^2 in the schwarzian step")
         return x, h, 0
     p = 3 if cfg.equation == "kdv" else 2
     try:  # k underflows to 0 or overflows, or t_final / k overflows
@@ -968,10 +968,10 @@ def _intervals(width: float, h: float) -> int:
     return round(width / h)
 
 
-def _final_error(fields: dict) -> float:
+def _final_error(values: dict) -> float:
     """Max-norm error of a KdV or Burgers run's final snapshot against the
     exact solution it started from; a run that stops early is a SymfdError."""
-    cfg = validate_config(fields)
+    cfg = validate_config(values)
     out = run_experiment(cfg)
     if out.status != "completed":
         raise SymfdError(f"{out.status}: {out.message}")

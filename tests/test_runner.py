@@ -12,7 +12,9 @@ import sys
 import tempfile
 import tracemalloc
 import warnings
+from dataclasses import fields
 from pathlib import Path
+from typing import get_args, get_type_hints
 
 import numpy as np
 import pytest
@@ -32,11 +34,11 @@ from symfd.errors import (
 )
 from symfd.mesh import MonitorParams, monitor_arclength
 from symfd.runner import (
-    _CONFIG_KEYS,
     _SCHEMES_BY_EQUATION,
     AUDIT_SCHEMES,
     CONVERGENCE_SCHEMES,
     DiagnosticsRow,
+    ExperimentConfig,
     RunOutput,
     convergence_study,
     exact_burgers,
@@ -217,7 +219,8 @@ def test_config_repeated_key_is_an_error(tmp_path, capsys):
     assert captured.err == "config error: line 6: duplicate key 'n_points'\n"
 
 
-_FLOAT_KEYS = sorted(k for k, (typ, _d) in _CONFIG_KEYS.items() if typ is float)
+_FLOAT_KEYS = sorted(k for k, typ in get_type_hints(ExperimentConfig).items()
+                     if float in (typ, *get_args(typ)))
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
@@ -245,8 +248,9 @@ def test_readme_key_table_lists_exactly_the_config_keys():
         table = fh.read().split("\nKeys:\n\n", 1)[1].split("\n\n", 1)[0]
     rows = [row.split("|")[1:3] for row in table.splitlines()[2:]]  # below the rule
     keys = [key for key, _meaning in rows for key in re.findall(r"\w+", key)]
-    assert sorted(keys) == sorted(_CONFIG_KEYS)
-    assert len(_CONFIG_KEYS) == 18
+    config_keys = [field.name for field in fields(ExperimentConfig)]
+    assert sorted(keys) == sorted(config_keys)
+    assert len(config_keys) == 18
     # the equation and scheme rows list exactly what validation accepts
     meaning = {key.strip(" `"): text for key, text in rows}
     assert sorted(re.findall(r"`(\w+)`", meaning["equation"])) == sorted(_SCHEMES_BY_EQUATION)
@@ -1022,6 +1026,21 @@ def test_every_runnable_config_completes_cleanly_or_stops_with_its_state(values)
     assert float(stop[2]) == float((x_last[1:] - x_last[:-1]).min())
 
 
+def _config_text(values):
+    """``key = value`` lines of values as ``bench/workloads.config_text``
+    writes them: a float by its repr, a None left out."""
+    return "".join(f"{key} = {val!r}\n" if isinstance(val, float) else f"{key} = {val}\n"
+                   for key, val in values.items() if val is not None)
+
+
+@settings(max_examples=100, deadline=None)
+@given(values=_runnable_configs())
+def test_config_values_round_trip_through_validation_and_text(values):
+    cfg = validate_config(values)
+    assert validate_config(cfg.values) == cfg
+    assert parse_config(_config_text(cfg.values)) == cfg
+
+
 def test_cli_run_streams_the_joined_snapshot_chunks_to_stdout(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("equation = burgers\nscheme = burgers_fv\n"
@@ -1199,7 +1218,8 @@ def _kdv_text(a="-1", b="1", n="16", t_final="0.1", dt="0.5"):
 
 
 # configurations the parser accepts whose grid or time step cannot be
-# represented; n_points is rejected before numpy could try to allocate it
+# represented; n_points is rejected before numpy could try to allocate it,
+# and np.linspace repeats a node on a domain a few ulps wide
 _UNREPRESENTABLE = {
     "n_points": _kdv_text(n=str(10**30)),
     "k_underflows": _kdv_text(dt="5e-324"),
@@ -1209,6 +1229,11 @@ _UNREPRESENTABLE = {
     "kdv_width": _kdv_text(a="-1e308", b="1e308"),
     "schwarzian_width": "equation = schwarzian\nscheme = schwarzian_invariant\n"
                         "domain_a = -1e308\ndomain_b = 1e308\nn_points = 16\n",
+    "schwarzian_repeated_node": "equation = schwarzian\nscheme = schwarzian_invariant\n"
+                                "domain_a = 1\ndomain_b = 1.0000000000000004\nn_points = 100\n",
+    "kdv_repeated_node": _kdv_text(a="1", b="1.000000000000003", t_final="1"),
+    "schwarzian_h2_overflows": "equation = schwarzian\nscheme = schwarzian_invariant\n"
+                               "domain_a = -1e307\ndomain_b = 1e307\nn_points = 100\n",
 }
 
 
@@ -1341,6 +1366,20 @@ def test_cli_exact_prints_the_first_snapshot_of_the_run(capsys, name):
         assert "".join(lines[:4]) == header + "".join(first.splitlines(keepends=True)[:3])
     else:
         assert captured.out == header + first
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in (ROOT / "configs").glob("*.cfg")))
+def test_cli_run_and_exact_accept_the_same_configs(tmp_path, capsys, name):
+    # both commands read the file and build the grid alike, so neither is a
+    # config error (exit 2) alone; only the Lagrangian run stops (exit 3),
+    # as its file says, at a mesh tangling that the exact solution never meets
+    text = (ROOT / "configs" / name).read_text(encoding="utf-8")
+    cfg = tmp_path / name
+    cfg.write_text(re.sub(r"(?m)^(snapshots_path|diagnostics_path)\s*=.*$",
+                          lambda m: f"{m[1]} = {tmp_path / m[1]}.csv", text))
+    codes = [cli_main([command, str(cfg)]) for command in ("run", "exact")]
+    assert codes == [3 if name == "kdv_lagrangian.cfg" else 0, 0], capsys.readouterr().err
+    assert (tmp_path / "snapshots_path.csv").exists()
 
 
 @pytest.mark.parametrize("scheme,mesh", [("kdv_naive", "lagrangian"), ("kdv_10pt", "projection")])
