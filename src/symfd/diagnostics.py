@@ -31,9 +31,10 @@ class DiagnosticsRow(NamedTuple):
     status: str
 
 
+# a stopping error's statuses, most specific first, as ``runner._STOPS`` pairs them
+_ERROR_STATUSES = ("mesh_tangling", "scheme_singularity", "numerical_failure")
 # every status a diagnostics row can carry: per step, then the stop statuses
-_STATUSES = ("ok", "pole", "mesh_tangling", "scheme_singularity", "numerical_failure",
-             "nonfinite")
+_STATUSES = ("ok", "pole", *_ERROR_STATUSES, "nonfinite")
 
 _TYPES = tuple(get_type_hints(DiagnosticsRow)[name] for name in DiagnosticsRow._fields)
 # the diagnostics CSV's header line, and the %-format of a row's line

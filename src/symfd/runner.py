@@ -27,7 +27,7 @@ from typing import Callable, Iterable, Iterator, get_args, get_type_hints
 import numpy as np
 
 from . import schemes
-from .diagnostics import _CSV_HEADER, _CSV_ROW, Diagnostics, DiagnosticsRow
+from .diagnostics import _CSV_HEADER, _CSV_ROW, _ERROR_STATUSES, Diagnostics, DiagnosticsRow
 from .errors import (
     ConfigError,
     MeshTangling,
@@ -213,6 +213,8 @@ class ExperimentConfig:
         if eq == "burgers":
             if not self.nu > 0.0:
                 raise ConfigError("burgers runs start from the viscous shock, which needs nu > 0")
+            if math.isinf(max(abs(self.domain_a), abs(self.domain_b)) / (2.0 * self.nu)):
+                raise ConfigError(f"nu = {self.nu!r} is too small: x / (2 nu) overflows")
             if self.alpha < 0.0:
                 raise ConfigError("burgers_fv needs alpha >= 0")
 
@@ -330,15 +332,13 @@ def write_outputs(out: RunOutput) -> None:
 def run_experiment(cfg: ExperimentConfig) -> RunOutput:
     """Time loop (or space march) with snapshot and diagnostics recording.
 
-    Every KdV and Burgers run goes through one time loop, which stops on
-    mesh tangling (``mesh_tangling``), a singular step
-    (``scheme_singularity``), any other numerical failure of the step
-    (``numerical_failure``) or once u holds NaN or inf (``nonfinite``); the
-    Schwarzian march stops with ``numerical_failure`` at a seed node on a
-    pole and with ``scheme_singularity`` at a node whose step or
-    diagnostics raise.  The status of the run is recorded and the partial
-    output preserved.  numpy's floating-point warnings are silenced for the
-    whole run: the stop statuses and messages name the cause instead.
+    Every KdV and Burgers run goes through one time loop, and the
+    Schwarzian run marches in space.  Both stop at the first step (or
+    Schwarzian seed node) that raises, with the status ``_STOPS`` gives its
+    error; the time loop also stops once u holds NaN or inf (``nonfinite``).
+    The status of the run is recorded and the partial output preserved.
+    numpy's floating-point warnings are silenced for the whole run: the
+    stop statuses and messages name the cause instead.
     """
     with np.errstate(all="ignore"):
         return (_run_schwarzian if cfg.equation == "schwarzian" else _run_pde)(cfg)
@@ -347,9 +347,9 @@ def run_experiment(cfg: ExperimentConfig) -> RunOutput:
 def _run_schwarzian(cfg: ExperimentConfig) -> RunOutput:
     """The invariant recurrence from three samples of tan x.
 
-    A seed node on a pole of tan x stops the run with status
-    ``numerical_failure``, and a node whose step or diagnostics raise stops
-    it with ``scheme_singularity``; the output keeps the nodes before it.
+    A seed node on a pole of tan x (``numerical_failure``), or a node whose
+    step raises, stops the run with the status ``_STOPS`` gives its error;
+    the output keeps the nodes before it.
     """
     x = _grid(cfg)[0]
     u = np.empty(cfg.n_points)
@@ -357,14 +357,14 @@ def _run_schwarzian(cfg: ExperimentConfig) -> RunOutput:
         try:
             u[j] = exact_schwarzian(v)
         except SymfdError as exc:
-            return RunOutput([(0.0, x[:j], u[:j])], [], "numerical_failure", cfg,
-                             f"seed node {j}: {type(exc).__name__}: {exc}")
+            status, message = _stop(f"seed node {j}", exc)
+            return RunOutput([(0.0, x[:j], u[:j])], [], status, cfg, message)
     diags = Diagnostics()
     status, message = "completed", ""
     stop = _schwarzian_march(x, u, lambda _x: cfg.source_f, diags)
     if stop is not None:
         i, exc = stop
-        status, message = "scheme_singularity", _stop_message(i, exc)
+        status, message = _stop(f"step {i}", exc)
         x, u = x[: i + 2], u[: i + 2]
     return RunOutput([(0.0, x, u)], diags, status, cfg, message)
 
@@ -376,24 +376,21 @@ def _schwarzian_march(x: np.ndarray, u: np.ndarray, source: Callable[[float], fl
 
     Node i = 1 .. n-3 sets u[i+2] = schwarzian_step(u[i-1], u[i], u[i+1],
     h, F(x_i)) on the uniform mesh x; with ``diags`` it also appends the
-    node's row (pole flag, total variation so far as a running sum,
-    |invariant residual|).  Returns None once every node is filled, else
-    (i, exc) for the first node whose step or row raised the SymfdError exc.
+    node's row (pole flag, total variation so far as a running sum, and 0
+    for the residual of the closed-form step).  Returns None once every
+    node is filled, else (i, exc) for the first node whose step raised exc.
     """
     h = float(x[1] - x[0])
     tv = total_variation(np.diff(u[:3]))
     for i in range(1, x.size - 2):
         try:
-            f_i = source(float(x[i]))
-            u[i + 2] = schemes.schwarzian_step(u[i - 1], u[i], u[i + 1], h, f_i)
-            if diags is not None:
-                flag = schemes.schwarzian_step_through_pole(u[i + 1], u[i + 2])
-                res = schemes.schwarzian_invariant_residual(
-                    u[i - 1], u[i], u[i + 1], u[i + 2], h, f_i)
-                tv += float(abs(u[i + 2] - u[i + 1]))
-                diags.append(i, float(x[i]), h, tv, abs(res), 0, "pole" if flag else "ok")
+            u[i + 2] = schemes.schwarzian_step(u[i - 1], u[i], u[i + 1], h, source(float(x[i])))
         except SymfdError as exc:
             return i, exc
+        if diags is not None:
+            flag = schemes.schwarzian_step_through_pole(u[i + 1], u[i + 2])
+            tv += float(abs(u[i + 2] - u[i + 1]))
+            diags.append(i, float(x[i]), h, tv, 0.0, 0, "pole" if flag else "ok")
     return None
 
 
@@ -475,12 +472,8 @@ def _run_pde(cfg: ExperimentConfig) -> RunOutput:
     for i in range(1, steps + 1):
         try:
             state, info = step(state)
-        except MeshTangling as exc:
-            status, message = "mesh_tangling", _stop_message(i, exc)
-        except SchemeSingularity as exc:
-            status, message = "scheme_singularity", _stop_message(i, exc)
         except SymfdError as exc:
-            status, message = "numerical_failure", _stop_message(i, exc)
+            status, message = _stop(f"step {i}", exc)
         else:
             tv = total_variation(state.du)
             # finite u can overflow to a non-finite tv, never the reverse
@@ -500,8 +493,15 @@ def _run_pde(cfg: ExperimentConfig) -> RunOutput:
     return RunOutput(snaps, diags, status, cfg, message)
 
 
-def _stop_message(step: int, exc: SymfdError) -> str:
-    return f"step {step}: {type(exc).__name__}: {exc}"
+# A march stopped by an error takes the status of the first class here that
+# the error is an instance of; the statuses are the rows' error statuses.
+_STOPS = tuple(zip((MeshTangling, SchemeSingularity, SymfdError), _ERROR_STATUSES, strict=True))
+
+
+def _stop(where: str, exc: SymfdError) -> tuple[str, str]:
+    """The status and message of a march stopped by exc at ``where`` (``step 3``)."""
+    status = next(status for cls, status in _STOPS if isinstance(exc, cls))
+    return status, f"{where}: {type(exc).__name__}: {exc}"
 
 
 # ---------------------------------------------------------------------------

@@ -177,18 +177,16 @@ class StepInfo:
 def _solve_cross_ratio_target(u_im1: float, u_i: float, u_ip1: float,
                               target: float) -> float:
     """The unique w with cross_ratio(u_{i-1}, u_i, u_{i+1}, w) = target."""
+    if u_im1 == u_i or u_i == u_ip1:
+        raise SchemeSingularity("consecutive u values must be distinct")
     i_im1 = u_i - u_im1
     span = u_ip1 - u_im1
     num = i_im1 * u_ip1 - target * span * u_i
     den = i_im1 - target * span
-    if abs(den) < DEGENERACY_TOL * (1.0 + abs(num)):
+    # relative to the terms den cancels, so a window scaled by 2^m solves alike
+    if abs(den) <= DEGENERACY_TOL * (abs(i_im1) + abs(target * span)):
         raise SchemeSingularity("cross-ratio solve degenerated")
     return num / den
-
-
-def _check_window(u_im1: float, u_i: float, u_ip1: float) -> None:
-    if u_im1 == u_i or u_i == u_ip1:
-        raise SchemeSingularity("consecutive u values must be distinct")
 
 
 def schwarzian_step(u_im1: float, u_i: float, u_ip1: float, h: float, f_i: float) -> float:
@@ -197,7 +195,6 @@ def schwarzian_step(u_im1: float, u_i: float, u_ip1: float, h: float, f_i: float
     Enforces cross_ratio = 1 / (2 (2 - h^2 F(x_i))) with ``f_i`` = F(x_i);
     the step is a closed form fractional-linear solve, no iteration.
     """
-    _check_window(u_im1, u_i, u_ip1)
     den = 2.0 * (2.0 - h**2 * f_i)
     if abs(den) < DEGENERACY_TOL:
         raise SchemeSingularity("target cross-ratio undefined: h^2 F = 2")
@@ -232,7 +229,6 @@ def schwarzian_invariantized_step(u_im1: float, u_i: float, u_ip1: float,
     As Rbar - R = 1 - 2R, that is cross_ratio = (1 + h^2 F) / (2 (2 + h^2 F)),
     the invariant step's recurrence with another target.
     """
-    _check_window(u_im1, u_i, u_ip1)
     den = 2.0 * (2.0 + h**2 * f_i)
     if abs(den) < DEGENERACY_TOL:
         raise SchemeSingularity("target cross-ratio undefined: h^2 F = -2")
@@ -367,6 +363,11 @@ def _solve_affine_banded(res_fn: Callable[[np.ndarray], np.ndarray],
     return v0 - x.reshape(v0.shape)
 
 
+def _adaptive_mesh(prev: GridState, k: float, monitor: MonitorParams, ends, floor) -> MeshUpdate:
+    """The mesh on ``ends`` that equidistributes prev's monitor arclength."""
+    return equidistribute(monitor_arclength(prev, k, monitor), ends, floor=floor)
+
+
 def _kdv_mesh(prev: GridState, k: float, mesh_strategy: str,
               monitor: MonitorParams | None, spacing_floor: float) -> MeshUpdate:
     if mesh_strategy in ("lagrangian", "projection"):
@@ -374,9 +375,7 @@ def _kdv_mesh(prev: GridState, k: float, mesh_strategy: str,
     if mesh_strategy == "adaptive":
         if monitor is None:
             raise ValueError("adaptive strategy needs monitor parameters")
-        a, b = prev.x[..., ::prev.n - 1].T  # floats, or (B,) arrays
-        return equidistribute(monitor_arclength(prev, k, monitor), (a, b),
-                              floor=spacing_floor)
+        return _adaptive_mesh(prev, k, monitor, prev.x[..., ::prev.n - 1].T, spacing_floor)
     raise ValueError(f"unknown mesh strategy {mesh_strategy!r}")
 
 
@@ -581,9 +580,8 @@ def burgers_fv_step_detailed(
         raise ValueError("viscosity must be nonnegative")
     if not _holds(k > 0.0):
         raise ValueError("time step must be positive")
-    a, b = (prev.x[..., ::prev.n - 1] + k * drift).T  # floats, or (B,) arrays
-    upd = equidistribute(monitor_arclength(prev, k, MonitorParams(alpha)), (a, b),
-                         floor=spacing_floor)
+    ends = (prev.x[..., ::prev.n - 1] + k * drift).T  # floats, or (B,) arrays
+    upd = _adaptive_mesh(prev, k, MonitorParams(alpha), ends, spacing_floor)
     x1 = upd.x_next
     coef, const, dsf = _burgers_parts(prev, x1, upd.dx, k, nu)
     u1 = prev.u.copy()

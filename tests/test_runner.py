@@ -197,6 +197,7 @@ def test_parse_config_roundtrip():
     ("equation = kdv\nscheme = kdv_10pt\nmesh = adaptive\ndomain_a = 0\ndomain_b = 1\nn_points = 16\nt_final = 1", "alpha"),
     ("equation = kdv\nscheme = kdv_10pt\ndomain_a = 0\ndomain_b = 1\nn_points = 16", "t_final"),
     ("equation = burgers\nscheme = burgers_fv\ndomain_a = 0\ndomain_b = 1\nn_points = 16\nt_final = 1\nalpha = 0.5", "nu > 0"),
+    ("equation = burgers\nscheme = burgers_fv\ndomain_a = -0.5\ndomain_b = 0.5\nn_points = 16\nt_final = 1\nalpha = 0.5\nnu = 1e-320", "^nu = 1e-320 is too small"),
     ("equation = kdv\nscheme = kdv_naive\nboundary = dirichlet\ndomain_a = 0\ndomain_b = 1\nn_points = 16\nt_final = 1", "unknown key"),
     ("equation = kdv\nscheme = kdv_6pt\nic = gaussian\ndomain_a = 0\ndomain_b = 1\nn_points = 16\nt_final = 1", "unknown key"),
     ("equation = kdv\nscheme = kdv_6pt\nseed = 5\ndomain_a = 0\ndomain_b = 1\nn_points = 16\nt_final = 1", "unknown key"),
@@ -371,18 +372,17 @@ def _recorded_burgers_run(monkeypatch):
 
 
 def _recorded_schwarzian_run(monkeypatch):
-    """A Schwarzian run through a pole, and the diagnostics row each node produced."""
-    residuals, flags = [], []
-    monkeypatch.setattr(schemes, "schwarzian_invariant_residual",
-                        _recording(schemes.schwarzian_invariant_residual, residuals))
+    """A Schwarzian run through a pole, and the diagnostics row each node
+    produced: the closed-form step reports a residual of 0."""
+    flags = []
     monkeypatch.setattr(schemes, "schwarzian_step_through_pole",
                         _recording(schemes.schwarzian_step_through_pole, flags))
     out = run_experiment(_schwarzian_cfg(domain_b=2.5, n_points=251))
     _t, x, u = out.snapshots[-1]
     h, tv, want = float(x[1] - x[0]), total_variation(np.diff(u[:3])), []
-    for i, (res, flag) in enumerate(zip(residuals, flags), start=1):
+    for i, flag in enumerate(flags, start=1):
         tv += float(abs(u[i + 2] - u[i + 1]))  # the march's running sum
-        want.append((i, float(x[i]), h, tv, abs(res), 0, "pole" if flag else "ok"))
+        want.append((i, float(x[i]), h, tv, 0.0, 0, "pole" if flag else "ok"))
     return out, want
 
 
@@ -519,49 +519,52 @@ def test_kdv_6pt_run_commutes_with_power_of_two_scaling(mesh):
         assert np.array_equal(x / lam, x_ref) and np.array_equal(u * lam**2, u_ref), j
 
 
-def test_schwarzian_singular_step_stops_with_its_message(monkeypatch):
-    calls = []
-
-    def fake_step(u_im1, u_i, u_ip1, h, f_i):
-        calls.append(u_ip1)
-        if len(calls) == 4:
-            raise SchemeSingularity("vanishing slope")
-        return u_ip1 + 0.1
-
-    monkeypatch.setattr(schemes, "schwarzian_step", fake_step)
-    out = run_experiment(validate_config({
-        "equation": "schwarzian", "scheme": "schwarzian_invariant",
-        "domain_a": 0.0, "domain_b": 1.0, "n_points": 16,
-    }))
-    assert out.status == "scheme_singularity"
-    assert out.message == "step 4: SchemeSingularity: vanishing slope"
-
-
 def _schwarzian_cfg(**over):
     return validate_config({"equation": "schwarzian", "scheme": "schwarzian_invariant",
                             "domain_a": 0.0, "domain_b": 1.0, "n_points": 16, **over})
 
 
-def test_schwarzian_failing_diagnostics_stop_with_partial_output(monkeypatch):
-    calls = []
-    residual = schemes.schwarzian_invariant_residual
+# a step's error and the status it stops a run with, in either march
+_STOP_FAULTS = [
+    pytest.param(MeshTangling("tangled"), "mesh_tangling", id="mesh_tangling"),
+    pytest.param(SchemeSingularity("singular band"), "scheme_singularity",
+                 id="scheme_singularity"),
+    pytest.param(DegenerateDenominator("vanishing spacing"), "numerical_failure",
+                 id="numerical_failure"),
+]
 
-    def fake_residual(*args):
+
+@pytest.mark.parametrize("fault,status", _STOP_FAULTS)
+def test_schwarzian_singular_step_stops_with_its_message(monkeypatch, fault, status):
+    calls = []
+    step = schemes.schwarzian_step
+
+    def fake_step(*args):
         calls.append(args)
         if len(calls) == 4:
-            raise DegenerateDenominator("cross-ratio vanished")
-        return residual(*args)
+            raise fault
+        return step(*args)
 
-    monkeypatch.setattr(schemes, "schwarzian_invariant_residual", fake_residual)
+    monkeypatch.setattr(schemes, "schwarzian_step", fake_step)
     out = run_experiment(_schwarzian_cfg())
-    assert out.status == "scheme_singularity"
-    assert out.message == "step 4: DegenerateDenominator: cross-ratio vanished"
+    assert out.status == status
+    assert out.message == f"step 4: {type(fault).__name__}: {fault}"
     # the nodes and rows before node 4 are kept
     _t, x, u = out.snapshots[-1]
     assert x.size == u.size == 6
     assert [r.step for r in out.diagnostics] == [1, 2, 3]
+    monkeypatch.undo()
     whole = run_experiment(_schwarzian_cfg())
     assert np.array_equal(u, whole.snapshots[-1][2][:6])
+
+
+def test_fine_grid_schwarzian_run_tracks_tan_x():
+    # a spacing of about 1e-9: the march's closed-form step is scale-free
+    out = run_experiment(_schwarzian_cfg(domain_a=0.1, domain_b=0.1000001, n_points=100))
+    assert (out.status, out.message) == ("completed", "")
+    _t, x, u = out.snapshots[-1]
+    assert x.size == 100
+    assert np.max(np.abs(u - np.tan(x)) / np.abs(np.tan(x))) <= 1e-9
 
 
 @pytest.mark.parametrize("domain_a,node", [
@@ -589,8 +592,8 @@ def test_cli_schwarzian_seed_on_a_pole_writes_partial_csvs(tmp_path, capsys, dom
 
 
 def test_cli_schwarzian_degenerate_run_writes_partial_csvs(tmp_path, capsys):
-    # h^2 F overflows the target cross-ratio to ~0, so the first residual
-    # meets a vanishing cross-ratio
+    # h^2 F = 1e296 makes the target cross-ratio ~0, so the first step
+    # repeats its last value and the second meets equal consecutive values
     snaps, diags = tmp_path / "s.csv", tmp_path / "d.csv"
     cfg = tmp_path / "schwarzian.cfg"
     cfg.write_text("equation = schwarzian\nscheme = schwarzian_invariant\n"
@@ -599,20 +602,18 @@ def test_cli_schwarzian_degenerate_run_writes_partial_csvs(tmp_path, capsys):
     assert cli_main(["run", str(cfg)]) == 3
     captured = capsys.readouterr()
     assert captured.out == "status: scheme_singularity\n"
-    assert captured.err.startswith("run stopped: step 1: DegenerateDenominator: ")
+    assert captured.err == ("run stopped: step 2: SchemeSingularity: "
+                            "consecutive u values must be distinct\n")
     assert snaps.read_text().splitlines()[0] == "t,x,u"
-    assert len(snaps.read_text().splitlines()) == 1 + 3  # the seed nodes
-    assert diags.read_text().splitlines() == [
-        "step,t,min_spacing,tv,residual_inf,newton_iters,status"]
+    assert len(snaps.read_text().splitlines()) == 1 + 4  # the seed nodes and step 1's
+    rows = diags.read_text().splitlines()
+    assert rows[0] == "step,t,min_spacing,tv,residual_inf,newton_iters,status"
+    assert [r.split(",")[0] for r in rows[1:]] == ["1"]
 
 
 @pytest.mark.parametrize("scheme", ["kdv_10pt", "kdv_naive", "burgers_fv"])
 @pytest.mark.parametrize("fault,status", [
-    pytest.param(MeshTangling("tangled"), "mesh_tangling", id="mesh_tangling"),
-    pytest.param(SchemeSingularity("singular band"), "scheme_singularity",
-                 id="scheme_singularity"),
-    pytest.param(DegenerateDenominator("vanishing spacing"), "numerical_failure",
-                 id="numerical_failure"),
+    *_STOP_FAULTS,
     # the third step returns NaN values instead of raising
     pytest.param(None, "nonfinite", id="nonfinite"),
 ])
@@ -1217,9 +1218,10 @@ def _kdv_text(a="-1", b="1", n="16", t_final="0.1", dt="0.5"):
             f"n_points = {n}\nt_final = {t_final}\ndt_constant = {dt}\n")
 
 
-# configurations the parser accepts whose grid or time step cannot be
+# configurations whose grid, time step or initial state cannot be
 # represented; n_points is rejected before numpy could try to allocate it,
-# and np.linspace repeats a node on a domain a few ulps wide
+# np.linspace repeats a node on a domain a few ulps wide, and a subnormal
+# nu overflows the viscous shock's x / (2 nu)
 _UNREPRESENTABLE = {
     "n_points": _kdv_text(n=str(10**30)),
     "k_underflows": _kdv_text(dt="5e-324"),
@@ -1234,6 +1236,7 @@ _UNREPRESENTABLE = {
     "kdv_repeated_node": _kdv_text(a="1", b="1.000000000000003", t_final="1"),
     "schwarzian_h2_overflows": "equation = schwarzian\nscheme = schwarzian_invariant\n"
                                "domain_a = -1e307\ndomain_b = 1e307\nn_points = 100\n",
+    "burgers_subnormal_nu": _BURGERS_TEXT.replace("nu = 0.01", "nu = 1e-320"),
 }
 
 

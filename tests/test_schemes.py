@@ -135,6 +135,28 @@ def test_schwarzian_step_mobius_commutation():
         count += 1
 
 
+# a window's values are multiples of 2^-19 in [-2, 2]: every product the
+# step forms stays a normal float under scaling by 2^m for |m| <= 60
+_WINDOW_VALUES = st.integers(-2**20, 2**20).map(lambda n: math.ldexp(n, -19))
+
+
+@settings(max_examples=300, deadline=None)
+@given(u=st.lists(_WINDOW_VALUES, min_size=3, max_size=3),
+       h=st.floats(0.05, 1.0), f=st.floats(-1.0, 1.0), m=st.integers(-60, 60),
+       step=st.sampled_from([schwarzian_step, schwarzian_invariantized_step]))
+def test_schwarzian_steps_commute_with_scaling_by_powers_of_two(u, h, f, m, step):
+    # the step is homogeneous of degree 1 in u and a scaling by 2^m is exact,
+    # so a scaled window steps to the scaled value bit for bit, or both raise
+    scaled = [math.ldexp(v, m) for v in u]
+    try:
+        want = math.ldexp(step(*u, h, f), m)
+    except SchemeSingularity:
+        with pytest.raises(SchemeSingularity):
+            step(*scaled, h, f)
+        return
+    assert step(*scaled, h, f) == want
+
+
 def test_schwarzian_step_singular_target():
     with pytest.raises(SchemeSingularity, match="h\\^2 F = 2"):
         schwarzian_step(0.0, 1.0, 2.0, 1.0, 2.0)
