@@ -21,7 +21,7 @@ class FrameSingularity(SymfdError):
 
 
 class DegenerateDenominator(SymfdError):
-    """A denominator fell below the uniform 1e-14 degeneracy threshold."""
+    """A denominator vanished to within DEGENERACY_TOL (a difference, relative to its terms)."""
 
 
 class ProjectionFailure(SymfdError):

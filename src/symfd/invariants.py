@@ -6,6 +6,10 @@ five-column stencil; the Burgers family admits 9 invariants on a two-row,
 three-column stencil.  Each catalog is exposed both as a named record and as
 a flat ordered vector, computed by one function.
 
+The cross-ratio and the Schwarzian steps' solve for its fourth value share
+one degeneracy rule, ``_cancels``, relative to the terms a difference
+cancels, so the relation is scale-free in both directions.
+
 ``KdVStencil`` and ``BurgersStencil`` are one two-row type that differs only
 in the offsets it names: checks, differences and the conversions to and from
 :class:`~symfd.groups.Stencil` are written once.  Both constructors run one
@@ -37,24 +41,26 @@ from .errors import DEGENERACY_TOL, DegenerateDenominator
 from .groups import Stencil
 
 
-def _checked_div(num: float, den: float) -> float:
-    if abs(den) < DEGENERACY_TOL:
-        raise DegenerateDenominator(f"denominator {den} below 1e-14")
-    return num / den
-
-
 # ---------------------------------------------------------------------------
 # Mobius invariants
 # ---------------------------------------------------------------------------
+
+def _cancels(d: float, a: float, b: float) -> bool:
+    """Whether d = a - b is at most DEGENERACY_TOL (|a| + |b|): lost to cancellation."""
+    return abs(d) <= DEGENERACY_TOL * (abs(a) + abs(b))
+
 
 def cross_ratio(u_im1: float, u_i: float, u_ip1: float, u_ip2: float) -> float:
     """(u_i - u_{i-1})(u_{i+2} - u_{i+1}) / ((u_{i+1} - u_{i-1})(u_{i+2} - u_i)).
 
     The fundamental difference invariant of the fractional linear action on
-    four consecutive values.
+    four consecutive values; :class:`DegenerateDenominator` when a
+    denominator factor cancels its terms (``_cancels``).
     """
-    den = (u_ip1 - u_im1) * (u_ip2 - u_i)
-    return _checked_div((u_i - u_im1) * (u_ip2 - u_ip1), den)
+    span, right = u_ip1 - u_im1, u_ip2 - u_i
+    if _cancels(span, u_ip1, u_im1) or _cancels(right, u_ip2, u_i):
+        raise DegenerateDenominator(f"cross-ratio factor {span!r} or {right!r} cancels")
+    return (u_i - u_im1) * (u_ip2 - u_ip1) / (span * right)
 
 
 # ---------------------------------------------------------------------------

@@ -37,8 +37,8 @@ spacing of a batch is the smallest over its rows, and a check fails for
 the whole batch when it fails for one row.  Projection (the spline) takes
 a single grid state and reads its spacings and slopes.
 
-The monitor forms k Du from the spacings and increments a grid state
-carries, as (k du)/dx: k times ``state.slopes`` rounds differently.
+The monitor reads k Du as k times the slopes a grid state carries
+(``state.slopes``), the same slopes the schemes and the projection read.
 Each mesh update returns its abscissae with their spacings
 (``MeshUpdate.dx``), from which the next state is built.  The KdV and
 Burgers steps both take an adaptive mesh as
@@ -162,10 +162,8 @@ def monitor_arclength(state, k: float, params: MonitorParams) -> np.ndarray:
     Returns one weight per node; the final node has no forward difference, so
     the last interior value is repeated there.
     """
-    # not k * state.slopes, which rounds differently and would move the meshes
-    slopes = k * state.du / state.dx
     d = np.empty(state.x.shape)
-    np.sqrt(1.0 + params.alpha * slopes**2, out=d[..., :-1])
+    np.sqrt(1.0 + params.alpha * (k * state.slopes)**2, out=d[..., :-1])
     d[..., -1] = d[..., -2]
     return d
 

@@ -107,13 +107,14 @@ def exact_burgers(t, x, nu: float, c: float = 0.25):
     """Viscous shock -sinh(x/2nu) / (cosh(x/2nu) + exp(-(c+t)/4nu)).
 
     Evaluated with a common rescaling of numerator and denominator so large
-    exponents never overflow (the small-nu regime).
+    exponents never overflow (the small-nu regime); an exponent
+    -(c + t)/(4 nu) past the largest float, where u -> 0, is capped there.
     """
     if not nu > 0.0:
         raise ValueError("viscosity must be positive")
     x = np.asarray(x, dtype=float)
     y = x / (2.0 * nu)
-    e = -(c + t) / (4.0 * nu) + math.log(2.0)
+    e = np.minimum(-(c + t) / (4.0 * nu), np.finfo(float).max) + math.log(2.0)
     m = np.maximum(np.abs(y), e)
     with np.errstate(over="ignore"):
         num = np.exp(y - m) - np.exp(-y - m)

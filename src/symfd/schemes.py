@@ -9,7 +9,8 @@ Schwarzian ODE (third order, Mobius symmetry)
     (d-a)(c-b) + (b-a)(d-c) = (c-a)(d-b) for any four values, Rbar = 1 - R
     and Rbar - R = 1 - 2R, so its target is
     R* = (1 + h^2 F(x_i)) / (2 (2 + h^2 F(x_i))).  Its residual is
-    (1/h^2) [1/(1 - 2R) - 2] - F(x_i).
+    (1/h^2) [1/(1 - 2R) - 2] - F(x_i).  The solve reads differences only
+    and tests its denominator by the cross-ratio's rule: it is scale-free.
 
 KdV equation u_t + u u_x + u_xxx = 0
     Six-point scheme (one node on the upper row):
@@ -21,10 +22,11 @@ KdV equation u_t + u u_x + u_xxx = 0
     Ten-point scheme: same structure with slopes and third differences
     averaged over both rows.  On the moved mesh it is affine in u^{n+1}
     with a pentadiagonal matrix, solved by one banded linear solve.  Both
-    residuals are relative invariants of weight lam^-5; k h_i^2 times the
-    residual is the exact invariant combination, which is what invariance
-    audits compare.  They read Du and D3u from the GridState (D3u formed
-    once, on first use, by ``GridState.d3u``) and divide by spacings it
+    residuals are one kernel, ``_kdv_residual``, averaging over the rows
+    (prev, or prev and nxt).  They are relative invariants of weight
+    lam^-5; k h_i^2 times the residual is the exact invariant combination,
+    which is what invariance audits compare.  They read Du and D3u from the
+    GridState (D3u formed once, on first use) and divide by spacings it
     checked; no absolute threshold of their own breaks the scaling.
 
 Burgers equation u_t + u u_x = nu u_xx
@@ -67,7 +69,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DEGENERACY_TOL, DegenerateDenominator, SchemeSingularity
-from .invariants import cross_ratio
+from .invariants import _cancels, cross_ratio
 from .mesh import (
     MeshUpdate,
     MonitorParams,
@@ -176,17 +178,16 @@ class StepInfo:
 
 def _solve_cross_ratio_target(u_im1: float, u_i: float, u_ip1: float,
                               target: float) -> float:
-    """The unique w with cross_ratio(u_{i-1}, u_i, u_{i+1}, w) = target."""
+    """The unique w with cross_ratio(u_{i-1}, u_i, u_{i+1}, w) = target, as
+    u_{i+1} + (T span / den) (u_{i+1} - u_i): differences only, no underflow."""
     if u_im1 == u_i or u_i == u_ip1:
         raise SchemeSingularity("consecutive u values must be distinct")
     i_im1 = u_i - u_im1
-    span = u_ip1 - u_im1
-    num = i_im1 * u_ip1 - target * span * u_i
-    den = i_im1 - target * span
-    # relative to the terms den cancels, so a window scaled by 2^m solves alike
-    if abs(den) <= DEGENERACY_TOL * (abs(i_im1) + abs(target * span)):
+    t_span = target * (u_ip1 - u_im1)
+    den = i_im1 - t_span
+    if _cancels(den, i_im1, t_span):
         raise SchemeSingularity("cross-ratio solve degenerated")
-    return num / den
+    return u_ip1 + t_span / den * (u_ip1 - u_i)
 
 
 def schwarzian_step(u_im1: float, u_i: float, u_ip1: float, h: float, f_i: float) -> float:
@@ -265,41 +266,34 @@ def uxx_step(x_im1: float, x_i: float, u_im1: float, u_i: float,
 # KdV schemes
 # ---------------------------------------------------------------------------
 
-def _check_kdv_pair(prev: GridState, nxt: GridState, k: float):
+def _kdv_residual(prev: GridState, nxt: GridState, k: float, rows) -> np.ndarray:
+    """Residual, nodes 2..N-3, of the KdV scheme averaging slopes and third
+    differences over ``rows``, (prev,) or (prev, nxt); the sums start from
+    the first row's slopes and the last row's D3u, which fixes the last bits."""
     if prev.x.shape != nxt.x.shape:
         raise ValueError("states must share their shape")
     if prev.n < 5:
         raise ValueError("KdV stencils need at least five nodes")
     if not _holds(k > 0.0):
         raise ValueError("time step must be positive")
+    first, last = rows[0], rows[-1]
+    du = first.slopes[..., 2:-1] + first.slopes[..., 1:-2]
+    d3 = last.d3u[..., 1:] + last.d3u[..., :-1]
+    if len(rows) == 2:
+        du = du + last.slopes[..., 2:-1] + last.slopes[..., 1:-2]
+        d3 = d3 + first.d3u[..., 1:] + first.d3u[..., :-1]
+    w, u0, sig = 2.0 * len(rows), prev.u[..., 2:-2], nxt.x[..., 2:-2] - prev.x[..., 2:-2]
+    return (nxt.u[..., 2:-2] - u0) / k + (u0 - sig / k) * du / w + d3 / w
 
 
 def kdv_residual_6pt(prev: GridState, nxt: GridState, k: float) -> np.ndarray:
     """Per-node residual of the six-point invariant scheme, nodes 2..N-3."""
-    _check_kdv_pair(prev, nxt, k)
-    u0, u1 = prev.u, nxt.u
-    du0, d30 = prev.slopes, prev.d3u
-    sig = nxt.x - prev.x
-    return (
-        (u1[..., 2:-2] - u0[..., 2:-2]) / k
-        + (u0[..., 2:-2] - sig[..., 2:-2] / k) * (du0[..., 2:-1] + du0[..., 1:-2]) / 2.0
-        + (d30[..., 1:] + d30[..., :-1]) / 2.0
-    )
+    return _kdv_residual(prev, nxt, k, (prev,))
 
 
 def kdv_residual_10pt(prev: GridState, nxt: GridState, k: float) -> np.ndarray:
     """Per-node residual of the ten-point invariant scheme, nodes 2..N-3."""
-    _check_kdv_pair(prev, nxt, k)
-    u0, u1 = prev.u, nxt.u
-    du0, d30 = prev.slopes, prev.d3u
-    du1, d31 = nxt.slopes, nxt.d3u
-    sig = nxt.x - prev.x
-    return (
-        (u1[..., 2:-2] - u0[..., 2:-2]) / k
-        + (u0[..., 2:-2] - sig[..., 2:-2] / k)
-        * (du0[..., 2:-1] + du0[..., 1:-2] + du1[..., 2:-1] + du1[..., 1:-2]) / 4.0
-        + (d31[..., 1:] + d31[..., :-1] + d30[..., 1:] + d30[..., :-1]) / 4.0
-    )
+    return _kdv_residual(prev, nxt, k, (prev, nxt))
 
 
 def kdv_invariant_normalizer(prev: GridState, k: float) -> np.ndarray:

@@ -36,6 +36,11 @@ burgers_elements = st.builds(BurgersGroupElement, _unit, _unit, _unit, st.floats
 # sampled scales, at spacings far below 1e-14 (j = -50, -60) and far above 1
 POWER_OF_TWO_SCALES = tuple(2.0**j for j in (-60, -50, 60))
 
+# a window's values are multiples of 2^-19 in [-2, 2]: every product the
+# cross-ratio or a Schwarzian step forms stays a normal float under
+# scaling by 2^m for |m| <= 60
+WINDOW_VALUES = st.integers(-2**20, 2**20).map(lambda n: math.ldexp(n, -19))
+
 
 def rand_sl2(rng: DeterministicRng) -> SL2Element:
     while True:
@@ -236,3 +241,39 @@ def third_differences(x, u) -> np.ndarray:
     return np.array([2.0 / h[i] * ((du[i + 1] - du[i]) / (h[i + 1] + h[i])
                                    - (du[i] - du[i - 1]) / (h[i] + h[i - 1]))
                      for i in range(1, len(xs) - 2)])
+
+
+def _kdv_rows(state):
+    """Slopes and third differences of a state, each formed from its x and u."""
+    x, u = state.x, state.u
+    return np.diff(u, axis=-1) / np.diff(x, axis=-1), third_differences(x, u)
+
+
+def kdv_residual_6pt_reference(prev, nxt, k) -> np.ndarray:
+    """The six-point KdV residual, nodes 2..N-3, written out term by term:
+    the oracle of ``schemes.kdv_residual_6pt``, with the same operations in
+    the same order."""
+    u0, u1 = prev.u, nxt.u
+    du0, d30 = _kdv_rows(prev)
+    sig = nxt.x - prev.x
+    return (
+        (u1[..., 2:-2] - u0[..., 2:-2]) / k
+        + (u0[..., 2:-2] - sig[..., 2:-2] / k) * (du0[..., 2:-1] + du0[..., 1:-2]) / 2.0
+        + (d30[..., 1:] + d30[..., :-1]) / 2.0
+    )
+
+
+def kdv_residual_10pt_reference(prev, nxt, k) -> np.ndarray:
+    """The ten-point KdV residual, nodes 2..N-3, written out term by term:
+    the oracle of ``schemes.kdv_residual_10pt``, with the same operations in
+    the same order."""
+    u0, u1 = prev.u, nxt.u
+    du0, d30 = _kdv_rows(prev)
+    du1, d31 = _kdv_rows(nxt)
+    sig = nxt.x - prev.x
+    return (
+        (u1[..., 2:-2] - u0[..., 2:-2]) / k
+        + (u0[..., 2:-2] - sig[..., 2:-2] / k)
+        * (du0[..., 2:-1] + du0[..., 1:-2] + du1[..., 2:-1] + du1[..., 1:-2]) / 4.0
+        + (d31[..., 1:] + d31[..., :-1] + d30[..., 1:] + d30[..., :-1]) / 4.0
+    )

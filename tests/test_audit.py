@@ -255,7 +255,7 @@ def _fields(rep: AuditReport):
 # the batched audit equals the reference
 # ---------------------------------------------------------------------------
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(
     scheme=st.sampled_from(AUDIT_SCHEMES),
     seed=st.integers(0, 2**63),

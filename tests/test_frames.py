@@ -242,7 +242,7 @@ def test_kdv_frame_normalization_500():
     assert worst <= 1e-10
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(inp=st.builds(KdVFrameInput, st.floats(-1.0, 1.0), st.floats(-2.0, 2.0),
                      st.floats(-2.0, 2.0), st.floats(0.05, 3.0)),
        g=kdv_elements)
@@ -307,7 +307,7 @@ _burgers_inputs = st.builds(
 ).filter(lambda inp: inp.cube_argument > 0.05)
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(inp=_burgers_inputs, g=burgers_elements)
 def test_burgers_frame_equivariance_100(inp, g):
     # rho(g . z) = rho(z) g^-1

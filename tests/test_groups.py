@@ -200,7 +200,7 @@ _FLOW_CLOSED_FORMS = {
 
 
 @pytest.mark.parametrize("name", sorted(_FLOW_CLOSED_FORMS))
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30)
 @given(node=st.tuples(*[st.floats(-2.0, 2.0)] * 3), eps=st.floats(-1.0, 1.0))
 def test_flow_equals_the_one_parameter_element_property(name, node, eps):
     field, element, apply = _FLOW_CLOSED_FORMS[name]
@@ -369,7 +369,7 @@ def _moved_stencils(field, z):
     return seen
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(z=_stencils(), field=st.sampled_from(_ALL_FIELDS))
 def test_perturb_stencil_matches_per_node_reference(z, field):
     eps = 1e-6 * (1.0 + z.sup_norm())
@@ -379,7 +379,7 @@ def test_perturb_stencil_matches_per_node_reference(z, field):
         assert moved.offsets == z.offsets and moved.ref == z.ref
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(z=_stencils(), fields=st.lists(st.sampled_from(_ALL_FIELDS), min_size=1, max_size=5))
 def test_lie_matrix_matches_per_node_reference(z, fields):
     expected = [[c for _off, _val, coeff in _reference_coeffs(f, z) for c in coeff]
@@ -387,7 +387,7 @@ def test_lie_matrix_matches_per_node_reference(z, fields):
     assert lie_matrix(fields, z).tolist() == expected
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(z=_stencils())
 def test_stencil_accessors_agree_with_nodes(z):
     nodes = dict(zip(z.offsets, z.points.tolist()))
@@ -401,7 +401,7 @@ def test_stencil_accessors_agree_with_nodes(z):
         z.u(5, 5)
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30)
 @given(z=_stencils(), data=st.data())
 def test_stencil_rejects_duplicates(z, data):
     offsets = list(z.offsets)
@@ -414,7 +414,7 @@ def test_stencil_rejects_duplicates(z, data):
         Stencil(tuple(offsets + [(9, 9)]), np.array(points + [(t, x, 1.0)]))
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(z=_stencils(), field=st.sampled_from(_ALL_FIELDS),
        ref=st.tuples(st.integers(-3, 3), st.integers(-3, 3)).filter(lambda r: r != (0, 0)))
 def test_prolonged_derivative_equals_two_perturbed_stencils(z, field, ref):
@@ -425,7 +425,7 @@ def test_prolonged_derivative_equals_two_perturbed_stencils(z, field, ref):
     assert prolonged_directional_derivative(F, field, z).tobytes() == expected.tobytes()
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30)
 @given(z=_stencils(), field=st.sampled_from(_ALL_FIELDS))
 def test_moved_stencils_are_read_only_and_keep_the_offsets(z, field):
     l, j = z.offsets[0]
@@ -462,7 +462,7 @@ def _close(p, q, tol=1e-12):
     return rel_err(p, q) <= tol
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=80)
 @given(g=kdv_elements, h=kdv_elements, k=kdv_elements, z=_points)
 def test_kdv_group_laws_property(g, h, k, z):
     assert _close(apply_kdv(g, apply_kdv(h, z)), apply_kdv(g.compose(h), z))
@@ -471,7 +471,7 @@ def test_kdv_group_laws_property(g, h, k, z):
     assert _close(g.compose(h).compose(k).params(), g.compose(h.compose(k)).params())
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=80)
 @given(g=burgers_elements, h=burgers_elements, k=burgers_elements, z=_points)
 def test_burgers_group_laws_property(g, h, k, z):
     assert _close(apply_burgers(g, apply_burgers(h, z)), apply_burgers(g.compose(h), z))
@@ -480,7 +480,7 @@ def test_burgers_group_laws_property(g, h, k, z):
     assert _close(g.compose(h).compose(k).params(), g.compose(h.compose(k)).params())
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=80)
 @given(g=_sl2_elements, h=_sl2_elements, k=_sl2_elements, u=_coord)
 def test_sl2_group_laws_property(g, h, k, u):
     gh = g.compose(h)

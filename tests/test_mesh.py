@@ -24,6 +24,7 @@ from _helpers import (
     equidistributed_exact,
     equidistribution_residual,
     rand_kdv_element,
+    rand_mesh_row,
 )
 
 
@@ -86,6 +87,21 @@ def test_monitor_monotone_in_slope():
     d1 = monitor_arclength(_state(x, u_steep), 0.2, MonitorParams(2.0))
     assert np.all(d1 >= d0)
     assert d1[1] > 1.0  # the steep cell carries the weight
+
+
+def test_monitor_weights_read_the_state_slopes():
+    # d_i = sqrt(1 + alpha (k slopes_i)^2) bit for bit, on (B, n) batches
+    # with per-row k and alpha up to 1e6
+    rng = DeterministicRng(72)
+    for _ in range(200):
+        b, n = 1 + int(4 * rng.random()), 3 + int(10 * rng.random())
+        x = np.array([rand_mesh_row(rng, n) for _ in range(b)])
+        st = _state(x, [[rng.uniform(-2.0, 2.0) for _ in range(n)] for _ in range(b)])
+        k = np.array([[rng.uniform(0.01, 1.0)] for _ in range(b)])
+        alpha = np.array([[10.0 ** rng.uniform(-3.0, 6.0)] for _ in range(b)])
+        d = monitor_arclength(st, k, MonitorParams(alpha))
+        want = np.sqrt(1.0 + alpha * (k * st.slopes) ** 2)
+        assert np.array_equal(d, np.concatenate([want, want[:, -1:]], axis=1))
 
 
 def test_monitor_group_invariance():
@@ -157,7 +173,7 @@ def test_equidistribute_rejects_nonfinite_or_nonpositive_weights(bad):
         equidistribute(delta, (0.0, 1.0))
 
 
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=50)
 @given(
     n=st.integers(3, 4096),
     rows=st.sampled_from([None, 1, 4]),
@@ -178,7 +194,7 @@ def test_equidistribute_property_random_weights(n, rows, contrast, seed, a, widt
     assert equidistribution_residual(delta, upd.x_next) <= 1e-14
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(
     exponents=st.lists(st.floats(0.0, 6.0), min_size=3, max_size=40),
     a=st.floats(-5.0, 5.0),

@@ -18,7 +18,7 @@ from typing import get_args, get_type_hints
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from symfd import runner, schemes
@@ -158,6 +158,16 @@ def test_exact_burgers_shape_and_residual():
 
     for x in (-0.3, 0.1, 0.4):
         assert abs(residual(0.2, x)) <= 1e-6
+
+
+@settings(max_examples=200)
+@example(c=-1e10, t=0.0, nu=1e-300)  # -(c + t) / (4 nu) overflows to +inf
+@given(c=st.floats(-1e12, 1e12), t=st.floats(0.0, 1.0),
+       nu=st.floats(-300.0, 0.0).map(lambda p: 10.0**p))
+def test_exact_burgers_is_bounded_for_extreme_parameters(c, t, nu):
+    # on [-0.5, 0.5], where x / (2 nu) is finite for every nu >= 1e-300
+    u = np.asarray(exact_burgers(t, np.linspace(-0.5, 0.5, 16), nu, c))
+    assert np.all(np.abs(u) <= 1.0)  # a NaN fails this too
 
 
 def test_total_variation_examples():
@@ -558,12 +568,18 @@ def test_schwarzian_singular_step_stops_with_its_message(monkeypatch, fault, sta
     assert np.array_equal(u, whole.snapshots[-1][2][:6])
 
 
-def test_fine_grid_schwarzian_run_tracks_tan_x():
-    # a spacing of about 1e-9: the march's closed-form step is scale-free
-    out = run_experiment(_schwarzian_cfg(domain_a=0.1, domain_b=0.1000001, n_points=100))
+@pytest.mark.parametrize("domain_a,domain_b,n_points", [
+    pytest.param(0.1, 0.1000001, 100, id="spacing_1e-9"),
+    # values near 1e-300, whose products underflow: the step reads differences only
+    pytest.param(1e-300, 2e-300, 50, id="tiny_domain"),
+])
+def test_fine_grid_schwarzian_run_tracks_tan_x(domain_a, domain_b, n_points):
+    # the march's closed-form step is scale-free
+    out = run_experiment(_schwarzian_cfg(domain_a=domain_a, domain_b=domain_b,
+                                         n_points=n_points))
     assert (out.status, out.message) == ("completed", "")
     _t, x, u = out.snapshots[-1]
-    assert x.size == 100
+    assert x.size == n_points
     assert np.max(np.abs(u - np.tan(x)) / np.abs(np.tan(x))) <= 1e-9
 
 
@@ -994,7 +1010,7 @@ def _runnable_configs(draw):
     return values
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(values=_runnable_configs())
 def test_every_runnable_config_completes_cleanly_or_stops_with_its_state(values):
     with tempfile.TemporaryDirectory() as tmp:
@@ -1034,7 +1050,7 @@ def _config_text(values):
                    for key, val in values.items() if val is not None)
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(values=_runnable_configs())
 def test_config_values_round_trip_through_validation_and_text(values):
     cfg = validate_config(values)

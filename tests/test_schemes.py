@@ -48,9 +48,12 @@ from symfd.schemes import (
 
 from _helpers import (
     POWER_OF_TWO_SCALES,
+    WINDOW_VALUES,
     apply_kdv_stencil,
     equidistribution_residual,
     kdv_elements,
+    kdv_residual_10pt_reference,
+    kdv_residual_6pt_reference,
     rand_admissible_window,
     rand_burgers_element,
     rand_kdv_element,
@@ -82,7 +85,7 @@ def _values(draw, n, rows, levels):
         (n,) if rows is None else (rows, n))
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(data=st.data(), n=st.integers(3, 10), rows=st.sampled_from([None, 1, 3]))
 def test_gridstate_rejects_nonfinite_abscissae(data, n, rows):
     x = _mesh(data.draw, n, rows)
@@ -135,13 +138,8 @@ def test_schwarzian_step_mobius_commutation():
         count += 1
 
 
-# a window's values are multiples of 2^-19 in [-2, 2]: every product the
-# step forms stays a normal float under scaling by 2^m for |m| <= 60
-_WINDOW_VALUES = st.integers(-2**20, 2**20).map(lambda n: math.ldexp(n, -19))
-
-
-@settings(max_examples=300, deadline=None)
-@given(u=st.lists(_WINDOW_VALUES, min_size=3, max_size=3),
+@settings(max_examples=300)
+@given(u=st.lists(WINDOW_VALUES, min_size=3, max_size=3),
        h=st.floats(0.05, 1.0), f=st.floats(-1.0, 1.0), m=st.integers(-60, 60),
        step=st.sampled_from([schwarzian_step, schwarzian_invariantized_step]))
 def test_schwarzian_steps_commute_with_scaling_by_powers_of_two(u, h, f, m, step):
@@ -180,7 +178,7 @@ def _invariantized_step_reference(u_im1, u_i, u_ip1, h, f_i):
     return (rho * span * u_i + m) / (rho * span - d2)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(st.lists(st.floats(-1e3, 1e3), min_size=4, max_size=4))
 def test_cross_ratio_and_its_conjugate_sum_to_one(u):
     a, b, c, d = u
@@ -356,6 +354,20 @@ def test_kdv_residual_zero_on_advected_constant():
     assert np.max(np.abs(kdv_residual_10pt(prev, nxt, k))) <= 1e-13
 
 
+@pytest.mark.parametrize("residual,reference", [
+    (kdv_residual_6pt, kdv_residual_6pt_reference),
+    (kdv_residual_10pt, kdv_residual_10pt_reference),
+])
+@pytest.mark.parametrize("rows", [None, 1, 4])
+def test_kdv_residuals_match_the_written_out_schemes(residual, reference, rows):
+    rng = DeterministicRng(43)
+    for _ in range(50):
+        n = 5 + int(8 * rng.random())
+        prev, nxt = _state(rng, rows, n), _state(rng, rows, n)
+        k = rng.uniform(0.01, 0.5) if rows is None else _column(rng, 0.01, 0.5, rows)
+        assert _same_bits(residual(prev, nxt, k), reference(prev, nxt, k))
+
+
 @pytest.mark.parametrize("residual", [kdv_residual_6pt, kdv_residual_10pt])
 def test_kdv_residual_first_order_on_soliton(residual):
     # k tied to h so the O(k) and O(h) pieces refine together
@@ -368,7 +380,7 @@ def test_kdv_residual_first_order_on_soliton(residual):
 
 
 @pytest.mark.parametrize("residual", [kdv_residual_6pt, kdv_residual_10pt])
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(data=st.data(), rows=st.sampled_from([None, 1, 3]), g=kdv_elements)
 def test_kdv_residual_group_invariance(residual, data, rows, g):
     # the normalized residual of a state pair, or of a (rows, 9) batch of
@@ -673,7 +685,7 @@ def _burgers_parts_reference(x0, u0, x1, k, nu, phi_override):
 _u_values = st.one_of(st.floats(-2.0, 2.0), st.sampled_from([-1.0, 0.0, 1.0]))
 
 
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=50)
 @given(
     data=st.data(),
     n=st.integers(4, 12),
@@ -710,7 +722,7 @@ def test_burgers_parts_with_a_subnormal_value():
     _assert_burgers_parts_match(x0, u0, x1, 1.0, 0.0, None)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(data=st.data(), n=st.integers(4, 12), rows=st.sampled_from([None, 1, 4]),
        phi_override=st.sampled_from([None, 0.0, 1.0]))
 def test_burgers_volume_coefficient_is_at_least_the_smaller_new_spacing(
@@ -791,7 +803,7 @@ def _burgers_step_reference(prev, k, nu, alpha, drift):
     return upd.x_next, u1, upd.min_spacing, weights
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=80)
 @given(data=st.data(), n=st.integers(5, 12), rows=st.sampled_from([None, 1, 4]))
 def test_burgers_step_equals_public_composition(data, n, rows):
     prev = GridState(0.0, _mesh(data.draw, n, rows), _values(data.draw, n, rows, _FLAT_U))
@@ -814,7 +826,7 @@ def test_burgers_step_equals_public_composition(data, n, rows):
     assert equidistribution_residual(weights, nxt.x) <= 1e-14
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(data=st.data(), n=st.integers(5, 10))
 def test_burgers_step_and_residual_strong_invariance(data, n):
     # exact repeats stay exact under the group; other differences keep a
@@ -890,7 +902,7 @@ def _burgers_consistency_error(n, nu, a, phase, v, psi, t0):
     return float(np.max(np.abs(r / (k * (x1[2:] - x1[:-2])))[1:-1]))
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25)
 @given(a=st.floats(-0.5, 0.5), phase=st.floats(0.0, 2.0 * math.pi),
        v=st.floats(-2.0, 2.0), psi=st.floats(0.0, 2.0 * math.pi), t0=st.floats(0.0, 1.0))
 def test_burgers_residual_is_second_order_consistent(a, phase, v, psi, t0):
@@ -1047,7 +1059,7 @@ def test_rk_rejects_a_nonfinite_stage_and_stops_on_blowup_like_reference():
     assert tr.diverged and tr.final()[0] < 2.0
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(problem=_rk_problems())
 def test_rk_adaptive_solve_equals_vector_reference(problem):
     _assert_rk_matches_reference(*problem)
@@ -1267,7 +1279,7 @@ def test_steps_carry_exact_differences_and_leave_their_input_alone(name, rows):
         assert _carried(prev) == before and prev.d3u.tobytes() == d3u
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(data=st.data(), n=st.integers(3, 10), rows=st.sampled_from([None, 1, 4]))
 def test_checked_and_unchecked_states_carry_the_same_differences(data, n, rows):
     x = _mesh(data.draw, n, rows)
