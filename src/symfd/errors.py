@@ -1,7 +1,18 @@
-"""Exception taxonomy shared by all symfd modules, and their shared threshold."""
+"""Exception taxonomy shared by all symfd modules, and their one rule for when a
+difference d = a - b vanishes, |d| <= DEGENERACY_TOL (|a| + |b|)/2, which commutes
+with scaling; every other vanishing test of the package is exact."""
 
-# below this a denominator, slope or determinant counts as vanishing
 DEGENERACY_TOL = 1e-14
+
+
+def _cancel_bound(a, b):
+    """The largest |a - b| that vanishes, of floats or arrays a and b."""
+    return 0.5 * DEGENERACY_TOL * (abs(a) + abs(b))
+
+
+def _cancels(d: float, a: float, b: float) -> bool:
+    """Whether d = a - b vanishes: |d| <= _cancel_bound(a, b)."""
+    return abs(d) <= _cancel_bound(a, b)
 
 
 class SymfdError(Exception):
@@ -21,7 +32,7 @@ class FrameSingularity(SymfdError):
 
 
 class DegenerateDenominator(SymfdError):
-    """A denominator vanished to within DEGENERACY_TOL (a difference, relative to its terms)."""
+    """A denominator vanished: a difference cancelled its terms (``_cancels``)."""
 
 
 class ProjectionFailure(SymfdError):

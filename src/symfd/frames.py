@@ -13,7 +13,8 @@ invariant for any scalar F.  Three frames are implemented:
   advective time derivative, k), normalizing t, x, u to zero with the scale
   factor fixed by the cube root of (1 + k Dx u)(Dt u + u^{n+1} Dx u).
 
-The Burgers action is the four-parameter subgroup only.
+The Burgers action is the four-parameter subgroup only.  The KdV and Burgers
+frames test positivity exactly, so no scaling of a jet makes them singular.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DEGENERACY_TOL, DegenerateJet, FrameSingularity
+from .errors import DegenerateJet, FrameSingularity
 from .groups import (
     BurgersGroupElement,
     KdVGroupElement,
@@ -147,7 +148,7 @@ def sl2_discrete_frame(inp: SL2DiscreteFrameInput) -> SL2Element:
     eps = inp.epsilon
 
     if abs(du_i - du_im1) <= 1e-12 * max(abs(du_i), abs(du_im1)):
-        if abs(du_i) < DEGENERACY_TOL:
+        if du_i == 0.0:
             raise DegenerateJet("window slope vanishes in the limiting branch")
         a = 1.0 / math.sqrt(abs(du_i))
         return SL2Element(a, -a * u_i, 0.0, 1.0 / a)
@@ -167,7 +168,7 @@ def kdv_discrete_frame(inp: KdVFrameInput) -> KdVGroupElement:
     a = (u t - x) m^{1/3}, where m is the centered slope (must be positive).
     """
     m = inp.dxu
-    if m <= DEGENERACY_TOL:
+    if not m > 0.0:
         raise DegenerateJet(f"centered slope {m} not positive")
     lam = m ** (1.0 / 3.0)
     v = -inp.u / m ** (2.0 / 3.0)
@@ -183,7 +184,7 @@ def burgers_discrete_frame(inp: BurgersFrameInput) -> BurgersGroupElement:
     e^{3 e4} = (1 + k Dx u)(Dt u + u^{n+1} Dx u), which must be positive.
     """
     p = inp.cube_argument
-    if p <= DEGENERACY_TOL:
+    if not p > 0.0:
         raise DegenerateJet(f"cube root argument {p} not positive")
     return BurgersGroupElement(-inp.x, -inp.t, -inp.u, math.log(p) / 3.0)
 

@@ -30,7 +30,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import DEGENERACY_TOL, PoleError, ProjectionFailure
+from .errors import PoleError, ProjectionFailure, _cancels
 from .rng import DeterministicRng
 
 Node = tuple[float, float, float]  # (t, x, u)
@@ -85,9 +85,9 @@ class SL2Element:
 
 
 def apply_sl2(g: SL2Element, u: float) -> float:
-    """Fractional linear action (a u + b)/(c u + d)."""
+    """Fractional linear action (a u + b)/(c u + d); PoleError where c u + d vanishes."""
     den = g.c * u + g.d
-    if abs(den) < DEGENERACY_TOL:
+    if _cancels(den, g.c * u, g.d):
         raise PoleError(f"Mobius map evaluated at pole: cu + d = {den}")
     return (g.a * u + g.b) / den
 

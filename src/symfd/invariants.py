@@ -6,9 +6,8 @@ five-column stencil; the Burgers family admits 9 invariants on a two-row,
 three-column stencil.  Each catalog is exposed both as a named record and as
 a flat ordered vector, computed by one function.
 
-The cross-ratio and the Schwarzian steps' solve for its fourth value share
-one degeneracy rule, ``_cancels``, relative to the terms a difference
-cancels, so the relation is scale-free in both directions.
+The cross-ratio and its inverse, the Schwarzian steps' solve, read differences
+only and test denominators by ``errors._cancels``: scale-free both ways.
 
 ``KdVStencil`` and ``BurgersStencil`` are one two-row type that differs only
 in the offsets it names: checks, differences and the conversions to and from
@@ -37,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DEGENERACY_TOL, DegenerateDenominator
+from .errors import DegenerateDenominator, _cancels
 from .groups import Stencil
 
 
@@ -45,22 +44,17 @@ from .groups import Stencil
 # Mobius invariants
 # ---------------------------------------------------------------------------
 
-def _cancels(d: float, a: float, b: float) -> bool:
-    """Whether d = a - b is at most DEGENERACY_TOL (|a| + |b|): lost to cancellation."""
-    return abs(d) <= DEGENERACY_TOL * (abs(a) + abs(b))
-
-
 def cross_ratio(u_im1: float, u_i: float, u_ip1: float, u_ip2: float) -> float:
     """(u_i - u_{i-1})(u_{i+2} - u_{i+1}) / ((u_{i+1} - u_{i-1})(u_{i+2} - u_i)).
 
     The fundamental difference invariant of the fractional linear action on
-    four consecutive values; :class:`DegenerateDenominator` when a
-    denominator factor cancels its terms (``_cancels``).
+    four consecutive values, as a product of two quotients of differences;
+    DegenerateDenominator when a denominator factor cancels (``errors._cancels``).
     """
     span, right = u_ip1 - u_im1, u_ip2 - u_i
     if _cancels(span, u_ip1, u_im1) or _cancels(right, u_ip2, u_i):
         raise DegenerateDenominator(f"cross-ratio factor {span!r} or {right!r} cancels")
-    return (u_i - u_im1) * (u_ip2 - u_ip1) / (span * right)
+    return ((u_i - u_im1) / span) * ((u_ip2 - u_ip1) / right)
 
 
 # ---------------------------------------------------------------------------

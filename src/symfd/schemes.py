@@ -9,8 +9,8 @@ Schwarzian ODE (third order, Mobius symmetry)
     (d-a)(c-b) + (b-a)(d-c) = (c-a)(d-b) for any four values, Rbar = 1 - R
     and Rbar - R = 1 - 2R, so its target is
     R* = (1 + h^2 F(x_i)) / (2 (2 + h^2 F(x_i))).  Its residual is
-    (1/h^2) [1/(1 - 2R) - 2] - F(x_i).  The solve reads differences only
-    and tests its denominator by the cross-ratio's rule: it is scale-free.
+    (1/h^2) [1/(1 - 2R) - 2] - F(x_i).  The solve reads differences only,
+    and it, the targets and the residuals test divisors by ``errors._cancels``.
 
 KdV equation u_t + u u_x + u_xxx = 0
     Six-point scheme (one node on the upper row):
@@ -35,8 +35,9 @@ Burgers equation u_t + u u_x = nu u_xx
     low-order (upwind) flux discretizations blended by the minmod limiter
     max(0, min(1, theta)) evaluated on the smoothness ratio theta.
     Upwinding follows the sign of the mesh-relative speed u - sigma/k, which
-    is invariant under Galilean boosts (the raw sign of u is not).  The
-    blended update is diagonal in u^{n+1} and solved per node.
+    is invariant under Galilean boosts (the raw sign of u is not); theta's
+    degeneracy test is relative (``errors._cancels``), so the march commutes
+    with scaling.  The blended update is diagonal in u^{n+1}, solved per node.
 
 The naive KdV baseline lives on a uniform static mesh and is deliberately
 not Galilean invariant; the adaptive Runge-Kutta-Fehlberg 4(5) solver is the
@@ -68,8 +69,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DEGENERACY_TOL, DegenerateDenominator, SchemeSingularity
-from .invariants import _cancels, cross_ratio
+from .errors import DegenerateDenominator, SchemeSingularity, _cancel_bound, _cancels
+from .invariants import cross_ratio
 from .mesh import (
     MeshUpdate,
     MonitorParams,
@@ -196,10 +197,10 @@ def schwarzian_step(u_im1: float, u_i: float, u_ip1: float, h: float, f_i: float
     Enforces cross_ratio = 1 / (2 (2 - h^2 F(x_i))) with ``f_i`` = F(x_i);
     the step is a closed form fractional-linear solve, no iteration.
     """
-    den = 2.0 * (2.0 - h**2 * f_i)
-    if abs(den) < DEGENERACY_TOL:
+    hf = h**2 * f_i
+    if _cancels(2.0 - hf, 2.0, hf):
         raise SchemeSingularity("target cross-ratio undefined: h^2 F = 2")
-    return _solve_cross_ratio_target(u_im1, u_i, u_ip1, 1.0 / den)
+    return _solve_cross_ratio_target(u_im1, u_i, u_ip1, 1.0 / (2.0 * (2.0 - hf)))
 
 
 def schwarzian_step_through_pole(u_ip1: float, u_ip2: float) -> bool:
@@ -210,15 +211,17 @@ def schwarzian_step_through_pole(u_ip1: float, u_ip2: float) -> bool:
 def schwarzian_invariant_residual(u_im1, u_i, u_ip1, u_ip2, h, f_at_x) -> float:
     """(1/h^2) [2 - 1/(2 R_i)] - F(x_i); Mobius invariant at value level."""
     r = cross_ratio(u_im1, u_i, u_ip1, u_ip2)
-    if abs(r) < DEGENERACY_TOL:
+    # a numerator difference cancelled, or the product of quotients underflowed
+    if _cancels(u_i - u_im1, u_i, u_im1) or _cancels(u_ip2 - u_ip1, u_ip2, u_ip1) or r == 0.0:
         raise DegenerateDenominator("cross-ratio vanished")
     return (2.0 - 0.5 / r) / h**2 - f_at_x
 
 
 def schwarzian_invariantized_residual(u_im1, u_i, u_ip1, u_ip2, h, f_at_x) -> float:
     """(1/h^2) [1/(Rbar_i - R_i) - 2] - F(x_i), with Rbar_i - R_i = 1 - 2 R_i."""
-    gap = 1.0 - 2.0 * cross_ratio(u_im1, u_i, u_ip1, u_ip2)
-    if abs(gap) < DEGENERACY_TOL:
+    r2 = 2.0 * cross_ratio(u_im1, u_i, u_ip1, u_ip2)
+    gap = 1.0 - r2
+    if _cancels(gap, 1.0, r2):
         raise DegenerateDenominator("Rbar - R vanished")
     return (1.0 / gap - 2.0) / h**2 - f_at_x
 
@@ -230,10 +233,10 @@ def schwarzian_invariantized_step(u_im1: float, u_i: float, u_ip1: float,
     As Rbar - R = 1 - 2R, that is cross_ratio = (1 + h^2 F) / (2 (2 + h^2 F)),
     the invariant step's recurrence with another target.
     """
-    den = 2.0 * (2.0 + h**2 * f_i)
-    if abs(den) < DEGENERACY_TOL:
+    hf = h**2 * f_i
+    if _cancels(2.0 + hf, 2.0, hf):
         raise SchemeSingularity("target cross-ratio undefined: h^2 F = -2")
-    return _solve_cross_ratio_target(u_im1, u_i, u_ip1, (1.0 + h**2 * f_i) / den)
+    return _solve_cross_ratio_target(u_im1, u_i, u_ip1, (1.0 + hf) / (2.0 * (2.0 + hf)))
 
 
 # ---------------------------------------------------------------------------
@@ -522,16 +525,15 @@ def _burgers_parts(prev: GridState, x1: np.ndarray, h1: np.ndarray,
         # limiter weight Phi(theta_i): the ratio over [x_{i-1}, x_i], the
         # interval whose smoothness governs the update at node i; a lagged
         # index here displaces the discrete shock and breaks TV non-growth.
-        # A vanishing denominator saturates theta to sign(num) * 1e15, or to
-        # the smooth-region value 1 if both differences vanish.  Clipped,
-        # that is 1 where num > -tol, else 0 (NaN stays NaN); dividing by 1
-        # there instead gives num, which the clip takes to the same 0 or
-        # NaN, so one choice of 1 replaces the saturation branch.
+        # Delta u_{i-1} vanishing (errors._cancels) makes theta +-inf by the
+        # sign of num, or 1 if num vanishes too: clipped, 1 where num >= -tiny,
+        # else 0, as num / 1 clips (a subnormal den may overflow theta to +-inf).
         den = dlt_e[..., 1:-1]                                # Delta u_{i-1}
         num = np.where(up, dlt_e[..., :-2], dlt_e[..., 2:])   # Delta u_{i-2} or Delta u_i
-        small = np.abs(den) < DEGENERACY_TOL
+        tiny = _cancel_bound(u_c, u0[..., :-2])
+        small = np.abs(den) <= tiny
         theta = num / np.where(small, 1.0, den)
-        phi = np.where(small & (num > -DEGENERACY_TOL), 1.0, theta).clip(0.0, 1.0)
+        phi = np.where(small & (num >= -tiny), 1.0, theta).clip(0.0, 1.0)
 
     coef = coef_lo - phi * (coef_lo - coef_hi)
     const = const_lo - phi * (const_lo - const_hi)

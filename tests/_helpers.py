@@ -36,9 +36,10 @@ burgers_elements = st.builds(BurgersGroupElement, _unit, _unit, _unit, st.floats
 # sampled scales, at spacings far below 1e-14 (j = -50, -60) and far above 1
 POWER_OF_TWO_SCALES = tuple(2.0**j for j in (-60, -50, 60))
 
-# a window's values are multiples of 2^-19 in [-2, 2]: every product the
-# cross-ratio or a Schwarzian step forms stays a normal float under
-# scaling by 2^m for |m| <= 60
+# a window's values are multiples of 2^-19 in [-2, 2]: scaled by 2^m, every
+# value, difference and quotient of differences the cross-ratio forms stays a
+# normal float for |m| <= 1000, and every product a Schwarzian step forms
+# for |m| <= 60
 WINDOW_VALUES = st.integers(-2**20, 2**20).map(lambda n: math.ldexp(n, -19))
 
 

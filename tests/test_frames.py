@@ -24,6 +24,7 @@ from symfd.frames import (
     sl2_discrete_normalization_residuals,
     sl2_projectively_equal,
 )
+from symfd.groups import BurgersGroupElement, KdVGroupElement
 from symfd.invariants import cross_ratio, kdv_invariants
 from symfd.rng import DeterministicRng
 
@@ -316,6 +317,35 @@ def test_burgers_frame_equivariance_100(inp, g):
     lhs = np.array(burgers_discrete_frame(gi).params())
     rhs = np.array(burgers_discrete_frame(inp).compose(g.inverse()).params())
     assert np.max(np.abs(lhs - rhs) / (1.0 + np.abs(rhs))) <= 1e-9
+
+
+def _component(lo, hi):
+    """Jet components of 0 or at least 1e-100 in size: a product of two,
+    scaled by up to 2^(+-180) as a scaling by 2^(+-60) may, stays normal."""
+    return st.floats(lo, hi).filter(lambda v: v == 0.0 or abs(v) >= 1e-100)
+
+
+@settings(max_examples=200)
+@given(kdv=st.builds(KdVFrameInput, _component(-1.0, 1.0), _component(-2.0, 2.0),
+                     _component(-2.0, 2.0), st.floats(0.05, 3.0)),
+       burgers=st.builds(BurgersFrameInput, _component(-1.0, 1.0),
+                         *[_component(-2.0, 2.0)] * 5, st.floats(0.1, 2.0)
+                         ).filter(lambda inp: inp.cube_argument > 0.05),
+       j=st.integers(-60, 60))
+def test_frames_are_equivariant_under_extreme_scalings(kdv, burgers, j):
+    # rho(g . z) = rho(z) g^-1 for g a scaling by 2^j: the frames test their
+    # slope and cube argument for positivity exactly, so no scale is singular.
+    # Each parameter agrees to 1e-12 of its size, and the Burgers log-scale
+    # e4 to 1e-12 absolute, a relative error of the scale exp(e4)
+    g = KdVGroupElement(2.0**j)
+    lhs = kdv_discrete_frame(apply_kdv_jet(g, kdv)).params()
+    rhs = kdv_discrete_frame(kdv).compose(g.inverse()).params()
+    assert all(abs(a - b) <= 1e-12 * abs(b) for a, b in zip(lhs, rhs)), (lhs, rhs)
+    g = BurgersGroupElement(eps4=j * math.log(2.0))
+    lhs = burgers_discrete_frame(apply_burgers_jet(g, burgers)).params()
+    rhs = burgers_discrete_frame(burgers).compose(g.inverse()).params()
+    assert all(abs(a - b) <= 1e-12 * abs(b) for a, b in zip(lhs[:3], rhs[:3])), (lhs, rhs)
+    assert abs(lhs[3] - rhs[3]) <= 1e-12, (lhs, rhs)
 
 
 def _d2u(z):

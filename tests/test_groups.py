@@ -59,6 +59,11 @@ def test_apply_sl2_pole():
     g = SL2Element(1.0, 0.0, 1.0, 1.0)  # pole at u = -1
     with pytest.raises(PoleError):
         apply_sl2(g, -1.0)
+    # c u + d vanishes relative to its terms, not below an absolute size: a
+    # scaling by 2^100 has d = 2^-50 and no pole at u = 1
+    assert apply_sl2(SL2Element(2.0**50, 0.0, 0.0, 2.0**-50), 1.0) == 2.0**100
+    with pytest.raises(PoleError):
+        apply_sl2(SL2Element(1.0, 0.0, 1.0, 1.0 + 2.0**-52), -1.0)
 
 
 def test_sl2_unimodular_rescaling():

@@ -6,6 +6,9 @@ definition: in ``src/symfd``, in the benchmark's non-test modules
 (``bench/*.py``) or in the acceptance tests.  A name that only unit tests
 call is either the independent oracle of a test, and belongs in
 ``tests/_helpers.py``, or dead code.
+
+The package decides that a difference vanishes by one rule, written in
+``errors.py``: no other module names its tolerance ``DEGENERACY_TOL``.
 """
 
 import ast
@@ -69,3 +72,13 @@ def test_every_public_name_is_referenced_outside_unit_tests():
                   ast.parse(path.read_text(encoding="utf-8"), str(path)), path.stem)
               if name not in refs.names]
     assert unused == [], f"public names nothing but unit tests call: {unused}"
+
+
+def test_only_the_errors_module_names_the_degeneracy_tolerance():
+    namers = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        refs = _References()
+        refs.visit(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+        if path.name != "errors.py" and "DEGENERACY_TOL" in refs.names:
+            namers.append(path.name)
+    assert namers == [], f"modules that test vanishing by their own rule: {namers}"

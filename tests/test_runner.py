@@ -529,6 +529,28 @@ def test_kdv_6pt_run_commutes_with_power_of_two_scaling(mesh):
         assert np.array_equal(x / lam, x_ref) and np.array_equal(u * lam**2, u_ref), j
 
 
+def test_burgers_march_commutes_with_power_of_two_scaling():
+    # x -> lam x, t -> lam^2 t, u -> u / lam with lam = 2^j is exact in
+    # floating point, and the limiter's vanishing test is relative to the
+    # values it compares, so the run's march maps onto its image bit for bit
+    x = np.linspace(-0.5, 0.5, 48)
+    h = x[1] - x[0]
+    k, nu, alpha = 0.4 * h * h, 0.01, 0.5
+
+    def march(lam):
+        state = GridState(0.0, lam * x, exact_burgers(0.0, x, nu) / lam)
+        for _ in range(20):
+            state, _ = schemes.burgers_fv_step_detailed(
+                state, lam**2 * k, nu, alpha, spacing_floor=lam * runner._SPACING_FLOOR_REL * h)
+        return state
+
+    ref = march(1.0)
+    for j in (-60, -50, -40, -20, 20, 40, 60):
+        lam = 2.0**j
+        out = march(lam)
+        assert np.array_equal(out.x / lam, ref.x) and np.array_equal(out.u * lam, ref.u), j
+
+
 def _schwarzian_cfg(**over):
     return validate_config({"equation": "schwarzian", "scheme": "schwarzian_invariant",
                             "domain_a": 0.0, "domain_b": 1.0, "n_points": 16, **over})
