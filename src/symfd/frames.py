@@ -13,8 +13,9 @@ invariant for any scalar F.  Three frames are implemented:
   advective time derivative, k), normalizing t, x, u to zero with the scale
   factor fixed by the cube root of (1 + k Dx u)(Dt u + u^{n+1} Dx u).
 
-The Burgers action is the four-parameter subgroup only.  The KdV and Burgers
-frames test positivity exactly, so no scaling of a jet makes them singular.
+The Burgers action is the four-parameter subgroup only.  No scaling of a jet
+makes a frame singular: the KdV and Burgers frames test positivity exactly,
+and the Mobius frame is formed from signs and quotients of differences.
 """
 
 from __future__ import annotations
@@ -64,9 +65,10 @@ class SL2DiscreteFrameInput:
 
     @property
     def epsilon(self) -> float:
-        return sign_pos(
-            (self.u_ip1 - self.u_i) * (self.u_i - self.u_im1) * (self.u_ip2 - self.u_im1)
-        )
+        """sign_pos of (u_{i+1} - u_i)(u_i - u_{i-1})(u_{i+2} - u_{i-1}), by factor."""
+        span = self.u_ip2 - self.u_im1
+        return (sign_pos(self.u_ip1 - self.u_i) * sign_pos(self.u_i - self.u_im1)
+                * sign_pos(span) if span else 1.0)
 
 
 @dataclass(frozen=True, slots=True)
@@ -142,25 +144,24 @@ def sl2_discrete_frame(inp: SL2DiscreteFrameInput) -> SL2Element:
     """
     u_im1, u_i, u_ip1, u_ip2 = inp.window
     h = inp.h
-    du_i = (u_ip1 - u_i) / h
-    du_im1 = (u_i - u_im1) / h
-    d2 = (u_ip1 - 2.0 * u_i + u_im1) / h**2
-    eps = inp.epsilon
+    p, q = u_ip1 - u_i, u_i - u_im1
+    r = p - q
 
-    if abs(du_i - du_im1) <= 1e-12 * max(abs(du_i), abs(du_im1)):
+    if abs(r) <= 1e-12 * max(abs(p), abs(q)):
+        du_i = p / h
         if du_i == 0.0:
             raise DegenerateJet("window slope vanishes in the limiting branch")
         a = 1.0 / math.sqrt(abs(du_i))
         return SL2Element(a, -a * u_i, 0.0, 1.0 / a)
 
-    c2 = eps * d2**2 / (2.0 * du_i * du_im1 * (du_i + du_im1))
+    span = u_ip1 - u_im1  # 0 makes c^2 infinite
+    c2 = inp.epsilon * (r / p) * (r / q) / (2.0 * h * span) if span else math.inf
     if c2 <= 0.0 or not math.isfinite(c2):
         raise FrameSingularity(f"normalization equations need c^2 > 0, got {c2}")
     c = math.sqrt(c2)
-    a = d2 / (2.0 * c * du_i * du_im1)
-    b = -u_i * a
-    d = c * (u_ip1 * du_im1 - u_im1 * du_i) / (du_i - du_im1)
-    return SL2Element(a, b, c, d)
+    a = (r / p) / (2.0 * c * q)
+    d = c * (u_ip1 * (q / r) - u_im1 * (p / r))
+    return SL2Element(a, -u_i * a, c, d)
 
 
 def kdv_discrete_frame(inp: KdVFrameInput) -> KdVGroupElement:

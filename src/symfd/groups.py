@@ -34,6 +34,7 @@ from .errors import PoleError, ProjectionFailure, _cancels
 from .rng import DeterministicRng
 
 Node = tuple[float, float, float]  # (t, x, u)
+_MAX_RESAMPLE = 200  # draws a symmetry check may reject, beyond ten per sample
 
 
 def sign_pos(x: float) -> float:
@@ -489,7 +490,6 @@ def check_difference_symmetry(
     solve_offset: tuple[int, int],
     seed: int = 0,
     admissible: Callable[[Stencil], bool] | None = None,
-    max_resample: int = 200,
 ) -> SymmetryCheckReport:
     """Randomized test of the infinitesimal symmetry criterion on E = 0.
 
@@ -497,42 +497,29 @@ def check_difference_symmetry(
     [0.1, 2]), projected onto the solution set by solving for the designated
     coordinate, and the prolonged directional derivative of E along ``field``
     is evaluated there.  Passes when the largest magnitude stays below
-    ``tol``.
+    ``tol``; ProjectionFailure once it has rejected too many draws.
     """
     rng = DeterministicRng(seed)
     offsets = list(offsets)
-    worst = 0.0
-    worst_z = None
-    resampled = 0
-    done = 0
+    admit = admissible or (lambda z: True)
+    worst, worst_z, resampled, done = 0.0, None, 0, 0
     while done < samples:
-        if resampled > max_resample + samples * 10:
+        if resampled > _MAX_RESAMPLE + samples * 10:
             raise ProjectionFailure("too many degenerate draws")
-        nodes = {}
-        xrow: dict[int, dict[int, float]] = {}
-        for (l, j) in sorted(offsets):
-            xrow.setdefault(l, {})
-        for l, row in xrow.items():
-            js = sorted(j for (ll, j) in offsets if ll == l)
-            pos = 0.0
-            prev = None
-            for j in js:
-                if prev is not None:
-                    pos += rng.uniform(0.1, 2.0) * (j - prev)
-                row[j] = pos
-                prev = j
-        for (l, j) in offsets:
-            nodes[(l, j)] = (float(l), xrow[l][j], rng.uniform(-2.0, 2.0))
-        z = Stencil.from_dict(nodes)
-        if admissible is not None and not admissible(z):
-            resampled += 1
-            continue
-        try:
-            z_star = _solve_for_coordinate(E, z, solve_offset)
+        x: dict[tuple[int, int], float] = {}
+        for l in sorted({l for l, _j in offsets}):  # rows in time order, each from x = 0
+            js = sorted(j for ll, j in offsets if ll == l)
+            x[(l, js[0])] = pos = 0.0
+            for prev, j in zip(js, js[1:]):
+                pos += rng.uniform(0.1, 2.0) * (j - prev)
+                x[(l, j)] = pos
+        z = Stencil.from_dict({(l, j): (float(l), x[(l, j)], rng.uniform(-2.0, 2.0))
+                               for l, j in offsets})
+        try:  # None for a draw or projection that is not admissible
+            z_star = _solve_for_coordinate(E, z, solve_offset) if admit(z) else None
         except ProjectionFailure:
-            resampled += 1
-            continue
-        if admissible is not None and not admissible(z_star):
+            z_star = None
+        if z_star is None or not admit(z_star):
             resampled += 1
             continue
         d = abs(prolonged_directional_derivative(E, field, z_star))

@@ -5,13 +5,14 @@ This is the CLI surface.  Configurations are flat ``key = value`` text files
 CSV ``t,x,u`` and diagnostics are one CSV row per step.  An identical
 configuration produces byte-identical output.
 
-The Schwarzian run marches in space.  All KdV and Burgers runs
+The Schwarzian run marches in space.  Every KdV and Burgers run
 (Lagrangian, adaptive and projected meshes, the naive baseline, the
-Burgers shock) share one time loop around a step callable that returns
-``(GridState, StepInfo)``; the loop owns the guards, the diagnostics, the
-snapshot cadence and the stop statuses.  Both kinds of run append their
-per-step diagnostics to one ``diagnostics.Diagnostics`` store, which holds
-them as columns and builds a ``DiagnosticsRow`` only when one is read.
+Burgers shock) takes the step state -> (GridState, StepInfo) that
+``_STEPS`` builds for it, a table keyed by the runnable (equation, scheme,
+mesh) that validation accepts, in one time loop that owns the guards, the
+diagnostics, the snapshot cadence and the stop statuses.  Both kinds of
+run append their per-step diagnostics to one ``diagnostics.Diagnostics``
+store, which holds them as columns and builds a row only when one is read.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import os
 import stat
 from collections.abc import Sequence
 from dataclasses import MISSING, asdict, dataclass, fields
+from functools import partial
 from itertools import islice
 from typing import Callable, Iterable, Iterator, get_args, get_type_hints
 
@@ -142,11 +144,40 @@ def schwarzian_rhs(source: Callable[[float], float]):
 # configuration
 # ---------------------------------------------------------------------------
 
-_SCHEMES_BY_EQUATION = {
-    "schwarzian": {"schwarzian_invariant"},
-    "kdv": {"kdv_6pt", "kdv_10pt", "kdv_naive"},
-    "burgers": {"burgers_fv"},
+def _kdv_step(scheme: str, mesh: str, cfg: ExperimentConfig, k: float, h: float, floor: float):
+    step = schemes.kdv_step_detailed
+    monitor = MonitorParams(cfg.alpha) if mesh == "adaptive" else None
+    return lambda s: step(s, k, mesh, scheme, monitor=monitor, spacing_floor=floor)
+
+
+def _naive_step(cfg: ExperimentConfig, k: float, h: float, floor: float):
+    step, info = schemes.naive_kdv_step, StepInfo(0, 0.0, h)
+    return lambda s: (step(s, k, h), info)
+
+
+def _burgers_step(cfg: ExperimentConfig, k: float, h: float, floor: float):
+    step, nu, alpha = schemes.burgers_fv_step_detailed, cfg.nu, cfg.alpha
+    return lambda s: step(s, k, nu, alpha, spacing_floor=floor)
+
+
+# Every runnable (equation, scheme, mesh), with the builder of its run's step
+# state -> (GridState, StepInfo) from (cfg, k, h, spacing floor), which looks
+# the scheme up in ``schemes`` as the run starts.  A mesh of None is a run
+# that reads no mesh key; the Schwarzian run marches in space, with no step.
+_STEPS = {
+    ("schwarzian", "schwarzian_invariant", None): None,
+    **{("kdv", f"kdv_{kind}", mesh): (_naive_step if kind == "naive"
+                                       else partial(_kdv_step, kind, mesh))
+       for kind in ("6pt", "10pt", "naive") for mesh in ("lagrangian", "adaptive", "projection")},
+    ("burgers", "burgers_fv", None): _burgers_step,
 }
+
+
+def _step_key(cfg: ExperimentConfig) -> tuple[str, str, str | None]:
+    """cfg's key in ``_STEPS``: with its mesh, or None for a run that reads none."""
+    key = (cfg.equation, cfg.scheme, cfg.mesh)
+    return key if key in _STEPS else key[:2] + (None,)
+
 
 # the tangling floor of a moving mesh, as a fraction of the initial spacing
 _SPACING_FLOOR_REL = 1e-3
@@ -187,9 +218,9 @@ class ExperimentConfig:
             if typ is float and val is not None and not math.isfinite(val):
                 raise ConfigError(f"{key} must be finite, got {val!r}")
         eq = self.equation
-        if eq not in _SCHEMES_BY_EQUATION:
+        if eq not in {key[0] for key in _STEPS}:
             raise ConfigError(f"unknown equation {eq!r}")
-        if self.scheme not in _SCHEMES_BY_EQUATION[eq]:
+        if (eq, self.scheme) not in {key[:2] for key in _STEPS}:
             raise ConfigError(f"scheme {self.scheme!r} does not solve {eq!r}")
         if self.n_points < 8:
             raise ConfigError("n_points must be at least 8")
@@ -207,8 +238,6 @@ class ExperimentConfig:
         if eq == "kdv":
             if self.ic_c1 < 0.0 or self.ic_c2 < 0.0:
                 raise ConfigError("soliton speeds ic_c1 and ic_c2 must be nonnegative")
-            if self.mesh not in ("lagrangian", "adaptive", "projection"):
-                raise ConfigError(f"unknown mesh strategy {self.mesh!r}")
             if self.mesh == "adaptive" and self.alpha < 0.0:
                 raise ConfigError("adaptive strategy needs alpha >= 0")
         if eq == "burgers":
@@ -218,6 +247,8 @@ class ExperimentConfig:
                 raise ConfigError(f"nu = {self.nu!r} is too small: x / (2 nu) overflows")
             if self.alpha < 0.0:
                 raise ConfigError("burgers_fv needs alpha >= 0")
+        if _step_key(self) not in _STEPS:
+            raise ConfigError(f"unknown mesh strategy {self.mesh!r}")
 
     @property
     def values(self) -> dict:
@@ -452,19 +483,7 @@ def _run_pde(cfg: ExperimentConfig) -> RunOutput:
     """
     x, h, steps = _grid(cfg)
     k = cfg.t_final / steps
-    floor = _SPACING_FLOOR_REL * h
-
-    if cfg.equation == "burgers":
-        step = lambda s: schemes.burgers_fv_step_detailed(
-            s, k, cfg.nu, cfg.alpha, spacing_floor=floor)
-    elif cfg.scheme == "kdv_naive":
-        step = lambda s: (schemes.naive_kdv_step(s, k, h), StepInfo(0, 0.0, h))
-    else:
-        scheme = "6pt" if cfg.scheme == "kdv_6pt" else "10pt"
-        monitor = MonitorParams(cfg.alpha) if cfg.mesh == "adaptive" else None
-        step = lambda s: schemes.kdv_step_detailed(
-            s, k, cfg.mesh, scheme, monitor=monitor, spacing_floor=floor)
-
+    step = _STEPS[_step_key(cfg)](cfg, k, h, _SPACING_FLOOR_REL * h)
     state = GridState(0.0, x, _exact(cfg, 0.0, x))
     every = max(1, math.ceil(steps / _SNAPSHOTS))
     snaps = [(0.0, state.x.copy(), state.u.copy())]
@@ -730,7 +749,7 @@ class _KdVAudit(_PDEAudit):
         return self._residual(prev, nxt, k) * schemes.kdv_invariant_normalizer(prev, k)
 
     def step(self, prev, k, f):
-        return schemes.kdv_step(prev, f[2] * k, "lagrangian", self.scheme)
+        return schemes.kdv_step_detailed(prev, f[2] * k, "lagrangian", self.scheme)[0]
 
 
 class _BurgersAudit(_PDEAudit):
@@ -764,7 +783,7 @@ class _BurgersAudit(_PDEAudit):
     def step(self, prev, k, f):
         s, s2, _e1, _e2, e3 = f
         nu, alpha = self.coefs
-        return schemes.burgers_fv_step(prev, s2 * k, nu, alpha, drift=e3 / s)
+        return schemes.burgers_fv_step_detailed(prev, s2 * k, nu, alpha, drift=e3 / s)[0]
 
 
 class _UxxAudit:

@@ -41,7 +41,9 @@ Burgers equation u_t + u u_x = nu u_xx
 
 The naive KdV baseline lives on a uniform static mesh and is deliberately
 not Galilean invariant; the adaptive Runge-Kutta-Fehlberg 4(5) solver is the
-non-invariant ODE baseline.
+non-invariant ODE baseline.  The KdV and Burgers steps return
+``(GridState, StepInfo)``; the runner's table of runnable (equation, scheme,
+mesh) gives the step each run takes.
 
 Batches: the KdV and Burgers kernels act on the last axis of their node
 arrays, so a :class:`GridState` holds one state with x and u of shape (n,)
@@ -435,11 +437,6 @@ def kdv_step_detailed(
     return nxt, StepInfo(iters, rfin, min_spacing)
 
 
-def kdv_step(prev: GridState, k: float, mesh_strategy: str = "lagrangian",
-             scheme: str = "6pt", **kwargs) -> GridState:
-    return kdv_step_detailed(prev, k, mesh_strategy, scheme, **kwargs)[0]
-
-
 def naive_kdv_residual(u0: np.ndarray, u1: np.ndarray, k: float, h: float) -> np.ndarray:
     """Residual of the uniform-mesh baseline, periodic along the last axis."""
     up1 = np.roll(u0, -1, axis=-1)
@@ -584,11 +581,6 @@ def burgers_fv_step_detailed(
     u1[..., 1:-1] = -(const + k * dsf) / coef
     # equidistribute has checked the spacings of x1
     return GridState._unchecked(prev.t + k, x1, u1, upd.dx), StepInfo(0, 0.0, upd.min_spacing)
-
-
-def burgers_fv_step(prev: GridState, k: float, nu: float, alpha: float,
-                    **kwargs) -> GridState:
-    return burgers_fv_step_detailed(prev, k, nu, alpha, **kwargs)[0]
 
 
 # ---------------------------------------------------------------------------

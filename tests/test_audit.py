@@ -142,9 +142,9 @@ def _kdv_trial(scheme):
         gk = gn.t - gp.t
         img = residual(gp, gn, gk) * schemes.kdv_invariant_normalizer(gp, gk)
         strong = _rel(base, img)
-        stepped = schemes.kdv_step(prev, k, "lagrangian", scheme)
+        stepped = schemes.kdv_step_detailed(prev, k, "lagrangian", scheme)[0]
         try:
-            gstepped = schemes.kdv_step(gp, g.lam**3 * k, "lagrangian", scheme)
+            gstepped = schemes.kdv_step_detailed(gp, g.lam**3 * k, "lagrangian", scheme)[0]
         except SymfdError:
             return strong, math.inf
         img = _kdv_state(g, stepped)
@@ -159,9 +159,9 @@ def _burgers_trial(g, config):
     strong = _rel(schemes.burgers_fv_residual(prev, nxt, k, nu),
                   schemes.burgers_fv_residual(gp, gn, gn.t - gp.t, nu))
     s = math.exp(g.eps4)
-    stepped = schemes.burgers_fv_step(prev, k, nu, alpha)
+    stepped = schemes.burgers_fv_step_detailed(prev, k, nu, alpha)[0]
     try:
-        gstepped = schemes.burgers_fv_step(gp, s**2 * k, nu, alpha, drift=g.eps3 / s)
+        gstepped = schemes.burgers_fv_step_detailed(gp, s**2 * k, nu, alpha, drift=g.eps3 / s)[0]
     except SymfdError:
         return strong, math.inf
     img = _burgers_state(g, stepped)
@@ -267,7 +267,8 @@ def test_batched_audit_equals_per_trial_reference(scheme, seed, n_elements, n_co
     assert _fields(rep) == _fields(oracle_audit(scheme, n_elements, n_configs, seed))
 
 
-_STEPS = {"kdv_6pt": "kdv_step", "kdv_10pt": "kdv_step", "burgers_fv": "burgers_fv_step"}
+_STEPS = {"kdv_6pt": "kdv_step_detailed", "kdv_10pt": "kdv_step_detailed",
+          "burgers_fv": "burgers_fv_step_detailed"}
 
 
 @pytest.mark.parametrize("scheme", list(_STEPS))
@@ -305,13 +306,13 @@ def test_failing_image_step_fails_the_audit(monkeypatch, scheme, exc, row):
 
 def test_audit_rows_reuse_the_per_config_terms(monkeypatch):
     calls = Counter()
-    real = schemes.kdv_step
+    real = schemes.kdv_step_detailed
 
     def counted(prev, k, *args, **kwargs):
         calls[np.shape(prev.x)] += 1
         return real(prev, k, *args, **kwargs)
 
-    monkeypatch.setattr(schemes, "kdv_step", counted)
+    monkeypatch.setattr(schemes, "kdv_step_detailed", counted)
     invariance_audit("kdv_10pt", 7, 5, seed=11)
     # one step of the 5 configs, then one batch of 5 trials per element row
     assert calls == {(5, 9): 1 + 7}
@@ -322,8 +323,8 @@ def test_audit_rows_reuse_the_per_config_terms(monkeypatch):
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("scheme, name, make", [
-    ("kdv_6pt", "kdv_step", lambda: runner._KdVAudit("6pt")),
-    ("burgers_fv", "burgers_fv_step", runner._BurgersAudit),
+    ("kdv_6pt", "kdv_step_detailed", lambda: runner._KdVAudit("6pt")),
+    ("burgers_fv", "burgers_fv_step_detailed", runner._BurgersAudit),
 ])
 @pytest.mark.parametrize("first_config_only", [False, True])
 def test_nonfinite_deviation_fails_the_audit(monkeypatch, scheme, name, make, first_config_only):
@@ -332,9 +333,9 @@ def test_nonfinite_deviation_fails_the_audit(monkeypatch, scheme, name, make, fi
     k0 = make().draw_config(DeterministicRng(1))[2]
 
     def nan_step(prev, k, *args, **kwargs):
-        s = real(prev, k, *args, **kwargs)
+        s, info = real(prev, k, *args, **kwargs)
         hit = np.asarray(k) == k0 if first_config_only else True
-        return GridState(s.t, s.x, np.where(hit, math.nan, s.u))
+        return GridState(s.t, s.x, np.where(hit, math.nan, s.u)), info
 
     monkeypatch.setattr(schemes, name, nan_step)
     rep = invariance_audit(scheme, 10, 4, seed=1)
@@ -352,7 +353,7 @@ def test_audit_gives_up_on_a_trial_that_never_draws_admissibly(monkeypatch):
 
 
 def test_audit_fails_when_every_image_step_degenerates(monkeypatch):
-    real = schemes.kdv_step
+    real = schemes.kdv_step_detailed
     calls = []
 
     def first_call_only(prev, k, *args, **kwargs):
@@ -361,7 +362,7 @@ def test_audit_fails_when_every_image_step_degenerates(monkeypatch):
             raise MeshTangling("forced")
         return real(prev, k, *args, **kwargs)
 
-    monkeypatch.setattr(schemes, "kdv_step", first_call_only)
+    monkeypatch.setattr(schemes, "kdv_step_detailed", first_call_only)
     rep = invariance_audit("kdv_10pt", 2, 3, seed=5)
     assert len(calls) == 1 + 2  # the configs, then one batch per element row
     assert rep.weak_max == math.inf

@@ -24,7 +24,7 @@ from symfd.frames import (
     sl2_discrete_normalization_residuals,
     sl2_projectively_equal,
 )
-from symfd.groups import BurgersGroupElement, KdVGroupElement
+from symfd.groups import BurgersGroupElement, KdVGroupElement, SL2Element
 from symfd.invariants import cross_ratio, kdv_invariants
 from symfd.rng import DeterministicRng
 
@@ -331,12 +331,17 @@ def _component(lo, hi):
        burgers=st.builds(BurgersFrameInput, _component(-1.0, 1.0),
                          *[_component(-2.0, 2.0)] * 5, st.floats(0.1, 2.0)
                          ).filter(lambda inp: inp.cube_argument > 0.05),
+       window=st.tuples(*[_component(-2.0, 2.0)] * 4), h=st.floats(0.1, 2.0),
        j=st.integers(-60, 60))
-def test_frames_are_equivariant_under_extreme_scalings(kdv, burgers, j):
+def test_frames_are_equivariant_under_extreme_scalings(kdv, burgers, window, h, j):
     # rho(g . z) = rho(z) g^-1 for g a scaling by 2^j: the frames test their
     # slope and cube argument for positivity exactly, so no scale is singular.
     # Each parameter agrees to 1e-12 of its size, and the Burgers log-scale
-    # e4 to 1e-12 absolute, a relative error of the scale exp(e4)
+    # e4 to 1e-12 absolute, a relative error of the scale exp(e4).  The Mobius
+    # frame forms its sign from signs and its parameters from quotients of
+    # differences, so no scale underflows or overflows them either; its
+    # scaling diag(2^j, 2^-j) maps u to 4^j u exactly, and its frames agree
+    # up to the matrix's sign
     g = KdVGroupElement(2.0**j)
     lhs = kdv_discrete_frame(apply_kdv_jet(g, kdv)).params()
     rhs = kdv_discrete_frame(kdv).compose(g.inverse()).params()
@@ -346,6 +351,25 @@ def test_frames_are_equivariant_under_extreme_scalings(kdv, burgers, j):
     rhs = burgers_discrete_frame(burgers).compose(g.inverse()).params()
     assert all(abs(a - b) <= 1e-12 * abs(b) for a, b in zip(lhs[:3], rhs[:3])), (lhs, rhs)
     assert abs(lhs[3] - rhs[3]) <= 1e-12, (lhs, rhs)
+    try:
+        sl2 = SL2DiscreteFrameInput(*window, h)
+        rho = sl2_discrete_frame(sl2)
+    except (ValueError, FrameSingularity, DegenerateJet):
+        return  # a window with no frame
+    g = SL2Element(2.0**j, 0.0, 0.0, 2.0**-j)
+    assert sl2_projectively_equal(sl2_discrete_frame(apply_sl2_window(g, sl2)),
+                                  rho.compose(g.inverse()))
+
+
+@pytest.mark.parametrize("e", [-600, -400, 400])
+def test_mobius_frame_of_a_window_scaled_far_from_one(e):
+    # the products in the frame's sign and c^2 underflowed at 2^-400 and
+    # 2^-600 (a ZeroDivisionError) and overflowed at 2^400 (c^2 = 0)
+    inp = SL2DiscreteFrameInput(0.0, -1.0, -3.0, -4.0, 0.5)
+    g = SL2Element(2.0 ** (e / 2), 0.0, 0.0, 2.0 ** (-e / 2))
+    lhs = sl2_discrete_frame(apply_sl2_window(g, inp))
+    assert sl2_projectively_equal(lhs, sl2_discrete_frame(inp).compose(g.inverse()))
+    assert np.abs(sl2_discrete_normalization_residuals(apply_sl2_window(g, inp))).max() <= 1e-15
 
 
 def _d2u(z):

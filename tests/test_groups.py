@@ -298,7 +298,7 @@ def test_projection_failure_reported():
     with pytest.raises(ProjectionFailure):
         check_difference_symmetry(
             E, f, 5, 1e-7, offsets=[(0, 0), (0, 1)], solve_offset=(0, 1),
-            seed=1, max_resample=10)
+            seed=1)
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,7 @@ from symfd.errors import (
 )
 from symfd.mesh import MonitorParams, monitor_arclength
 from symfd.runner import (
-    _SCHEMES_BY_EQUATION,
+    _STEPS,
     AUDIT_SCHEMES,
     CONVERGENCE_SCHEMES,
     DiagnosticsRow,
@@ -217,6 +217,16 @@ def test_config_errors(text, fragment):
         parse_config(text)
 
 
+@pytest.mark.parametrize("scheme", ["kdv_6pt", "kdv_10pt", "kdv_naive"])
+def test_kdv_configs_take_the_three_mesh_strategies_and_no_other(scheme):
+    base = {"equation": "kdv", "scheme": scheme, "domain_a": 0.0, "domain_b": 1.0,
+            "n_points": 16, "t_final": 1.0}
+    with pytest.raises(ConfigError, match="^unknown mesh strategy 'bogus'$"):
+        validate_config({**base, "mesh": "bogus"})
+    for mesh, extra in (("lagrangian", {}), ("adaptive", {"alpha": 1.0}), ("projection", {})):
+        assert validate_config({**base, "mesh": mesh, **extra}).mesh == mesh
+
+
 def test_config_repeated_key_is_an_error(tmp_path, capsys):
     text = ("equation = burgers\nscheme = burgers_fv\ndomain_a = 0\ndomain_b = 1\n"
             "n_points = 16\nn_points = 32\nt_final = 1\nnu = 0.01\n")
@@ -262,11 +272,11 @@ def test_readme_key_table_lists_exactly_the_config_keys():
     config_keys = [field.name for field in fields(ExperimentConfig)]
     assert sorted(keys) == sorted(config_keys)
     assert len(config_keys) == 18
-    # the equation and scheme rows list exactly what validation accepts
+    # the equation, scheme and mesh rows list exactly what validation accepts
     meaning = {key.strip(" `"): text for key, text in rows}
-    assert sorted(re.findall(r"`(\w+)`", meaning["equation"])) == sorted(_SCHEMES_BY_EQUATION)
-    assert sorted(re.findall(r"`(\w+)`", meaning["scheme"])) == sorted(
-        set().union(*_SCHEMES_BY_EQUATION.values()))
+    for column, key in enumerate(("equation", "scheme", "mesh")):
+        assert sorted(re.findall(r"`(\w+)`", meaning[key])) == sorted(
+            {runnable[column] for runnable in _STEPS} - {None})
 
 
 def test_validate_config_rejects_unknown_keys():
@@ -995,18 +1005,12 @@ def test_cli_run_that_blows_up_warns_nothing_and_names_the_stop(tmp_path, capsys
         "run stopped: step 17: u is not finite at node 0 (29 of 128 nodes)\n")
 
 
-# every runnable (equation, scheme, mesh); the naive scheme has no moving mesh
-_RUNNABLE = [(eq, scheme, mesh) for eq, schemes_ in sorted(_SCHEMES_BY_EQUATION.items())
-             for scheme in sorted(schemes_)
-             for mesh in (("lagrangian", "adaptive", "projection")
-                          if scheme in ("kdv_6pt", "kdv_10pt") else (None,))]
-
-
 @st.composite
 def _runnable_configs(draw):
-    """The values of a valid config for each runnable scheme and mesh: 8-48
-    nodes and at most 300 steps (KdV and Burgers) or nodes (Schwarzian)."""
-    eq, scheme, mesh = draw(st.sampled_from(_RUNNABLE))
+    """The values of a valid config for each runnable (equation, scheme, mesh),
+    the keys of ``runner._STEPS``, where a mesh of None is a run that reads
+    none: 8-48 nodes and at most 300 steps (KdV and Burgers) or nodes (Schwarzian)."""
+    eq, scheme, mesh = draw(st.sampled_from(list(_STEPS)))
     n = draw(st.integers(8, 48))
     values = {"equation": eq, "scheme": scheme, "n_points": n}
     if mesh is not None:
@@ -1118,6 +1122,15 @@ def test_python_m_symfd_runs_without_an_entry_point():
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert lines[0] == "t,x,u" and len(lines) == 129
+
+
+def test_readme_library_example_runs():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    code = readme.split("\n## Library example\n", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=_subprocess_env(), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "  verdict: PASS"
 
 
 # Run in a fresh interpreter with an import hook that refuses scipy: what

@@ -1,6 +1,7 @@
 """Scheme residuals, steps, invariance, consistency, and baselines."""
 
 import collections
+import functools
 import math
 import re
 import warnings
@@ -15,7 +16,7 @@ from symfd.groups import BurgersGroupElement, KdVGroupElement, apply_burgers, ap
 from symfd.invariants import cross_ratio
 from symfd.mesh import MonitorParams, equidistribute, monitor_arclength
 from symfd.runner import exact_burgers, exact_kdv_double_soliton
-from symfd import schemes
+from symfd import runner, schemes
 from symfd.rng import DeterministicRng
 from symfd.schemes import (
     GridState,
@@ -28,12 +29,10 @@ from symfd.schemes import (
     _band_layout,
     _solve_affine_banded,
     burgers_fv_residual,
-    burgers_fv_step,
     burgers_fv_step_detailed,
     kdv_invariant_normalizer,
     kdv_residual_10pt,
     kdv_residual_6pt,
-    kdv_step,
     kdv_step_detailed,
     naive_kdv_residual,
     naive_kdv_step,
@@ -442,8 +441,8 @@ def test_kdv_step_constant_state_fixed_point():
     prev = GridState(0.0, x, np.full(9, c))
     for scheme in ("6pt", "10pt"):
         for strategy in ("lagrangian", "adaptive", "projection"):
-            nxt = kdv_step(prev, 0.1, strategy, scheme,
-                           monitor=MonitorParams(10.0))
+            nxt = kdv_step_detailed(prev, 0.1, strategy, scheme,
+                                    monitor=MonitorParams(10.0))[0]
             assert np.max(np.abs(nxt.u - c)) <= 1e-12
             if strategy == "lagrangian":
                 assert np.allclose(nxt.x, x + 0.1 * c)
@@ -526,7 +525,7 @@ def test_kdv_step_tangling_abort():
     x = np.linspace(0, 4, 9)
     u = np.array([0.0, 3.0, -3.0, 3.0, -3.0, 3.0, -3.0, 3.0, 0.0])
     with pytest.raises(MeshTangling):
-        kdv_step(GridState(0.0, x, u), 0.3, "lagrangian", "6pt")
+        kdv_step_detailed(GridState(0.0, x, u), 0.3, "lagrangian", "6pt")
 
 
 def test_kdv_adaptive_step_equidistributes():
@@ -772,7 +771,7 @@ def test_burgers_constant_state_fixed_point():
     for c in (0.8, -0.8):
         prev = GridState(0.0, x, np.full(12, c))
         for nu in (0.0, 0.3):
-            nxt = burgers_fv_step(prev, 0.01, nu, 0.7)
+            nxt = burgers_fv_step_detailed(prev, 0.01, nu, 0.7)[0]
             assert np.max(np.abs(nxt.u - c)) <= 1e-12
 
 
@@ -869,7 +868,7 @@ def test_burgers_step_and_residual_strong_invariance(data, n):
     nxt = GridState(k, _mesh(data.draw, n, None), _values(data.draw, n, None, [-1.0, 0.0, 1.0]))
     du = np.abs(np.diff(prev.u))
     assume(((du == 0.0) | (du >= 1e-6)).all())
-    stepped = burgers_fv_step(prev, k, nu, alpha)
+    stepped = burgers_fv_step_detailed(prev, k, nu, alpha)[0]
     for x1 in (nxt.x, stepped.x):
         assume(np.min(np.abs(prev.u[1:-1] - (x1 - prev.x)[1:-1] / k)) >= 1e-3)
     g = BurgersGroupElement(data.draw(st.floats(-1.0, 1.0)), data.draw(st.floats(-1.0, 1.0)),
@@ -883,7 +882,7 @@ def test_burgers_step_and_residual_strong_invariance(data, n):
     assert rel_err(burgers_fv_residual(prev, nxt, k, nu),
                    burgers_fv_residual(gp, gn, gn.t - gp.t, nu)) <= 1e-9
     s = math.exp(g.eps4)
-    gstepped = burgers_fv_step(gp, s**2 * k, nu, alpha, drift=g.eps3 / s)
+    gstepped = burgers_fv_step_detailed(gp, s**2 * k, nu, alpha, drift=g.eps3 / s)[0]
     assert rel_err(gs.x, gstepped.x) <= 1e-9
     assert rel_err(gs.u, gstepped.u) <= 1e-9
 
@@ -954,7 +953,7 @@ def test_burgers_shock_total_variation_bound():
     tv0 = total_variation(st.du)
     k = 0.4 * h * h
     for _ in range(400):
-        st = burgers_fv_step(st, k, nu, 0.5)
+        st = burgers_fv_step_detailed(st, k, nu, 0.5)[0]
         assert total_variation(st.du) <= tv0 + 1e-8
 
 
@@ -1272,15 +1271,26 @@ def test_burgers_and_adaptive_kdv_steps_take_one_mesh_path(monkeypatch, equation
     assert counts == {"monitor_arclength": 1, "equidistribute": 1}
 
 
-_STEPS = {
-    **{f"kdv_{scheme}_{strategy}": (
-        lambda p, scheme=scheme, strategy=strategy: kdv_step(
-            p, 0.01, strategy, scheme, monitor=MonitorParams(2.0)),
-        strategy != "projection")
-       for scheme in ("6pt", "10pt") for strategy in ("lagrangian", "adaptive", "projection")},
-    "kdv_naive": (lambda p: naive_kdv_step(p, 1e-3, 0.5), False),
-    "burgers": (lambda p: burgers_fv_step(p, 0.05, 0.1, 1.0), True),
-}
+def _run_steps():
+    """Every step a run takes, by the runner's table, as a builder of that step
+    at k = 0.01, h = 0.5, alpha = 2 and nu = 0.1, and whether it takes (B, n)
+    batches, named ``kdv_<scheme>_<mesh>``, ``kdv_naive`` (the same step on
+    every mesh, listed once) and ``burgers``."""
+    steps = {}
+    for (equation, scheme, mesh), build in runner._STEPS.items():
+        if build is None:  # the Schwarzian run marches in space
+            continue
+        values = {"equation": equation, "scheme": scheme, "domain_a": 0.0, "domain_b": 1.0,
+                  "n_points": 8, "t_final": 1.0, "alpha": 2.0, "nu": 0.1}
+        if mesh is not None:
+            values["mesh"] = mesh
+        name = {"burgers_fv": "burgers", "kdv_naive": scheme}.get(scheme, f"{scheme}_{mesh}")
+        steps[name] = (functools.partial(build, runner.validate_config(values), 0.01, 0.5, 0.0),
+                       mesh != "projection" and scheme != "kdv_naive")
+    return steps
+
+
+_STEPS = _run_steps()
 
 
 def _carried(state):
@@ -1291,11 +1301,11 @@ def _carried(state):
 @pytest.mark.parametrize("name, rows", [(name, rows) for name, (_step, batches) in _STEPS.items()
                                         for rows in ([None, 3] if batches else [None])])
 def test_steps_carry_exact_differences_and_leave_their_input_alone(name, rows):
-    step = _STEPS[name][0]
+    step = _STEPS[name][0]()
     for seed in (5, 6, 7):
         prev = _state(DeterministicRng(seed), rows)
         before = _carried(prev)
-        nxt = step(prev)
+        nxt = step(prev)[0]
         assert _same_bits(nxt.dx, np.diff(nxt.x)) and _same_bits(nxt.du, np.diff(nxt.u))
         assert _same_bits(nxt.slopes, np.diff(nxt.u) / np.diff(nxt.x))
         assert _same_bits(nxt.d3u, third_differences(nxt.x, nxt.u))
@@ -1304,7 +1314,7 @@ def test_steps_carry_exact_differences_and_leave_their_input_alone(name, rows):
         # state and leaves them as they were
         assert _same_bits(prev.d3u, third_differences(prev.x, prev.u))
         d3u = prev.d3u.tobytes()
-        again = step(prev)
+        again = step(prev)[0]
         assert _same_bits(again.x, nxt.x) and _same_bits(again.u, nxt.u)
         assert _carried(prev) == before and prev.d3u.tobytes() == d3u
 
