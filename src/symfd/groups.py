@@ -20,6 +20,16 @@ Each element knows how to compose with and invert against its own family,
 so group-law checks can be phrased directly on parameters.  Infinitesimal
 generators are represented by :class:`VectorFieldSpec`; their prolongation
 to a stencil moves every node along the same generator.
+
+The infinitesimal invariance criterion pr v(F) = 0 is evaluated by a complex
+step (Squire & Trapp, SIAM Rev. 40 (1998) 110): pr v(F)(z) = Im F(z + i h c)/h,
+where c holds the generator's coefficients at the nodes and h = 2^-64.  One
+evaluation of F gives the derivative to rounding, with no step to trade
+truncation against cancellation, so F must be holomorphic in the stencil's
+coordinates: built from +, -, *, / and analytic functions of them.  An F
+that goes through ``abs``, ``float()``, ``.real``, a comparison, or returns a
+constant drops the imaginary part, and the derivative raises TypeError
+rather than read a silent 0.
 """
 
 from __future__ import annotations
@@ -34,6 +44,7 @@ from .errors import PoleError, ProjectionFailure, _cancels
 from .rng import DeterministicRng
 
 Node = tuple[float, float, float]  # (t, x, u)
+_STEP = 2.0**-64  # the complex step: a power of two, so h c and Im / h are exact
 _MAX_RESAMPLE = 200  # draws a symmetry check may reject, beyond ten per sample
 
 
@@ -316,8 +327,9 @@ class Stencil:
 
     Stencils derived from this one by moving nodes (:meth:`with_u`,
     :func:`prolonged_directional_derivative`) share its ``offsets``, ``ref``
-    and row index instead of rebuilding them, but still check that no two
-    moved nodes share (t, x).
+    and row index instead of rebuilding them.  They skip the (t, x) check:
+    :meth:`with_u` moves only u, and the derivative's complex stencil keeps
+    this one's points as its real part.
     """
 
     offsets: tuple[tuple[int, int], ...]
@@ -334,18 +346,19 @@ class Stencil:
         row = {off: r for r, off in enumerate(offsets)}
         if len(row) != len(offsets):
             raise ValueError("stencil offsets must be distinct")
-        _check_distinct_tx(offsets, points)
+        seen = {}  # (t, x) -> offset: name the first two nodes that share it
+        for off, key in zip(offsets, map(tuple, points[:, :2].tolist())):
+            if key in seen:
+                raise ValueError(f"nodes {seen[key]} and {off} share independent variables {key}")
+            seen[key] = off
         object.__setattr__(self, "offsets", offsets)
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "_row", row)
 
     def _derived(self, points: np.ndarray) -> "Stencil":
-        """Stencil of the fresh (m, 3) float array ``points`` on this one's offsets.
-
-        ``points`` is made read-only and only the (t, x) check is run again.
-        """
+        """Stencil of the fresh (m, 3) array ``points``, which must keep this
+        one's (t, x) as its real part, on this one's offsets; made read-only."""
         points.flags.writeable = False
-        _check_distinct_tx(self.offsets, points)
         z = object.__new__(Stencil)
         vars(z).update(offsets=self.offsets, points=points, ref=self.ref, _row=self._row)
         return z
@@ -360,8 +373,9 @@ class Stencil:
         """Rows of ``points`` for the given offsets; KeyError for a missing one."""
         return self.points[[self._row[off] for off in offsets]]
 
-    def u(self, l: int, j: int) -> float:
-        return float(self.points[self._row[(l, j)], 2])
+    def u(self, l: int, j: int) -> float | complex:
+        """The u of node (l, j), complex on a moved stencil."""
+        return self.points[self._row[(l, j)], 2].item()
 
     def with_u(self, l: int, j: int, u_new: float) -> "Stencil":
         points = self.points.copy()
@@ -372,19 +386,7 @@ class Stencil:
         return float(np.abs(self.points).max())
 
 
-def _check_distinct_tx(offsets, points: np.ndarray) -> None:
-    """ValueError naming the first two nodes that share (t, x), if any do."""
-    keys = points[:, :2].tolist()
-    if len(set(map(tuple, keys))) == len(keys):
-        return
-    seen = {}
-    for off, key in zip(offsets, map(tuple, keys)):
-        if key in seen:
-            raise ValueError(f"nodes {seen[key]} and {off} share independent variables {key}")
-        seen[key] = off
-
-
-StencilFunction = Callable[[Stencil], float]
+StencilFunction = Callable[[Stencil], float | complex]
 
 
 # ---------------------------------------------------------------------------
@@ -409,23 +411,31 @@ def _coefficients(field: VectorFieldSpec, z: Stencil) -> np.ndarray:
     return c
 
 
+def _at_complex(F: StencilFunction, z: Stencil, imag: np.ndarray):
+    """F at the stencil with real part z and imaginary part ``imag``; TypeError
+    unless its value is complex (F went through abs, float(), .real, ...)."""
+    points = z.points.astype(complex)
+    points.imag = imag
+    value = F(z._derived(points))
+    if not (isinstance(value, complex) or np.iscomplexobj(value)):  # complex128 is a complex
+        raise TypeError(f"F is not holomorphic: it returned {value!r} at a complex stencil")
+    return value
+
+
 def prolonged_directional_derivative(F: StencilFunction, field: VectorFieldSpec,
                                      z: Stencil) -> float:
-    """d/de F(exp(e field) . z) at e = 0 by central differencing.
+    """d/de F(exp(e field) . z) at e = 0 by one complex step: Im F(z + i h c) / h.
 
-    The step 1e-6 * (1 + |z|_inf) balances truncation and roundoff in double
-    precision; the even-order flow curvature cancels in the central
-    difference, so the linearized node motion is sufficient.  F may also
-    return an array (say a whole invariant catalog); the difference is then
-    taken componentwise and an array of derivatives is returned.
+    c is the generator at the nodes (:func:`_coefficients`) and h = 2^-64.
+    The nodes move along the line z + e c, which has the flow's first
+    derivative, all that the derivative at e = 0 reads.  The truncation error
+    is of relative order (h |c| / L)^2, L the stencil's spacings: below
+    rounding unless |c| / L nears 2^37.  h c is exact unless |c| < 2^-958,
+    where it leaves the normal floats.  F must return a complex value at the moved stencil
+    (TypeError otherwise).  F may also return an array (say a whole
+    invariant catalog); an array of derivatives is returned.
     """
-    eps = 1e-6 * (1.0 + z.sup_norm())
-    # one generator evaluation for both moves: (-eps) * c == -(eps * c)
-    # exactly, so these are the stencils moved by +eps and -eps bit for bit
-    d = eps * _coefficients(field, z)
-    fp = F(z._derived(z.points + d))
-    fm = F(z._derived(z.points - d))
-    return (fp - fm) / (2.0 * eps)
+    return _at_complex(F, z, _STEP * _coefficients(field, z)).imag / _STEP
 
 
 def lie_matrix(fields: Sequence[VectorFieldSpec], z: Stencil) -> np.ndarray:
@@ -459,19 +469,25 @@ class SymmetryCheckReport:
 
 def _solve_for_coordinate(E: StencilFunction, z: Stencil,
                           solve_offset: tuple[int, int]) -> Stencil:
-    """Newton solve of E(z) = 0 for the u-value at ``solve_offset``."""
+    """Newton solve of E(z) = 0 for the u-value at ``solve_offset``.
+
+    Each iteration evaluates E once, at that u moved to val + i h: the real
+    part is the residual and Im / h the slope, exact to rounding.
+    """
     l, j = solve_offset
+    imag = np.zeros_like(z.points)
+    imag[z._row[solve_offset], 2] = _STEP
     val = z.u(l, j)
     scale = 1.0 + z.sup_norm()
     for _ in range(60):
-        r = E(z.with_u(l, j, val))
-        if abs(r) <= 1e-12 * scale:
-            return z.with_u(l, j, val)
-        h = 1e-7 * (1.0 + abs(val))
-        drdv = (E(z.with_u(l, j, val + h)) - E(z.with_u(l, j, val - h))) / (2.0 * h)
+        z_val = z.with_u(l, j, val)
+        e = _at_complex(E, z_val, imag)
+        if abs(e.real) <= 1e-12 * scale:
+            return z_val
+        drdv = e.imag / _STEP
         if drdv == 0.0 or not math.isfinite(drdv):
             break
-        step = r / drdv
+        step = e.real / drdv
         if not math.isfinite(step):
             break
         val -= step
@@ -497,7 +513,9 @@ def check_difference_symmetry(
     [0.1, 2]), projected onto the solution set by solving for the designated
     coordinate, and the prolonged directional derivative of E along ``field``
     is evaluated there.  Passes when the largest magnitude stays below
-    ``tol``; ProjectionFailure once it has rejected too many draws.
+    ``tol``; ProjectionFailure once it has rejected too many draws.  Both the
+    projection and the derivative take complex steps, so E must be
+    holomorphic in the u values (TypeError otherwise).
     """
     rng = DeterministicRng(seed)
     offsets = list(offsets)

@@ -14,9 +14,14 @@ in the offsets it names: checks, differences and the conversions to and from
 :class:`~symfd.groups.Stencil` are written once.  Both constructors run one
 check on Python floats (0 < k < inf, each row of x finite and strictly
 increasing), and the catalogs read a stencil's arrays once, with
-``tolist``, and do their arithmetic on Python floats: on arrays of 6-10
+``tolist``, and do their arithmetic on Python scalars: on arrays of 6-10
 entries numpy's per-call cost would exceed the arithmetic.  The check makes
 every spacing and k nonzero, so no catalog can raise ZeroDivisionError.
+
+``from_stencil`` also takes the complex stencil of the prolonged derivative
+(:func:`~symfd.groups.prolonged_directional_derivative`): its checks read the
+real parts, and it keeps k, t0, x and u complex.  The catalogs use only +,
+-, * and /, so they are holomorphic and run on complex values unchanged.
 
 Powers are products, which scale exactly under x -> 2^j x; pow may not.
 
@@ -117,17 +122,17 @@ class _TwoRowStencil:
     @classmethod
     def from_stencil(cls, z: Stencil):
         """The two rows of z, which must hold every offset of this class
-        (KeyError otherwise) with its row 1 after its row 0 in time."""
+        (KeyError otherwise) with its row 1 after its row 0 in time.  The
+        checks read the real parts; k, t0, x and u keep z's dtype."""
         # a read-only view when z already has the canonical order
         rows = z.points if z.offsets == cls._offsets else z.take(cls._offsets)
         p = rows.reshape(2, cls._width, 3)
-        t, x, _ = p.transpose(2, 0, 1).tolist()
-        t0, t1 = t[0][cls._centre], t[1][cls._centre]
+        t0, t1 = p[:, cls._centre, 0].tolist()
         k = t1 - t0
-        if not k > 0.0:
+        if not k.real > 0.0:
             raise ValueError("rows must be ordered in time")
-        _check_two_rows(k, x)
-        # p holds floats in the right shape, so the constructor's work is done
+        _check_two_rows(k.real, p[:, :, 1].real.tolist())
+        # p holds numbers in the right shape, so the constructor's work is done
         two_rows = object.__new__(cls)
         vars(two_rows).update(k=k, x=p[:, :, 1], u=p[:, :, 2], t0=t0)
         return two_rows

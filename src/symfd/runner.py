@@ -163,7 +163,8 @@ def _burgers_step(cfg: ExperimentConfig, k: float, h: float, floor: float):
 # Every runnable (equation, scheme, mesh), with the builder of its run's step
 # state -> (GridState, StepInfo) from (cfg, k, h, spacing floor), which looks
 # the scheme up in ``schemes`` as the run starts.  A mesh of None is a run
-# that reads no mesh key; the Schwarzian run marches in space, with no step.
+# whose step reads no mesh, though its config's mesh must still be one of
+# the others; the Schwarzian run marches in space, with no step.
 _STEPS = {
     ("schwarzian", "schwarzian_invariant", None): None,
     **{("kdv", f"kdv_{kind}", mesh): (_naive_step if kind == "naive"
@@ -247,7 +248,7 @@ class ExperimentConfig:
                 raise ConfigError(f"nu = {self.nu!r} is too small: x / (2 nu) overflows")
             if self.alpha < 0.0:
                 raise ConfigError("burgers_fv needs alpha >= 0")
-        if _step_key(self) not in _STEPS:
+        if self.mesh not in {key[2] for key in _STEPS} - {None}:  # on every equation
             raise ConfigError(f"unknown mesh strategy {self.mesh!r}")
 
     @property

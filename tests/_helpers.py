@@ -17,7 +17,6 @@ from symfd.groups import (
     BurgersGroupElement,
     KdVGroupElement,
     SL2Element,
-    Stencil,
     apply_burgers,
     apply_kdv,
     make_field,
@@ -164,16 +163,6 @@ def flow(field, node, epsilon, index=(0, 0)):
     if traj.diverged:
         raise OverflowError(f"flow diverged at parameter {traj.xs[-1] * epsilon:g}")
     return tuple(traj.ys[-1].tolist())
-
-
-def perturb_stencil(z, field, eps):
-    """z with every node moved by eps times the generator, one node at a time
-    (the linearized product action): the oracle of the two stencils that
-    prolonged_directional_derivative moves."""
-    n, i = z.ref
-    points = [[v + eps * c for v, c in zip(p, field_coeffs(field, p, (n + l, i + j)))]
-              for (l, j), p in zip(z.offsets, z.points.tolist())]
-    return Stencil(z.offsets, np.array(points), z.ref)
 
 
 def apply_kdv_stencil(g, z):

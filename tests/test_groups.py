@@ -25,6 +25,7 @@ from symfd.groups import (
     lie_matrix_rank,
     make_field,
     prolonged_directional_derivative,
+    _STEP,
 )
 from symfd.invariants import cross_ratio
 from symfd.rng import DeterministicRng
@@ -34,7 +35,6 @@ from _helpers import (
     field_coeffs,
     flow,
     kdv_elements,
-    perturb_stencil,
     rand_admissible_window,
     rand_burgers_element,
     rand_kdv_element,
@@ -236,14 +236,14 @@ def test_pdd_cross_ratio_annihilated_by_mobius_generators():
         z = _window_stencil(rand_admissible_window(rng))
         for f in sl2_generators():
             worst = max(worst, abs(prolonged_directional_derivative(_cross_ratio_on, f, z)))
-    assert worst <= 1e-7
+    assert worst <= 1e-11
 
 
 def test_pdd_exact_linear_example():
     z = Stencil.from_dict({(0, 0): (0.0, 0.0, 1.0), (0, 1): (0.0, 1.0, 3.0)})
     f = make_field(phi=lambda t, x, u: u)
     d = prolonged_directional_derivative(lambda s: s.u(0, 1) - s.u(0, 0), f, z)
-    assert d == pytest.approx(2.0, abs=1e-6)
+    assert d == 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +261,7 @@ _dpkdv_adm = lambda z: abs(z.u(0, 1) - z.u(1, 0)) > 0.3
 def test_dpkdv_generators_pass():
     for f in dpkdv_generators():
         rep = check_difference_symmetry(
-            _dpkdv_E, f, 40, 1e-7,
+            _dpkdv_E, f, 40, 1e-12,
             offsets=_DPKDV_OFFSETS, solve_offset=(1, 1),
             admissible=_dpkdv_adm, seed=3,
         )
@@ -271,7 +271,7 @@ def test_dpkdv_generators_pass():
 def test_dpkdv_unweighted_dilation_fails():
     bad = make_field(phi=lambda t, x, u: u, name="no_sign")
     rep = check_difference_symmetry(
-        _dpkdv_E, bad, 40, 1e-7,
+        _dpkdv_E, bad, 40, 1e-12,
         offsets=_DPKDV_OFFSETS, solve_offset=(1, 1),
         admissible=_dpkdv_adm, seed=3,
     )
@@ -281,14 +281,14 @@ def test_dpkdv_unweighted_dilation_fails():
     z = rep.worst_sample
     predicted = 2.0 / (z.u(0, 1) - z.u(1, 0))
     d = prolonged_directional_derivative(_dpkdv_E, bad, z)
-    assert d == pytest.approx(predicted, rel=1e-5)
+    assert d == pytest.approx(predicted, rel=1e-13)
 
 
 def test_linear_scheme_shift_symmetry():
     E = lambda z: z.u(0, 1) - z.u(0, 0)
     f = make_field(phi=lambda t, x, u: 1.0)
     rep = check_difference_symmetry(
-        E, f, 20, 1e-7, offsets=[(0, 0), (0, 1)], solve_offset=(0, 1), seed=9)
+        E, f, 20, 1e-12, offsets=[(0, 0), (0, 1)], solve_offset=(0, 1), seed=9)
     assert rep.passed
 
 
@@ -368,20 +368,24 @@ def _reference_coeffs(field, z):
 
 
 def _moved_stencils(field, z):
-    """The two stencils prolonged_directional_derivative hands to F."""
+    """The one (complex) stencil prolonged_directional_derivative hands to F."""
     seen = []
-    prolonged_directional_derivative(lambda s: seen.append(s) or 0.0, field, z)
+    prolonged_directional_derivative(lambda s: seen.append(s) or 0j, field, z)
     return seen
 
 
 @settings(max_examples=60)
 @given(z=_stencils(), field=st.sampled_from(_ALL_FIELDS))
 def test_perturb_stencil_matches_per_node_reference(z, field):
-    eps = 1e-6 * (1.0 + z.sup_norm())
-    for moved, e in zip(_moved_stencils(field, z), (eps, -eps)):
-        expected = perturb_stencil(z, field, e)
-        assert moved.points.tolist() == expected.points.tolist()
-        assert moved.offsets == z.offsets and moved.ref == z.ref
+    [moved] = _moved_stencils(field, z)
+    # the real part is z bit for bit; the imaginary part is h times each
+    # node's (eta, xi, phi), weighted at the node's absolute lattice index
+    assert moved.points.real.tobytes() == z.points.tobytes()
+    assert moved.points.imag.tolist() == [[_STEP * c for c in coeff]
+                                          for _off, _val, coeff in _reference_coeffs(field, z)]
+    assert moved.offsets == z.offsets and moved.ref == z.ref
+    for (l, j), (_t, _x, u) in zip(z.offsets, moved.points.tolist()):
+        assert type(moved.u(l, j)) is complex and moved.u(l, j) == u
 
 
 @settings(max_examples=60)
@@ -422,12 +426,18 @@ def test_stencil_rejects_duplicates(z, data):
 @settings(max_examples=60)
 @given(z=_stencils(), field=st.sampled_from(_ALL_FIELDS),
        ref=st.tuples(st.integers(-3, 3), st.integers(-3, 3)).filter(lambda r: r != (0, 0)))
-def test_prolonged_derivative_equals_two_perturbed_stencils(z, field, ref):
+def test_prolonged_derivative_equals_its_closed_form(z, field, ref):
     z = Stencil(z.offsets, z.points, ref)
     F = lambda s: np.sin(s.points).ravel() * s.points[::-1].ravel()  # noqa: E731
-    eps = 1e-6 * (1.0 + z.sup_norm())
-    expected = (F(perturb_stencil(z, field, eps)) - F(perturb_stencil(z, field, -eps))) / (2.0 * eps)
-    assert prolonged_directional_derivative(F, field, z).tobytes() == expected.tobytes()
+    p, q = z.points.ravel(), z.points[::-1].ravel()
+    c = np.array([coeff for _off, _val, coeff in _reference_coeffs(field, z)])
+    dp, dq = c.ravel(), c[::-1].ravel()
+    terms = np.cos(p) * dp * q, np.sin(p) * dq
+    got = prolonged_directional_derivative(F, field, z)
+    # h c is exact unless |c| < 2^-958, where it leaves the normal floats and
+    # loses at most 2^-1075 / h = 2^-1011 per unit of the other factor
+    scale = np.abs(terms[0]) + np.abs(terms[1])
+    assert np.all(np.abs(got - (terms[0] + terms[1])) <= 1e-13 * scale + 2.0**-1000)
 
 
 @settings(max_examples=30)
@@ -442,18 +452,34 @@ def test_moved_stencils_are_read_only_and_keep_the_offsets(z, field):
         assert moved.take(z.offsets).tolist() == moved.points.tolist()
 
 
-def test_moved_stencil_rejects_nodes_that_meet():
+def test_a_huge_field_moves_no_real_node():
     z = Stencil.from_dict({(0, -1): (0.0, 0.0, 1.0), (0, 0): (0.0, 1.0, 2.0),
                            (0, 1): (0.0, 2.0, 3.0)})
-    # a move of 4e24 in x rounds every x of the stencil to the same value
+    # a real move of 4e24 in x rounds every x of the stencil to the same value
+    with pytest.raises(ValueError, match="^nodes \\(0, -1\\) and \\(0, 0\\) share independent"):
+        Stencil(z.offsets, z.points + [0.0, 4e24, 0.0])
+    # the complex step moves x only in its imaginary part, so a linear F
+    # reads the exact derivative
     far = make_field(xi=lambda t, x, u: 1e30)
-    eps = 1e-6 * (1.0 + z.sup_norm())
-    with pytest.raises(ValueError) as built:
-        Stencil(z.offsets, z.points + [0.0, eps * 1e30, 0.0])
-    with pytest.raises(ValueError) as moved:
-        prolonged_directional_derivative(lambda s: 0.0, far, z)
-    assert str(moved.value) == str(built.value)
-    assert str(moved.value).startswith("nodes (0, -1) and (0, 0) share independent variables")
+    assert prolonged_directional_derivative(lambda s: 3.0 * s.points[2, 1], far, z) == 3.0 * 1e30
+
+
+@pytest.mark.parametrize("F", [
+    lambda s: abs(s.u(0, 0)),
+    lambda s: float(s.u(0, 0)),
+    lambda s: s.points.real.sum(),
+    lambda s: np.abs(s.points).max(),
+    lambda s: 1.0 if s.u(0, 0).real > 0.0 else 0.0,
+], ids=["abs", "float", "real", "np_abs", "branch"])
+def test_prolonged_derivative_of_a_non_holomorphic_F_is_a_type_error(F):
+    z = Stencil.from_dict({(0, 0): (0.0, 0.0, 1.0), (0, 1): (0.0, 1.0, 3.0)})
+    field = make_field(phi=lambda t, x, u: u)
+    with pytest.raises(TypeError):
+        prolonged_directional_derivative(F, field, z)
+    # the projection's Newton slope is a complex step too
+    with pytest.raises(TypeError):
+        check_difference_symmetry(F, field, 1, 1.0, offsets=[(0, 0), (0, 1)],
+                                  solve_offset=(0, 0))
 
 
 _unit = st.floats(-1.0, 1.0)

@@ -227,6 +227,19 @@ def test_kdv_configs_take_the_three_mesh_strategies_and_no_other(scheme):
         assert validate_config({**base, "mesh": mesh, **extra}).mesh == mesh
 
 
+@pytest.mark.parametrize("name", sorted(p.name for p in (ROOT / "configs").glob("*.cfg")))
+def test_every_config_rejects_an_unknown_mesh(name, tmp_path, capsys):
+    text = (ROOT / "configs" / name).read_text(encoding="utf-8")
+    values = parse_config(text).values
+    assert validate_config({k: v for k, v in values.items() if k != "mesh"}).mesh == "lagrangian"
+    with pytest.raises(ConfigError, match="^unknown mesh strategy 'bogus'$"):
+        validate_config({**values, "mesh": "bogus"})
+    cfg = tmp_path / name
+    cfg.write_text(re.sub(r"(?m)^mesh\b.*\n", "", text) + "mesh = bogus\n")
+    assert cli_main(["run", str(cfg)]) == 2
+    assert capsys.readouterr().err == "config error: unknown mesh strategy 'bogus'\n"
+
+
 def test_config_repeated_key_is_an_error(tmp_path, capsys):
     text = ("equation = burgers\nscheme = burgers_fv\ndomain_a = 0\ndomain_b = 1\n"
             "n_points = 16\nn_points = 32\nt_final = 1\nnu = 0.01\n")
