@@ -317,24 +317,22 @@ class Stencil:
     """Finite collection of nodes approximating a discrete jet.
 
     ``offsets`` lists integer offset pairs (l, j) -- time shift and space
-    shift relative to the reference index -- and row r of the (m, 3) array
-    ``points`` holds the point (t, x, u) of node ``offsets[r]``.  The
+    shift relative to the stencil's anchor node -- and row r of the (m, 3)
+    array ``points`` holds the point (t, x, u) of node ``offsets[r]``.  The
     constructor builds the offset -> row index once; offsets must be
     distinct and no two nodes may share (t, x).  ``points`` is kept as a
-    read-only view, so build a new stencil to move nodes.  The reference
-    multi-index ``ref`` = (n, i) matters only for generators with
-    lattice-dependent weights.
+    read-only view, so build a new stencil to move nodes.  A generator's
+    lattice weight is evaluated at a node's offset.
 
     Stencils derived from this one by moving nodes (:meth:`with_u`,
-    :func:`prolonged_directional_derivative`) share its ``offsets``, ``ref``
-    and row index instead of rebuilding them.  They skip the (t, x) check:
+    :func:`prolonged_directional_derivative`) share its ``offsets`` and
+    row index instead of rebuilding them.  They skip the (t, x) check:
     :meth:`with_u` moves only u, and the derivative's complex stencil keeps
     this one's points as its real part.
     """
 
     offsets: tuple[tuple[int, int], ...]
     points: np.ndarray
-    ref: tuple[int, int] = (0, 0)
     _row: dict[tuple[int, int], int] = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -360,14 +358,14 @@ class Stencil:
         one's (t, x) as its real part, on this one's offsets; made read-only."""
         points.flags.writeable = False
         z = object.__new__(Stencil)
-        vars(z).update(offsets=self.offsets, points=points, ref=self.ref, _row=self._row)
+        vars(z).update(offsets=self.offsets, points=points, _row=self._row)
         return z
 
     @staticmethod
-    def from_dict(nodes: dict[tuple[int, int], Node], ref=(0, 0)) -> "Stencil":
+    def from_dict(nodes: dict[tuple[int, int], Node]) -> "Stencil":
         items = sorted(nodes.items())
         return Stencil(tuple(off for off, _ in items),
-                       np.array([val for _, val in items], dtype=float).reshape(-1, 3), ref)
+                       np.array([val for _, val in items], dtype=float).reshape(-1, 3))
 
     def take(self, offsets: Iterable[tuple[int, int]]) -> np.ndarray:
         """Rows of ``points`` for the given offsets; KeyError for a missing one."""
@@ -398,7 +396,7 @@ def _coefficients(field: VectorFieldSpec, z: Stencil) -> np.ndarray:
 
     The coefficient functions are evaluated once on the t, x and u columns
     (constants broadcast); only a lattice ``weight`` is evaluated per node,
-    at the node's absolute index (n + l, i + j).
+    at the node's offset (l, j).
     """
     t, x, u = z.points.T
     c = np.empty((len(z.offsets), 3))
@@ -406,8 +404,7 @@ def _coefficients(field: VectorFieldSpec, z: Stencil) -> np.ndarray:
     c[:, 1] = field.xi(t, x, u)
     c[:, 2] = field.phi(t, x, u)
     if field.weight is not None:
-        n, i = z.ref
-        c *= np.array([field.weight(n + l, i + j) for l, j in z.offsets])[:, None]
+        c *= np.array([field.weight(l, j) for l, j in z.offsets])[:, None]
     return c
 
 

@@ -79,7 +79,7 @@ class MonitorParams:
             raise ValueError("alpha must be nonnegative")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MeshUpdate:
     """Next-level abscissae, their spacings dx (x_next differenced along the
     last axis) and the smallest spacing (over all rows of a batch)."""

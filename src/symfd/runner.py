@@ -50,7 +50,7 @@ from .groups import (
 )
 from .mesh import MonitorParams
 from .rng import DeterministicRng
-from .schemes import GridState, StepInfo
+from .schemes import GridState
 
 
 # ---------------------------------------------------------------------------
@@ -151,8 +151,8 @@ def _kdv_step(scheme: str, mesh: str, cfg: ExperimentConfig, k: float, h: float,
 
 
 def _naive_step(cfg: ExperimentConfig, k: float, h: float, floor: float):
-    step, info = schemes.naive_kdv_step, StepInfo(0, 0.0, h)
-    return lambda s: (step(s, k, h), info)
+    step = schemes.naive_kdv_step
+    return lambda s: step(s, k, h)
 
 
 def _burgers_step(cfg: ExperimentConfig, k: float, h: float, floor: float):
@@ -167,9 +167,9 @@ def _burgers_step(cfg: ExperimentConfig, k: float, h: float, floor: float):
 # the others; the Schwarzian run marches in space, with no step.
 _STEPS = {
     ("schwarzian", "schwarzian_invariant", None): None,
-    **{("kdv", f"kdv_{kind}", mesh): (_naive_step if kind == "naive"
-                                       else partial(_kdv_step, kind, mesh))
-       for kind in ("6pt", "10pt", "naive") for mesh in ("lagrangian", "adaptive", "projection")},
+    **{("kdv", f"kdv_{kind}", mesh): partial(_kdv_step, kind, mesh)
+       for kind in ("6pt", "10pt") for mesh in ("lagrangian", "adaptive", "projection")},
+    ("kdv", "kdv_naive", None): _naive_step,
     ("burgers", "burgers_fv", None): _burgers_step,
 }
 
@@ -209,7 +209,6 @@ class ExperimentConfig:
     ic_a1: float = 20.0
     ic_a2: float = 5.0
     ic_c: float = 0.25
-    source_f: float = 2.0
     snapshots_path: str = ""
     diagnostics_path: str = ""
 
@@ -239,7 +238,7 @@ class ExperimentConfig:
         if eq == "kdv":
             if self.ic_c1 < 0.0 or self.ic_c2 < 0.0:
                 raise ConfigError("soliton speeds ic_c1 and ic_c2 must be nonnegative")
-            if self.mesh == "adaptive" and self.alpha < 0.0:
+            if _step_key(self)[2] == "adaptive" and self.alpha < 0.0:
                 raise ConfigError("adaptive strategy needs alpha >= 0")
         if eq == "burgers":
             if not self.nu > 0.0:
@@ -378,7 +377,8 @@ def run_experiment(cfg: ExperimentConfig) -> RunOutput:
 
 
 def _run_schwarzian(cfg: ExperimentConfig) -> RunOutput:
-    """The invariant recurrence from three samples of tan x.
+    """The invariant recurrence for the source F = 2 from three samples of
+    tan x, which solves it.
 
     A seed node on a pole of tan x (``numerical_failure``), or a node whose
     step raises, stops the run with the status ``_STOPS`` gives its error;
@@ -394,7 +394,7 @@ def _run_schwarzian(cfg: ExperimentConfig) -> RunOutput:
             return RunOutput([(0.0, x[:j], u[:j])], [], status, cfg, message)
     diags = Diagnostics()
     status, message = "completed", ""
-    stop = _schwarzian_march(x, u, lambda _x: cfg.source_f, diags)
+    stop = _schwarzian_march(x, u, lambda _x: 2.0, diags)
     if stop is not None:
         i, exc = stop
         status, message = _stop(f"step {i}", exc)
@@ -462,13 +462,9 @@ def _exact(cfg: ExperimentConfig, t: float, x):
 def exact_snapshot(cfg: ExperimentConfig, t: float = 0.0) -> RunOutput:
     """The exact solution the run of cfg starts from, at time t on the run's
     initial nodes: at t = 0 the run's first snapshot (the Schwarzian
-    march's first three values).  A non-finite t and a Schwarzian source
-    other than 2 (tan x solves no other) are ConfigErrors."""
+    march's first three values).  A non-finite t is a ConfigError."""
     if not math.isfinite(t):
         raise ConfigError(f"t must be finite, got {t!r}")
-    if cfg.equation == "schwarzian" and cfg.source_f != 2.0:
-        raise ConfigError(f"tan x solves the schwarzian equation only for source_f = 2, "
-                          f"got {cfg.source_f!r}")
     x = _grid(cfg)[0]
     return RunOutput([(t, x, _exact(cfg, t, x))], [], "completed", cfg)
 

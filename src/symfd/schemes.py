@@ -89,7 +89,7 @@ from .mesh import (
 # state containers
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GridState:
     """One time level: time t, finite and strictly increasing x, values u.
 
@@ -107,9 +107,9 @@ class GridState:
     t: float
     x: np.ndarray
     u: np.ndarray
-    dx: np.ndarray = field(init=False, compare=False, repr=False)
-    du: np.ndarray = field(init=False, compare=False, repr=False)
-    slopes: np.ndarray = field(init=False, compare=False, repr=False)
+    dx: np.ndarray = field(init=False, repr=False)
+    du: np.ndarray = field(init=False, repr=False)
+    slopes: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         x = np.asarray(self.x, dtype=float)
@@ -333,22 +333,28 @@ def _band_layout(blocks: int, m: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _solve_affine_banded(res_fn: Callable[[np.ndarray], np.ndarray],
                          v0: np.ndarray) -> np.ndarray:
-    """The root of an affine residual map with a pentadiagonal matrix.
+    """The root of an affine residual map with a pentadiagonal matrix A.
 
-    The band is read off the residual at v0 and at 5 colored unit probes
-    (exact up to roundoff for an affine map); one call of LAPACK ``dgbsv``
-    then gives the root.  ``dgbsv`` does not check its input, so a
-    non-finite band or residual is rejected first; both that and a zero
-    pivot raise :class:`SchemeSingularity`.  A (B, m) batch of unknowns
-    (each row's residual depending on that row alone) is solved as one
-    block-diagonal band of B blocks with zero coupling between them.
+    The band A s is read off the residual at v0 and at 5 colored probes
+    v0 + s (exact up to roundoff for an affine map), s the least power of
+    two above each row's largest |v0|, so the solve commutes with scaling
+    by powers of two; one call of LAPACK ``dgbsv`` then gives the root.
+    ``dgbsv`` does not check its input, so a non-finite band or residual is
+    rejected first; both that and a zero pivot raise
+    :class:`SchemeSingularity`.  A (B, m) batch of unknowns (each row's
+    residual depending on that row alone) is solved as one block-diagonal
+    band of B blocks with zero coupling between them and a (B, 1) column s;
+    one state's s is a float, which ``math`` forms faster than numpy.
     """
     m = v0.shape[-1]
+    top = np.abs(v0).max(axis=-1, keepdims=v0.ndim > 1)
+    s = (math.ldexp(1.0, math.frexp(top)[1]) if v0.ndim == 1
+         else np.ldexp(1.0, np.frexp(top)[1]))
     r0 = res_fn(v0)
     dr = np.empty((5,) + r0.shape)
     for color in range(5):
         probe = v0.copy()
-        probe[..., color::5] += 1.0
+        probe[..., color::5] += s
         dr[color] = res_fn(probe) - r0
     dst, src = _band_layout(v0.size // m, m)
     ab = np.zeros(7 * v0.size)  # rows 0-1: dgbsv's fill-in space; the band is rows 2-6
@@ -359,7 +365,7 @@ def _solve_affine_banded(res_fn: Callable[[np.ndarray], np.ndarray],
     *_, x, info = _lapack().dgbsv(2, 2, ab, r0.reshape(-1), overwrite_ab=True)
     if info != 0:
         raise SchemeSingularity(f"banded solve failed (LAPACK info {info})")
-    return v0 - x.reshape(v0.shape)
+    return v0 - s * x.reshape(v0.shape)
 
 
 def _adaptive_mesh(prev: GridState, k: float, monitor: MonitorParams, ends, floor) -> MeshUpdate:
@@ -450,8 +456,8 @@ def naive_kdv_residual(u0: np.ndarray, u1: np.ndarray, k: float, h: float) -> np
     )
 
 
-def naive_kdv_step(prev: GridState, k: float, h: float) -> GridState:
-    """Explicit baseline update on a uniform periodic mesh.
+def naive_kdv_step(prev: GridState, k: float, h: float) -> tuple[GridState, StepInfo]:
+    """Explicit baseline update on the uniform periodic mesh of spacing h.
 
     Stability is the caller's concern: k/h^3 must stay small enough that the
     amplified roundoff remains below the truncation error over the intended
@@ -459,7 +465,7 @@ def naive_kdv_step(prev: GridState, k: float, h: float) -> GridState:
     """
     u0 = prev.u
     r = naive_kdv_residual(u0, u0, k, h)  # u1 = u0 zeroes the time term
-    return GridState(prev.t + k, prev.x, u0 - k * r)
+    return GridState._unchecked(prev.t + k, prev.x, u0 - k * r, prev.dx), StepInfo(0, 0.0, h)
 
 
 # ---------------------------------------------------------------------------

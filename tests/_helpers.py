@@ -133,7 +133,7 @@ def worst_catalog_derivative(vector, cls, gens, z) -> float:
 
 def field_coeffs(field, node, index=(0, 0)):
     """(eta, xi, phi) of ``field`` at one (t, x, u) node, times its lattice
-    weight at the absolute index ``index``."""
+    weight at the node's offset ``index``."""
     t, x, u = node
     w = 1.0 if field.weight is None else field.weight(*index)
     return (w * field.eta(t, x, u), w * field.xi(t, x, u), w * field.phi(t, x, u))

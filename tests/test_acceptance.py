@@ -267,7 +267,7 @@ def test_c03_difference_invariant_suite():
 def test_c04_schwarzian_experiment():
     cfg = validate_config({
         "equation": "schwarzian", "scheme": "schwarzian_invariant",
-        "domain_a": 0.0, "domain_b": 2.5, "n_points": 251, "source_f": 2.0,
+        "domain_a": 0.0, "domain_b": 2.5, "n_points": 251,
     })
     out = run_experiment(cfg)
     _t, x, u = out.snapshots[-1]

@@ -357,13 +357,12 @@ def _stencils(draw):
     nodes = {(l, j): (l + draw(st.floats(-0.4, 0.4)), j + draw(st.floats(-0.4, 0.4)),
                       draw(_coord))
              for l, j in offsets}
-    return Stencil.from_dict(nodes, ref=draw(st.tuples(st.integers(-3, 3), st.integers(-3, 3))))
+    return Stencil.from_dict(nodes)
 
 
 def _reference_coeffs(field, z):
-    """Per-node loop over ``field_coeffs`` at absolute lattice indices."""
-    n, i = z.ref
-    return [(off, val, field_coeffs(field, val, (n + off[0], i + off[1])))
+    """Per-node loop over ``field_coeffs`` at each node's offset."""
+    return [(off, val, field_coeffs(field, val, off))
             for off, val in zip(z.offsets, z.points.tolist())]
 
 
@@ -379,11 +378,11 @@ def _moved_stencils(field, z):
 def test_perturb_stencil_matches_per_node_reference(z, field):
     [moved] = _moved_stencils(field, z)
     # the real part is z bit for bit; the imaginary part is h times each
-    # node's (eta, xi, phi), weighted at the node's absolute lattice index
+    # node's (eta, xi, phi), weighted at the node's offset
     assert moved.points.real.tobytes() == z.points.tobytes()
     assert moved.points.imag.tolist() == [[_STEP * c for c in coeff]
                                           for _off, _val, coeff in _reference_coeffs(field, z)]
-    assert moved.offsets == z.offsets and moved.ref == z.ref
+    assert moved.offsets == z.offsets
     for (l, j), (_t, _x, u) in zip(z.offsets, moved.points.tolist()):
         assert type(moved.u(l, j)) is complex and moved.u(l, j) == u
 
@@ -400,7 +399,7 @@ def test_lie_matrix_matches_per_node_reference(z, fields):
 @given(z=_stencils())
 def test_stencil_accessors_agree_with_nodes(z):
     nodes = dict(zip(z.offsets, z.points.tolist()))
-    assert Stencil.from_dict(nodes, z.ref).points.tolist() == z.points.tolist()
+    assert Stencil.from_dict(nodes).points.tolist() == z.points.tolist()
     for (l, j), (t, x, u) in nodes.items():
         assert z.u(l, j) == u
         assert z.take([(l, j)]).tolist() == [[t, x, u]]
@@ -424,10 +423,8 @@ def test_stencil_rejects_duplicates(z, data):
 
 
 @settings(max_examples=60)
-@given(z=_stencils(), field=st.sampled_from(_ALL_FIELDS),
-       ref=st.tuples(st.integers(-3, 3), st.integers(-3, 3)).filter(lambda r: r != (0, 0)))
-def test_prolonged_derivative_equals_its_closed_form(z, field, ref):
-    z = Stencil(z.offsets, z.points, ref)
+@given(z=_stencils(), field=st.sampled_from(_ALL_FIELDS))
+def test_prolonged_derivative_equals_its_closed_form(z, field):
     F = lambda s: np.sin(s.points).ravel() * s.points[::-1].ravel()  # noqa: E731
     p, q = z.points.ravel(), z.points[::-1].ravel()
     c = np.array([coeff for _off, _val, coeff in _reference_coeffs(field, z)])
@@ -445,7 +442,7 @@ def test_prolonged_derivative_equals_its_closed_form(z, field, ref):
 def test_moved_stencils_are_read_only_and_keep_the_offsets(z, field):
     l, j = z.offsets[0]
     for moved in _moved_stencils(field, z) + [z.with_u(l, j, 7.5)]:
-        assert moved.offsets == z.offsets and moved.ref == z.ref
+        assert moved.offsets == z.offsets
         assert not moved.points.flags.writeable
         with pytest.raises(ValueError):
             moved.points[0, 2] = 0.0

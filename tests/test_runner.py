@@ -266,14 +266,14 @@ def test_config_rejects_nonfinite_floats(key, value):
         parse_config("".join(f"{k} = {v}\n" for k, v in values.items()))
 
 
-def test_cli_run_nonfinite_source_is_a_config_error(tmp_path, capsys):
+def test_cli_run_nonfinite_float_is_a_config_error(tmp_path, capsys):
     cfg = tmp_path / "nan.cfg"
     cfg.write_text("equation = schwarzian\nscheme = schwarzian_invariant\n"
-                   "domain_a = 0\ndomain_b = 1\nn_points = 16\nsource_f = nan\n")
+                   "domain_a = 0\ndomain_b = nan\nn_points = 16\n")
     assert cli_main(["run", str(cfg)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "config error: source_f must be finite, got nan\n"
+    assert captured.err == "config error: domain_b must be finite, got nan\n"
 
 
 def test_readme_key_table_lists_exactly_the_config_keys():
@@ -284,7 +284,7 @@ def test_readme_key_table_lists_exactly_the_config_keys():
     keys = [key for key, _meaning in rows for key in re.findall(r"\w+", key)]
     config_keys = [field.name for field in fields(ExperimentConfig)]
     assert sorted(keys) == sorted(config_keys)
-    assert len(config_keys) == 18
+    assert len(config_keys) == 17
     # the equation, scheme and mesh rows list exactly what validation accepts
     meaning = {key.strip(" `"): text for key, text in rows}
     for column, key in enumerate(("equation", "scheme", "mesh")):
@@ -478,7 +478,7 @@ def test_the_diagnostics_csv_of_a_store_builds_no_chunk_of_rows():
 def test_schwarzian_run_crosses_pole():
     cfg = validate_config({
         "equation": "schwarzian", "scheme": "schwarzian_invariant",
-        "domain_a": 0.0, "domain_b": 2.5, "n_points": 251, "source_f": 2.0,
+        "domain_a": 0.0, "domain_b": 2.5, "n_points": 251,
     })
     out = run_experiment(cfg)
     assert out.status == "completed"
@@ -527,29 +527,78 @@ def test_kdv_run_starts_from_the_exact_two_soliton():
                                                       cfg.ic_a1, cfg.ic_a2))
 
 
-@pytest.mark.parametrize("mesh", ["lagrangian", "adaptive", "projection"])
-def test_kdv_6pt_run_commutes_with_power_of_two_scaling(mesh):
+# a KdV run of 4 steps on 48 nodes; every KdV scheme completes it on every mesh
+_KDV_SMALL = {
+    "equation": "kdv", "alpha": 10.0,
+    "domain_a": -12.0, "domain_b": 12.0, "n_points": 48, "t_final": 0.25,
+    "dt_constant": 0.5, "ic_c1": 1.0, "ic_a1": 4.0, "ic_c2": 0.5, "ic_a2": -4.0,
+}
+
+
+def _kdv_image(values: dict, lam: float, shift: float = 0.0) -> dict:
+    """The config of values's run under x -> lam x + shift, t -> lam^3 t,
+    u -> u / lam^2, a symmetry of KdV and of its exact two-soliton."""
+    image = dict(values, t_final=values["t_final"] * lam**3)
+    for key in ("domain_a", "domain_b"):
+        image[key] = values[key] * lam + shift
+    for key in ("ic_a1", "ic_a2"):
+        image[key] = values[key] * lam - shift
+    for key in ("ic_c1", "ic_c2"):
+        image[key] = values[key] / lam**2
+    return image
+
+
+def _assert_run_commutes_with_power_of_two_scaling(scheme, mesh):
     # x -> lam x, t -> lam^3 t, u -> u / lam^2 with lam = 2^j is exact in
     # floating point, so a scale-free run maps onto its image bit for bit
-    base = {
-        "equation": "kdv", "scheme": "kdv_6pt", "mesh": mesh, "alpha": 10.0,
-        "domain_a": -12.0, "domain_b": 12.0, "n_points": 48, "t_final": 0.25,
-        "dt_constant": 0.5, "ic_c1": 1.0, "ic_a1": 4.0, "ic_c2": 0.5, "ic_a2": -4.0,
-    }
+    base = dict(_KDV_SMALL, scheme=scheme, mesh=mesh)
     ref = run_experiment(validate_config(base))
     assert ref.status == "completed" and len(ref.diagnostics) == 4
     _, x_ref, u_ref = ref.snapshots[-1]
     for j in (-60, -50, -40, -20, 20, 40, 60):
         lam = 2.0**j
-        cfg = dict(base, t_final=base["t_final"] * lam**3)
-        for key in ("domain_a", "domain_b", "ic_a1", "ic_a2"):
-            cfg[key] = base[key] * lam
-        for key in ("ic_c1", "ic_c2"):
-            cfg[key] = base[key] / lam**2
-        out = run_experiment(validate_config(cfg))
+        out = run_experiment(validate_config(_kdv_image(base, lam)))
         assert (out.status, len(out.diagnostics)) == (ref.status, 4), (j, out.message)
         _, x, u = out.snapshots[-1]
         assert np.array_equal(x / lam, x_ref) and np.array_equal(u * lam**2, u_ref), j
+
+
+@pytest.mark.parametrize("mesh", ["lagrangian", "adaptive", "projection"])
+def test_kdv_6pt_run_commutes_with_power_of_two_scaling(mesh):
+    _assert_run_commutes_with_power_of_two_scaling("kdv_6pt", mesh)
+
+
+@pytest.mark.parametrize("mesh", ["lagrangian", "adaptive", "projection"])
+def test_kdv_10pt_run_commutes_with_power_of_two_scaling(mesh):
+    # the banded solve's probes are powers of two scaled with u
+    _assert_run_commutes_with_power_of_two_scaling("kdv_10pt", mesh)
+
+
+_KDV_RUNS = {}  # a KdV key of runner._STEPS -> the final snapshot of its _KDV_SMALL run
+
+
+@settings(max_examples=40, deadline=None)
+@given(key=st.sampled_from(sorted((k for k in _STEPS if k[0] == "kdv"), key=str)),
+       j=st.integers(-16, 16), shift=st.one_of(st.just(0.0), st.floats(-10.0, 10.0)))
+def test_every_kdv_run_commutes_with_scaling_and_shifts(key, j, shift):
+    # bit for bit under lam = 2^j alone; a shift rounds x + shift, so the
+    # image then agrees to 1e-9 of the run's largest |x| and |u|
+    base = dict(_KDV_SMALL, scheme=key[1], mesh=key[2] or "lagrangian")
+    if key not in _KDV_RUNS:
+        ref = run_experiment(validate_config(base))
+        _KDV_RUNS[key] = ref.status, len(ref.diagnostics), ref.snapshots[-1]
+    status, steps, (t_ref, x_ref, u_ref) = _KDV_RUNS[key]
+    lam = 2.0**j
+    out = run_experiment(validate_config(_kdv_image(base, lam, lam * shift)))
+    assert (out.status, len(out.diagnostics)) == (status, steps), out.message
+    t, x, u = out.snapshots[-1]
+    x_back, u_back = (x - lam * shift) / lam, u * lam**2
+    assert t / lam**3 == t_ref
+    if shift == 0.0:
+        assert np.array_equal(x_back, x_ref) and np.array_equal(u_back, u_ref)
+    else:
+        assert np.abs(x_back - x_ref).max() <= 1e-9 * np.abs(x_ref).max()
+        assert np.abs(u_back - u_ref).max() <= 1e-9 * np.abs(u_ref).max()
 
 
 def test_burgers_march_commutes_with_power_of_two_scaling():
@@ -653,23 +702,22 @@ def test_cli_schwarzian_seed_on_a_pole_writes_partial_csvs(tmp_path, capsys, dom
 
 
 def test_cli_schwarzian_degenerate_run_writes_partial_csvs(tmp_path, capsys):
-    # h^2 F = 1e296 makes the target cross-ratio ~0, so the first step
-    # repeats its last value and the second meets equal consecutive values
+    # h = 1 gives h^2 F = 2 for the source F = 2 of tan x, which leaves the
+    # target cross-ratio undefined, so the first step raises
     snaps, diags = tmp_path / "s.csv", tmp_path / "d.csv"
     cfg = tmp_path / "schwarzian.cfg"
     cfg.write_text("equation = schwarzian\nscheme = schwarzian_invariant\n"
-                   "domain_a = 0\ndomain_b = 2.5\nn_points = 251\nsource_f = 1e300\n"
+                   "domain_a = 0\ndomain_b = 250\nn_points = 251\n"
                    f"snapshots_path = {snaps}\ndiagnostics_path = {diags}\n")
     assert cli_main(["run", str(cfg)]) == 3
     captured = capsys.readouterr()
     assert captured.out == "status: scheme_singularity\n"
-    assert captured.err == ("run stopped: step 2: SchemeSingularity: "
-                            "consecutive u values must be distinct\n")
-    assert snaps.read_text().splitlines()[0] == "t,x,u"
-    assert len(snaps.read_text().splitlines()) == 1 + 4  # the seed nodes and step 1's
-    rows = diags.read_text().splitlines()
-    assert rows[0] == "step,t,min_spacing,tv,residual_inf,newton_iters,status"
-    assert [r.split(",")[0] for r in rows[1:]] == ["1"]
+    assert captured.err == ("run stopped: step 1: SchemeSingularity: "
+                            "target cross-ratio undefined: h^2 F = 2\n")
+    assert snaps.read_text().splitlines() == [
+        "t,x,u", *(f"0,{x:.17g},{exact_schwarzian(x):.17g}" for x in (0.0, 1.0, 2.0))]  # the seeds
+    assert diags.read_text().splitlines() == [
+        "step,t,min_spacing,tv,residual_inf,newton_iters,status"]
 
 
 @pytest.mark.parametrize("scheme", ["kdv_10pt", "kdv_naive", "burgers_fv"])
@@ -689,8 +737,7 @@ def test_run_stops_with_status_row_and_partial_snapshot(monkeypatch, scheme, fau
             if fault is not None:
                 raise fault
             u = np.full_like(u, np.nan)
-        nxt = GridState(prev.t + k, 1.5 * prev.x, u)  # a moved mesh
-        return nxt if scheme == "kdv_naive" else (nxt, StepInfo(0, 0.0, 1.0))
+        return GridState(prev.t + k, 1.5 * prev.x, u), StepInfo(0, 0.0, 1.0)  # a moved mesh
 
     for name in ("kdv_step_detailed", "naive_kdv_step", "burgers_fv_step_detailed"):
         monkeypatch.setattr(schemes, name, fake_step)
@@ -729,7 +776,7 @@ def test_nonfinite_stop_names_the_first_nonfinite_node(monkeypatch):
     def fake_step(prev, k, *args, **kwargs):
         u = prev.u.copy()
         u[[5, 9]] = [np.inf, np.nan]
-        return GridState(prev.t + k, prev.x, u)
+        return GridState(prev.t + k, prev.x, u), StepInfo(0, 0.0, 1.0)
 
     monkeypatch.setattr(schemes, "naive_kdv_step", fake_step)
     out = run_experiment(validate_config({
@@ -1018,6 +1065,9 @@ def test_cli_run_that_blows_up_warns_nothing_and_names_the_stop(tmp_path, capsys
         "run stopped: step 17: u is not finite at node 0 (29 of 128 nodes)\n")
 
 
+_MESHES = sorted({key[2] for key in _STEPS} - {None})
+
+
 @st.composite
 def _runnable_configs(draw):
     """The values of a valid config for each runnable (equation, scheme, mesh),
@@ -1026,12 +1076,11 @@ def _runnable_configs(draw):
     eq, scheme, mesh = draw(st.sampled_from(list(_STEPS)))
     n = draw(st.integers(8, 48))
     values = {"equation": eq, "scheme": scheme, "n_points": n}
-    if mesh is not None:
-        values["mesh"] = mesh
+    # a run that reads no mesh still validates one
+    values["mesh"] = mesh or draw(st.sampled_from(_MESHES))
     if eq == "schwarzian":
         a = draw(st.floats(-3.0, 3.0))
-        values.update(domain_a=a, domain_b=a + draw(st.floats(0.1, 4.0)),
-                      source_f=draw(st.floats(-5.0, 5.0)))
+        values.update(domain_a=a, domain_b=a + draw(st.floats(0.1, 4.0)))
         return values
     if eq == "kdv":
         a = draw(st.floats(-40.0, 10.0))
@@ -1095,6 +1144,36 @@ def test_config_values_round_trip_through_validation_and_text(values):
     cfg = validate_config(values)
     assert validate_config(cfg.values) == cfg
     assert parse_config(_config_text(cfg.values)) == cfg
+
+
+@settings(max_examples=100)
+@given(values=_runnable_configs())
+def test_every_accepted_config_has_an_exact_solution(values):
+    # no config that validation accepts is refused by exact_snapshot; only
+    # a node on a pole of tan x fails, as the run's seed fails there too
+    cfg = validate_config(values)
+    try:
+        out = runner.exact_snapshot(cfg)
+    except PoleError:
+        assert cfg.equation == "schwarzian"
+        return
+    [(t, x, u)] = out.snapshots
+    assert t == 0.0 and np.array_equal(x, runner._grid(cfg)[0]) and u.shape == x.shape
+
+
+def test_naive_run_reads_no_mesh(tmp_path):
+    # a kdv_naive config validates its mesh but needs no alpha for adaptive,
+    # and its outputs are those of the default mesh byte for byte
+    outputs = []
+    for mesh in ("lagrangian", "adaptive", "projection"):
+        snaps, diags = tmp_path / f"{mesh}_s.csv", tmp_path / f"{mesh}_d.csv"
+        cfg = parse_config("equation = kdv\nscheme = kdv_naive\ndomain_a = -20\n"
+                           f"domain_b = 20\nn_points = 64\nt_final = 0.5\nmesh = {mesh}\n"
+                           f"snapshots_path = {snaps}\ndiagnostics_path = {diags}\n")
+        assert runner._step_key(cfg) == ("kdv", "kdv_naive", None)
+        write_outputs(run_experiment(cfg))
+        outputs.append((snaps.read_bytes(), diags.read_bytes()))
+    assert outputs[1:] == outputs[:1] * 2
 
 
 def test_cli_run_streams_the_joined_snapshot_chunks_to_stdout(tmp_path, capsys):
@@ -1176,7 +1255,7 @@ with contextlib.redirect_stdout(io.StringIO()):
 for scheme in ("schwarzian_invariant", "kdv_6pt"):
     assert runner.invariance_audit(scheme, 4, 2).passed, scheme
 cfg = runner.parse_config("equation = schwarzian\nscheme = schwarzian_invariant\n"
-                          "domain_a = 0\ndomain_b = 2.5\nn_points = 51\nsource_f = 2\n")
+                          "domain_a = 0\ndomain_b = 2.5\nn_points = 51\n")
 assert runner.run_experiment(cfg).status == "completed"
 x = np.array([[0.0, 0.4, 1.0, 1.3, 2.0], [0.1, 0.5, 1.1, 1.4, 2.1]])
 assert len(invariants.kdv_invariants(invariants.KdVStencil(0.1, x, np.sin(x)))) == 18
@@ -1472,14 +1551,14 @@ def test_cli_exact_at_a_nonfinite_time_is_a_config_error(capsys, t):
 
 
 def test_cli_exact_schwarzian_needs_the_source_of_tan(tmp_path, capsys):
+    # the source is the F = 2 that tan x solves, and no key sets another
     cfg = tmp_path / "source.cfg"
-    cfg.write_text((ROOT / "configs" / "schwarzian.cfg").read_text().replace(
-        "source_f  = 2", "source_f  = 3"))
-    assert cli_main(["exact", str(cfg)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == ("config error: tan x solves the schwarzian equation only "
-                            "for source_f = 2, got 3.0\n")
+    cfg.write_text((ROOT / "configs" / "schwarzian.cfg").read_text() + "source_f = 3\n")
+    for command in ("exact", "run"):
+        assert cli_main([command, str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "config error: line 10: unknown key 'source_f'\n"
 
 
 @pytest.mark.parametrize("command", ["run", "exact"])

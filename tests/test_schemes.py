@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from symfd.errors import DegenerateDenominator, MeshTangling, SchemeSingularity, SymfdError
 from symfd.groups import BurgersGroupElement, KdVGroupElement, apply_burgers, apply_kdv, apply_sl2
 from symfd.invariants import cross_ratio
-from symfd.mesh import MonitorParams, equidistribute, monitor_arclength
+from symfd.mesh import MeshUpdate, MonitorParams, equidistribute, monitor_arclength
 from symfd.runner import exact_burgers, exact_kdv_double_soliton
 from symfd import runner, schemes
 from symfd.rng import DeterministicRng
@@ -544,8 +544,20 @@ def test_kdv_adaptive_step_equidistributes():
 def test_naive_kdv_constant_state():
     x = np.linspace(0, 4, 9)
     prev = GridState(0.0, x, np.full(9, 1.3))
-    nxt = naive_kdv_step(prev, 0.01, 0.5)
+    nxt, info = naive_kdv_step(prev, 0.01, 0.5)
     assert np.max(np.abs(nxt.u - 1.3)) <= 1e-14
+    # the periodic grid never moves: the state keeps the x and spacings it had
+    assert nxt.x is prev.x and nxt.dx is prev.dx
+    assert (info.newton_iters, info.residual_inf, info.min_spacing) == (0, 0.0, 0.5)
+
+
+def test_states_and_mesh_updates_compare_and_hash_by_identity():
+    # they hold arrays, so a field-wise == or hash would raise
+    x = np.linspace(0.0, 1.0, 5)
+    a, b = GridState(0.0, x, x**2), GridState(0.0, x.copy(), x**2)
+    upd = equidistribute(np.ones(4), (0.0, 1.0))
+    assert a == a and a != b and upd == upd and upd != MeshUpdate(upd.x_next, upd.dx, 0.25)
+    assert len({a, b, a, upd, upd}) == 3 and hash(a) == hash(a)
 
 
 def test_naive_kdv_galilean_defect_formula():
@@ -572,7 +584,7 @@ def test_naive_kdv_short_soliton_accuracy():
     steps = round(0.1 / k)
     k = 0.1 / steps
     for _ in range(steps):
-        st = naive_kdv_step(st, k, h)
+        st = naive_kdv_step(st, k, h)[0]
     err = np.max(np.abs(st.u - exact_kdv_double_soliton(st.t, x, 1.0, 0.0, 0.0, 0.0)))
     assert err <= 5e-3  # second order in h at t = 0.1
 
