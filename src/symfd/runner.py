@@ -22,7 +22,7 @@ import os
 import stat
 from collections.abc import Sequence
 from dataclasses import MISSING, asdict, dataclass, fields
-from functools import partial
+from functools import cached_property, partial
 from itertools import islice
 from typing import Callable, Iterable, Iterator, get_args, get_type_hints
 
@@ -156,8 +156,8 @@ def _naive_step(cfg: ExperimentConfig, k: float, h: float, floor: float):
 
 
 def _burgers_step(cfg: ExperimentConfig, k: float, h: float, floor: float):
-    step, nu, alpha = schemes.burgers_fv_step_detailed, cfg.nu, cfg.alpha
-    return lambda s: step(s, k, nu, alpha, spacing_floor=floor)
+    step, nu, monitor = schemes.burgers_fv_step_detailed, cfg.nu, MonitorParams(cfg.alpha)
+    return lambda s: step(s, k, nu, monitor, spacing_floor=floor)
 
 
 # Every runnable (equation, scheme, mesh), with the builder of its run's step
@@ -249,6 +249,11 @@ class ExperimentConfig:
                 raise ConfigError("burgers_fv needs alpha >= 0")
         if self.mesh not in {key[2] for key in _STEPS} - {None}:  # on every equation
             raise ConfigError(f"unknown mesh strategy {self.mesh!r}")
+        # the second output would replace a file there; a device or FIFO takes both
+        paths = self.snapshots_path, self.diagnostics_path
+        if (all(paths) and os.path.realpath(paths[0]) == os.path.realpath(paths[1])
+                and (os.path.isfile(paths[0]) or not os.path.exists(paths[0]))):
+            raise ConfigError(f"snapshots_path and diagnostics_path name one file: {paths[0]!r}")
 
     @property
     def values(self) -> dict:
@@ -605,6 +610,14 @@ def _random_u(rng: DeterministicRng, n: int) -> np.ndarray:
     return np.array([rng.uniform(-2.0, 2.0) for _ in range(n)])
 
 
+def _random_walk(rng: DeterministicRng, n: int) -> list[float]:
+    """n values: the first in [-2, 2], each next 0.1 to 2 above or below the last."""
+    u = [rng.uniform(-2.0, 2.0)]
+    for _ in range(n - 1):
+        u.append(u[-1] + rng.choice_sign() * rng.uniform(0.1, 2.0))
+    return u
+
+
 def _stack(states: list[GridState]) -> tuple[np.ndarray, np.ndarray]:
     return np.array([st.x for st in states]), np.array([st.u for st in states])
 
@@ -614,50 +627,30 @@ def _stack(states: list[GridState]) -> tuple[np.ndarray, np.ndarray]:
 # configuration's own step fails), draws the element of a trial on config c
 # (``draw_element``, raising _Resample for a draw it rejects from the
 # element and config alone; only these redraws count as resampled) and
-# evaluates a row of trials, trial c on config c, as one batch
-# (``deviations``, returning the strong and weak deviations).  The KdV and
+# evaluates a row of trials, trial c on config c (``deviations``, returning
+# the strong and weak deviations).  The KdV, Burgers and u_xx audits
+# evaluate a row as one batch, as their kernels take arrays.  The KdV and
 # Burgers audits share these steps (``_PDEAudit``) and differ in their
 # element type, its coordinate table for ``_draw``, its factors and image,
 # the residual and the step; a configuration's own step is the step under
 # the identity's factors, which is the plain step bit for bit.  A step of
 # the transformed configurations that fails is an infinite weak deviation
-# of every trial in the batch (``_weak_dev``), which fails the audit.
-
-
-def _config_step(step):
-    """The configurations' own step; ConfigError when it fails."""
-    try:
-        return step()
-    except SymfdError as exc:
-        # no element can repair a config whose own step fails
-        raise ConfigError(f"an audit configuration's own step fails: {exc}") from None
-
-
-def _weak_dev(step, ix, iu) -> np.ndarray:
-    """Deviation of the stepped configurations' images (ix, iu) from
-    ``step()``, the step of the transformed configurations; infinite for
-    every trial when that step fails."""
-    try:
-        gstepped = step()
-    except SymfdError:
-        return np.full(len(ix), math.inf)
-    return np.maximum(_rel_dev(ix, gstepped.x), _rel_dev(iu, gstepped.u))
+# of every trial in the batch, which fails the audit.  The Schwarzian
+# audits evaluate a row trial by trial: their kernels take one window,
+# which raises on its own degeneracy.
 
 
 class _SchwarzianAudit:
+    """The audit of a Schwarzian scheme's residual and step on four-point windows."""
+
     directions = ("shift_u", "dilate_u", "special_u", "mixed")
 
-    def __init__(self, invariantized: bool):
-        self.residual = (schemes.schwarzian_invariantized_residual if invariantized
-                         else schemes.schwarzian_invariant_residual)
-        self.step = (schemes.schwarzian_invariantized_step if invariantized
-                     else schemes.schwarzian_step)
+    def __init__(self, residual, step):
+        self.residual, self.step = residual, step
 
     def draw_config(self, rng: DeterministicRng):
         while True:
-            u = [rng.uniform(-2.0, 2.0)]
-            for _ in range(3):
-                u.append(u[-1] + rng.choice_sign() * rng.uniform(0.1, 2.0))
+            u = _random_walk(rng, 4)
             if abs(u[2] - u[0]) < 0.05 or abs(u[3] - u[1]) < 0.05:
                 continue
             h = rng.uniform(0.05, 1.0)
@@ -705,7 +698,10 @@ class _PDEAudit:
         prev = GridState(0.0, self.x0, self.u0)
         self.base = self.residual(prev, GridState(self.k, self.x1, self.u1), self.k)
         identity = self.factors(self.element(*(e for _name, e, _f in self.coords)))
-        self.stepped = _config_step(lambda: self.step(prev, self.k, identity))
+        try:
+            self.stepped = self.step(prev, self.k, identity)
+        except SymfdError as exc:  # no element can repair a config whose own step fails
+            raise ConfigError(f"an audit configuration's own step fails: {exc}") from None
 
     def draw_element(self, rng, direction, c):
         return self.element(*_draw(rng, direction, self.coords))
@@ -714,9 +710,13 @@ class _PDEAudit:
         f = _batch_factors(self.factors, gs)
         gp = GridState(*self.image(f, 0.0, self.x0, self.u0))
         gn = GridState(*self.image(f, self.k, self.x1, self.u1))
-        img = self.residual(gp, gn, gn.t - gp.t)
+        strong = _rel_dev(self.base, self.residual(gp, gn, gn.t - gp.t))
         _t, ix, iu = self.image(f, self.stepped.t, self.stepped.x, self.stepped.u)
-        return _rel_dev(self.base, img), _weak_dev(lambda: self.step(gp, self.k, f), ix, iu)
+        try:
+            gstepped = self.step(gp, self.k, f)
+        except SymfdError:
+            return strong, np.full(len(ix), math.inf)
+        return strong, np.maximum(_rel_dev(ix, gstepped.x), _rel_dev(iu, gstepped.u))
 
 
 class _KdVAudit(_PDEAudit):
@@ -774,13 +774,18 @@ class _BurgersAudit(_PDEAudit):
                 continue
             return (prev, nxt, k, nu, alpha)
 
+    @cached_property
+    def monitor(self) -> MonitorParams:
+        """The configurations' (C, 1) column of alpha, built at their first step."""
+        return MonitorParams(self.coefs[1])
+
     def residual(self, prev, nxt, k):
         return schemes.burgers_fv_residual(prev, nxt, k, self.coefs[0])
 
     def step(self, prev, k, f):
         s, s2, _e1, _e2, e3 = f
-        nu, alpha = self.coefs
-        return schemes.burgers_fv_step_detailed(prev, s2 * k, nu, alpha, drift=e3 / s)[0]
+        return schemes.burgers_fv_step_detailed(prev, s2 * k, self.coefs[0], self.monitor,
+                                                drift=e3 / s)[0]
 
 
 class _UxxAudit:
@@ -792,16 +797,16 @@ class _UxxAudit:
 
     def draw_config(self, rng: DeterministicRng):
         x = _random_mesh(rng, 3)
-        u_im1 = rng.uniform(-2.0, 2.0)
-        u_i = u_im1 + rng.choice_sign() * rng.uniform(0.1, 2.0)
+        u_im1, u_i = _random_walk(rng, 2)
         f = (x[2] - x[1]) / (x[1] - x[0])
         # put the third value on the straight-line locus W = 0
         u_ip1 = u_i + f * (u_i - u_im1)
         return (x, np.array([u_im1, u_i, u_ip1]), f)
 
     def prepare(self, configs):
-        self.configs = configs
-        self.stepped = [schemes.uxx_step(x[0], x[1], u[0], u[1], f) for x, u, f in configs]
+        x, u, self.f = map(np.array, zip(*configs))
+        self.x, self.u = x.T, u.T  # (3, C): row i holds node i of every configuration
+        self.stepped = schemes.uxx_step(self.x[0], self.x[1], self.u[0], self.u[1], self.f)
 
     def draw_element(self, rng, direction, c):
         return _draw(rng, direction, self.coords)
@@ -812,21 +817,14 @@ class _UxxAudit:
         return lam * x + a, alpha * u + beta * x + b
 
     def deviations(self, gs):
-        strong, img, gstepped = [], [], []
-        for g, (x, u, f), stepped in zip(gs, self.configs, self.stepped):
-            gx, gu = self._apply(g, x, u)
-            w = schemes.uxx_w_residual(gx[0], gx[1], gx[2], gu[0], gu[1], gu[2])
-            scale = max(
-                1.0,
-                abs((gx[1] - gx[0]) * (gu[2] - gu[1])),
-                abs((gx[2] - gx[1]) * (gu[1] - gu[0])),
-            )
-            strong.append(abs(w) / scale)
-            img.append(self._apply(g, *stepped))
-            gstepped.append(schemes.uxx_step(gx[0], gx[1], gu[0], gu[1], f))
-        img, gstepped = np.array(img)[..., None], np.array(gstepped)[..., None]
-        return np.array(strong), np.maximum(_rel_dev(img[:, 0], gstepped[:, 0]),
-                                            _rel_dev(img[:, 1], gstepped[:, 1]))
+        g = np.array(gs).T  # (5, C): one coordinate of every trial per row
+        gx, gu = self._apply(g, self.x, self.u)
+        scale = np.maximum(np.maximum(1.0, np.abs((gx[1] - gx[0]) * (gu[2] - gu[1]))),
+                           np.abs((gx[2] - gx[1]) * (gu[1] - gu[0])))
+        ix, iu = self._apply(g, *self.stepped)
+        sx, su = schemes.uxx_step(gx[0], gx[1], gu[0], gu[1], self.f)
+        return (np.abs(schemes.uxx_w_residual(*gx, *gu)) / scale,
+                np.maximum(_rel_dev(ix[:, None], sx[:, None]), _rel_dev(iu[:, None], su[:, None])))
 
 
 class _Resample(Exception):
@@ -934,8 +932,10 @@ def _naive_galilean_audit(scheme, n_elements, n_configs, seed, tol) -> AuditRepo
 
 
 _AUDITS = {
-    "schwarzian_invariant": _sampled(lambda: _SchwarzianAudit(False)),
-    "schwarzian_invariantized": _sampled(lambda: _SchwarzianAudit(True)),
+    "schwarzian_invariant": _sampled(lambda: _SchwarzianAudit(
+        schemes.schwarzian_invariant_residual, schemes.schwarzian_step)),
+    "schwarzian_invariantized": _sampled(lambda: _SchwarzianAudit(
+        schemes.schwarzian_invariantized_residual, schemes.schwarzian_invariantized_step)),
     "kdv_6pt": _sampled(lambda: _KdVAudit("6pt")),
     "kdv_10pt": _sampled(lambda: _KdVAudit("10pt")),
     "burgers_fv": _sampled(_BurgersAudit),

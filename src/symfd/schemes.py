@@ -58,7 +58,8 @@ scipy's compiled wrappers alone, not ``scipy.linalg``, about 22 MiB and
 (tangling, a singular block or monitor weight), and its
 :class:`StepInfo` is reduced over the rows (largest residual, smallest
 spacing).  The projection strategy and the naive scheme take single
-states; the Schwarzian and u_xx steps take scalars.
+states, and the Schwarzian steps take scalars; the u_xx step and residual
+take floats or (C,) arrays of C windows.
 """
 
 from __future__ import annotations
@@ -120,15 +121,16 @@ class GridState:
             raise ValueError("need at least three nodes")
         with np.errstate(invalid="ignore"):  # equal infinities differ by NaN
             dx = x[..., 1:] - x[..., :-1]
-            du = u[..., 1:] - u[..., :-1]
-        # a NaN or infinite x gives a NaN or infinite spacing next to it
-        if not (dx.min() > 0.0 and dx.max() < math.inf):
-            raise ValueError("x must be finite and strictly increasing")
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "dx", dx)
-        object.__setattr__(self, "du", du)
-        object.__setattr__(self, "slopes", du / dx)
+            # a NaN or infinite x gives a NaN or infinite spacing next to it
+            if not (dx.min() > 0.0 and dx.max() < math.inf):
+                raise ValueError("x must be finite and strictly increasing")
+            self._fill(x, u, dx)
+
+    def _fill(self, x: np.ndarray, u: np.ndarray, dx: np.ndarray) -> None:
+        """Set x, u, the spacings dx of x, and the increments and slopes of u."""
+        du = u[..., 1:] - u[..., :-1]
+        for name, value in (("x", x), ("u", u), ("dx", dx), ("du", du), ("slopes", du / dx)):
+            object.__setattr__(self, name, value)
 
     @property
     def n(self) -> int:
@@ -149,11 +151,7 @@ class GridState:
         constructor's checks."""
         st = object.__new__(cls)
         object.__setattr__(st, "t", t)
-        object.__setattr__(st, "x", x)
-        object.__setattr__(st, "u", u)
-        object.__setattr__(st, "dx", dx)
-        object.__setattr__(st, "du", u[..., 1:] - u[..., :-1])
-        object.__setattr__(st, "slopes", st.du / dx)
+        st._fill(x, u, dx)
         return st
 
 
@@ -245,8 +243,8 @@ def schwarzian_invariantized_step(u_im1: float, u_i: float, u_ip1: float,
 # straight-line scheme (weakly invariant second difference)
 # ---------------------------------------------------------------------------
 
-def uxx_w_residual(x_im1, x_i, x_ip1, u_im1, u_i, u_ip1) -> float:
-    """W = h_{i-1}(u_{i+1} - u_i) - h_i (u_i - u_{i-1}).
+def uxx_w_residual(x_im1, x_i, x_ip1, u_im1, u_i, u_ip1):
+    """W = h_{i-1}(u_{i+1} - u_i) - h_i (u_i - u_{i-1}), entry by entry on arrays.
 
     Weakly invariant under the five-parameter affine algebra: the zero set
     is preserved although W itself is only a relative invariant.
@@ -254,13 +252,13 @@ def uxx_w_residual(x_im1, x_i, x_ip1, u_im1, u_i, u_ip1) -> float:
     return (x_i - x_im1) * (u_ip1 - u_i) - (x_ip1 - x_i) * (u_i - u_im1)
 
 
-def uxx_step(x_im1: float, x_i: float, u_im1: float, u_i: float,
-             f_i: float) -> tuple[float, float]:
-    """One step of the mesh recurrence x_{i+1} = (1 + f) x_i - f x_{i-1}
-    together with the W = 0 update, which keeps u affine in x."""
-    if not x_i > x_im1:
+def uxx_step(x_im1, x_i, u_im1, u_i, f_i):
+    """One step of the mesh recurrence x_{i+1} = (1 + f) x_i - f x_{i-1} with
+    the W = 0 update, which keeps u affine in x; on floats, or on (C,) arrays
+    of C windows.  A ValueError unless every window's x increases and f > 0."""
+    if not _holds(x_i > x_im1):
         raise ValueError("mesh must be increasing")
-    if not f_i > 0.0:
+    if not _holds(f_i > 0.0):
         raise ValueError("mesh ratio must be positive")
     x_ip1 = (1.0 + f_i) * x_i - f_i * x_im1
     u_ip1 = u_i + f_i * (u_i - u_im1)
@@ -562,7 +560,7 @@ def burgers_fv_step_detailed(
     prev: GridState,
     k: float,
     nu: float,
-    alpha: float,
+    monitor: MonitorParams,
     *,
     spacing_floor: float = 0.0,
     drift: float = 0.0,
@@ -572,15 +570,16 @@ def burgers_fv_step_detailed(
     The blended Delta_tau term is linear in u^{n+1}_i with a coefficient
     no smaller than the lesser new spacing beside node i, which the mesh
     update has checked to be positive, so the update is a diagonal solve.
-    Boundary values are held (Dirichlet).  ``drift`` moves both ends of the
-    mesh by k drift, as a Galilean boost of the domain does.
+    Boundary values are held (Dirichlet).  ``monitor`` gives the mesh's
+    adaptation strength, as in :func:`kdv_step_detailed`.  ``drift`` moves
+    both ends of the mesh by k drift, as a Galilean boost of the domain does.
     """
     if not _holds(nu >= 0.0):
         raise ValueError("viscosity must be nonnegative")
     if not _holds(k > 0.0):
         raise ValueError("time step must be positive")
     ends = (prev.x[..., ::prev.n - 1] + k * drift).T  # floats, or (B,) arrays
-    upd = _adaptive_mesh(prev, k, MonitorParams(alpha), ends, spacing_floor)
+    upd = _adaptive_mesh(prev, k, monitor, ends, spacing_floor)
     x1 = upd.x_next
     coef, const, dsf = _burgers_parts(prev, x1, upd.dx, k, nu)
     u1 = prev.u.copy()

@@ -28,6 +28,7 @@ from symfd.groups import (
     apply_kdv,
     apply_sl2,
 )
+from symfd.mesh import MonitorParams
 from symfd.rng import DeterministicRng
 from symfd.runner import AUDIT_SCHEMES, AuditReport, invariance_audit
 from symfd.schemes import GridState
@@ -159,9 +160,11 @@ def _burgers_trial(g, config):
     strong = _rel(schemes.burgers_fv_residual(prev, nxt, k, nu),
                   schemes.burgers_fv_residual(gp, gn, gn.t - gp.t, nu))
     s = math.exp(g.eps4)
-    stepped = schemes.burgers_fv_step_detailed(prev, k, nu, alpha)[0]
+    monitor = MonitorParams(alpha)
+    stepped = schemes.burgers_fv_step_detailed(prev, k, nu, monitor)[0]
     try:
-        gstepped = schemes.burgers_fv_step_detailed(gp, s**2 * k, nu, alpha, drift=g.eps3 / s)[0]
+        gstepped = schemes.burgers_fv_step_detailed(gp, s**2 * k, nu, monitor,
+                                                    drift=g.eps3 / s)[0]
     except SymfdError:
         return strong, math.inf
     img = _burgers_state(g, stepped)
@@ -182,10 +185,14 @@ def _uxx_trial(g, config):
 
 
 _ORACLES = {
-    "schwarzian_invariant": (lambda: runner._SchwarzianAudit(False), runner._draw_sl2,
-                             _schwarzian_trial(False)),
-    "schwarzian_invariantized": (lambda: runner._SchwarzianAudit(True), runner._draw_sl2,
-                                 _schwarzian_trial(True)),
+    "schwarzian_invariant": (
+        lambda: runner._SchwarzianAudit(schemes.schwarzian_invariant_residual,
+                                        schemes.schwarzian_step),
+        runner._draw_sl2, _schwarzian_trial(False)),
+    "schwarzian_invariantized": (
+        lambda: runner._SchwarzianAudit(schemes.schwarzian_invariantized_residual,
+                                        schemes.schwarzian_invariantized_step),
+        runner._draw_sl2, _schwarzian_trial(True)),
     "kdv_6pt": (lambda: runner._KdVAudit("6pt"), _draw_kdv, _kdv_trial("6pt")),
     "kdv_10pt": (lambda: runner._KdVAudit("10pt"), _draw_kdv, _kdv_trial("10pt")),
     "burgers_fv": (runner._BurgersAudit, _draw_burgers, _burgers_trial),
@@ -304,18 +311,26 @@ def test_failing_image_step_fails_the_audit(monkeypatch, scheme, exc, row):
     assert rep.lines()[-1] == "  verdict: FAIL"
 
 
-def test_audit_rows_reuse_the_per_config_terms(monkeypatch):
+# each batched audit's step kernel, and the shape of its first argument's
+# nodes on 5 configurations: a state's x, or the u_xx step's x_{i-1}
+_BATCHED = {"kdv_6pt": ("kdv_step_detailed", (5, 9)), "kdv_10pt": ("kdv_step_detailed", (5, 9)),
+            "burgers_fv": ("burgers_fv_step_detailed", (5, 8)), "uxx": ("uxx_step", (5,))}
+
+
+@pytest.mark.parametrize("scheme", list(_BATCHED))
+def test_audit_rows_reuse_the_per_config_terms(monkeypatch, scheme):
     calls = Counter()
-    real = schemes.kdv_step_detailed
+    name, shape = _BATCHED[scheme]
+    real = getattr(schemes, name)
 
-    def counted(prev, k, *args, **kwargs):
-        calls[np.shape(prev.x)] += 1
-        return real(prev, k, *args, **kwargs)
+    def counted(first, *args, **kwargs):
+        calls[np.shape(getattr(first, "x", first))] += 1
+        return real(first, *args, **kwargs)
 
-    monkeypatch.setattr(schemes, "kdv_step_detailed", counted)
-    invariance_audit("kdv_10pt", 7, 5, seed=11)
+    monkeypatch.setattr(schemes, name, counted)
+    invariance_audit(scheme, 7, 5, seed=11)
     # one step of the 5 configs, then one batch of 5 trials per element row
-    assert calls == {(5, 9): 1 + 7}
+    assert calls == {shape: 1 + 7}
 
 
 # ---------------------------------------------------------------------------

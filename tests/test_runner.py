@@ -601,26 +601,43 @@ def test_every_kdv_run_commutes_with_scaling_and_shifts(key, j, shift):
         assert np.abs(u_back - u_ref).max() <= 1e-9 * np.abs(u_ref).max()
 
 
-def test_burgers_march_commutes_with_power_of_two_scaling():
-    # x -> lam x, t -> lam^2 t, u -> u / lam with lam = 2^j is exact in
-    # floating point, and the limiter's vanishing test is relative to the
-    # values it compares, so the run's march maps onto its image bit for bit
+def _burgers_march(lam: float, shift: float) -> GridState:
+    """20 steps of a 48-node viscous shock on [-0.5, 0.5], mapped by
+    x -> lam x + shift, t -> lam^2 t, u -> u / lam; the held ends move too."""
     x = np.linspace(-0.5, 0.5, 48)
     h = x[1] - x[0]
-    k, nu, alpha = 0.4 * h * h, 0.01, 0.5
+    k, nu, monitor = 0.4 * h * h, 0.01, MonitorParams(0.5)
+    state = GridState(0.0, lam * x + shift, exact_burgers(0.0, x, nu) / lam)
+    for _ in range(20):
+        state, _ = schemes.burgers_fv_step_detailed(
+            state, lam**2 * k, nu, monitor, spacing_floor=lam * runner._SPACING_FLOOR_REL * h)
+    return state
 
-    def march(lam):
-        state = GridState(0.0, lam * x, exact_burgers(0.0, x, nu) / lam)
-        for _ in range(20):
-            state, _ = schemes.burgers_fv_step_detailed(
-                state, lam**2 * k, nu, alpha, spacing_floor=lam * runner._SPACING_FLOOR_REL * h)
-        return state
 
-    ref = march(1.0)
-    for j in (-60, -50, -40, -20, 20, 40, 60):
-        lam = 2.0**j
-        out = march(lam)
-        assert np.array_equal(out.x / lam, ref.x) and np.array_equal(out.u * lam, ref.u), j
+@settings(max_examples=40, deadline=None)
+@given(j=st.integers(-16, 16), shift=st.one_of(st.just(0.0), st.floats(-10.0, 10.0)))
+@example(j=-60, shift=0.0)
+@example(j=-50, shift=0.0)
+@example(j=-40, shift=0.0)
+@example(j=-20, shift=0.0)
+@example(j=20, shift=0.0)
+@example(j=40, shift=0.0)
+@example(j=50, shift=0.0)
+@example(j=60, shift=0.0)
+def test_burgers_march_commutes_with_scaling_and_shifts(j, shift):
+    # lam = 2^j is exact in floating point and the limiter's vanishing test
+    # is relative to the values it compares, so under scaling alone the march
+    # maps onto its image bit for bit; a shift rounds x + shift, so the image
+    # then agrees to 1e-9 of the march's largest |x| and |u|
+    lam = 2.0**j
+    out, ref = _burgers_march(lam, lam * shift), _burgers_march(1.0, 0.0)
+    x_back, u_back = (out.x - lam * shift) / lam, out.u * lam
+    assert out.t / lam**2 == ref.t
+    if shift == 0.0:
+        assert np.array_equal(x_back, ref.x) and np.array_equal(u_back, ref.u)
+    else:
+        assert np.abs(x_back - ref.x).max() <= 1e-9 * np.abs(ref.x).max()
+        assert np.abs(u_back - ref.u).max() <= 1e-9 * np.abs(ref.u).max()
 
 
 def _schwarzian_cfg(**over):
@@ -943,6 +960,24 @@ def test_cli_run_unwritable_output_path(tmp_path, capsys):
     assert "status:" not in captured.out
 
 
+@pytest.mark.parametrize("diagnostics", ["out.csv", "./out.csv", "sub/../out.csv", "link.csv"])
+def test_cli_run_with_one_path_for_both_outputs_is_a_config_error(tmp_path, capsys,
+                                                                   monkeypatch, diagnostics):
+    # each output would unlink and rewrite the file, so one of them was lost
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "link.csv").symlink_to("out.csv")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        "equation = schwarzian\nscheme = schwarzian_invariant\n"
+        "domain_a = 0\ndomain_b = 1\nn_points = 16\n"
+        f"snapshots_path = {tmp_path / 'out.csv'}\ndiagnostics_path = {diagnostics}\n")
+    assert cli_main(["run", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: snapshots_path and diagnostics_path name one file")
+    assert captured.out == ""
+    assert not (tmp_path / "out.csv").exists()
+
+
 def test_cli_run_nonfinite_exit_code(tmp_path, capsys):
     # k = 2 h^3 is far beyond the explicit naive scheme's stability limit
     cfg = tmp_path / "blowup.cfg"
@@ -1262,7 +1297,7 @@ assert len(invariants.kdv_invariants(invariants.KdVStencil(0.1, x, np.sin(x)))) 
 
 x = np.linspace(-5.0, 5.0, 16)
 state = schemes.GridState(0.0, x, np.exp(-x * x))
-schemes.burgers_fv_step_detailed(state, 0.01, 0.1, 1.0)
+schemes.burgers_fv_step_detailed(state, 0.01, 0.1, MonitorParams(1.0))
 schemes.kdv_step_detailed(state, 0.01, "adaptive", "6pt", monitor=MonitorParams(10.0))
 cfg = runner.parse_config("equation = burgers\nscheme = burgers_fv\ndomain_a = -0.5\n"
                           "domain_b = 0.5\nn_points = 16\nt_final = 0.01\nnu = 0.01\n"

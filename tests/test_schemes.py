@@ -319,6 +319,46 @@ def test_uxx_w_zero_set_preserved():
         assert abs(w) / scale <= 1e-12
 
 
+_UXX_VALUES = st.floats(-1e3, 1e3)
+_UXX_POSITIVE = st.floats(1e-3, 1e3)
+
+
+def _uxx_columns(draw, c: int, *values):
+    """One (C,) array of c draws from each strategy of ``values``."""
+    return [np.array(draw(st.lists(v, min_size=c, max_size=c))) for v in values]
+
+
+def _uxx_windows(draw, c: int):
+    """(x_{i-1}, x_i, u_{i-1}, u_i, f) of c admissible windows, as (C,) arrays."""
+    x_im1, dx, u_im1, u_i, f = _uxx_columns(draw, c, _UXX_VALUES, _UXX_POSITIVE,
+                                            _UXX_VALUES, _UXX_VALUES, _UXX_POSITIVE)
+    return [x_im1, x_im1 + dx, u_im1, u_i, f]
+
+
+@settings(max_examples=60)
+@given(data=st.data(), c=st.integers(1, 6))
+def test_uxx_kernels_on_arrays_equal_their_scalar_calls(data, c):
+    args = _uxx_windows(data.draw, c)
+    singles = [uxx_step(*map(float, window)) for window in zip(*args)]
+    assert np.array(uxx_step(*args)).tobytes() == np.array(singles).T.tobytes()
+    cols = _uxx_columns(data.draw, c, *[_UXX_VALUES] * 6)
+    singles = [uxx_w_residual(*map(float, window)) for window in zip(*cols)]
+    assert uxx_w_residual(*cols).tobytes() == np.array(singles).tobytes()
+
+
+@settings(max_examples=30)
+@given(data=st.data(), c=st.integers(1, 6), bad_mesh=st.booleans())
+def test_uxx_step_on_arrays_rejects_one_bad_window(data, c, bad_mesh):
+    x_im1, x_i, u_im1, u_i, f = _uxx_windows(data.draw, c)
+    r, gap = data.draw(st.integers(0, c - 1)), data.draw(st.floats(0.0, 1e3))
+    if bad_mesh:  # a non-increasing mesh
+        x_i[r] = x_im1[r] - gap
+    else:  # a nonpositive ratio
+        f[r] = -gap
+    with pytest.raises(ValueError, match="increasing" if bad_mesh else "ratio"):
+        uxx_step(x_im1, x_i, u_im1, u_i, f)
+
+
 # ---------------------------------------------------------------------------
 # KdV residuals and steps
 # ---------------------------------------------------------------------------
@@ -783,7 +823,7 @@ def test_burgers_constant_state_fixed_point():
     for c in (0.8, -0.8):
         prev = GridState(0.0, x, np.full(12, c))
         for nu in (0.0, 0.3):
-            nxt = burgers_fv_step_detailed(prev, 0.01, nu, 0.7)[0]
+            nxt = burgers_fv_step_detailed(prev, 0.01, nu, MonitorParams(0.7))[0]
             assert np.max(np.abs(nxt.u - c)) <= 1e-12
 
 
@@ -855,9 +895,9 @@ def test_burgers_step_equals_public_composition(data, n, rows):
         want = _burgers_step_reference(prev, k, nu, alpha, drift)
     except SymfdError as exc:
         with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
-            burgers_fv_step_detailed(prev, k, nu, alpha, drift=drift)
+            burgers_fv_step_detailed(prev, k, nu, MonitorParams(alpha), drift=drift)
         return
-    nxt, info = burgers_fv_step_detailed(prev, k, nu, alpha, drift=drift)
+    nxt, info = burgers_fv_step_detailed(prev, k, nu, MonitorParams(alpha), drift=drift)
     x1, u1, min_spacing, weights = want
     assert nxt.x.tobytes() == x1.tobytes()
     assert nxt.u.tobytes() == u1.tobytes()
@@ -880,7 +920,7 @@ def test_burgers_step_and_residual_strong_invariance(data, n):
     nxt = GridState(k, _mesh(data.draw, n, None), _values(data.draw, n, None, [-1.0, 0.0, 1.0]))
     du = np.abs(np.diff(prev.u))
     assume(((du == 0.0) | (du >= 1e-6)).all())
-    stepped = burgers_fv_step_detailed(prev, k, nu, alpha)[0]
+    stepped = burgers_fv_step_detailed(prev, k, nu, MonitorParams(alpha))[0]
     for x1 in (nxt.x, stepped.x):
         assume(np.min(np.abs(prev.u[1:-1] - (x1 - prev.x)[1:-1] / k)) >= 1e-3)
     g = BurgersGroupElement(data.draw(st.floats(-1.0, 1.0)), data.draw(st.floats(-1.0, 1.0)),
@@ -894,7 +934,8 @@ def test_burgers_step_and_residual_strong_invariance(data, n):
     assert rel_err(burgers_fv_residual(prev, nxt, k, nu),
                    burgers_fv_residual(gp, gn, gn.t - gp.t, nu)) <= 1e-9
     s = math.exp(g.eps4)
-    gstepped = burgers_fv_step_detailed(gp, s**2 * k, nu, alpha, drift=g.eps3 / s)[0]
+    gstepped = burgers_fv_step_detailed(gp, s**2 * k, nu, MonitorParams(alpha),
+                                        drift=g.eps3 / s)[0]
     assert rel_err(gs.x, gstepped.x) <= 1e-9
     assert rel_err(gs.u, gstepped.u) <= 1e-9
 
@@ -903,7 +944,7 @@ def test_burgers_step_solves_residual():
     x = np.linspace(-1, 1, 24)
     u = np.tanh(-3.0 * x)
     prev = GridState(0.0, x, u)
-    nxt, info = burgers_fv_step_detailed(prev, 0.002, 0.05, 0.5)
+    nxt, info = burgers_fv_step_detailed(prev, 0.002, 0.05, MonitorParams(0.5))
     assert (info.residual_inf, info.newton_iters) == (0.0, 0)
     r = burgers_fv_residual(prev, nxt, 0.002, 0.05)
     assert np.max(np.abs(r)) <= 1e-12
@@ -965,7 +1006,7 @@ def test_burgers_shock_total_variation_bound():
     tv0 = total_variation(st.du)
     k = 0.4 * h * h
     for _ in range(400):
-        st = burgers_fv_step_detailed(st, k, nu, 0.5)[0]
+        st = burgers_fv_step_detailed(st, k, nu, MonitorParams(0.5))[0]
         assert total_variation(st.du) <= tv0 + 1e-8
 
 
@@ -1173,7 +1214,7 @@ def test_burgers_step_batch_rows_equal_single_steps():
                "alpha": _column(rng, 0.0, 2.0, rows), "drift": _column(rng, -1.0, 1.0, rows)}
 
     def step(p, k, nu, alpha, drift):
-        return burgers_fv_step_detailed(p, k, nu, alpha, drift=drift)
+        return burgers_fv_step_detailed(p, k, nu, MonitorParams(alpha), drift=drift)
 
     nxt = _assert_rows_are_single_steps(step, prev, per_row, {})
     weights = monitor_arclength(prev, per_row["k"], MonitorParams(per_row["alpha"]))
@@ -1277,7 +1318,7 @@ def test_burgers_and_adaptive_kdv_steps_take_one_mesh_path(monkeypatch, equation
         monkeypatch.setattr(schemes, name, counted)
     prev = _state(DeterministicRng(31), rows)
     if equation == "burgers":
-        burgers_fv_step_detailed(prev, 0.05, 0.1, 1.0)
+        burgers_fv_step_detailed(prev, 0.05, 0.1, MonitorParams(1.0))
     else:
         kdv_step_detailed(prev, 0.01, "adaptive", "10pt", monitor=MonitorParams(1.0))
     assert counts == {"monitor_arclength": 1, "equidistribute": 1}
